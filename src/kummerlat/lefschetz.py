@@ -13,9 +13,32 @@ automorphism is
             det(1 - wedge^i(Psi) q^(i-2) t^(v |chi|))^( (-1)^(i+1) ),
 
 where |chi| is the order of the character and L(psi, q) = det(1 - q Psi).
-The division is performed exactly in the Laurent polynomial ring over a
-cyclotomic field, the quotient must have rational coefficients, and its
-value at q = 1 is the integer Lefschetz number.
+
+Every quantity on the way is a rational integer, and the engine computes
+over Z only:
+
+* The product depends on chi only through its order w, so the sum is
+  grouped by order.  The fixed characters of order w are permuted by the
+  units mod n, hence the pairings k = <chi, b> mod n are equidistributed on
+  each Galois class {k : gcd(k, n) = g}, and the zeta_n^k of one class sum
+  to the Ramanujan sum moebius(n / g).  So sigma_w, the sum of chi(b) over
+  the fixed chi of order w, is sum_g count_g * moebius(n / g), with count_g
+  the number of characters pairing to any one k of the class.
+* Every wedge factor has constant term 1, so the series in t stay over
+  Z[q, 1/q].
+* L(psi, q) has constant term 1 and leading coefficient det Psi = +-1, so
+  the division by it is exact long division over Z (never an evaluation at
+  q = 1, where L(psi, q) often vanishes).
+
+Two runtime guards remain: the pairing counts must be constant on every
+Galois class ("Galois-stability violated"), which makes each sigma_w
+rational, and the division must leave no remainder ("division identity
+violated").  The quotient then has integer coefficients and its value at
+q = 1 is the integer Lefschetz number.
+
+Everything that depends on (h, n) but not on b is kept in one bounded memo,
+so the translation variants of one matrix share it.  ``generating_series``
+keeps the direct cyclotomic evaluation of the character sum as a reference.
 
 The catalog covers the torus automorphisms whose action on second cohomology
 has prime order, together with their sign flips and translation variants,
@@ -26,14 +49,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, moebius
 from .matrix import Matrix, block_diag, exact_det, exact_inverse, identity
 from .series import LaurentPoly, TruncatedBiSeries, laurent_divmod
 
-_WEDGE_SIZES = (1, 4, 6, 4, 1)
+# Largest accepted torsion order n; it keeps the accepted inputs those of
+# the cyclotomic reference path (conductor at most 60).
+MAX_TORSION = 60
+
+
+def _check_torsion(n: int) -> None:
+    if not 1 <= n <= MAX_TORSION:
+        raise ValueError(f"torsion order n must be in 1..{MAX_TORSION}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -53,12 +85,11 @@ class TorusAutomorphism:
     label: str = ""
 
     def __post_init__(self):
+        _check_torsion(self.torsion)
         if self.matrix.shape != (4, 4) or not self.matrix.is_integral:
             raise ValueError("torus automorphism needs an integral 4x4 matrix")
         if abs(exact_det(self.matrix)) != 1:
             raise ValueError("torus automorphism matrix must be unimodular")
-        if self.torsion < 1:
-            raise ValueError("torsion order must be positive")
         if len(self.translation) != 4:
             raise ValueError("translation must have four coordinates")
         if any(not 0 <= x < self.torsion for x in self.translation):
@@ -67,6 +98,7 @@ class TorusAutomorphism:
 
 def torus_automorphism(matrix: Matrix, translation, torsion: int, sign: int = 1,
                        label: str = "") -> TorusAutomorphism:
+    _check_torsion(torsion)
     b = tuple(int(x) % torsion for x in translation)
     return TorusAutomorphism(matrix, b, torsion, sign, label)
 
@@ -109,14 +141,26 @@ def exterior_power(m: Matrix, i: int) -> Matrix:
 
 
 def _det_one_minus_x(m: Matrix) -> list[int]:
-    """Coefficients c_k with det(1 - x M) = sum c_k x^k, via principal minors."""
-    n = m.rows
+    """Coefficients c_k with det(1 - x M) = sum c_k x^k, for an integral M.
+
+    c_k is the coefficient of lambda^(d-k) in det(lambda - M), computed by
+    the Faddeev-LeVerrier recurrence M_k = M M_(k-1) + c_(k-1),
+    c_k = -tr(M M_k) / k, whose divisions are exact over Z.
+    """
+    if not m.is_integral:
+        raise ValueError("_det_one_minus_x expects an integral matrix")
+    a, d = m.data, m.rows
     coeffs = [1]
-    for k in range(1, n + 1):
-        e_k = 0
-        for idx in combinations(range(n), k):
-            e_k += exact_det(Matrix([[m.data[a][b] for b in idx] for a in idx]))
-        coeffs.append((-1) ** k * e_k)
+    acc = [[0] * d for _ in range(d)]
+    for k in range(1, d + 1):
+        c = coeffs[-1]
+        acc = [
+            [sum(x * acc[l][j] for l, x in enumerate(row)) + (c if i == j else 0)
+             for j in range(d)]
+            for i, row in enumerate(a)
+        ]
+        trace = sum(x * acc[l][i] for i, row in enumerate(a) for l, x in enumerate(row))
+        coeffs.append(-trace // k)
     return coeffs
 
 
@@ -136,18 +180,25 @@ def fixed_characters(h: Matrix, n: int) -> list[CharacterClass]:
     A character with dual coordinates c is fixed exactly when
     h^T c = c mod n; its order is n / gcd(c, n).
     """
-    ht = h.transpose()
+    # (h^T - 1) c = sum_j c_j col_j, where col_j is row j of h minus e_j
+    cols = [tuple(x - (i == j) for i, x in enumerate(row)) for j, row in enumerate(h.data)]
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (d0, d1, d2, d3), (e0, e1, e2, e3) = cols
     out = []
-    for c in product(range(n), repeat=4):
-        image = ht.apply(c)
-        if all((x - y) % n == 0 for x, y in zip(image, c)):
-            g = gcd(gcd(gcd(gcd(c[0], c[1]), c[2]), c[3]), n)
-            out.append(CharacterClass(c, n // g))
+    for c0 in range(n):
+        for c1 in range(n):
+            s0, s1 = c0 * a0 + c1 * b0, c0 * a1 + c1 * b1
+            s2, s3 = c0 * a2 + c1 * b2, c0 * a3 + c1 * b3
+            for c2 in range(n):
+                t0, t1, t2, t3 = s0 + c2 * d0, s1 + c2 * d1, s2 + c2 * d2, s3 + c2 * d3
+                for c3 in range(n):
+                    if ((t0 + c3 * e0) % n == 0 and (t1 + c3 * e1) % n == 0
+                            and (t2 + c3 * e2) % n == 0 and (t3 + c3 * e3) % n == 0):
+                        out.append(CharacterClass((c0, c1, c2, c3), n // gcd(c0, c1, c2, c3, n)))
     return out
 
 
 def _character_order_sums(aut: TorusAutomorphism) -> dict[int, CyclotomicNumber]:
-    """For each character order w, the sum of chi(b) over fixed chi of order w."""
+    """Reference path: sum of chi(b) over fixed chi of each order, in Q(zeta_n)."""
     n = aut.torsion
     sums: dict[int, CyclotomicNumber] = {}
     for chi in fixed_characters(aut.matrix, n):
@@ -168,12 +219,12 @@ def _wedge_factor(psi_coeffs: list[int], i: int, t_exp: int, trunc: int) -> Trun
         if te > trunc:
             break
         if c:
-            cs[te] = cs[te] + LaurentPoly.monomial(Fraction(c), (i - 2) * k)
+            cs[te] = cs[te] + LaurentPoly.monomial(c, (i - 2) * k)
     return TruncatedBiSeries(trunc, cs)
 
 
 def _order_product(psi: Matrix, w: int, trunc: int) -> TruncatedBiSeries:
-    """prod over v with v w <= trunc of the five wedge factors at t^(v w)."""
+    """Reference path: prod over v w <= trunc of the five wedge factors at t^(v w)."""
     wedge_coeffs = [_det_one_minus_x(exterior_power(psi, i)) for i in range(5)]
     total = TruncatedBiSeries.one(trunc)
     v = 1
@@ -192,7 +243,8 @@ def generating_series(aut: TorusAutomorphism, trunc: int) -> TruncatedBiSeries:
 
     The per-character product depends on the character only through its
     order, so the sum is grouped: sum_w (sum of chi(b) over fixed chi of
-    order w) * (product for order w).
+    order w) * (product for order w).  This is the cyclotomic reference
+    path; ``lefschetz_q`` computes the same [t^n] coefficient over Z.
     """
     if trunc < aut.torsion:
         raise ValueError("truncation order must be at least the torsion order")
@@ -207,64 +259,141 @@ def generating_series(aut: TorusAutomorphism, trunc: int) -> TruncatedBiSeries:
     return total
 
 
-_PROFILE_CACHE: dict = {}
+def _substitute(f: TruncatedBiSeries, step: int, trunc: int) -> TruncatedBiSeries:
+    """f(t^step), truncated at t^trunc."""
+    cs = [LaurentPoly.zero()] * (trunc + 1)
+    for k in range(trunc // step + 1):
+        cs[k * step] = f.coeffs[k]
+    return TruncatedBiSeries(trunc, cs)
 
 
-def _value_profile(h: Matrix, n: int):
-    """Cache of (L(psi, q), {w: q^(2n) [t^n] of the order-w product})."""
-    key = (h.data, n)
-    hit = _PROFILE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    psi = h.transpose()
-    l_poly = lefschetz_poly_surface(h)
-    orders = sorted({n // gcd(gcd(gcd(gcd(c[0], c[1]), c[2]), c[3]), n)
-                     for c in product(range(n), repeat=4)})
+def _order_tops(psi: Matrix, orders, n: int) -> dict[int, LaurentPoly]:
+    """w -> q^(2n) [t^n] prod_{v w <= n} F(t^(v w)) for each order w.
+
+    F(x) = prod_i det(1 - wedge^i(Psi) q^(i-2) x)^((-1)^(i+1)) is built once,
+    from the five wedge polynomials, and substituted for every v and w.
+    """
+    f = TruncatedBiSeries.one(n)
+    for i in range(5):
+        factor = _wedge_factor(_det_one_minus_x(exterior_power(psi, i)), i, 1, n)
+        f = f * (factor.invert() if i % 2 == 0 else factor)
     tops = {}
     for w in orders:
-        tops[w] = _order_product(psi, w, n).coeff(n)
-    _PROFILE_CACHE[key] = (l_poly, tops)
-    return l_poly, tops
+        total = TruncatedBiSeries.one(n)
+        for step in range(w, n + 1, w):
+            total = total * _substitute(f, step, n)
+        tops[w] = total.coeff(n).shift(2 * n)
+    return tops
+
+
+def _exp_tops(psi: Matrix, orders, n: int) -> dict[int, Fraction]:
+    """w -> [t^n] prod_{v >= 1} exp(sum_{s >= 1} det(1 - Psi^s)/s t^(v w s)).
+
+    The logarithm has log[m] = sum over s | m/w of det(1 - Psi^s)/s at the
+    multiples m of w, and k E_k = sum_j j log[j] E_(k-j) exponentiates it.
+    """
+    dets = []
+    power = identity(4)
+    for _ in range(n):
+        power = power @ psi
+        dets.append(exact_det(identity(4) - power))
+    tops = {}
+    for w in orders:
+        log = [Fraction(0)] * (n + 1)
+        for m in range(w, n + 1, w):
+            k = m // w
+            log[m] = sum((Fraction(dets[s - 1], s) for s in range(1, k + 1) if k % s == 0),
+                         Fraction(0))
+        e = [Fraction(1)] + [Fraction(0)] * n
+        for k in range(w, n + 1, w):
+            e[k] = sum((j * log[j] * e[k - j] for j in range(w, k + 1, w)), Fraction(0)) / k
+        tops[w] = e[n]
+    return tops
+
+
+class _Profile(NamedTuple):
+    """What lefschetz_q and corollary_value need of (h, n), whatever b is."""
+
+    characters: dict  # order w -> residues of the fixed characters of order w
+    classes: tuple  # per divisor g of n: (the k with gcd(k, n) = g, moebius(n / g))
+    l_poly: LaurentPoly  # det(1 - q Psi), integer coefficients
+    tops: dict  # order w -> q^(2n) [t^n] of the order-w product
+    exp_tops: dict  # order w -> [t^n] of the order-w exponential form
+
+
+@lru_cache(maxsize=16)
+def _profile(h_data, n: int) -> _Profile:
+    h = Matrix(h_data)
+    psi = h.transpose()
+    characters: dict[int, list] = {}
+    for chi in fixed_characters(h, n):
+        characters.setdefault(chi.order, []).append(chi.residues)
+    orders = sorted(characters)
+    classes: dict[int, list] = {}
+    for k in range(n):
+        classes.setdefault(gcd(k, n), []).append(k)
+    return _Profile(
+        {w: tuple(characters[w]) for w in orders},
+        tuple((tuple(ks), moebius(n // g)) for g, ks in sorted(classes.items())),
+        LaurentPoly(dict(enumerate(_det_one_minus_x(psi)))),
+        _order_tops(psi, orders, n),
+        _exp_tops(psi, orders, n),
+    )
+
+
+def _order_sums(aut: TorusAutomorphism, profile: _Profile) -> dict[int, int]:
+    """sigma_w, the sum of chi(b) over the fixed chi of order w, as integers.
+
+    Raises ValueError("Galois-stability violated") when the pairings of the
+    characters of one order with b are not equidistributed on a Galois
+    class, i.e. when sigma_w would not be rational.
+    """
+    n = aut.torsion
+    b0, b1, b2, b3 = aut.translation
+    sums = {}
+    for w, residues in profile.characters.items():
+        counts = [0] * n
+        for c0, c1, c2, c3 in residues:
+            counts[(c0 * b0 + c1 * b1 + c2 * b2 + c3 * b3) % n] += 1
+        sigma = 0
+        for ks, mu in profile.classes:
+            count = counts[ks[0]]
+            if any(counts[k] != count for k in ks):
+                raise ValueError(
+                    f"Galois-stability violated: characters of order {w} pair with b "
+                    f"unevenly on the residues {list(ks)} mod {n}"
+                )
+            sigma += count * mu
+        sums[w] = sigma
+    return sums
 
 
 def lefschetz_q(aut: TorusAutomorphism) -> LefschetzResult:
     """Exact q-refined Lefschetz number of the induced Kummer automorphism.
 
     Raises ValueError("division identity violated") when the character sum
-    is not divisible by L(psi, q), and
-    ValueError("Galois-stability violated") when the quotient fails to be
-    rational or integral at q = 1.  Both are unreachable for genuine torus
-    automorphisms.
+    is not divisible by L(psi, q), and ValueError("Galois-stability
+    violated") when a character sum fails to be rational.  Both are
+    unreachable for genuine torus automorphisms.
     """
     n = aut.torsion
-    l_poly, tops = _value_profile(aut.matrix, n)
-    sums = _character_order_sums(aut)
+    profile = _profile(aut.matrix.data, n)
     numerator = LaurentPoly.zero()
-    for w, sigma in sorted(sums.items()):
-        if sigma == 0:
-            continue
-        numerator = numerator + tops[w] * sigma
+    for w, sigma in _order_sums(aut, profile).items():
+        if sigma:
+            numerator = numerator + profile.tops[w] * sigma
     if numerator.is_zero:
         return LefschetzResult(LaurentPoly.zero(), 0)
-    if numerator.min_exp < -2 * n:
+    if numerator.min_exp < 0:
         raise ValueError(
             "division identity violated: q-valuation of the t^n coefficient "
-            f"is {numerator.min_exp} < {-2 * n}"
+            f"is {numerator.min_exp - 2 * n} < {-2 * n}"
         )
-    numerator = numerator.shift(2 * n)
-    quotient, remainder = laurent_divmod(numerator, l_poly)
+    quotient, remainder = laurent_divmod(numerator, profile.l_poly)
     if not remainder.is_zero:
         raise ValueError("division identity violated: nonzero remainder")
-    try:
-        rational = quotient.to_fraction_coeffs()
-    except ValueError:
-        raise ValueError("Galois-stability violated: non-rational coefficient")
-    poly = LaurentPoly(rational)
-    value = poly.evaluate_one()
-    value_fraction = Fraction(value)
-    if value_fraction.denominator != 1:
-        raise ValueError("Galois-stability violated: non-integer value at q = 1")
-    return LefschetzResult(poly, int(value_fraction))
+    poly = LaurentPoly({e: Fraction(c) for e, c in quotient.coeffs.items()})
+    return LefschetzResult(poly, sum(quotient.coeffs.values()))
 
 
 def corollary_value(aut: TorusAutomorphism) -> Fraction:
@@ -277,52 +406,9 @@ def corollary_value(aut: TorusAutomorphism) -> Fraction:
 
     which equals L(psi) * L(psi^[n]).
     """
-    n = aut.torsion
-    psi = aut.matrix.transpose()
-    dets = []
-    power = identity(4)
-    for _ in range(n):
-        power = power @ psi
-        dets.append(exact_det(identity(4) - power))
-    sums = _character_order_sums(aut)
-    total = TruncatedBiSeries.zero(n)
-    for w, sigma in sorted(sums.items()):
-        if sigma == 0:
-            continue
-        prod_series = TruncatedBiSeries.one(n)
-        v = 1
-        while v * w <= n:
-            log_cs = [LaurentPoly.zero() for _ in range(n + 1)]
-            s = 1
-            while v * w * s <= n:
-                d = dets[s - 1]
-                if d:
-                    log_cs[v * w * s] = log_cs[v * w * s] + LaurentPoly.monomial(
-                        Fraction(d, s), 0
-                    )
-                s += 1
-            log_term = TruncatedBiSeries(n, log_cs)
-            exp_term = TruncatedBiSeries.one(n)
-            power_term = TruncatedBiSeries.one(n)
-            factorial = 1
-            for j in range(1, n + 1):
-                power_term = power_term * log_term
-                factorial *= j
-                exp_term = exp_term + power_term.scaled(Fraction(1, factorial))
-            prod_series = prod_series * exp_term
-            v += 1
-        total = total + prod_series.scaled(sigma)
-    top = total.coeff(n)
-    if top.is_zero:
-        return Fraction(0)
-    if set(top.coeffs) != {0}:
-        raise ValueError("q entered a q-free computation")
-    value = top.coeffs[0]
-    if isinstance(value, CyclotomicNumber):
-        if not value.is_rational:
-            raise ValueError("character sum failed to collapse to a rational")
-        return value.rational_value
-    return Fraction(value)
+    profile = _profile(aut.matrix.data, aut.torsion)
+    sums = _order_sums(aut, profile)
+    return sum((sigma * profile.exp_tops[w] for w, sigma in sums.items()), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

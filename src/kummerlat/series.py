@@ -16,6 +16,8 @@ from .cyclotomic import CyclotomicNumber
 def scalar_inverse(x):
     if isinstance(x, CyclotomicNumber):
         return x.inverse()
+    if isinstance(x, int) and abs(x) == 1:
+        return x  # a unit of Z: inversion and division by it stay over Z
     return Fraction(1) / Fraction(x)
 
 

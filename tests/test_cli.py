@@ -1,4 +1,11 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import time
+
+import pytest
 
 from kummerlat.cli import (
     EXIT_INPUT_ERROR,
@@ -17,6 +24,9 @@ def _write(tmp_path, name, payload):
 H5 = {"name": "H5", "gram": [[2, 1], [1, -2]]}
 A4M_GRAM = [[-2, 1, 0, 0], [1, -2, 1, 0], [0, 1, -2, 1], [0, 0, 1, -2]]
 C5 = [[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]]
+ID4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def test_lattice_info(tmp_path, capsys):
@@ -129,7 +139,7 @@ def test_kummer_negative_variant(capsys):
 
 
 def test_kummer_job_roundtrip(tmp_path, capsys):
-    job = {"H": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "b": [1, 0, 0, 0], "n": 3}
+    job = {"H": ID4, "b": [1, 0, 0, 0], "n": 3}
     path = _write(tmp_path, "job.json", job)
     assert main(["kummer", "--job", path, "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
@@ -143,6 +153,42 @@ def test_kummer_table(capsys):
     out = capsys.readouterr().out
     assert "overall: PASS" in out
     assert out.count("PASS") == 40  # 39 entries plus the overall line
+
+
+def test_kummer_catalog_json_golden(capsys):
+    # full --json payload of every catalog entry, byte for byte
+    entries = json.loads((GOLDEN / "kummer_catalog.json").read_text(encoding="utf-8"))
+    assert len(entries) == 39
+    for entry in entries:
+        argv = ["kummer", "--type", str(entry["type"]), "--variant", entry["variant"], "--json"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == json.dumps(entry["payload"], indent=2) + "\n"
+
+
+def test_kummer_table_golden(capsys):
+    assert main(["kummer", "--table"]) == EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / "kummer_table.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("n", [0, -1, 61])
+def test_kummer_job_rejects_bad_torsion(tmp_path, capsys, n):
+    path = _write(tmp_path, "job.json", {"H": ID4, "b": [0, 0, 0, 0], "n": n})
+    start = time.perf_counter()
+    assert main(["kummer", "--job", path]) == EXIT_INPUT_ERROR
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "1..60" in err
+
+
+@pytest.mark.parametrize("n", [0, -1, 61])
+def test_kummer_job_bad_torsion_process_exit(tmp_path, n):
+    path = _write(tmp_path, "job.json", {"H": ID4, "b": [0, 0, 0, 0], "n": n})
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "kummerlat.cli", "kummer", "--job", path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == EXIT_INPUT_ERROR
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_kummer_missing_args(capsys):

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
 from kummerlat.cyclotomic import CyclotomicNumber
 from kummerlat.lefschetz import (
     CATALOG_EXPECTED,
+    MAX_TORSION,
+    CharacterClass,
     TorusAutomorphism,
     catalog,
     catalog_variants,
@@ -74,8 +77,6 @@ def test_lefschetz_poly_equals_alternating_traces():
 
 
 def test_fixed_characters():
-    from kummerlat.lefschetz import CharacterClass
-
     assert len(fixed_characters(identity(4), 3)) == 81
     assert fixed_characters(identity(4), 1) == [CharacterClass((0, 0, 0, 0), 1)]
     comp5 = catalog(8, "h").matrix
@@ -297,38 +298,161 @@ def test_values_are_basis_independent():
 
 
 def test_division_and_rationality_guards(monkeypatch):
-    # inject corrupted profile data to exercise the runtime guards
+    # inject corrupted memo data to exercise the runtime guards
     import kummerlat.lefschetz as lef
-    from kummerlat.cyclotomic import zeta
 
     aut = catalog(0, "id")
-    l_poly = lefschetz_poly_surface(aut.matrix)
+    genuine = lef._profile(aut.matrix.data, aut.torsion)
 
-    # q-valuation below -2n
-    monkeypatch.setattr(
-        lef, "_value_profile",
-        lambda h, n: (l_poly, {1: LaurentPoly({-7: Fraction(1)}), 3: LaurentPoly.zero()}),
-    )
-    with pytest.raises(ValueError, match="division identity violated"):
+    def corrupt(**fields):
+        monkeypatch.setattr(lef, "_profile", lambda h, n: genuine._replace(**fields))
+
+    # q^(2n) [t^n] with a negative exponent: q-valuation below -2n
+    corrupt(tops={1: LaurentPoly({-1: 1}), 3: LaurentPoly.zero()})
+    with pytest.raises(ValueError, match="division identity violated: q-valuation"):
         lef.lefschetz_q(aut)
 
     # numerator not divisible by L(psi, q)
-    monkeypatch.setattr(
-        lef, "_value_profile",
-        lambda h, n: (l_poly, {1: LaurentPoly.one(), 3: LaurentPoly.zero()}),
-    )
-    with pytest.raises(ValueError, match="division identity violated"):
+    corrupt(tops={1: LaurentPoly.one(), 3: LaurentPoly.zero()})
+    with pytest.raises(ValueError, match="division identity violated: nonzero remainder"):
         lef.lefschetz_q(aut)
 
-    # irrational quotient coefficients
-    z = zeta(3)
-    divisible = l_poly * LaurentPoly({0: z})
-    monkeypatch.setattr(
-        lef, "_value_profile",
-        lambda h, n: (l_poly, {1: divisible, 3: LaurentPoly.zero()}),
-    )
+    # drop (2, 0, 0, 0) but keep its Galois conjugate (1, 0, 0, 0): with
+    # b = e1 the order 3 pairings count 27 at k = 1 and 26 at k = 2
+    characters = dict(genuine.characters)
+    characters[3] = tuple(c for c in characters[3] if c != (2, 0, 0, 0))
+    corrupt(characters=characters)
+    shifted = catalog(0, "t_b")
     with pytest.raises(ValueError, match="Galois-stability violated"):
-        lef.lefschetz_q(aut)
+        lef.lefschetz_q(shifted)
+    with pytest.raises(ValueError, match="Galois-stability violated"):
+        lef.corollary_value(shifted)
+
+
+def _catalog_matrices():
+    out = []
+    for kind in range(9):
+        h = _h_matrix(kind)
+        out += [h, -h]
+    return out
+
+
+def test_integer_character_sums_match_cyclotomic_sums():
+    # oracle: sigma_w as a sum of roots of unity over brute-force fixed characters
+    import kummerlat.lefschetz as lef
+
+    rng = random.Random(41)
+    for n in range(2, 6):
+        for h in _catalog_matrices():
+            ht = h.transpose()
+            fixed = [c for c in product(range(n), repeat=4)
+                     if all((x - y) % n == 0 for x, y in zip(ht.apply(c), c))]
+            for b in ((0, 0, 0, 0), tuple(rng.randrange(n) for _ in range(4))):
+                aut = torus_automorphism(h, b, n)
+                expected = {}
+                for c in fixed:
+                    w = n // gcd(*c, n)
+                    chi_b = CyclotomicNumber.zeta(n, sum(x * y for x, y in zip(c, b)))
+                    expected[w] = expected.get(w, 0) + chi_b
+                sums = lef._order_sums(aut, lef._profile(h.data, n))
+                assert set(sums) == set(expected)
+                assert all(expected[w] == sums[w] for w in sums), (h, b, n)
+
+
+def test_fixed_characters_match_matrix_apply():
+    rng = random.Random(43)
+    for n in range(1, 7):
+        for _ in range(4):
+            h = random_unimodular(rng, 4)
+            ht = h.transpose()
+            expected = [
+                CharacterClass(c, n // gcd(*c, n))
+                for c in product(range(n), repeat=4)
+                if all((x - y) % n == 0 for x, y in zip(ht.apply(c), c))
+            ]
+            assert fixed_characters(h, n) == expected
+
+
+def test_det_one_minus_x_matches_principal_minors():
+    from itertools import combinations
+
+    from kummerlat.lefschetz import _det_one_minus_x
+
+    rng = random.Random(47)
+    for _ in range(6):
+        h = random_unimodular(rng, 4)
+        for i in range(5):
+            m = exterior_power(h, i)
+            expected = [1] + [
+                (-1) ** k * sum(exact_det(Matrix([[m.data[a][b] for b in idx] for a in idx]))
+                                for idx in combinations(range(m.rows), k))
+                for k in range(1, m.rows + 1)
+            ]
+            assert _det_one_minus_x(m) == expected
+
+
+def test_order_tops_match_reference_products():
+    # the memo's substituted product F(t^(v w)) against the factor-by-factor product
+    import kummerlat.lefschetz as lef
+
+    rng = random.Random(53)
+    for h in _catalog_matrices()[::3] + [random_unimodular(rng, 4) for _ in range(3)]:
+        psi = h.transpose()
+        for n in range(1, 5):
+            tops = lef._order_tops(psi, range(1, n + 1), n)
+            for w in range(1, n + 1):
+                assert tops[w] == lef._order_product(psi, w, n).coeff(n).shift(2 * n), (h, n, w)
+
+
+def test_exp_tops_match_factorial_exponential():
+    # oracle: exp as sum_j log^j / j! on plain Fraction power series
+    from math import factorial
+
+    import kummerlat.lefschetz as lef
+
+    def mul(a, b):
+        out = [Fraction(0)] * len(a)
+        for i, x in enumerate(a):
+            for j in range(len(a) - i):
+                out[i + j] += x * b[j]
+        return out
+
+    rng = random.Random(59)
+    for h in _catalog_matrices()[::2] + [random_unimodular(rng, 4) for _ in range(3)]:
+        psi = h.transpose()
+        for n in range(1, 6):
+            dets = [exact_det(identity(4) - psi ** s) for s in range(1, n + 1)]
+            tops = lef._exp_tops(psi, range(1, n + 1), n)
+            exp_one = [Fraction(1)] + [Fraction(0)] * n
+            for w in range(1, n + 1):
+                product_series = list(exp_one)
+                for v in range(1, n // w + 1):
+                    log = [Fraction(0)] * (n + 1)
+                    for s in range(1, n // (v * w) + 1):
+                        log[v * w * s] += Fraction(dets[s - 1], s)
+                    exp, power = list(exp_one), list(exp_one)
+                    for j in range(1, n + 1):
+                        power = mul(power, log)
+                        exp = [x + y / factorial(j) for x, y in zip(exp, power)]
+                    product_series = mul(product_series, exp)
+                assert tops[w] == product_series[n], (h, n, w)
+
+
+def test_profile_memo_is_bounded_and_shared_across_translations():
+    import kummerlat.lefschetz as lef
+
+    lef._profile.cache_clear()
+    h = _h_matrix(7)
+    for beta in list(product(range(3), repeat=4))[:10]:
+        lefschetz_q(torus_automorphism(h, beta, 3))
+        corollary_value(torus_automorphism(h, beta, 3))
+    info = lef._profile.cache_info()
+    assert (info.maxsize, info.misses, info.hits, info.currsize) == (16, 1, 19, 1)
+    rng = random.Random(61)
+    matrices = {random_unimodular(rng, 4) for _ in range(24)}
+    for m in matrices:
+        lefschetz_q(torus_automorphism(m, (1, 0, 0, 0), 2))
+    assert len(matrices) > 16 and lef._profile.cache_info().currsize == 16
 
 
 def test_transpose_invariance_of_factors():
@@ -356,3 +480,10 @@ def test_torus_automorphism_validation():
         TorusAutomorphism(identity(4), (5, 0, 0, 0), 3)
     aut = torus_automorphism(identity(4), (5, 0, 0, 0), 3)
     assert aut.translation == (2, 0, 0, 0)
+    # the torsion order is checked before it is used as a modulus
+    for n in (0, -1, MAX_TORSION + 1):
+        with pytest.raises(ValueError, match=f"1..{MAX_TORSION}"):
+            torus_automorphism(identity(4), (0, 0, 0, 0), n)
+        with pytest.raises(ValueError, match=f"1..{MAX_TORSION}"):
+            TorusAutomorphism(identity(4), (0, 0, 0, 0), n)
+    assert torus_automorphism(-identity(4), (1, 0, 0, 0), MAX_TORSION).torsion == MAX_TORSION

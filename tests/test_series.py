@@ -9,6 +9,7 @@ from kummerlat.series import (
     LaurentPoly,
     TruncatedBiSeries,
     laurent_divmod,
+    scalar_inverse,
     series_invert,
 )
 
@@ -39,6 +40,21 @@ def test_invert_requires_unit():
         series_invert(TruncatedBiSeries(2, [not_unit]))
     with pytest.raises(ValueError):
         series_invert(TruncatedBiSeries.zero(2))
+
+
+def test_integer_units_invert_over_z():
+    assert scalar_inverse(-1) == -1 and type(scalar_inverse(-1)) is int
+    assert scalar_inverse(2) == Fraction(1, 2)
+    # leading coefficient -1: the quotient stays over Z
+    quotient, remainder = laurent_divmod(LaurentPoly({0: 3, 1: -1, 2: -2}),
+                                         LaurentPoly({0: 1, 1: -1}))
+    assert quotient == LaurentPoly({0: 3, 1: 2}) and remainder.is_zero
+    inverse = series_invert(TruncatedBiSeries(3, [ONE, LaurentPoly({1: -2})]))
+    assert inverse == TruncatedBiSeries(3, [ONE, LaurentPoly({1: 2}), LaurentPoly({2: 4}),
+                                            LaurentPoly({3: 8})])
+    coefficients = list(quotient.coeffs.values())
+    coefficients += [v for c in inverse.coeffs for v in c.coeffs.values()]
+    assert all(type(v) is int for v in coefficients)
 
 
 def test_unit_monomial_leading_coefficient():
