@@ -2,18 +2,22 @@
 
 Provides the standard named lattices (U, E8(-1), A4(-1), H5, ...), direct
 sums and rescalings, exact signatures, discriminant groups and forms, and
-isomorphism testing of finite quadratic forms by pruned brute force on the
-p-primary parts.
+isomorphism testing of finite quadratic forms on their p-primary parts: an
+(order, q) census of both groups, then a backtracking search for generator
+images with forward checking, all in integers scaled by the common
+denominator of the forms' values.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from math import prod
+from itertools import chain, product
+from math import gcd, lcm, prod
+from operator import mul
 
 from .matrix import (
     Matrix,
@@ -443,44 +447,42 @@ def p_primary_part(form: FiniteQuadraticForm, p: int) -> FiniteQuadraticForm:
     return fqf_from_generators(orders, qs, bm)
 
 
-def _element_order(elem, orders, p):
-    o = 1
-    for a, d in zip(elem, orders):
-        if a % d:
-            g = d // _gcd_int(a % d, d)
-            if g > o:
-                o = g
-    return o
+def _scaled(form: FiniteQuadraticForm, m: int):
+    """Q_i = q_i m mod 2m and B_ij = b_ij m mod m, for m a multiple of every denominator."""
+    qs = [int(q * m) % (2 * m) for q in form.q_values]
+    bm = [[int(x * m) % m for x in row] for row in form.b_matrix]
+    return qs, bm
 
 
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _elements(orders, qs, bm, m):
+    """Every element e of the group as (e, order, Q(e), w(e) = e^T B mod m).
+
+    Built one generator at a time: Q(e + a g_i) = Q(e) + a^2 Q_i + 2 a w(e)_i
+    when e involves only the generators before g_i.  The orders are powers of
+    one prime, so the order of e is the largest order of its coordinates.
+    """
+    out = [((), 1, 0, (0,) * len(orders))]
+    for i, o in enumerate(orders):
+        steps = [(a, o // gcd(a, o), a * a * qs[i], [a * x for x in bm[i]]) for a in range(o)]
+        out = [
+            (
+                e + (a,),
+                max(eo, ao),
+                (q + aq + 2 * a * w[i]) % (2 * m),
+                tuple((x + y) % m for x, y in zip(w, aw)),
+            )
+            for e, eo, q, w in out
+            for a, ao, aq, aw in steps
+        ]
+    return out
 
 
-def _q_of(elem, form: FiniteQuadraticForm) -> Fraction:
-    total = Fraction(0)
-    k = len(elem)
-    for i in range(k):
-        ai = elem[i]
-        if ai:
-            total += ai * ai * form.q_values[i]
-            for j in range(i + 1, k):
-                if elem[j]:
-                    total += 2 * ai * elem[j] * form.b_matrix[i][j]
-    return total % 2
-
-
-def _b_of(x, y, form: FiniteQuadraticForm) -> Fraction:
-    total = Fraction(0)
-    for i, xi in enumerate(x):
-        if xi:
-            row = form.b_matrix[i]
-            for j, yj in enumerate(y):
-                if yj and row[j]:
-                    total += xi * yj * row[j]
-    return total % 1
+def _descends(orders, qs, bm, m) -> bool:
+    """Whether q is well defined on the group, not just on coordinate tuples."""
+    return all(
+        o * o * qi % (2 * m) == 0 and all(o * x % m == 0 for x in row)
+        for o, qi, row in zip(orders, qs, bm)
+    )
 
 
 def _det_mod_p(rows, p) -> int:
@@ -503,49 +505,73 @@ def _det_mod_p(rows, p) -> int:
     return det % p
 
 
+def _extend(chosen, domains, b1, m: int, p: int) -> bool:
+    """Search images for generators i = len(chosen), i + 1, ... with forward checking.
+
+    ``domains[s]`` holds the candidates (e, w(e)) for generator i + s that
+    pair correctly with every image chosen so far.  Choosing the image of
+    generator i filters each later domain t to b(c, image) = B1[t][i]; an
+    empty domain backtracks at once.
+    """
+    i = len(chosen)
+    if not domains:
+        return _det_mod_p([list(e) for e in zip(*chosen)], p) != 0
+    for e, w in domains[0]:
+        narrowed = []
+        for t, dom in enumerate(domains[1:], i + 1):
+            target = b1[t][i]
+            keep = [c for c in dom if sum(map(mul, c[0], w)) % m == target]
+            if not keep:
+                break
+            narrowed.append(keep)
+        else:
+            chosen.append(e)
+            if _extend(chosen, narrowed, b1, m, p):
+                return True
+            chosen.pop()
+    return False
+
+
 def _p_forms_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm, p: int) -> bool:
     k = len(f1.orders)
     if f1.orders != f2.orders:
         return False
     if k == 0:
         return True
-    elements = list(product(*(range(o) for o in f2.orders)))
-    by_order_q: dict[tuple[int, Fraction], list] = {}
-    for e in elements:
-        key = (_element_order(e, f2.orders, p), _q_of(e, f2))
-        by_order_q.setdefault(key, []).append(e)
-
-    targets_b = f1.b_matrix
-    source_orders = f1.orders
-
-    chosen: list = []
-
-    def backtrack(i: int) -> bool:
-        if i == k:
-            return _det_mod_p([list(e) for e in zip(*chosen)], p) != 0
-        key = (source_orders[i], f1.q_values[i])
-        for cand in by_order_q.get(key, ()):
-            ok = True
-            for j in range(i):
-                if _b_of(cand, chosen[j], f2) != targets_b[i][j] % 1:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(cand)
-                if backtrack(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return backtrack(0)
+    m = lcm(*(x.denominator for f in (f1, f2) for x in chain(f.q_values, *f.b_matrix)))
+    q1, b1 = _scaled(f1, m)
+    q2, b2 = _scaled(f2, m)
+    elems = _elements(f2.orders, q2, b2, m)
+    # an isomorphism preserves the order and Q of every element, so the
+    # (order, Q) counts must agree, provided Q is a function on f2's group
+    if _descends(f2.orders, q2, b2, m):
+        census1 = Counter((o, q) for _, o, q, _ in _elements(f1.orders, q1, b1, m))
+        if census1 != Counter((o, q) for _, o, q, _ in elems):
+            return False
+    by_key: dict[tuple[int, int], list] = {}
+    for e, o, q, w in elems:
+        by_key.setdefault((o, q), []).append((e, w))
+    domains = [by_key.get((f1.orders[i], q1[i]), []) for i in range(k)]
+    return _extend([], domains, b1, m, p)
 
 
 def fqf_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
     """Decide isomorphism of finite quadratic forms.
 
-    Splits both forms into p-primary parts and searches generator images with
-    pruning by element order and q value; a candidate assignment is accepted
-    when the images generate (checked modulo p).
+    Splits both forms into p-primary parts and decides each pair of parts in
+    integers: with m the lcm of the denominators of all q and b values of the
+    two parts, q becomes Q = q m mod 2m and b becomes B = b m mod m, which is
+    exact for any rational presentation.  Every element of both groups gets
+    its order and Q; an isomorphism preserves both, so differing (order, Q)
+    counts decide "not isomorphic" without a search (only when q is well
+    defined on the second group, as it is on every discriminant form).
+    Otherwise the images of the generators of the first form are searched
+    among the elements of the second with matching order and Q.  Each
+    element carries its pairing row w(e) = e^T B mod m, so b is an integer
+    dot product; choosing an image filters the candidates of every later
+    generator to the correct pairing with it, and an empty candidate list
+    backtracks at once.  A complete assignment is accepted when the images
+    generate (checked modulo p).
     """
     if max(f1.group_order, f2.group_order) > FQF_ORDER_CAP:
         raise ValueError(f"group order exceeds cap {FQF_ORDER_CAP}")

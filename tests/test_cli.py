@@ -114,6 +114,15 @@ def test_classify_verify_json(capsys):
     assert all(r["necessary_conditions_only"] for r in payload["rows"])
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (["classify", "verify"], "classify_verify.txt"),
+    (["classify", "verify", "--json"], "classify_verify.json"),
+])
+def test_classify_verify_golden(capsys, argv, golden):
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
 def test_classify_verify_corrupted_rows_exit_code(capsys):
     from argparse import Namespace
 

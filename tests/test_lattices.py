@@ -1,10 +1,14 @@
 import random
+import time
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kummerlat import lattices
 from kummerlat.lattices import (
     Lattice,
     Sublattice,
@@ -15,7 +19,9 @@ from kummerlat.lattices import (
     dual_rescaled,
     fqf_direct_sum,
     fqf_from_diagonal,
+    fqf_from_generators,
     fqf_isomorphic,
+    group_signature,
     is_p_elementary,
     lattice_from_dict,
     lattice_to_dict,
@@ -211,7 +217,7 @@ def test_fqf_isomorphism_cap():
         fqf_isomorphic(big, big)
 
 
-def _random_even_lattice(rng, n):
+def _random_even_lattice(rng, n, max_det=400):
     while True:
         g = [[0] * n for _ in range(n)]
         for i in range(n):
@@ -220,7 +226,7 @@ def _random_even_lattice(rng, n):
                 g[i][j] = g[j][i] = rng.randint(-2, 2)
         m = Matrix(g)
         d = exact_det(m)
-        if d != 0 and abs(d) <= 400:
+        if d != 0 and abs(d) <= max_det:
             return Lattice(m)
 
 
@@ -238,6 +244,233 @@ def test_fqf_isomorphism_equivalence_relation():
         for g in related:
             for h in related:
                 assert fqf_isomorphic(g, h)
+
+
+# ---------------------------------------------------------------------------
+# reference isomorphism test: backtracking on Fraction values, no census and
+# no forward checking; the integer search must give the same answers
+
+
+def _ref_element_order(elem, orders):
+    return max((d // gcd(a, d) for a, d in zip(elem, orders)), default=1)
+
+
+def _q_of(elem, form):
+    total = Fraction(0)
+    k = len(elem)
+    for i in range(k):
+        ai = elem[i]
+        if ai:
+            total += ai * ai * form.q_values[i]
+            for j in range(i + 1, k):
+                if elem[j]:
+                    total += 2 * ai * elem[j] * form.b_matrix[i][j]
+    return total % 2
+
+
+def _b_of(x, y, form):
+    total = Fraction(0)
+    for i, xi in enumerate(x):
+        if xi:
+            row = form.b_matrix[i]
+            for j, yj in enumerate(y):
+                if yj and row[j]:
+                    total += xi * yj * row[j]
+    return total % 1
+
+
+def _reference_p_isomorphic(f1, f2, p):
+    k = len(f1.orders)
+    if f1.orders != f2.orders:
+        return False
+    if k == 0:
+        return True
+    by_order_q = {}
+    for e in product(*(range(o) for o in f2.orders)):
+        key = (_ref_element_order(e, f2.orders), _q_of(e, f2))
+        by_order_q.setdefault(key, []).append(e)
+    chosen = []
+
+    def backtrack(i):
+        if i == k:
+            return lattices._det_mod_p([list(e) for e in zip(*chosen)], p) != 0
+        for cand in by_order_q.get((f1.orders[i], f1.q_values[i]), ()):
+            if all(_b_of(cand, chosen[j], f2) == f1.b_matrix[i][j] for j in range(i)):
+                chosen.append(cand)
+                if backtrack(i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return backtrack(0)
+
+
+def _reference_isomorphic(f1, f2):
+    if f1.group_order != f2.group_order:
+        return False
+    sig1 = group_signature(f1.orders)
+    if sig1 != group_signature(f2.orders):
+        return False
+    return all(
+        _reference_p_isomorphic(p_primary_part(f1, p), p_primary_part(f2, p), p) for p in sig1
+    )
+
+
+def _rebased(form, u):
+    """The same form on the generators h_j = sum_i u[i][j] g_i (equal orders, u unimodular)."""
+    assert len(set(form.orders)) == 1
+    k = len(form.orders)
+    b = [
+        [sum(u[i][j] * u[l][t] * form.b_matrix[i][l] for i in range(k) for l in range(k))
+         for t in range(k)]
+        for j in range(k)
+    ]
+    q = [
+        b[j][j] + sum(u[i][j] ** 2 * (form.q_values[i] - form.b_matrix[i][i]) for i in range(k))
+        for j in range(k)
+    ]
+    return fqf_from_generators(form.orders, q, b)
+
+
+def _nonsquare(p):
+    return next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)
+
+
+def _cyclic_q(rng, d):
+    """A well-defined q on Z/d with gcd(numerator, d) = 1."""
+    while True:
+        a = rng.randrange(1, 2 * d)
+        if gcd(a, d) == 1 and (d % 2 or a % 2):
+            return Fraction(a, d) if d % 2 == 0 else Fraction(2 * a, d)
+
+
+def _census_and_search_agree(pairs, monkeypatch):
+    """Assert agreement with the reference; count census rejections and searches."""
+    calls = []
+    search = lattices._extend
+
+    def counted(*args):
+        calls.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(lattices, "_extend", counted)
+    rejected = searched = 0
+    for f1, f2 in pairs:
+        before = len(calls)
+        got = fqf_isomorphic(f1, f2)
+        assert got == _reference_isomorphic(f1, f2), (f1, f2)
+        if len(calls) > before:
+            searched += 1
+        elif not got and group_signature(f1.orders) == group_signature(f2.orders):
+            rejected += 1
+    return rejected, searched
+
+
+def test_fqf_isomorphic_matches_reference_on_discriminant_forms(monkeypatch):
+    rng = random.Random(20260808)
+    forms = [
+        discriminant_form(_random_even_lattice(rng, rng.randint(1, 3), max_det=200))
+        for _ in range(100)
+    ]
+    pairs = [(f, g) for f in forms for g in forms if f.group_order == g.group_order]
+    assert len(pairs) > 500
+    rejected, searched = _census_and_search_agree(pairs, monkeypatch)
+    assert rejected > 0 and searched > 0
+    assert any(_reference_isomorphic(f, g) for f, g in pairs if f is not g)
+    assert any(not _reference_isomorphic(f, g) for f, g in pairs)
+
+
+def test_fqf_isomorphic_matches_reference_on_rebased_forms(monkeypatch):
+    rng = random.Random(5)
+    pairs = []
+    for d in (2, 3, 4, 5, 7, 8, 9):
+        for k in (1, 2, 3):
+            if d ** k > 400:
+                continue
+            diag = fqf_from_diagonal([(d, _cyclic_q(rng, d)) for _ in range(k)])
+            u = [list(r) for r in random_unimodular(rng, k).data]
+            other = fqf_from_diagonal([(d, _cyclic_q(rng, d)) for _ in range(k)])
+            rebased = _rebased(diag, u)
+            pairs += [(diag, rebased), (rebased, diag), (other, rebased)]
+    # an orthogonal sum of rebased blocks of different orders
+    z5 = fqf_from_diagonal([(5, Fraction(2, 5)), (5, Fraction(4, 5))])
+    z4 = fqf_from_diagonal([(4, Fraction(1, 4)), (4, Fraction(3, 4))])
+    mixed = fqf_direct_sum(_rebased(z4, [[1, 1], [0, 1]]), _rebased(z5, [[2, 1], [1, 1]]))
+    pairs += [(fqf_direct_sum(z5, z4), mixed), (mixed, fqf_direct_sum(z4, z5))]
+    rejected, searched = _census_and_search_agree(pairs, monkeypatch)
+    assert rejected > 0 and searched > 0
+    assert fqf_isomorphic(fqf_direct_sum(z5, z4), mixed)
+
+
+def test_fqf_isomorphic_matches_reference_on_twisted_pairs(monkeypatch):
+    rng = random.Random(3)
+    pairs = []
+    for p in (3, 5, 7):
+        nu = _nonsquare(p)
+        for k in (1, 2, 3):
+            squares = [rng.randrange(1, p) ** 2 % p for _ in range(k)]
+            plain = fqf_from_diagonal([(p, Fraction(2 * a, p)) for a in squares])
+            twisted = fqf_from_diagonal(
+                [(p, Fraction(2 * squares[0] * nu, p))] + [(p, Fraction(2 * a, p)) for a in squares[1:]]
+            )
+            pairs += [(plain, twisted), (twisted, plain)]
+    rejected, searched = _census_and_search_agree(pairs, monkeypatch)
+    assert rejected == len(pairs) and searched == 0
+
+
+def test_fqf_isomorphic_matches_reference_on_hand_built_denominators(monkeypatch):
+    # q = 4/7 and q = 1/7 on Z/3 are not well defined on the group; the (order,
+    # q) counts differ, yet the generator 2 of the second form matches, so the
+    # census must not decide this pair
+    four = fqf_from_diagonal([(3, Fraction(4, 7))])
+    one = fqf_from_diagonal([(3, Fraction(1, 7))])
+    assert fqf_isomorphic(four, one) and _reference_isomorphic(four, one)
+    # on Z/3, q = 1/3 is not well defined (3^2 q is odd) although 3 b = 1 is
+    third = fqf_from_diagonal([(3, Fraction(1, 3))])
+    four_thirds = fqf_from_diagonal([(3, Fraction(4, 3))])
+    assert fqf_isomorphic(four_thirds, third) and not fqf_isomorphic(third, four_thirds)
+    # on Z/3, q = 2/9 has 3^2 q even but 3 b = 2/3 is not an integer
+    two_ninths = fqf_from_diagonal([(3, Fraction(2, 9))])
+    eight_ninths = fqf_from_diagonal([(3, Fraction(8, 9))])
+    assert fqf_isomorphic(eight_ninths, two_ninths)
+    # every image of the zero form's generators that matches q and b lies on
+    # the first axis, so the images never generate
+    zero = fqf_from_diagonal([(3, 0), (3, 0)])
+    skew = fqf_from_diagonal([(3, 0), (3, Fraction(1, 7))])
+    assert not fqf_isomorphic(zero, skew)
+    rng = random.Random(9)
+    pairs = [(four, one), (one, four), (four_thirds, third), (third, four_thirds),
+             (eight_ninths, two_ninths), (zero, skew)]
+    for _ in range(40):
+        d = rng.choice((2, 3, 4, 5, 9))
+        k = 1 if d > 3 else rng.randint(1, 3)
+        den = rng.choice((7, 11, 4 * d, 3 * d))
+        qs = [Fraction(rng.randrange(1, 2 * den), den) for _ in range(k)]
+        f = fqf_from_diagonal([(d, q) for q in qs])
+        g = fqf_from_diagonal([(d, q * rng.choice((1, 4, 9))) for q in qs])
+        pairs.append((f, g))
+    _, searched = _census_and_search_agree(pairs, monkeypatch)
+    assert searched > 0
+    assert any(fqf_isomorphic(f, g) for f, g in pairs[6:])
+    assert any(not fqf_isomorphic(f, g) for f, g in pairs[6:])
+
+
+@pytest.mark.parametrize("p, k", [(5, 4), (3, 6)])
+def test_fqf_isomorphic_cost_cliff(p, k):
+    # without the census each twisted pair is searched exhaustively: the
+    # Fraction search took 45 s on (Z/5)^4 and did not finish (Z/3)^6 in 350 s
+    rng = random.Random(p * 100 + k)
+    nu = _nonsquare(p)
+    plain = fqf_from_diagonal([(p, Fraction(2, p))] * k)
+    twisted = fqf_from_diagonal([(p, Fraction(2 * nu, p))] + [(p, Fraction(2, p))] * (k - 1))
+    start = time.perf_counter()
+    assert not fqf_isomorphic(plain, twisted)
+    assert not fqf_isomorphic(twisted, plain)
+    for form in (plain, twisted):
+        u = [list(r) for r in random_unimodular(rng, k).data]
+        assert fqf_isomorphic(form, _rebased(form, u))
+        assert fqf_isomorphic(_rebased(form, u), form)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_fqf_direct_sum_and_primary_parts():
