@@ -27,6 +27,7 @@ from .matrix import (
     hstack,
     identity,
     integer_kernel,
+    row_hermite,
     smith_normal_form,
 )
 
@@ -46,6 +47,12 @@ class LatticeIsometry:
             raise ValueError("isometry matrix size does not match the lattice rank")
         if not phi.is_integral:
             raise ValueError("isometry matrix must be integral")
+        # phi != 1 of prime order p has Phi_p | charpoly(phi), of degree p - 1
+        if self.order - 1 > n:
+            raise ValueError(
+                f"order {self.order} exceeds rank + 1 = {n + 1}, "
+                "the bound for a prime order isometry != identity"
+            )
         if not is_prime(self.order):
             raise ValueError("order must be prime, matrix != identity")
         if phi.transpose() @ g @ phi != g:
@@ -76,21 +83,36 @@ def invariant_lattice(iso: LatticeIsometry) -> Sublattice:
     return sub
 
 
+def _cyclotomic_value(phi: Matrix, p: int) -> Matrix:
+    """Phi_p(phi) = I + phi + ... + phi^(p-1), in O(log p) matrix products.
+
+    A binary ladder over the bits of p keeps G = I + ... + phi^(k-1) and
+    P = phi^k: doubling k maps (G, P) to (G + P G, P P), and k + 1 maps it
+    to (G + P, phi P).
+    """
+    g, power = identity(phi.rows), phi
+    for bit in bin(p)[3:]:
+        g, power = g + power @ g, power @ power
+        if bit == "1":
+            g, power = g + power, phi @ power
+    return g
+
+
 def coinvariant_lattice(iso: LatticeIsometry) -> Sublattice:
     """Orthogonal complement of the invariant lattice.
 
-    Cross validated against the saturated kernel of Phi_p(phi); a mismatch
-    means the input violates the prime order isometry contract.
+    Cross validated against the saturated kernel of Phi_p(phi), built by a
+    binary ladder in O(log p) products; a mismatch means the input violates
+    the prime order isometry contract.  ``compute_invariants`` derives S the
+    same way from the invariant lattice it has already built.
     """
-    t = invariant_lattice(iso)
+    return _coinvariant_of(iso, invariant_lattice(iso))
+
+
+def _coinvariant_of(iso: LatticeIsometry, t: Sublattice) -> Sublattice:
+    """The coinvariant lattice T^perp of ``iso``, given its invariant lattice T."""
     s = orthogonal_complement(t)
-    n = iso.lattice.rank
-    phi_p = identity(n)
-    power = identity(n)
-    for _ in range(iso.order - 1):
-        power = power @ iso.matrix
-        phi_p = phi_p + power
-    s_poly = integer_kernel(phi_p)
+    s_poly = integer_kernel(_cyclotomic_value(iso.matrix, iso.order))
     if s.basis != s_poly:
         raise AssertionError(
             "coinvariant mismatch: orthogonal complement differs from ker Phi_p(phi)"
@@ -103,13 +125,16 @@ def coinvariant_lattice(iso: LatticeIsometry) -> Sublattice:
 def compute_invariants(iso: LatticeIsometry) -> IsometryInvariants:
     """Compute (T, S, m, a, disc S) for a prime order isometry.
 
+    T is built once and S derived from it, as in ``coinvariant_lattice``.
     The index [L : T + S] is the absolute determinant of the stacked basis;
     it must be a power p^a, and the quotient must be p-elementary, which is
-    verified through the Smith form of the stacked basis.
+    verified through the Smith form of the stacked basis.  Four Smith forms
+    carry the result: the kernels of phi - 1, of the pairing with T and of
+    Phi_p(phi), and the stacked basis [T | S].
     """
     p = iso.order
     t = invariant_lattice(iso)
-    s = coinvariant_lattice(iso)
+    s = _coinvariant_of(iso, t)
     n = iso.lattice.rank
     if t.rank + s.rank != n:
         raise AssertionError("rank(T) + rank(S) != rank(L)")
@@ -208,11 +233,19 @@ def transport_isometry(basis: Matrix, phi: Matrix) -> Matrix:
 
 
 def conjugate_isometry(iso: LatticeIsometry, p_matrix: Matrix) -> LatticeIsometry:
-    """Change of basis x = P x': the Gram becomes P^T G P, phi becomes P^-1 phi P."""
-    from .matrix import exact_inverse, is_unimodular
+    """Change of basis x = P x': the Gram becomes P^T G P, phi becomes P^-1 phi P.
 
-    if not is_unimodular(p_matrix):
+    The row Hermite form of [P | I] is [I | P^-1] exactly when the integer
+    matrix P is unimodular, so one integer Hermite form both checks P and
+    inverts it.
+    """
+    n = p_matrix.rows
+    if not (p_matrix.is_square and p_matrix.is_integral):
         raise ValueError("basis change must be unimodular")
+    hermite = row_hermite(hstack(p_matrix, identity(n))).data
+    if Matrix([row[:n] for row in hermite], cols=n) != identity(n):
+        raise ValueError("basis change must be unimodular")
+    p_inverse = Matrix([row[n:] for row in hermite], cols=n)
     new_gram = p_matrix.transpose() @ iso.lattice.gram @ p_matrix
-    new_phi = exact_inverse(p_matrix) @ iso.matrix @ p_matrix
+    new_phi = p_inverse @ iso.matrix @ p_matrix
     return LatticeIsometry(Lattice(new_gram, iso.lattice.name), new_phi, iso.order)

@@ -364,7 +364,8 @@ class Sublattice:
             raise ValueError("basis rows must match ambient rank")
         if not self.basis.is_integral:
             raise ValueError("sublattice basis must be integral")
-        if integer_kernel(self.basis).cols != 0:
+        # B^T B is nonsingular exactly when the columns of B are independent over Q
+        if exact_det(self.basis.transpose() @ self.basis) == 0:
             raise ValueError("basis columns are dependent")
 
     @property

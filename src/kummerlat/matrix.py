@@ -9,8 +9,10 @@ runs and platforms.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
+
+_INT_ONLY = frozenset({int})
 
 
 def _normalize_entry(x):
@@ -23,6 +25,14 @@ def _normalize_entry(x):
     raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
 
 
+def _normalize_row(row) -> tuple:
+    """A row of plain ints is kept as it is; any other row is normalized entry by entry."""
+    row = tuple(row)
+    if _INT_ONLY.issuperset(map(type, row)):
+        return row
+    return tuple(_normalize_entry(x) for x in row)
+
+
 class Matrix:
     """Immutable rectangular matrix with exact entries.
 
@@ -33,7 +43,7 @@ class Matrix:
     __slots__ = ("data", "rows", "cols")
 
     def __init__(self, rows: Iterable[Iterable], cols: int | None = None):
-        data = tuple(tuple(_normalize_entry(x) for x in row) for row in rows)
+        data = tuple(map(_normalize_row, rows))
         if data:
             width = len(data[0])
             if any(len(r) != width for r in data):
@@ -90,7 +100,7 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         ot = tuple(zip(*other.data)) if other.rows else tuple(() for _ in range(other.cols))
         return Matrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.data],
+            [[sum(map(mul, row, col)) for col in ot] for row in self.data],
             cols=other.cols,
         )
 
@@ -98,7 +108,7 @@ class Matrix:
         """Matrix times column vector, returned as a tuple."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.data)
+        return tuple(sum(map(mul, row, vec)) for row in self.data)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
@@ -268,10 +278,6 @@ def exact_inverse(m: Matrix) -> Matrix:
     return Matrix([row[n:] for row in a])
 
 
-def is_unimodular(m: Matrix) -> bool:
-    return m.is_square and m.is_integral and abs(exact_det(m)) == 1
-
-
 def smith_normal_form(m: Matrix):
     """Return (U, D, V) with U @ m @ V = D.
 
@@ -439,11 +445,3 @@ def saturate_columns(b: Matrix) -> Matrix:
     complement = integer_kernel(b.transpose())
     return integer_kernel(complement.transpose())
 
-
-def common_denominator(m: Matrix) -> int:
-    den = 1
-    for row in m.data:
-        for x in row:
-            if isinstance(x, Fraction):
-                den = lcm(den, x.denominator)
-    return den

@@ -13,6 +13,7 @@ from kummerlat.cli import (
     EXIT_VERIFICATION_FAILED,
     main,
 )
+from kummerlat.pool import base_pool
 
 
 def _write(tmp_path, name, payload):
@@ -96,6 +97,45 @@ def test_isometry_check_rejects_non_isometry(tmp_path, capsys):
     path = _write(tmp_path, "iso.json", {"gram": [[0, 1], [1, 0]], "matrix": bad, "p": 2})
     assert main(["isometry", "check", path]) == EXIT_INPUT_ERROR
     assert "not an isometry" in capsys.readouterr().err
+
+
+def test_isometry_check_golden(tmp_path, capsys):
+    # every base pool entry of rank <= 12, text and --json output byte for byte
+    entries = json.loads((GOLDEN / "isometry_check.json").read_text(encoding="utf-8"))
+    names = [e.name for e in base_pool() if e.isometry.lattice.rank <= 12]
+    assert [entry["job"]["name"] for entry in entries] == names
+    for entry in entries:
+        path = _write(tmp_path, "iso.json", entry["job"])
+        assert main(["isometry", "check", path]) == entry["exit"]
+        assert capsys.readouterr().out == entry["text"]
+        assert main(["isometry", "check", path, "--json"]) == entry["exit"]
+        assert capsys.readouterr().out == json.dumps(entry["payload"], indent=2) + "\n"
+
+
+# the swap on U has order 2; a prime order p needs p - 1 <= rank = 2
+HUGE_ORDER_JOB = {"gram": [[0, 1], [1, 0]], "matrix": [[0, 1], [1, 0]], "p": 10**18 + 3}
+
+
+def test_isometry_check_rejects_order_beyond_rank(tmp_path, capsys):
+    path = _write(tmp_path, "iso.json", HUGE_ORDER_JOB)
+    start = time.perf_counter()
+    assert main(["isometry", "check", path]) == EXIT_INPUT_ERROR
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exceeds rank + 1 = 3" in err
+
+
+def test_isometry_check_order_bound_process_exit(tmp_path):
+    path = _write(tmp_path, "iso.json", HUGE_ORDER_JOB)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "kummerlat.cli", "isometry", "check", path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == EXIT_INPUT_ERROR
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert "exceeds rank + 1 = 3" in proc.stderr
 
 
 def test_classify_verify(capsys):

@@ -1,10 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from kummerlat.isometries import (
     LatticeIsometry,
+    _cyclotomic_value,
     check_square_theorem,
     check_unimodular_corollary,
     coinvariant_lattice,
@@ -16,8 +18,25 @@ from kummerlat.isometries import (
     overlattice_with_basis,
     transport_isometry,
 )
-from kummerlat.lattices import Lattice, cartan_a, direct_sum, make_standard, signature
-from kummerlat.matrix import Matrix, block_diag, identity
+from kummerlat.lattices import (
+    Lattice,
+    cartan_a,
+    direct_sum,
+    make_standard,
+    orthogonal_complement,
+    signature,
+)
+from kummerlat.matrix import (
+    Matrix,
+    block_diag,
+    exact_det,
+    exact_inverse,
+    hstack,
+    identity,
+    integer_kernel,
+    smith_normal_form,
+    zeros,
+)
 from kummerlat.pool import (
     a_n_glue,
     base_pool,
@@ -185,3 +204,110 @@ def test_invariants_are_basis_independent():
 def test_extended_pool_reaches_count():
     pool = extended_pool(seed=1, count=30)
     assert len(pool) >= 30
+
+
+def test_order_bound_checked_first():
+    # p - 1 <= rank holds for every prime order isometry != identity; a huge
+    # p is rejected before the primality test and phi ** p can start
+    swap = Matrix([[0, 1], [1, 0]])
+    start = time.perf_counter()
+    for p in (10**18 + 3, 10**9 + 7, 5):
+        with pytest.raises(ValueError, match=r"^order \d+ exceeds rank \+ 1 = 3, "):
+            LatticeIsometry(U, swap, p)
+    assert time.perf_counter() - start < 1
+    # the bound is sharp: p - 1 = rank
+    assert LatticeIsometry(A4M, C5, 5).order == 5
+    assert LatticeIsometry(U, swap, 2).order == 2
+
+
+# The reference path: Phi_p(phi) as a power sum with one product per term,
+# the invariant lattice built a second time for the complement, and
+# independence of a basis checked by a Smith form (an empty integer kernel).
+
+
+def _power_sum(phi, k):
+    n = phi.rows
+    total = power = identity(n)
+    for _ in range(k - 1):
+        power = power @ phi
+        total = total + power
+    return total
+
+
+def _reference_invariants(iso):
+    p, n = iso.order, iso.lattice.rank
+    t = invariant_lattice(iso)
+    s = orthogonal_complement(invariant_lattice(iso))
+    assert integer_kernel(t.basis).cols == 0 and integer_kernel(s.basis).cols == 0
+    assert s.basis == integer_kernel(_power_sum(iso.matrix, p))
+    assert s.rank % (p - 1) == 0 and t.rank + s.rank == n
+    combined = hstack(t.basis, s.basis)
+    index = abs(exact_det(combined))
+    a = 0
+    while index % p ** (a + 1) == 0:
+        a += 1
+    assert index == p**a
+    _, d, _ = smith_normal_form(combined)
+    assert all(d.data[i][i] in (1, p) for i in range(n))
+    return t.basis, s.basis, s.rank // (p - 1), a, abs(exact_det(s.induced_gram)), index
+
+
+@pytest.mark.parametrize("seed", [20260808, 1])
+def test_compute_invariants_matches_reference(seed):
+    for entry in extended_pool(seed=seed):
+        inv = compute_invariants(entry.isometry)
+        got = (inv.invariant.basis, inv.coinvariant.basis, inv.m, inv.a, inv.disc_s, inv.index)
+        assert got == _reference_invariants(entry.isometry), entry.name
+
+
+def test_cyclotomic_ladder_matches_power_sum():
+    rng = random.Random(5)
+    mats = [
+        cyclic_rotation(2),
+        cyclic_rotation(4),
+        cyclic_rotation(6),
+        block_permutation(2, 3),
+        block_permutation(1, 5),
+        block_permutation(3, 2),
+        random_unimodular(rng, 4),  # infinite order: the entries grow with k
+    ]
+    for phi in mats:
+        for k in range(1, 31):
+            assert _cyclotomic_value(phi, k) == _power_sum(phi, k), (phi, k)
+
+
+def test_coinvariant_mismatch_on_wrong_order():
+    # C5 claimed as order 3: Phi_3(phi) is invertible, so its kernel is 0
+    # while the complement of T = 0 is everything
+    iso = LatticeIsometry(A4M, C5, 5)
+    object.__setattr__(iso, "order", 3)
+    for f in (coinvariant_lattice, compute_invariants):
+        with pytest.raises(AssertionError, match="coinvariant mismatch"):
+            f(iso)
+
+
+def test_conjugate_isometry_matches_rational_inverse():
+    rng = random.Random(11)
+    for entry in base_pool():
+        iso = entry.isometry
+        if iso.lattice.rank > 16:
+            continue
+        for steps in (12, 40):
+            p = random_unimodular(rng, iso.lattice.rank, steps)
+            conj = conjugate_isometry(iso, p)
+            assert conj.matrix == exact_inverse(p) @ iso.matrix @ p, entry.name
+            assert conj.lattice.gram == p.transpose() @ iso.lattice.gram @ p, entry.name
+
+
+def test_conjugate_rejects_non_unimodular():
+    iso = LatticeIsometry(A4M, C5, 5)
+    bad = [
+        block_diag(Matrix([[2]]), identity(3)),  # det 2
+        block_diag(Matrix([[1, 1], [1, -1]]), identity(2)),  # det -2
+        block_diag(Matrix([[2, 0], [0, Fraction(1, 2)]]), identity(2)),  # det 1, not integral
+        zeros(4, 4),
+        Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]),  # not square
+    ]
+    for p in bad:
+        with pytest.raises(ValueError, match="^basis change must be unimodular$"):
+            conjugate_isometry(iso, p)

@@ -181,8 +181,18 @@ def test_complement_pairing_and_saturation():
 
 
 def test_sublattice_validation():
-    with pytest.raises(ValueError):
-        Sublattice(U, Matrix([[1, 2], [1, 2]]))  # dependent columns
+    uh5 = direct_sum(U, H5)
+    dependent = [
+        (U, Matrix([[1, 2], [1, 2]])),  # dependent columns
+        (U, Matrix([[1, 0, 1], [0, 1, 1]])),  # more columns than rows
+        (U, Matrix([[1, 0], [0, 0]])),  # a zero column
+        (uh5, Matrix([[1, 0, 1], [0, 1, 1], [2, 0, 2], [0, 3, 3]])),  # rank 2 in rank 4
+    ]
+    for ambient, basis in dependent:
+        with pytest.raises(ValueError, match="basis columns are dependent"):
+            Sublattice(ambient, basis)
+    assert Sublattice(uh5, Matrix([[1, 0], [0, 1], [2, 0], [0, 3]])).rank == 2
+    assert Sublattice(U, Matrix([[], []], cols=0)).rank == 0
 
 
 def test_signature_invariance_under_basis_change():

@@ -12,7 +12,6 @@ from kummerlat.matrix import (
     hstack,
     identity,
     integer_kernel,
-    is_unimodular,
     row_hermite,
     saturate_columns,
     smith_normal_form,
@@ -120,6 +119,21 @@ def test_empty_shapes():
     assert hstack(zeros(2, 0), identity(2)) == identity(2)
 
 
+def test_entry_normalization():
+    # rows of plain ints are kept; any other row is normalized entry by entry
+    assert Matrix(iter([iter([1, -2]), (3, 4)])).data == ((1, -2), (3, 4))
+    m = Matrix([[Fraction(4, 2), 1], [Fraction(1, 2), 0]])
+    assert type(m[0, 0]) is int and m[0, 0] == 2 and m[1, 0] == Fraction(1, 2)
+    assert not m.is_integral
+    assert (m @ Matrix([[0], [2]])).data == ((2,), (0,))
+    for bad in ([[1, True]], [[False]], [[1, 2.0]], [["1"]]):
+        with pytest.raises(TypeError):
+            Matrix(bad)
+
+
 def test_unimodular_check():
-    assert is_unimodular(Matrix([[1, 5], [0, 1]]))
-    assert not is_unimodular(Matrix([[2, 0], [0, 1]]))
+    # the row Hermite form of [P | I] is [I | P^-1] exactly for unimodular P
+    p = Matrix([[1, 5], [0, 1]])
+    assert row_hermite(hstack(p, identity(2))) == Matrix([[1, 0, 1, -5], [0, 1, 0, 1]])
+    h = row_hermite(hstack(Matrix([[2, 0], [0, 1]]), identity(2)))
+    assert Matrix([row[:2] for row in h.data]) != identity(2)
