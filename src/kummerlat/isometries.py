@@ -88,13 +88,20 @@ def _cyclotomic_value(phi: Matrix, p: int) -> Matrix:
 
     A binary ladder over the bits of p keeps G = I + ... + phi^(k-1) and
     P = phi^k: doubling k maps (G, P) to (G + P G, P P), and k + 1 maps it
-    to (G + P, phi P).
+    to (G + P, phi P).  The first doubling starts from G = I, so it needs no
+    product for P G, and the last step does not form the power nobody reads.
     """
     g, power = identity(phi.rows), phi
-    for bit in bin(p)[3:]:
-        g, power = g + power @ g, power @ power
+    bits = bin(p)[3:]
+    last = len(bits) - 1
+    for i, bit in enumerate(bits):
+        g = g + (power if i == 0 else power @ g)
+        if bit == "1" or i < last:
+            power = power @ power
         if bit == "1":
-            g, power = g + power, phi @ power
+            g = g + power
+            if i < last:
+                power = phi @ power
     return g
 
 

@@ -24,21 +24,38 @@ over Z only:
   to the Ramanujan sum moebius(n / g).  So sigma_w, the sum of chi(b) over
   the fixed chi of order w, is sum_g count_g * moebius(n / g), with count_g
   the number of characters pairing to any one k of the class.
-* Every wedge factor has constant term 1, so the series in t stay over
-  Z[q, 1/q].
+* Every wedge factor det(1 - x wedge^i(Psi)) is fixed by the eigenvalues
+  lambda of Psi, so the product is the exponential of its logarithm
+  (Newton's identities; Macdonald, Symmetric Functions and Hall
+  Polynomials, ch. I.2).  The power sums p_k = tr Psi^k follow from
+  c = det(1 - x Psi) by k c_k + sum_(j=1..k) p_j c_(k-j) = 0, and from
+  p_s, p_2s, p_3s, p_4s the power-sum table E_i(s) = e_i(lambda^s) =
+  tr wedge^i(Psi^s).  With D_s(q) = sum_i (-1)^i E_i(s) q^((i-2) s), the
+  product over i is F(x) = exp(sum_s D_s x^s / s), so
+  G(u) = prod_(v >= 1) F(u^v) has k [u^k] log G = sum_(s | k) (k / s) D_s,
+  an integer Laurent polynomial, and k G_k = sum_j (j log_j) G_(k-j)
+  exponentiates it.  The product for the order w is G(t^w), whose t^n
+  coefficient is G_(n/w) when w divides n and 0 otherwise.  No exterior
+  power, wedge factor or series product is formed on the way.
 * L(psi, q) has constant term 1 and leading coefficient det Psi = +-1, so
   the division by it is exact long division over Z (never an evaluation at
   q = 1, where L(psi, q) often vanishes).
 
-Two runtime guards remain: the pairing counts must be constant on every
+Three runtime guards remain: the pairing counts must be constant on every
 Galois class ("Galois-stability violated"), which makes each sigma_w
-rational, and the division must leave no remainder ("division identity
-violated").  The quotient then has integer coefficients and its value at
-q = 1 is the integer Lefschetz number.
+rational; every division in Newton's identities and in the exponential
+recurrences must be exact ("integrality violated"); and the division by
+L(psi, q) must leave no remainder ("division identity violated").  The
+quotient then has integer coefficients and its value at q = 1 is the
+integer Lefschetz number.
 
-Everything that depends on (h, n) but not on b is kept in one bounded memo,
+c = det(1 - x Psi) is kept in a bounded memo per matrix (``_charpoly``),
+which ``lefschetz_poly_surface`` and the power sums read.  Everything that
+depends on (h, n) but not on b is kept in one bounded memo (``_profile``),
 so the translation variants of one matrix share it.  ``generating_series``
-keeps the direct cyclotomic evaluation of the character sum as a reference.
+keeps the direct cyclotomic evaluation of the character sum, and
+``_order_product`` the factor-by-factor product of the wedge series, as
+references for the tests.
 
 The catalog covers the torus automorphisms whose action on second cohomology
 has prime order, together with their sign flips and translation variants,
@@ -164,14 +181,69 @@ def _det_one_minus_x(m: Matrix) -> list[int]:
     return coeffs
 
 
+@lru_cache(maxsize=64)
+def _charpoly(h_data) -> tuple[int, ...]:
+    """c = det(1 - x Psi) for Psi the transpose of the matrix with rows h_data.
+
+    The determinant is transpose invariant, so Faddeev-LeVerrier runs on h
+    itself, once per matrix.
+    """
+    return tuple(_det_one_minus_x(Matrix(h_data)))
+
+
 def lefschetz_poly_surface(h: Matrix) -> LaurentPoly:
     """L(psi, q) = det(1 - q Psi) with Psi the transpose of h.
 
     Equals the alternating sum of exterior power traces weighted by q^k.
     """
-    psi = h.transpose()
-    coeffs = _det_one_minus_x(psi)
-    return LaurentPoly({k: Fraction(c) for k, c in enumerate(coeffs)})
+    return LaurentPoly({k: Fraction(c) for k, c in enumerate(_charpoly(h.data))})
+
+
+def _exact_quotient(a: int, k: int, what: str) -> int:
+    quotient, remainder = divmod(a, k)
+    if remainder:
+        raise ValueError(f"integrality violated: {what} = {a}/{k}")
+    return quotient
+
+
+def _power_sums(c, top: int) -> list[int]:
+    """p_0 .. p_top with p_k = tr Psi^k, from c = det(1 - x Psi).
+
+    Newton's identities k c_k + sum_(j=1..k) p_j c_(k-j) = 0 need no
+    division, since c_0 = 1; p_0 is the size of Psi.
+    """
+    d = len(c) - 1
+    p = [d]
+    for k in range(1, top + 1):
+        acc = k * c[k] if k <= d else 0
+        for j in range(max(1, k - d), k):
+            acc += p[j] * c[k - j]
+        p.append(-acc)
+    return p
+
+
+def _elementary(sums) -> list[int]:
+    """e_0 .. e_d of the numbers whose power sums are sums = (p_1, .., p_d).
+
+    Newton's identities i e_i = sum_(j=1..i) (-1)^(j-1) p_j e_(i-j); every
+    division by i must be exact, else ValueError("integrality violated").
+    """
+    e = [1]
+    for i in range(1, len(sums) + 1):
+        acc = sum((-1) ** (j - 1) * sums[j - 1] * e[i - j] for j in range(1, i + 1))
+        e.append(_exact_quotient(acc, i, f"{i} e_{i}"))
+    return e
+
+
+def _wedge_table(c, top: int) -> list[tuple[int, ...]]:
+    """The power-sum table: row s = 0..top holds E_i(s) = tr wedge^i(Psi^s).
+
+    E_0(s), .., E_d(s) are the elementary symmetric functions of the
+    eigenvalues of Psi^s, whose power sums are p_s, p_2s, .., p_ds.
+    """
+    d = len(c) - 1
+    p = _power_sums(c, d * top)
+    return [tuple(_elementary([p[j * s] for j in range(1, d + 1)])) for s in range(top + 1)]
 
 
 def fixed_characters(h: Matrix, n: int) -> list[CharacterClass]:
@@ -259,56 +331,66 @@ def generating_series(aut: TorusAutomorphism, trunc: int) -> TruncatedBiSeries:
     return total
 
 
-def _substitute(f: TruncatedBiSeries, step: int, trunc: int) -> TruncatedBiSeries:
-    """f(t^step), truncated at t^trunc."""
-    cs = [LaurentPoly.zero()] * (trunc + 1)
-    for k in range(trunc // step + 1):
-        cs[k * step] = f.coeffs[k]
-    return TruncatedBiSeries(trunc, cs)
-
-
 def _order_tops(psi: Matrix, orders, n: int) -> dict[int, LaurentPoly]:
-    """w -> q^(2n) [t^n] prod_{v w <= n} F(t^(v w)) for each order w.
+    """w -> q^(2n) [t^n] prod_{v w <= n} F(t^(v w)) for each order w, over Z.
 
-    F(x) = prod_i det(1 - wedge^i(Psi) q^(i-2) x)^((-1)^(i+1)) is built once,
-    from the five wedge polynomials, and substituted for every v and w.
+    F(x) = prod_i det(1 - wedge^i(Psi) q^(i-2) x)^((-1)^(i+1)) is
+    exp(sum_s D_s x^s / s) with D_s = sum_i (-1)^i E_i(s) q^((i-2) s), so
+    G(u) = prod_(v >= 1) F(u^v) has k [u^k] log G = sum_(s | k) (k / s) D_s
+    and k G_k = sum_(j=1..k) (j log_j) G_(k-j).  The product for the order
+    w is G(t^w).  G_k is a dense list of q^(-2k) .. q^(2k).
     """
-    f = TruncatedBiSeries.one(n)
-    for i in range(5):
-        factor = _wedge_factor(_det_one_minus_x(exterior_power(psi, i)), i, 1, n)
-        f = f * (factor.invert() if i % 2 == 0 else factor)
+    table = _wedge_table(_charpoly(psi.transpose().data), n)  # keyed by h = Psi^T
+    logs = [{} for _ in range(n + 1)]  # logs[k]: q exponent -> coefficient of k log_k
+    for s in range(1, n + 1):
+        for k in range(s, n + 1, s):
+            log = logs[k]
+            for i, e in enumerate(table[s]):
+                exp = (i - 2) * s
+                log[exp] = log.get(exp, 0) + (-1) ** i * (k // s) * e
+    g = [[1]]
+    for k in range(1, n + 1):
+        acc = [0] * (4 * k + 1)
+        for j in range(1, k + 1):
+            prev = g[k - j]
+            for exp, a in logs[j].items():
+                if a:
+                    base = exp + 2 * j
+                    for idx, x in enumerate(prev, base):
+                        acc[idx] += a * x
+        g.append([_exact_quotient(x, k, f"{k} G_{k}") for x in acc])
     tops = {}
     for w in orders:
-        total = TruncatedBiSeries.one(n)
-        for step in range(w, n + 1, w):
-            total = total * _substitute(f, step, n)
-        tops[w] = total.coeff(n).shift(2 * n)
+        if n % w:
+            tops[w] = LaurentPoly.zero()
+        else:
+            k = n // w
+            tops[w] = LaurentPoly({2 * (n - k) + idx: x for idx, x in enumerate(g[k])})
     return tops
 
 
 def _exp_tops(psi: Matrix, orders, n: int) -> dict[int, Fraction]:
     """w -> [t^n] prod_{v >= 1} exp(sum_{s >= 1} det(1 - Psi^s)/s t^(v w s)).
 
-    The logarithm has log[m] = sum over s | m/w of det(1 - Psi^s)/s at the
-    multiples m of w, and k E_k = sum_j j log[j] E_(k-j) exponentiates it.
+    The recurrence of ``_order_tops`` at q = 1, on its own inputs: H(u) with
+    k [u^k] log H = sum_(s | k) (k / s) det(1 - Psi^s), the determinants
+    taken of matrix powers, and k H_k = sum_j (j log_j) H_(k-j).  The
+    product for the order w is H(t^w).
     """
-    dets = []
-    power = identity(4)
+    dets = [0]
+    one = power = identity(4)
     for _ in range(n):
         power = power @ psi
-        dets.append(exact_det(identity(4) - power))
-    tops = {}
-    for w in orders:
-        log = [Fraction(0)] * (n + 1)
-        for m in range(w, n + 1, w):
-            k = m // w
-            log[m] = sum((Fraction(dets[s - 1], s) for s in range(1, k + 1) if k % s == 0),
-                         Fraction(0))
-        e = [Fraction(1)] + [Fraction(0)] * n
-        for k in range(w, n + 1, w):
-            e[k] = sum((j * log[j] * e[k - j] for j in range(w, k + 1, w)), Fraction(0)) / k
-        tops[w] = e[n]
-    return tops
+        dets.append(exact_det(one - power))
+    logs = [0] * (n + 1)
+    for s in range(1, n + 1):
+        for k in range(s, n + 1, s):
+            logs[k] += (k // s) * dets[s]
+    h = [1]
+    for k in range(1, n + 1):
+        acc = sum(logs[j] * h[k - j] for j in range(1, k + 1))
+        h.append(_exact_quotient(acc, k, f"{k} H_{k}"))
+    return {w: Fraction(0 if n % w else h[n // w]) for w in orders}
 
 
 class _Profile(NamedTuple):
@@ -335,7 +417,7 @@ def _profile(h_data, n: int) -> _Profile:
     return _Profile(
         {w: tuple(characters[w]) for w in orders},
         tuple((tuple(ks), moebius(n // g)) for g, ks in sorted(classes.items())),
-        LaurentPoly(dict(enumerate(_det_one_minus_x(psi)))),
+        LaurentPoly(dict(enumerate(_charpoly(h_data)))),
         _order_tops(psi, orders, n),
         _exp_tops(psi, orders, n),
     )
@@ -476,33 +558,42 @@ _QUOTIENT_BASES = {
 }
 
 
+_TYPE_ORDERS = {0: 1, 1: 2, 2: 2, 3: 2, 4: 4, 5: 3, 6: 3, 7: 3, 8: 5}
+
+
+@lru_cache(maxsize=len(_QUOTIENT_BASES))
+def _basis_inverse(kind: int) -> Matrix:
+    return exact_inverse(_QUOTIENT_BASES[kind])
+
+
+@lru_cache(maxsize=len(_TYPE_ORDERS))
 def _type_matrix(kind: int) -> Matrix:
-    """The matrix of h on the torus lattice of the given catalog type."""
+    """The matrix of h on the torus lattice of the given catalog type.
+
+    Built once per type; the first use of a type checks that h preserves its
+    lattice and has the type's order.
+    """
     if kind == 0:
-        return identity(4)
-    if kind == 8:
-        return _COMPANION_5
-    h = _product_torus_matrix(kind)
-    basis = _QUOTIENT_BASES.get(kind)
-    if basis is None:
-        return h
-    moved = exact_inverse(basis) @ h @ basis
-    if not moved.is_integral:
-        raise AssertionError("h does not preserve the quotient torus lattice")
-    return moved
+        h = identity(4)
+    elif kind == 8:
+        h = _COMPANION_5
+    else:
+        h = _product_torus_matrix(kind)
+        if kind in _QUOTIENT_BASES:
+            h = _basis_inverse(kind) @ h @ _QUOTIENT_BASES[kind]
+            if not h.is_integral:
+                raise AssertionError("h does not preserve the quotient torus lattice")
+    order = _TYPE_ORDERS[kind]
+    if h**order != identity(4):
+        raise AssertionError(f"catalog type {kind} matrix does not have order {order}")
+    return h
 
 
 def _residues(kind: int, product_vector) -> tuple[int, int, int, int]:
     """Coordinates mod 3 of a product-lattice third point on the type basis."""
-    basis = _QUOTIENT_BASES.get(kind)
-    if basis is None:
-        vec = product_vector
-    else:
-        vec = exact_inverse(basis).apply(product_vector)
-    return tuple(int(x) % _KUMMER_N for x in vec)
-
-
-_TYPE_ORDERS = {0: 1, 1: 2, 2: 2, 3: 2, 4: 4, 5: 3, 6: 3, 7: 3, 8: 5}
+    if kind in _QUOTIENT_BASES:
+        product_vector = _basis_inverse(kind).apply(product_vector)
+    return tuple(int(x) % _KUMMER_N for x in product_vector)
 
 
 def _variant_table(kind: int) -> dict[str, tuple[int, tuple[int, int, int, int]]]:
@@ -566,9 +657,6 @@ def catalog(kind: int, variant: str) -> TorusAutomorphism:
         )
     sign, translation = table[variant]
     h = _type_matrix(kind)
-    order = _TYPE_ORDERS[kind]
-    if (h**order) != identity(4):
-        raise AssertionError(f"catalog type {kind} matrix does not have order {order}")
     matrix = h if sign == 1 else -h
     return torus_automorphism(matrix, translation, _KUMMER_N, sign, f"type {kind}: {variant}")
 

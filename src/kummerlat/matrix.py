@@ -19,7 +19,7 @@ def _normalize_entry(x):
     if isinstance(x, bool):
         raise TypeError("matrix entries must be int or Fraction, got bool")
     if isinstance(x, int):
-        return x
+        return int(x)  # an int subclass such as IntEnum is stored as a plain int
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
@@ -66,7 +66,8 @@ class Matrix:
 
     @property
     def is_integral(self):
-        return all(isinstance(x, int) for row in self.data for x in row)
+        # entries are plain ints or non-integral Fractions, see _normalize_entry
+        return all(_INT_ONLY.issuperset(map(type, row)) for row in self.data)
 
     @property
     def is_symmetric(self):
@@ -119,7 +120,12 @@ class Matrix:
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        if self.shape != other.shape:
+            raise ValueError("shape mismatch")
+        return Matrix(
+            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
+            cols=self.cols,
+        )
 
     def __neg__(self) -> "Matrix":
         return Matrix([[-x for x in row] for row in self.data], cols=self.cols)

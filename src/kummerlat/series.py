@@ -213,13 +213,6 @@ class TruncatedBiSeries:
     def zero(cls, order: int) -> "TruncatedBiSeries":
         return cls(order, [])
 
-    @classmethod
-    def term(cls, order: int, poly: LaurentPoly, t_exp: int) -> "TruncatedBiSeries":
-        if t_exp > order:
-            return cls.zero(order)
-        cs = [LaurentPoly.zero()] * (t_exp) + [poly]
-        return cls(order, cs)
-
     def coeff(self, k: int) -> LaurentPoly:
         if not 0 <= k <= self.order:
             raise IndexError("t exponent outside truncation order")
@@ -287,7 +280,3 @@ class TruncatedBiSeries:
     def __repr__(self):
         parts = [f"[{c!r}]*t^{k}" for k, c in enumerate(self.coeffs) if not c.is_zero]
         return " + ".join(parts) if parts else "TruncatedBiSeries(0)"
-
-
-def series_invert(s: TruncatedBiSeries) -> TruncatedBiSeries:
-    return s.invert()

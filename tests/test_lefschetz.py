@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import product
-from math import gcd
+from functools import reduce
+from itertools import accumulate, product
+from math import comb, gcd
 
 import pytest
 
@@ -217,6 +219,24 @@ def test_catalog_quotient_types_are_conjugated_products():
         assert abs(exact_det(aut.matrix)) == 1
 
 
+def test_catalog_type_matrices_built_once(monkeypatch):
+    import kummerlat.lefschetz as lef
+
+    lef._type_matrix.cache_clear()
+    for kind, variant, _ in CATALOG_EXPECTED:
+        catalog(kind, variant)
+    info = lef._type_matrix.cache_info()
+    assert (info.misses, info.currsize) == (9, 9)
+    assert catalog(5, "h").matrix is catalog(5, "u=0,v in Delta6").matrix
+    # the order check runs inside the memo, on the first use of each type
+    lef._type_matrix.cache_clear()
+    monkeypatch.setitem(lef._TYPE_ORDERS, 8, 3)
+    with pytest.raises(AssertionError, match="does not have order 3"):
+        catalog(8, "h")
+    monkeypatch.undo()
+    lef._type_matrix.cache_clear()
+
+
 def test_run_catalog_table_all_pass():
     report = run_catalog_table()
     assert report.passed
@@ -392,16 +412,143 @@ def test_det_one_minus_x_matches_principal_minors():
 
 
 def test_order_tops_match_reference_products():
-    # the memo's substituted product F(t^(v w)) against the factor-by-factor product
+    # the log/exp evaluation against the factor-by-factor product of wedge series
     import kummerlat.lefschetz as lef
 
     rng = random.Random(53)
     for h in _catalog_matrices()[::3] + [random_unimodular(rng, 4) for _ in range(3)]:
         psi = h.transpose()
-        for n in range(1, 5):
+        for n in range(1, 7):
             tops = lef._order_tops(psi, range(1, n + 1), n)
             for w in range(1, n + 1):
                 assert tops[w] == lef._order_product(psi, w, n).coeff(n).shift(2 * n), (h, n, w)
+
+
+def _table_matrices():
+    rng = random.Random(67)
+    return _catalog_matrices() + [random_unimodular(rng, 4) for _ in range(4)]
+
+
+def test_power_sum_table_matches_exterior_powers():
+    import kummerlat.lefschetz as lef
+
+    for h in _table_matrices():
+        psi = h.transpose()
+        table = lef._wedge_table(lef._charpoly(h.data), 8)
+        power = identity(4)
+        for s in range(9):
+            traces = tuple(sum(exterior_power(power, i).data[k][k] for k in range(comb(4, i)))
+                           for i in range(5))
+            assert table[s] == traces, (h, s)
+            power = power @ psi
+        # Newton's identities on the power sums tr (wedge^i Psi)^s = E_i(s)
+        # give back the wedge polynomials det(1 - x wedge^i Psi)
+        for i in range(5):
+            d = comb(4, i)
+            e = lef._elementary([table[s][i] for s in range(1, d + 1)])
+            newton = [(-1) ** k * x for k, x in enumerate(e)]
+            assert newton == lef._det_one_minus_x(exterior_power(psi, i)), (h, i)
+
+
+def test_integrality_guards(monkeypatch):
+    # corrupted power sums or log coefficients leave a nonzero remainder
+    import kummerlat.lefschetz as lef
+
+    psi = identity(4)
+    power_sums, wedge_table, det = lef._power_sums, lef._wedge_table, lef.exact_det
+
+    def bump_first(c, top):
+        p = power_sums(c, top)
+        return [p[0], p[1] + 1] + p[2:]
+
+    # p_1 = 5, p_2 = 4: 2 E_2(1) = 5 * 5 - 4 is odd
+    monkeypatch.setattr(lef, "_power_sums", bump_first)
+    with pytest.raises(ValueError, match="integrality violated: 2 e_2"):
+        lef._order_tops(psi, [1], 2)
+    lef._profile.cache_clear()
+    with pytest.raises(ValueError, match="integrality violated"):
+        lefschetz_q(torus_automorphism(psi, (0, 0, 0, 0), 2))
+    monkeypatch.setattr(lef, "_power_sums", power_sums)
+
+    def bump_table(c, top):
+        table = wedge_table(c, top)
+        table[2] = (table[2][0] + 1,) + table[2][1:]
+        return table
+
+    # 2 G_2 = D_1^2 + 2 D_1 + D_2 is even at q^-4 (1 + 0 + 1), odd once E_0(2) moves
+    monkeypatch.setattr(lef, "_wedge_table", bump_table)
+    with pytest.raises(ValueError, match="integrality violated: 2 G_2"):
+        lef._order_tops(psi, [1], 2)
+    monkeypatch.setattr(lef, "_wedge_table", wedge_table)
+
+    # 2 H_2 = 2 d_1 + d_2 + d_1^2 = 32 + 1 + 256 for Psi = -1, with d_2 =
+    # det(1 - Psi^2) = 0 read as 1
+    zero = Matrix([[0] * 4] * 4)
+    monkeypatch.setattr(lef, "exact_det", lambda m: 1 if m == zero else det(m))
+    with pytest.raises(ValueError, match="integrality violated: 2 H_2"):
+        lef._exp_tops(-psi, [1], 2)
+    lef._profile.cache_clear()
+
+
+def _partitions(m, largest):
+    if m == 0:
+        yield ()
+    for part in range(min(m, largest), 0, -1):
+        for rest in _partitions(m - part, part):
+            yield (part,) + rest
+
+
+def _goettsche_soergel(n):
+    """Signed Poincare polynomial of K_(n-1)(A), coefficients of q^0 .. q^(4n-4).
+
+    Goettsche-Soergel (Math. Ann. 296, 1993): the sum over the partitions
+    alpha of n, with a_i parts of size i, of gcd(alpha)^4 q^(2(n - l(alpha)))
+    prod_i S_(a_i) / S_1.  S_a is the signed Poincare polynomial of the
+    symmetric product A^(a) (Macdonald): sum_a S_a t^a = (1 - q t)^4
+    (1 - q^3 t)^4 / ((1 - t) (1 - q^2 t)^6 (1 - q^4 t)), and S_1 = (1 - q)^4.
+    """
+    def add(a, b):
+        a, b = (a, b) if len(a) >= len(b) else (b, a)
+        return [x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)]
+
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    factors = (  # k -> [t^k] of the factor, a polynomial in q
+        lambda k: [0] * k + [(-1) ** k * comb(4, k)],  # (1 - q t)^4
+        lambda k: [0] * (3 * k) + [(-1) ** k * comb(4, k)],  # (1 - q^3 t)^4
+        lambda k: [1],  # 1 / (1 - t)
+        lambda k: [0] * (2 * k) + [comb(k + 5, 5)],  # 1 / (1 - q^2 t)^6
+        lambda k: [0] * (4 * k) + [1],  # 1 / (1 - q^4 t)
+    )
+    sym = [[1]] + [[0]] * n
+    for f in factors:
+        sym = [reduce(add, (mul(sym[a - k], f(k)) for k in range(a + 1))) for a in range(n + 1)]
+    total = [0] * (4 * n - 3)
+    for alpha in _partitions(n, n):
+        poly = reduce(mul, (sym[a] for a in Counter(alpha).values()))
+        for _ in range(4):  # divide by 1 - q: prefix sums, the last one must vanish
+            poly = list(accumulate(poly))
+            assert poly.pop() == 0
+        shift = 2 * (n - len(alpha))
+        for i, c in enumerate(poly):
+            total[shift + i] += gcd(*alpha) ** 4 * c
+    return total
+
+
+def test_literature_oracles_for_the_identity():
+    # Euler number n^3 sigma(n) and the signed Poincare polynomial of K_(n-1)(A)
+    for n in range(2, 13):
+        result = lefschetz_q(torus_automorphism(identity(4), (0, 0, 0, 0), n))
+        assert result.value == n**3 * sum(d for d in range(1, n + 1) if n % d == 0)
+        expected = _goettsche_soergel(n)
+        assert result.polynomial == LaurentPoly(dict(enumerate(expected))), n
+    assert _goettsche_soergel(3) == [1, 0, 7, -8, 108, -8, 7, 0, 1]
+    assert _goettsche_soergel(4)[:7] == [1, 0, 7, -8, 51, -56, 458]
 
 
 def test_exp_tops_match_factorial_exponential():

@@ -131,6 +131,19 @@ def test_entry_normalization():
             Matrix(bad)
 
 
+def test_int_subclass_entries_are_stored_as_int():
+    from enum import IntEnum
+
+    class Two(IntEnum):
+        TWO = 2
+
+    m = Matrix([[Two.TWO, 1], [0, Fraction(4, 2)]])
+    assert [type(x) for row in m.data for x in row] == [int] * 4
+    assert m.data == ((2, 1), (0, 2)) and m.is_integral
+    assert Matrix([[Fraction(4, 2)]]).is_integral
+    assert not Matrix([[1], [Fraction(1, 2)]]).is_integral
+
+
 def test_unimodular_check():
     # the row Hermite form of [P | I] is [I | P^-1] exactly for unimodular P
     p = Matrix([[1, 5], [0, 1]])
