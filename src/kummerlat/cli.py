@@ -107,7 +107,7 @@ def cmd_isometry_check(args) -> int:
         if key not in job:
             raise ValueError(f"isometry job needs field {key!r}")
     lat = lattice_from_dict({"gram": job["gram"], "name": job.get("name")})
-    iso = LatticeIsometry(lat, Matrix(job["matrix"]), int(job["p"]))
+    iso = LatticeIsometry(lat, Matrix(job["matrix"]), job["p"])
     inv = compute_invariants(iso)
     p = iso.order
     square_ok = check_square_theorem(inv, p) if p != 2 else None
@@ -222,7 +222,7 @@ def cmd_kummer(args) -> int:
         for key in ("H", "b", "n"):
             if key not in job:
                 raise ValueError(f"kummer job needs field {key!r}")
-        aut = torus_automorphism(Matrix(job["H"]), job["b"], int(job["n"]))
+        aut = torus_automorphism(Matrix(job["H"]), job["b"], job["n"])
     elif args.type is not None:
         if args.variant is None:
             raise ValueError("--type requires --variant; see kummer --list-variants")

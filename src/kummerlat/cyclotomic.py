@@ -305,18 +305,3 @@ def _frac_poly_sub(a, b):
     b = list(b) + [Fraction(0)] * (n - len(b))
     return [x - y for x, y in zip(a, b)]
 
-
-def zeta(conductor: int, power: int = 1) -> CyclotomicNumber:
-    return CyclotomicNumber.zeta(conductor, power)
-
-
-def cyclotomic_add(a: CyclotomicNumber, b: CyclotomicNumber) -> CyclotomicNumber:
-    return a + b
-
-
-def cyclotomic_mul(a: CyclotomicNumber, b: CyclotomicNumber) -> CyclotomicNumber:
-    return a * b
-
-
-def cyclotomic_inverse(a: CyclotomicNumber) -> CyclotomicNumber:
-    return a.inverse()

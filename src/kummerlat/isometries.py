@@ -41,6 +41,8 @@ class LatticeIsometry:
     order: int
 
     def __post_init__(self):
+        if not isinstance(self.order, int) or isinstance(self.order, bool):
+            raise ValueError(f"order p must be an integer, got {self.order!r}")
         phi, g = self.matrix, self.lattice.gram
         n = self.lattice.rank
         if phi.shape != (n, n):

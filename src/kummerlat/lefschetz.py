@@ -18,12 +18,15 @@ Every quantity on the way is a rational integer, and the engine computes
 over Z only:
 
 * The product depends on chi only through its order w, so the sum is
-  grouped by order.  The fixed characters of order w are permuted by the
-  units mod n, hence the pairings k = <chi, b> mod n are equidistributed on
-  each Galois class {k : gcd(k, n) = g}, and the zeta_n^k of one class sum
-  to the Ramanujan sum moebius(n / g).  So sigma_w, the sum of chi(b) over
-  the fixed chi of order w, is sum_g count_g * moebius(n / g), with count_g
-  the number of characters pairing to any one k of the class.
+  grouped by order: sigma_w, the sum of chi(b) over the fixed chi of order
+  w, comes from counting subgroups, with no character listed.  One Smith
+  form U (1 - H) V = diag(d_1, .., d_4) describes the fixed characters:
+  those killed by e (for e | n) form a group A[e] of order
+  prod_i gcd(d_i, e), and the chi(b) over A[e] sum to |A[e]| when b is
+  orthogonal to A[e], that is when gcd(d_i, e) divides (U b)_i for every i,
+  and to 0 otherwise.  Moebius inversion over the divisors of w gives
+  sigma_w = sum_(e | w) moebius(w / e) |A[e]| [b orthogonal to A[e]], an
+  integer by construction.
 * Every wedge factor det(1 - x wedge^i(Psi)) is fixed by the eigenvalues
   lambda of Psi, so the product is the exponential of its logarithm
   (Newton's identities; Macdonald, Symmetric Functions and Hall
@@ -41,21 +44,19 @@ over Z only:
   the division by it is exact long division over Z (never an evaluation at
   q = 1, where L(psi, q) often vanishes).
 
-Three runtime guards remain: the pairing counts must be constant on every
-Galois class ("Galois-stability violated"), which makes each sigma_w
-rational; every division in Newton's identities and in the exponential
-recurrences must be exact ("integrality violated"); and the division by
-L(psi, q) must leave no remainder ("division identity violated").  The
-quotient then has integer coefficients and its value at q = 1 is the
-integer Lefschetz number.
+Two runtime guards remain: every division in Newton's identities and in
+the exponential recurrences must be exact ("integrality violated"), and
+the division by L(psi, q) must leave no remainder ("division identity
+violated").  The quotient then has integer coefficients and its value at
+q = 1 is the integer Lefschetz number.
 
 c = det(1 - x Psi) is kept in a bounded memo per matrix (``_charpoly``),
 which ``lefschetz_poly_surface`` and the power sums read.  Everything that
 depends on (h, n) but not on b is kept in one bounded memo (``_profile``),
-so the translation variants of one matrix share it.  ``generating_series``
-keeps the direct cyclotomic evaluation of the character sum, and
-``_order_product`` the factor-by-factor product of the wedge series, as
-references for the tests.
+so the translation variants of one matrix share it.  The direct
+cyclotomic evaluation of the character sum over the listed fixed
+characters, and the factor-by-factor product of the wedge series, are kept
+with the tests (``tests/lefschetz_reference.py``) as references.
 
 The catalog covers the torus automorphisms whose action on second cohomology
 has prime order, together with their sign flips and translation variants,
@@ -67,22 +68,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import gcd
+from operator import mul
 from typing import NamedTuple
 
-from .cyclotomic import CyclotomicNumber, moebius
-from .matrix import Matrix, block_diag, exact_det, exact_inverse, identity
-from .series import LaurentPoly, TruncatedBiSeries, laurent_divmod
+from .cyclotomic import moebius
+from .matrix import Matrix, block_diag, exact_det, exact_inverse, identity, smith_normal_form
+from .series import LaurentPoly, laurent_divmod
 
-# Largest accepted torsion order n; it keeps the accepted inputs those of
-# the cyclotomic reference path (conductor at most 60).
+# Largest accepted torsion order n.  The character sums cost O(tau(n)^2)
+# integer steps at any n and the order products O(n^3); the bound is the
+# conductor cap of the cyclotomic reference kept with the tests.
 MAX_TORSION = 60
 
 
-def _check_torsion(n: int) -> None:
-    if not 1 <= n <= MAX_TORSION:
-        raise ValueError(f"torsion order n must be in 1..{MAX_TORSION}, got {n}")
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_torsion(n) -> None:
+    if not _is_int(n) or not 1 <= n <= MAX_TORSION:
+        raise ValueError(f"torsion order n must be an integer in 1..{MAX_TORSION}, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -105,56 +111,27 @@ class TorusAutomorphism:
         _check_torsion(self.torsion)
         if self.matrix.shape != (4, 4) or not self.matrix.is_integral:
             raise ValueError("torus automorphism needs an integral 4x4 matrix")
-        if abs(exact_det(self.matrix)) != 1:
+        if abs(_charpoly(self.matrix.data)[4]) != 1:  # c_4 = det Psi = det h
             raise ValueError("torus automorphism matrix must be unimodular")
         if len(self.translation) != 4:
             raise ValueError("translation must have four coordinates")
-        if any(not 0 <= x < self.torsion for x in self.translation):
+        if any(not (_is_int(x) and 0 <= x < self.torsion) for x in self.translation):
             raise ValueError("translation coordinates must be residues mod n")
 
 
 def torus_automorphism(matrix: Matrix, translation, torsion: int, sign: int = 1,
                        label: str = "") -> TorusAutomorphism:
     _check_torsion(torsion)
-    b = tuple(int(x) % torsion for x in translation)
+    if not all(map(_is_int, translation)):
+        raise ValueError(f"translation coordinates must be integers, got {list(translation)!r}")
+    b = tuple(x % torsion for x in translation)
     return TorusAutomorphism(matrix, b, torsion, sign, label)
-
-
-@dataclass(frozen=True)
-class CharacterClass:
-    """A character of (Z/n)^4 in dual coordinates, with its order."""
-
-    residues: tuple[int, int, int, int]
-    order: int
 
 
 @dataclass(frozen=True)
 class LefschetzResult:
     polynomial: LaurentPoly  # rational coefficients, q^0 .. q^(4n-4)
     value: int
-
-
-def exterior_power(m: Matrix, i: int) -> Matrix:
-    """Action induced on the i-th exterior power of a 4x4 matrix.
-
-    Basis: i-element index subsets in lexicographic order; the (S, T) entry
-    is the minor with rows S and columns T.
-    """
-    if m.shape != (4, 4):
-        raise ValueError("exterior_power expects a 4x4 matrix")
-    if not 0 <= i <= 4:
-        raise ValueError("exterior power index must be in 0..4")
-    if i == 0:
-        return identity(1)
-    subsets = list(combinations(range(4), i))
-    rows = []
-    for s in subsets:
-        row = []
-        for t in subsets:
-            minor = Matrix([[m.data[a][b] for b in t] for a in s])
-            row.append(exact_det(minor))
-        rows.append(row)
-    return Matrix(rows)
 
 
 def _det_one_minus_x(m: Matrix) -> list[int]:
@@ -246,91 +223,6 @@ def _wedge_table(c, top: int) -> list[tuple[int, ...]]:
     return [tuple(_elementary([p[j * s] for j in range(1, d + 1)])) for s in range(top + 1)]
 
 
-def fixed_characters(h: Matrix, n: int) -> list[CharacterClass]:
-    """All characters of (Z/n)^4 invariant under h, in lexicographic order.
-
-    A character with dual coordinates c is fixed exactly when
-    h^T c = c mod n; its order is n / gcd(c, n).
-    """
-    # (h^T - 1) c = sum_j c_j col_j, where col_j is row j of h minus e_j
-    cols = [tuple(x - (i == j) for i, x in enumerate(row)) for j, row in enumerate(h.data)]
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (d0, d1, d2, d3), (e0, e1, e2, e3) = cols
-    out = []
-    for c0 in range(n):
-        for c1 in range(n):
-            s0, s1 = c0 * a0 + c1 * b0, c0 * a1 + c1 * b1
-            s2, s3 = c0 * a2 + c1 * b2, c0 * a3 + c1 * b3
-            for c2 in range(n):
-                t0, t1, t2, t3 = s0 + c2 * d0, s1 + c2 * d1, s2 + c2 * d2, s3 + c2 * d3
-                for c3 in range(n):
-                    if ((t0 + c3 * e0) % n == 0 and (t1 + c3 * e1) % n == 0
-                            and (t2 + c3 * e2) % n == 0 and (t3 + c3 * e3) % n == 0):
-                        out.append(CharacterClass((c0, c1, c2, c3), n // gcd(c0, c1, c2, c3, n)))
-    return out
-
-
-def _character_order_sums(aut: TorusAutomorphism) -> dict[int, CyclotomicNumber]:
-    """Reference path: sum of chi(b) over fixed chi of each order, in Q(zeta_n)."""
-    n = aut.torsion
-    sums: dict[int, CyclotomicNumber] = {}
-    for chi in fixed_characters(aut.matrix, n):
-        k = sum(c * b for c, b in zip(chi.residues, aut.translation)) % n
-        value = CyclotomicNumber.zeta(n, k)
-        if chi.order in sums:
-            sums[chi.order] = sums[chi.order] + value
-        else:
-            sums[chi.order] = value
-    return sums
-
-
-def _wedge_factor(psi_coeffs: list[int], i: int, t_exp: int, trunc: int) -> TruncatedBiSeries:
-    """det(1 - wedge^i(Psi) q^(i-2) t^w) truncated in t."""
-    cs = [LaurentPoly.zero() for _ in range(trunc + 1)]
-    for k, c in enumerate(psi_coeffs):
-        te = k * t_exp
-        if te > trunc:
-            break
-        if c:
-            cs[te] = cs[te] + LaurentPoly.monomial(c, (i - 2) * k)
-    return TruncatedBiSeries(trunc, cs)
-
-
-def _order_product(psi: Matrix, w: int, trunc: int) -> TruncatedBiSeries:
-    """Reference path: prod over v w <= trunc of the five wedge factors at t^(v w)."""
-    wedge_coeffs = [_det_one_minus_x(exterior_power(psi, i)) for i in range(5)]
-    total = TruncatedBiSeries.one(trunc)
-    v = 1
-    while v * w <= trunc:
-        for i in range(5):
-            factor = _wedge_factor(wedge_coeffs[i], i, v * w, trunc)
-            if i % 2 == 0:
-                factor = factor.invert()
-            total = total * factor
-        v += 1
-    return total
-
-
-def generating_series(aut: TorusAutomorphism, trunc: int) -> TruncatedBiSeries:
-    """The character sum series in t with Laurent-in-q coefficients.
-
-    The per-character product depends on the character only through its
-    order, so the sum is grouped: sum_w (sum of chi(b) over fixed chi of
-    order w) * (product for order w).  This is the cyclotomic reference
-    path; ``lefschetz_q`` computes the same [t^n] coefficient over Z.
-    """
-    if trunc < aut.torsion:
-        raise ValueError("truncation order must be at least the torsion order")
-    psi = aut.matrix.transpose()
-    sums = _character_order_sums(aut)
-    total = TruncatedBiSeries.zero(trunc)
-    for w in sorted(sums):
-        sigma = sums[w]
-        if sigma == 0:
-            continue
-        total = total + _order_product(psi, w, trunc).scaled(sigma)
-    return total
-
-
 def _order_tops(psi: Matrix, orders, n: int) -> dict[int, LaurentPoly]:
     """w -> q^(2n) [t^n] prod_{v w <= n} F(t^(v w)) for each order w, over Z.
 
@@ -369,6 +261,11 @@ def _order_tops(psi: Matrix, orders, n: int) -> dict[int, LaurentPoly]:
     return tops
 
 
+def _one_minus(rows) -> Matrix:
+    """1 - M for the square matrix M with the given int rows."""
+    return Matrix([[(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(rows)])
+
+
 def _exp_tops(psi: Matrix, orders, n: int) -> dict[int, Fraction]:
     """w -> [t^n] prod_{v >= 1} exp(sum_{s >= 1} det(1 - Psi^s)/s t^(v w s)).
 
@@ -377,11 +274,11 @@ def _exp_tops(psi: Matrix, orders, n: int) -> dict[int, Fraction]:
     taken of matrix powers, and k H_k = sum_j (j log_j) H_(k-j).  The
     product for the order w is H(t^w).
     """
-    dets = [0]
-    one = power = identity(4)
-    for _ in range(n):
-        power = power @ psi
-        dets.append(exact_det(one - power))
+    cols = list(zip(*psi.data))
+    powers = [psi.data]  # Psi^1 .. Psi^n as int rows
+    for _ in range(n - 1):
+        powers.append([[sum(map(mul, row, col)) for col in cols] for row in powers[-1]])
+    dets = [0] + [exact_det(_one_minus(power)) for power in powers]
     logs = [0] * (n + 1)
     for s in range(1, n + 1):
         for k in range(s, n + 1, s):
@@ -396,67 +293,59 @@ def _exp_tops(psi: Matrix, orders, n: int) -> dict[int, Fraction]:
 class _Profile(NamedTuple):
     """What lefschetz_q and corollary_value need of (h, n), whatever b is."""
 
-    characters: dict  # order w -> residues of the fixed characters of order w
-    classes: tuple  # per divisor g of n: (the k with gcd(k, n) = g, moebius(n / g))
+    u_rows: tuple  # rows of U, with U (1 - H) V = diag(d_1, .., d_4) a Smith form
+    subgroups: tuple  # per divisor e of n: (|A[e]|, (gcd(d_i, e))_i), A[e] killed by e
+    moebius: tuple  # per divisor w of n: (w, ((index of e, moebius(w / e)) for e | w))
     l_poly: LaurentPoly  # det(1 - q Psi), integer coefficients
-    tops: dict  # order w -> q^(2n) [t^n] of the order-w product
-    exp_tops: dict  # order w -> [t^n] of the order-w exponential form
+    tops: dict  # divisor w of n -> q^(2n) [t^n] of the order-w product
+    exp_tops: dict  # divisor w of n -> [t^n] of the order-w exponential form
 
 
 @lru_cache(maxsize=16)
 def _profile(h_data, n: int) -> _Profile:
     h = Matrix(h_data)
     psi = h.transpose()
-    characters: dict[int, list] = {}
-    for chi in fixed_characters(h, n):
-        characters.setdefault(chi.order, []).append(chi.residues)
-    orders = sorted(characters)
-    classes: dict[int, list] = {}
-    for k in range(n):
-        classes.setdefault(gcd(k, n), []).append(k)
+    u, d, _ = smith_normal_form(_one_minus(h_data))
+    diagonal = [d.data[i][i] for i in range(4)]
+    divisors = [e for e in range(1, n + 1) if n % e == 0]
+    subgroups = []
+    for e in divisors:
+        gcds = tuple(gcd(x, e) for x in diagonal)
+        subgroups.append((gcds[0] * gcds[1] * gcds[2] * gcds[3], gcds))
+    table = []
+    for w in divisors:
+        terms = ((i, moebius(w // e)) for i, e in enumerate(divisors) if w % e == 0)
+        table.append((w, tuple((i, mu) for i, mu in terms if mu)))
     return _Profile(
-        {w: tuple(characters[w]) for w in orders},
-        tuple((tuple(ks), moebius(n // g)) for g, ks in sorted(classes.items())),
+        u.data,
+        tuple(subgroups),
+        tuple(table),
         LaurentPoly(dict(enumerate(_charpoly(h_data)))),
-        _order_tops(psi, orders, n),
-        _exp_tops(psi, orders, n),
+        _order_tops(psi, divisors, n),
+        _exp_tops(psi, divisors, n),
     )
 
 
 def _order_sums(aut: TorusAutomorphism, profile: _Profile) -> dict[int, int]:
-    """sigma_w, the sum of chi(b) over the fixed chi of order w, as integers.
+    """sigma_w, the sum of chi(b) over the fixed chi of order w, for every w | n.
 
-    Raises ValueError("Galois-stability violated") when the pairings of the
-    characters of one order with b are not equidistributed on a Galois
-    class, i.e. when sigma_w would not be rational.
+    The chi(b) over A[e] sum to |A[e]| when gcd(d_i, e) divides (U b)_i for
+    every i and to 0 otherwise; Moebius inversion over the divisors of w
+    separates the orders.
     """
-    n = aut.torsion
     b0, b1, b2, b3 = aut.translation
-    sums = {}
-    for w, residues in profile.characters.items():
-        counts = [0] * n
-        for c0, c1, c2, c3 in residues:
-            counts[(c0 * b0 + c1 * b1 + c2 * b2 + c3 * b3) % n] += 1
-        sigma = 0
-        for ks, mu in profile.classes:
-            count = counts[ks[0]]
-            if any(counts[k] != count for k in ks):
-                raise ValueError(
-                    f"Galois-stability violated: characters of order {w} pair with b "
-                    f"unevenly on the residues {list(ks)} mod {n}"
-                )
-            sigma += count * mu
-        sums[w] = sigma
-    return sums
+    x0, x1, x2, x3 = [u0 * b0 + u1 * b1 + u2 * b2 + u3 * b3 for u0, u1, u2, u3 in profile.u_rows]
+    subgroup_sums = [0 if x0 % g0 or x1 % g1 or x2 % g2 or x3 % g3 else size
+                     for size, (g0, g1, g2, g3) in profile.subgroups]
+    return {w: sum([mu * subgroup_sums[i] for i, mu in terms]) for w, terms in profile.moebius}
 
 
 def lefschetz_q(aut: TorusAutomorphism) -> LefschetzResult:
     """Exact q-refined Lefschetz number of the induced Kummer automorphism.
 
     Raises ValueError("division identity violated") when the character sum
-    is not divisible by L(psi, q), and ValueError("Galois-stability
-    violated") when a character sum fails to be rational.  Both are
-    unreachable for genuine torus automorphisms.
+    is not divisible by L(psi, q), which is unreachable for genuine torus
+    automorphisms.
     """
     n = aut.torsion
     profile = _profile(aut.matrix.data, n)
@@ -490,7 +379,7 @@ def corollary_value(aut: TorusAutomorphism) -> Fraction:
     """
     profile = _profile(aut.matrix.data, aut.torsion)
     sums = _order_sums(aut, profile)
-    return sum((sigma * profile.exp_tops[w] for w, sigma in sums.items()), Fraction(0))
+    return sum((sigma * profile.exp_tops[w] for w, sigma in sums.items() if sigma), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -64,12 +64,6 @@ class LaurentPoly:
         return min(self.coeffs)
 
     @property
-    def max_exp(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero Laurent polynomial has no exponents")
-        return max(self.coeffs)
-
-    @property
     def is_unit(self) -> bool:
         """Units of the Laurent polynomial ring over a field: single monomials."""
         return len(self.coeffs) == 1

@@ -1,0 +1,134 @@
+"""Reference path for the Lefschetz engine, used by the tests alone.
+
+It lists the h-fixed characters of (Z/n)^4 one by one (an n^4 scan), sums
+chi(b) as cyclotomic numbers, and multiplies the wedge series factor by
+factor, so it shares no step with the integer engine of
+``kummerlat.lefschetz`` beyond c = det(1 - x M).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import combinations
+from math import gcd
+
+from kummerlat.cyclotomic import CyclotomicNumber
+from kummerlat.lefschetz import TorusAutomorphism, _det_one_minus_x
+from kummerlat.matrix import Matrix, exact_det, identity
+from kummerlat.series import LaurentPoly, TruncatedBiSeries
+
+
+@dataclass(frozen=True)
+class CharacterClass:
+    """A character of (Z/n)^4 in dual coordinates, with its order."""
+
+    residues: tuple[int, int, int, int]
+    order: int
+
+
+def exterior_power(m: Matrix, i: int) -> Matrix:
+    """Action induced on the i-th exterior power of a 4x4 matrix.
+
+    Basis: i-element index subsets in lexicographic order; the (S, T) entry
+    is the minor with rows S and columns T.
+    """
+    if m.shape != (4, 4):
+        raise ValueError("exterior_power expects a 4x4 matrix")
+    if not 0 <= i <= 4:
+        raise ValueError("exterior power index must be in 0..4")
+    if i == 0:
+        return identity(1)
+    subsets = list(combinations(range(4), i))
+    rows = []
+    for s in subsets:
+        row = []
+        for t in subsets:
+            minor = Matrix([[m.data[a][b] for b in t] for a in s])
+            row.append(exact_det(minor))
+        rows.append(row)
+    return Matrix(rows)
+
+
+def fixed_characters(h: Matrix, n: int) -> list[CharacterClass]:
+    """All characters of (Z/n)^4 invariant under h, in lexicographic order.
+
+    A character with dual coordinates c is fixed exactly when
+    h^T c = c mod n; its order is n / gcd(c, n).
+    """
+    # (h^T - 1) c = sum_j c_j col_j, where col_j is row j of h minus e_j
+    cols = [tuple(x - (i == j) for i, x in enumerate(row)) for j, row in enumerate(h.data)]
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (d0, d1, d2, d3), (e0, e1, e2, e3) = cols
+    out = []
+    for c0 in range(n):
+        for c1 in range(n):
+            s0, s1 = c0 * a0 + c1 * b0, c0 * a1 + c1 * b1
+            s2, s3 = c0 * a2 + c1 * b2, c0 * a3 + c1 * b3
+            for c2 in range(n):
+                t0, t1, t2, t3 = s0 + c2 * d0, s1 + c2 * d1, s2 + c2 * d2, s3 + c2 * d3
+                for c3 in range(n):
+                    if ((t0 + c3 * e0) % n == 0 and (t1 + c3 * e1) % n == 0
+                            and (t2 + c3 * e2) % n == 0 and (t3 + c3 * e3) % n == 0):
+                        out.append(CharacterClass((c0, c1, c2, c3), n // gcd(c0, c1, c2, c3, n)))
+    return out
+
+
+def _character_order_sums(aut: TorusAutomorphism) -> dict[int, CyclotomicNumber]:
+    """Sum of chi(b) over the fixed chi of each order that occurs, in Q(zeta_n)."""
+    n = aut.torsion
+    sums: dict[int, CyclotomicNumber] = {}
+    for chi in fixed_characters(aut.matrix, n):
+        k = sum(c * b for c, b in zip(chi.residues, aut.translation)) % n
+        value = CyclotomicNumber.zeta(n, k)
+        if chi.order in sums:
+            sums[chi.order] = sums[chi.order] + value
+        else:
+            sums[chi.order] = value
+    return sums
+
+
+def _wedge_factor(psi_coeffs: list[int], i: int, t_exp: int, trunc: int) -> TruncatedBiSeries:
+    """det(1 - wedge^i(Psi) q^(i-2) t^w) truncated in t."""
+    cs = [LaurentPoly.zero() for _ in range(trunc + 1)]
+    for k, c in enumerate(psi_coeffs):
+        te = k * t_exp
+        if te > trunc:
+            break
+        if c:
+            cs[te] = cs[te] + LaurentPoly.monomial(c, (i - 2) * k)
+    return TruncatedBiSeries(trunc, cs)
+
+
+def _order_product(psi: Matrix, w: int, trunc: int) -> TruncatedBiSeries:
+    """Prod over v w <= trunc of the five wedge factors at t^(v w)."""
+    wedge_coeffs = [_det_one_minus_x(exterior_power(psi, i)) for i in range(5)]
+    total = TruncatedBiSeries.one(trunc)
+    v = 1
+    while v * w <= trunc:
+        for i in range(5):
+            factor = _wedge_factor(wedge_coeffs[i], i, v * w, trunc)
+            if i % 2 == 0:
+                factor = factor.invert()
+            total = total * factor
+        v += 1
+    return total
+
+
+def generating_series(aut: TorusAutomorphism, trunc: int) -> TruncatedBiSeries:
+    """The character sum series in t with Laurent-in-q coefficients.
+
+    The per-character product depends on the character only through its
+    order, so the sum is grouped: sum_w (sum of chi(b) over fixed chi of
+    order w) * (product for order w).  ``lefschetz_q`` computes the same
+    [t^n] coefficient over Z.
+    """
+    if trunc < aut.torsion:
+        raise ValueError("truncation order must be at least the torsion order")
+    psi = aut.matrix.transpose()
+    sums = _character_order_sums(aut)
+    total = TruncatedBiSeries.zero(trunc)
+    for w in sorted(sums):
+        sigma = sums[w]
+        if sigma == 0:
+            continue
+        total = total + _order_product(psi, w, trunc).scaled(sigma)
+    return total

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from kummerlat.classification import EXPECTED_PAIRS, candidate_pairs, verify_all
-from kummerlat.cyclotomic import CyclotomicNumber, moebius, zeta
+from kummerlat.cyclotomic import CyclotomicNumber, moebius
 from kummerlat.isometries import (
     check_square_theorem,
     check_unimodular_corollary,
@@ -30,7 +30,6 @@ from kummerlat.lefschetz import (
     CATALOG_EXPECTED,
     catalog,
     corollary_value,
-    generating_series,
     lefschetz_poly_surface,
     lefschetz_q,
     run_catalog_table,
@@ -46,6 +45,7 @@ from kummerlat.matrix import (
     zeros,
 )
 from kummerlat.pool import base_pool, random_unimodular
+from lefschetz_reference import generating_series
 
 SEED = 20260808
 MIN_CASES = 200
@@ -237,7 +237,7 @@ def test_criterion_5e_cyclotomic_axioms():
         total = CyclotomicNumber.from_rational(n, 0)
         for k in range(1, n):
             if gcd(k, n) == 1:
-                total = total + zeta(n, k)
+                total = total + CyclotomicNumber.zeta(n, k)
         ok = ok and total == moebius(n)
     _report("5e (cyclotomic field axioms and Galois sums)", ok)
 

@@ -240,6 +240,33 @@ def test_kummer_job_bad_torsion_process_exit(tmp_path, n):
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
+_KUMMER_JOB = '{"H": %s, "b": %s, "n": %s}'
+_ISOMETRY_JOB = '{"gram": %s, "matrix": %s, "p": %%s}' % (A4M_GRAM, C5)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("kummer", _KUMMER_JOB % (ID4, [0, 0, 0, 0], "1e400")),
+    ("kummer", _KUMMER_JOB % (ID4, [0, 0, 0, 0], "3.5")),
+    ("kummer", _KUMMER_JOB % (ID4, [0, 0, 0, 0], "true")),
+    ("kummer", _KUMMER_JOB % (ID4, [0, 0, 0, 0], '"3"')),
+    ("kummer", _KUMMER_JOB % (ID4, "[0.5, 0, 0, 0]", "3")),
+    ("kummer", _KUMMER_JOB % (ID4, "[true, 0, 0, 0]", "3")),
+    ("kummer", _KUMMER_JOB % (ID4, '["1", 0, 0, 0]', "3")),
+    ("isometry", _ISOMETRY_JOB % "5.0"),
+    ("isometry", _ISOMETRY_JOB % "true"),
+    ("isometry", _ISOMETRY_JOB % '"5"'),
+], ids=["n=1e400", "n=3.5", "n=true", "n=str", "b=0.5", "b=true", "b=str",
+        "p=5.0", "p=true", "p=str"])
+def test_job_fields_must_be_json_integers(tmp_path, capsys, command, text):
+    path = tmp_path / "job.json"
+    path.write_text(text, encoding="utf-8")
+    argv = ["kummer", "--job", str(path)] if command == "kummer" else ["isometry", "check", str(path)]
+    assert main(argv) == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "integer" in err
+
+
 def test_kummer_missing_args(capsys):
     assert main(["kummer"]) == EXIT_INPUT_ERROR
     assert "either --type/--variant or --job" in capsys.readouterr().err

@@ -10,12 +10,11 @@ from kummerlat.cyclotomic import (
     euler_phi,
     is_prime,
     moebius,
-    zeta,
 )
 
 
 def test_roots_of_unity():
-    z3 = zeta(3)
+    z3 = CyclotomicNumber.zeta(3)
     assert z3 * z3 * z3 == 1
     assert 1 + z3 + z3 * z3 == 0
 
@@ -24,7 +23,7 @@ def test_phi5_at_one():
     # prod over primitive fifth roots of (1 - z) equals Phi_5(1) = 5
     prod = CyclotomicNumber.from_rational(5, 1)
     for k in range(1, 5):
-        prod = prod * (1 - zeta(5, k))
+        prod = prod * (1 - CyclotomicNumber.zeta(5, k))
     assert prod == 5
 
 
@@ -42,25 +41,25 @@ def test_galois_sum_is_moebius(n):
     total = CyclotomicNumber.from_rational(n, 0)
     for k in range(1, n):
         if gcd(k, n) == 1:
-            total = total + zeta(n, k)
+            total = total + CyclotomicNumber.zeta(n, k)
     assert total == moebius(n)
 
 
 def test_conductor_mismatch_errors():
     with pytest.raises(ValueError):
-        zeta(3) + zeta(5)
+        CyclotomicNumber.zeta(3) + CyclotomicNumber.zeta(5)
     with pytest.raises(ValueError):
-        zeta(3) * zeta(5)
+        CyclotomicNumber.zeta(3) * CyclotomicNumber.zeta(5)
 
 
 def test_embedding():
-    assert zeta(3).embed(15) == zeta(15, 5)
-    assert zeta(5).embed(15) == zeta(15, 3)
-    a = zeta(3) + 2
+    assert CyclotomicNumber.zeta(3).embed(15) == CyclotomicNumber.zeta(15, 5)
+    assert CyclotomicNumber.zeta(5).embed(15) == CyclotomicNumber.zeta(15, 3)
+    a = CyclotomicNumber.zeta(3) + 2
     b = a.embed(15)
-    assert b - zeta(15, 5) == 2
+    assert b - CyclotomicNumber.zeta(15, 5) == 2
     with pytest.raises(ValueError):
-        zeta(3).embed(5)
+        CyclotomicNumber.zeta(3).embed(5)
 
 
 def test_inverse_of_zero():
@@ -69,7 +68,7 @@ def test_inverse_of_zero():
 
 
 def test_rationality():
-    z = zeta(4)  # i
+    z = CyclotomicNumber.zeta(4)  # i
     assert not z.is_rational
     assert (z * z).is_rational
     assert (z * z).rational_value == -1

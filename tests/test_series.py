@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kummerlat.cyclotomic import zeta
+from kummerlat.cyclotomic import CyclotomicNumber
 from kummerlat.series import (
     LaurentPoly,
     TruncatedBiSeries,
@@ -104,7 +104,7 @@ def test_laurent_division_exact_and_inexact():
 
 
 def test_laurent_division_cyclotomic_coefficients():
-    z = zeta(3)
+    z = CyclotomicNumber.zeta(3)
     num = LaurentPoly({0: z, 1: z * z}) * LaurentPoly({0: 1, 1: -1})
     quot, rem = laurent_divmod(num, LaurentPoly({0: 1, 1: -1}))
     assert rem.is_zero
@@ -112,7 +112,7 @@ def test_laurent_division_cyclotomic_coefficients():
 
 
 def test_mixed_scalar_coefficients():
-    z = zeta(3)
+    z = CyclotomicNumber.zeta(3)
     p = LaurentPoly({0: Fraction(1)})
     q = LaurentPoly({0: z})
     s = p + q  # Fraction coefficient absorbed into the cyclotomic one
@@ -122,7 +122,7 @@ def test_mixed_scalar_coefficients():
 
 
 def test_to_fraction_coeffs_raises_on_irrational():
-    z = zeta(3)
+    z = CyclotomicNumber.zeta(3)
     with pytest.raises(ValueError):
         LaurentPoly({0: z}).to_fraction_coeffs()
     assert LaurentPoly({1: z * z * z}).to_fraction_coeffs() == {1: Fraction(1)}
