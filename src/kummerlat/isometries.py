@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
 from .cyclotomic import is_prime
 from .lattices import (
@@ -59,9 +59,10 @@ class LatticeIsometry:
             raise ValueError("order must be prime, matrix != identity")
         if phi.transpose() @ g @ phi != g:
             raise ValueError("matrix is not an isometry: it does not preserve the Gram matrix")
-        if phi == identity(n):
+        one = identity(n)
+        if phi == one:
             raise ValueError("order must be prime, matrix != identity")
-        if phi ** self.order != identity(n):
+        if phi ** self.order != one:
             raise ValueError(f"matrix does not have order {self.order}")
 
 
@@ -135,11 +136,11 @@ def compute_invariants(iso: LatticeIsometry) -> IsometryInvariants:
     """Compute (T, S, m, a, disc S) for a prime order isometry.
 
     T is built once and S derived from it, as in ``coinvariant_lattice``.
-    The index [L : T + S] is the absolute determinant of the stacked basis;
-    it must be a power p^a, and the quotient must be p-elementary, which is
-    verified through the Smith form of the stacked basis.  Four Smith forms
-    carry the result: the kernels of phi - 1, of the pairing with T and of
-    Phi_p(phi), and the stacked basis [T | S].
+    The Smith form of the stacked basis [T | S] carries the rest: the index
+    [L : T + S] is the product of its invariant factors and must be a power
+    p^a, and the quotient is p-elementary when every factor is 1 or p.  The
+    three kernels (of phi - 1, of the pairing with T and of Phi_p(phi)) take
+    one Hermite form each, so one Smith form is taken per isometry.
     """
     p = iso.order
     t = invariant_lattice(iso)
@@ -148,17 +149,16 @@ def compute_invariants(iso: LatticeIsometry) -> IsometryInvariants:
     if t.rank + s.rank != n:
         raise AssertionError("rank(T) + rank(S) != rank(L)")
     m = s.rank // (p - 1)
-    combined = hstack(t.basis, s.basis)
-    index = abs(exact_det(combined))
+    _, d, _ = smith_normal_form(hstack(t.basis, s.basis))
+    factors = [d.data[i][i] for i in range(n)]
+    index = prod(factors)
     a = 0
     x = index
-    while x % p == 0:
+    while x and x % p == 0:
         x //= p
         a += 1
     if x != 1:
         raise ValueError(f"index [L : T + S] = {index} is not a power of p = {p}")
-    _, d, _ = smith_normal_form(combined)
-    factors = [d.data[i][i] for i in range(n)]
     if any(f not in (1, p) for f in factors):
         raise ValueError("quotient L/(T + S) is not p-elementary")
     disc_s = abs(exact_det(s.induced_gram))
@@ -193,6 +193,11 @@ def overlattice_with_basis(pieces: Lattice, glue_vectors) -> tuple[Lattice, Matr
 
     Returns the overlattice together with its basis expressed in the
     coordinates of ``pieces`` (a rational matrix with unit-free denominator).
+    With den the common denominator of the glue, the integer basis
+    B = den * basis is the column Hermite basis of [den I | den v_1 ...], and
+    the Gram matrix B^T G B / den^2 is formed in integers and divided
+    exactly; an entry that does not divide makes the Gram matrix
+    non-integral, which is reported as an invalid overlattice.
     """
     n = pieces.rank
     if not glue_vectors:
@@ -213,7 +218,9 @@ def overlattice_with_basis(pieces: Lattice, glue_vectors) -> tuple[Lattice, Matr
     if basis_scaled.cols != n:
         raise AssertionError("overlattice basis has wrong rank")
     basis = basis_scaled.map(lambda x: Fraction(x, den))
-    gram = basis.transpose() @ pieces.gram @ basis
+    den2 = den * den
+    scaled_gram = basis_scaled.transpose() @ pieces.gram @ basis_scaled
+    gram = scaled_gram.map(lambda x: Fraction(x, den2) if x % den2 else x // den2)
     try:
         lattice = lattice_from_rational_gram(gram)
     except ValueError as exc:
@@ -229,16 +236,44 @@ def overlattice_by_glue(pieces: Lattice, glue_vectors, name: str | None = None) 
 
 
 def transport_isometry(basis: Matrix, phi: Matrix) -> Matrix:
-    """Rewrite an isometry in overlattice coordinates: basis^-1 phi basis.
+    """Rewrite an isometry in overlattice coordinates: X = basis^-1 phi basis.
 
-    Raises if the isometry does not preserve the overlattice.
+    With den a common denominator of ``basis`` and B = den * basis, X is also
+    B^-1 phi B.  The row Hermite form of [B | phi B] is [H | U phi B] with
+    H = U B upper triangular, so X solves H X = U phi B and is found by back
+    substitution with exact integer division.  A nonzero remainder means X
+    is not integral: the isometry does not preserve the overlattice.  A
+    singular basis leaves H with a zero on its diagonal.
     """
-    from .matrix import exact_inverse
-
-    moved = exact_inverse(basis) @ phi @ basis
-    if not moved.is_integral:
-        raise ValueError("isometry does not preserve the overlattice")
-    return moved
+    n = basis.rows
+    if not basis.is_square:
+        raise ValueError("inverse needs a square matrix")
+    den = 1
+    for row in basis.data:
+        for x in row:
+            if type(x) is Fraction:
+                den = lcm(den, x.denominator)
+    scaled = basis.scale(den)
+    hermite = row_hermite(hstack(scaled, phi @ scaled)).data
+    if len(hermite) < n or not all(hermite[i][i] for i in range(n)):
+        raise ValueError("matrix is singular")
+    x = [None] * n
+    for i in reversed(range(n)):
+        h = hermite[i]
+        acc = h[n:]
+        for k in range(i + 1, n):
+            c = h[k]
+            if c:
+                acc = [s - c * t for s, t in zip(acc, x[k])]
+        pivot = h[i]
+        row = []
+        for s in acc:
+            q, r = divmod(s, pivot)
+            if r:
+                raise ValueError("isometry does not preserve the overlattice")
+            row.append(q)
+        x[i] = row
+    return Matrix(x, cols=n)
 
 
 def conjugate_isometry(iso: LatticeIsometry, p_matrix: Matrix) -> LatticeIsometry:

@@ -1,9 +1,10 @@
 """Exact linear algebra over the integers and rationals.
 
 Matrices are immutable, entries are Python ints or ``fractions.Fraction``,
-and every routine is exact.  The normal forms (Smith, Hermite) use fixed
-deterministic pivoting rules so that derived bases are reproducible across
-runs and platforms.
+and every routine is exact.  Kernels and spans come from one integer row
+Hermite form, which is unique, so derived bases are reproducible across
+runs and platforms.  The Smith form is for callers that read invariant
+factors or the transform U; its pivoting rule is fixed and deterministic.
 """
 
 from __future__ import annotations
@@ -136,13 +137,14 @@ class Matrix:
     def __pow__(self, n: int) -> "Matrix":
         if not self.is_square or n < 0:
             raise ValueError("matrix power needs a square matrix and n >= 0")
-        result = identity(self.rows)
-        base = self
-        while n:
-            if n & 1:
-                result = result @ base
-            base = base @ base
-            n >>= 1
+        if n == 0:
+            return identity(self.rows)
+        # left-to-right binary ladder: square per bit, multiply by self per set bit
+        result = self
+        for bit in bin(n)[3:]:
+            result = result @ result
+            if bit == "1":
+                result = result @ self
         return result
 
     def map(self, f) -> "Matrix":
@@ -167,16 +169,6 @@ def identity(n: int) -> Matrix:
 
 def zeros(rows: int, cols: int) -> Matrix:
     return Matrix([[0] * cols for _ in range(rows)], cols=cols)
-
-
-def col_matrix(columns: Sequence[Sequence]) -> Matrix:
-    """Assemble a matrix from a list of column vectors."""
-    if not columns:
-        return Matrix([])
-    n = len(columns[0])
-    if any(len(c) != n for c in columns):
-        raise ValueError("columns have unequal lengths")
-    return Matrix([[columns[j][i] for j in range(len(columns))] for i in range(n)])
 
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:
@@ -379,17 +371,12 @@ def smith_normal_form(m: Matrix):
     return Matrix(u), Matrix(a), Matrix(v)
 
 
-def row_hermite(m: Matrix) -> Matrix:
-    """Canonical row-style Hermite normal form with zero rows dropped.
+def _hermite_rows(a: list, cols: int) -> int:
+    """Bring the integer rows ``a`` to row Hermite form in place; return the rank.
 
-    Pivots are positive, entries above each pivot are reduced into
-    [0, pivot), and pivot columns strictly increase down the rows.  The
-    output depends only on the row span of the input.
+    The nonzero rows come first; the rest of ``a`` is zero afterwards.
     """
-    if not m.is_integral:
-        raise ValueError("Hermite normal form requires integer entries")
-    rows, cols = m.rows, m.cols
-    a = [list(r) for r in m.data]
+    rows = len(a)
     r = 0
     for c in range(cols):
         piv = None
@@ -415,7 +402,21 @@ def row_hermite(m: Matrix) -> Matrix:
         r += 1
         if r == rows:
             break
-    return Matrix(a[:r], cols=cols)
+    return r
+
+
+def row_hermite(m: Matrix) -> Matrix:
+    """Canonical row-style Hermite normal form with zero rows dropped.
+
+    Pivots are positive, entries above each pivot are reduced into
+    [0, pivot), and pivot columns strictly increase down the rows.  The
+    output depends only on the row span of the input.
+    """
+    if not m.is_integral:
+        raise ValueError("Hermite normal form requires integer entries")
+    a = [list(r) for r in m.data]
+    rank = _hermite_rows(a, m.cols)
+    return Matrix(a[:rank], cols=m.cols)
 
 
 def column_hermite_basis(m: Matrix) -> Matrix:
@@ -426,19 +427,24 @@ def column_hermite_basis(m: Matrix) -> Matrix:
 def integer_kernel(m: Matrix) -> Matrix:
     """Canonical basis of the saturated kernel sublattice, as columns.
 
-    The columns span ker(m) over Z.  They always extend to a basis of Z^cols
-    (the kernel of an integer matrix is saturated), and they are Hermite
-    reduced for determinism.
+    The rows of [m^T | I] are (x^T m^T, x^T) for the unit vectors x, so their
+    integer span is {((m x)^T, x^T)}.  In its row Hermite form the rows whose
+    pivot lies in the right block are exactly the rows whose left block is
+    zero, and they span {(0, x^T) : m x = 0}.  Hermite forms are unique, so
+    their right block is the canonical Hermite basis of ker(m); it is
+    returned transposed.  The kernel of an integer matrix is saturated, so
+    the columns always extend to a basis of Z^cols.
     """
-    _, d, v = smith_normal_form(m)
-    kernel_cols = []
-    for j in range(m.cols):
-        dj = d.data[j][j] if j < min(m.rows, m.cols) else 0
-        if dj == 0:
-            kernel_cols.append(v.col(j))
-    if not kernel_cols:
-        return zeros(m.cols, 0)
-    return column_hermite_basis(col_matrix(kernel_cols))
+    if not m.is_integral:
+        raise ValueError("Hermite normal form requires integer entries")
+    rows, cols = m.rows, m.cols
+    left = zip(*m.data) if rows else [()] * cols
+    a = [list(col) + [int(i == j) for j in range(cols)] for i, col in enumerate(left)]
+    _hermite_rows(a, rows + cols)
+    kernel = [row[rows:] for row in a if not any(row[:rows])]
+    if not kernel:
+        return zeros(cols, 0)
+    return Matrix(tuple(zip(*kernel)), cols=len(kernel))
 
 
 def saturate_columns(b: Matrix) -> Matrix:

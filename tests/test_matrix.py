@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from kummerlat.matrix import (
     smith_normal_form,
     zeros,
 )
+from isometry_reference import smith_kernel
 
 small_matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda r: st.integers(min_value=1, max_value=5).flatmap(
@@ -150,3 +152,41 @@ def test_unimodular_check():
     assert row_hermite(hstack(p, identity(2))) == Matrix([[1, 0, 1, -5], [0, 1, 0, 1]])
     h = row_hermite(hstack(Matrix([[2, 0], [0, 1]]), identity(2)))
     assert Matrix([row[:2] for row in h.data]) != identity(2)
+
+
+def _random_matrix(rng, rows, cols, bound=9):
+    return Matrix([[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+def test_integer_kernel_matches_smith_reference():
+    rng = random.Random(20260808)
+    for rows in range(7):
+        for cols in range(7):
+            cases = [zeros(rows, cols), _random_matrix(rng, rows, cols)]
+            for inner in range(min(rows, cols)):
+                # rank at most inner < min(rows, cols)
+                cases.append(_random_matrix(rng, rows, inner, 3) @ _random_matrix(rng, inner, cols, 3))
+            for m in cases:
+                k = integer_kernel(m)
+                assert k == smith_kernel(m), m
+                assert k.rows == cols and m @ k == zeros(rows, k.cols)
+
+
+def test_power_matches_repeated_products():
+    rng = random.Random(7)
+    mats = [
+        Matrix([[0, -1], [1, -1]]),  # order 3
+        Matrix([[1, 1], [0, 1]]),  # unipotent: entries grow linearly
+        Matrix([[Fraction(1, 2), 1], [0, 3]]),
+        _random_matrix(rng, 3, 3, 2),
+        identity(0),
+    ]
+    for m in mats:
+        expected = identity(m.rows)
+        for k in range(31):
+            assert m**k == expected, (m, k)
+            expected = expected @ m
+    with pytest.raises(ValueError):
+        Matrix([[1, 2]]) ** 2
+    with pytest.raises(ValueError):
+        identity(2) ** -1
