@@ -56,6 +56,8 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON in {path}: line {exc.lineno}: {exc.msg}")
+    except RecursionError:
+        raise ValueError(f"invalid JSON in {path}: nested too deeply")
 
 
 def _frac_str(x: Fraction) -> str:

@@ -5,12 +5,21 @@ and every routine is exact.  Kernels and spans come from one integer row
 Hermite form, which is unique, so derived bases are reproducible across
 runs and platforms.  The Smith form is for callers that read invariant
 factors or the transform U; its pivoting rule is fixed and deterministic.
+
+The four integer kernels skip the work that zero entries and unit pivots
+make redundant: a product is a sum of row combinations over the nonzero
+entries of the left factor, Bareiss elimination updates whole rows and
+only rescales a row with a zero in the pivot column, Hermite elimination
+rewrites one row when the pivot divides the entry it clears, and the
+Smith form ends its pivot search at an entry +-1 and skips the
+divisibility scan at a unit pivot.  None of these shortcuts changes an
+output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 _INT_ONLY = frozenset({int})
@@ -46,9 +55,10 @@ class Matrix:
     def __init__(self, rows: Iterable[Iterable], cols: int | None = None):
         data = tuple(map(_normalize_row, rows))
         if data:
-            width = len(data[0])
-            if any(len(r) != width for r in data):
+            widths = set(map(len, data))
+            if len(widths) != 1:
                 raise ValueError("rows have unequal lengths")
+            (width,) = widths
             if cols is not None and cols != width:
                 raise ValueError("explicit column count disagrees with row data")
         else:
@@ -72,20 +82,11 @@ class Matrix:
 
     @property
     def is_symmetric(self):
-        if not self.is_square:
-            return False
-        return all(
-            self.data[i][j] == self.data[j][i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
+        return self.is_square and self.data == tuple(zip(*self.data))
 
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
-
-    def row(self, i):
-        return self.data[i]
 
     def col(self, j):
         return tuple(self.data[i][j] for i in range(self.rows))
@@ -98,13 +99,31 @@ class Matrix:
         return Matrix(tuple(zip(*self.data)))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Product as row combinations over the nonzero entries of ``self``.
+
+        Row i of the result is the sum of v * (row k of other) over the
+        entries v = self[i, k] != 0; a row is added for v = 1 and subtracted
+        for v = -1 without a multiplication.  Zero entries cost nothing,
+        which suits the sparse Gram, rotation and permutation matrices the
+        library multiplies.
+        """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        ot = tuple(zip(*other.data)) if other.rows else tuple(() for _ in range(other.cols))
-        return Matrix(
-            [[sum(map(mul, row, col)) for col in ot] for row in self.data],
-            cols=other.cols,
-        )
+        zero = (0,) * other.cols
+        out = []
+        for row in self.data:
+            acc = zero
+            for v, orow in zip(row, other.data):
+                if not v:
+                    continue
+                if v == 1:
+                    acc = list(map(add, acc, orow))
+                elif v == -1:
+                    acc = list(map(sub, acc, orow))
+                else:
+                    acc = [x + v * y for x, y in zip(acc, orow)]
+            out.append(acc)
+        return Matrix(out, cols=other.cols)
 
     def apply(self, vec: Sequence):
         """Matrix times column vector, returned as a tuple."""
@@ -216,23 +235,37 @@ def exact_det(m: Matrix):
 
 
 def _det_bareiss(m: Matrix) -> int:
+    """Fraction-free Gaussian elimination (Bareiss) on whole rows.
+
+    ``a`` holds the trailing block below and right of the pivots found so
+    far.  A row with a nonzero entry in the pivot column is updated by one
+    comprehension over the columns right of it; a row with a zero there
+    is only rescaled by pivot / prev (exact, as every Bareiss quotient),
+    and left as it is when pivot == prev.
+    """
     a = [list(row) for row in m.data]
-    n = m.rows
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+    while len(a) > 1:
+        if a[0][0] == 0:
+            swap = next((i for i, row in enumerate(a) if row[0]), None)
             if swap is None:
                 return 0
-            a[k], a[swap] = a[swap], a[k]
+            a[0], a[swap] = a[swap], a[0]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+        pivot, *tail = a[0]
+        rest = []
+        for row in a[1:]:
+            lead = row[0]
+            if lead:
+                rest.append([(x * pivot - lead * y) // prev for x, y in zip(row[1:], tail)])
+            elif pivot == prev:
+                rest.append(row[1:])
+            else:
+                rest.append([x * pivot // prev for x in row[1:]])
+        a = rest
+        prev = pivot
+    return sign * a[0][0]
 
 
 def _det_fraction(m: Matrix) -> Fraction:
@@ -282,6 +315,8 @@ def smith_normal_form(m: Matrix):
     U and V are unimodular, D is diagonal with nonnegative entries satisfying
     d_i | d_{i+1}.  Pivot selection: smallest absolute value among nonzero
     entries of the remaining block, ties broken by lowest row, then column.
+    A pivot of 1 ends the search at once and needs no divisibility scan of
+    the remaining block, since 1 divides every entry.
     """
     rows, cols = m.rows, m.cols
     if not m.is_integral:
@@ -326,6 +361,8 @@ def smith_normal_form(m: Matrix):
                 x = a[i][j]
                 if x and (best is None or abs(x) < best[0]):
                     best = (abs(x), i, j)
+                    if best[0] == 1:
+                        return best  # no entry is smaller, and ties go to the first
         return best
 
     t = 0
@@ -359,6 +396,8 @@ def smith_normal_form(m: Matrix):
                     break
             if moved:
                 continue
+            if pivot == 1:
+                break  # 1 divides every entry of the remaining block
             offender = None
             for i in range(t + 1, rows):
                 if any(a[i][j] % pivot for j in range(t + 1, cols)):
@@ -375,21 +414,32 @@ def _hermite_rows(a: list, cols: int) -> int:
     """Bring the integer rows ``a`` to row Hermite form in place; return the rank.
 
     The nonzero rows come first; the rest of ``a`` is zero afterwards.
+    An entry that the current pivot divides is cleared by subtracting a
+    multiple of the pivot row, which rewrites one row; any other entry is
+    combined with the pivot by the 2x2 xgcd transform, which rewrites both.
+    Either way the row span is kept, and the Hermite form is unique.
     """
     rows = len(a)
     r = 0
     for c in range(cols):
         piv = None
         for i in range(r, rows):
-            if a[i][c]:
-                if piv is None:
-                    piv = i
-                else:
-                    g, x, y = _xgcd(a[piv][c], a[i][c])
-                    p_, q_ = a[piv][c] // g, a[i][c] // g
-                    rp, ri = a[piv], a[i]
-                    a[piv] = [x * s + y * t_ for s, t_ in zip(rp, ri)]
-                    a[i] = [-q_ * s + p_ * t_ for s, t_ in zip(rp, ri)]
+            e = a[i][c]
+            if not e:
+                continue
+            if piv is None:
+                piv = i
+                continue
+            rp, ri = a[piv], a[i]
+            p = rp[c]
+            if e % p == 0:
+                q = e // p
+                a[i] = [t_ - q * s for s, t_ in zip(rp, ri)]
+            else:
+                g, x, y = _xgcd(p, e)
+                p_, q_ = p // g, e // g
+                a[piv] = [x * s + y * t_ for s, t_ in zip(rp, ri)]
+                a[i] = [-q_ * s + p_ * t_ for s, t_ in zip(rp, ri)]
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]

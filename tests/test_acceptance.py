@@ -15,6 +15,7 @@ Lefschetz values of criterion 1.
 import random
 import time
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from kummerlat.classification import EXPECTED_PAIRS, candidate_pairs, verify_all
@@ -113,9 +114,15 @@ def test_criterion_4_classification():
 # --- criterion 5: seeded property suites, at least 200 cases each ---------
 
 
+@cache
+def _base_isometries():
+    """The base pool's isometries, built once for criteria 5a, 5b and 5c."""
+    return tuple(e.isometry for e in base_pool())
+
+
 def _pool_cases(rng, want, predicate):
     """At least ``want`` pool isometries satisfying ``predicate``."""
-    bases = [e.isometry for e in base_pool() if predicate(e.isometry)]
+    bases = [iso for iso in _base_isometries() if predicate(iso)]
     assert bases
     cases = list(bases)
     small = [iso for iso in bases if iso.lattice.rank <= 16]

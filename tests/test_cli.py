@@ -293,3 +293,28 @@ def test_invalid_json_is_input_error(tmp_path, capsys):
     path.write_text("{not json", encoding="utf-8")
     assert main(["lattice", "info", str(path)]) == EXIT_INPUT_ERROR
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def _deep_json(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [["isometry", "check"], ["kummer", "--job"], ["lattice", "info"]],
+                         ids=["isometry", "kummer", "lattice"])
+def test_deeply_nested_json_is_input_error(tmp_path, capsys, argv):
+    assert main(argv + [_deep_json(tmp_path)]) == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "nested too deeply" in err
+
+
+def test_deeply_nested_json_process_exit(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "kummerlat.cli", "kummer", "--job", _deep_json(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == EXIT_INPUT_ERROR
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert "nested too deeply" in proc.stderr

@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matrix_reference as ref
 from kummerlat.matrix import (
     Matrix,
+    _det_bareiss,
+    _det_fraction,
     column_hermite_basis,
     exact_det,
     exact_inverse,
@@ -190,3 +194,117 @@ def test_power_matches_repeated_products():
         Matrix([[1, 2]]) ** 2
     with pytest.raises(ValueError):
         identity(2) ** -1
+
+
+def test_matrix_construction_checks():
+    with pytest.raises(ValueError, match="unequal lengths"):
+        Matrix([[1, 2], [3]])
+    with pytest.raises(ValueError, match="disagrees"):
+        Matrix([[1, 2]], cols=3)
+    assert Matrix([], cols=4).shape == (0, 4)
+    assert Matrix([[]]).shape == (1, 0)
+    assert Matrix([[1, 2], [2, Fraction(1, 2)]]).is_symmetric
+    assert Matrix([]).is_symmetric
+    assert not Matrix([[0, 1], [2, 0]]).is_symmetric
+    assert not Matrix([[1, 2]]).is_symmetric
+    assert not zeros(2, 0).is_symmetric
+
+
+# --- the sparse kernels against the dense references in matrix_reference ---
+
+DENSITIES = (0, 0.1, 0.5, 1)
+SMALL_ENTRIES = (1, -1, 1, -1, 2, -2, 3, -5)
+LARGE_ENTRIES = (1, -1, 2**61 - 1, -(3**40), 10**15 + 7)
+
+
+def _sparse_matrix(rng, rows, cols, density, entries=SMALL_ENTRIES):
+    return Matrix(
+        [[rng.choice(entries) if rng.random() < density else 0 for _ in range(cols)]
+         for _ in range(rows)],
+        cols=cols,
+    )
+
+
+def _identical(m, n):
+    """Equal shapes, entries and entry types."""
+    return m == n and [type(x) for r in m.data for x in r] == [type(x) for r in n.data for x in r]
+
+
+def test_product_matches_dense_reference():
+    rng = random.Random(20260808)
+    for rows, inner, cols in product(range(9), repeat=3):
+        for density in DENSITIES:
+            entries = SMALL_ENTRIES if (rows + inner + cols) % 2 else LARGE_ENTRIES
+            a = _sparse_matrix(rng, rows, inner, density, entries)
+            b = _sparse_matrix(rng, inner, cols, density, entries)
+            assert _identical(a @ b, ref.dense_product(a, b)), (a, b)
+    with pytest.raises(ValueError):
+        identity(2) @ zeros(3, 1)
+
+
+def test_fraction_product_matches_dense_reference():
+    rng = random.Random(20260809)
+    for n in range(1, 9):
+        for density in DENSITIES:
+            x = _sparse_matrix(rng, n, n, density)
+            y = _sparse_matrix(rng, n, n, density)
+            # halves times even entries: every entry normalizes to int
+            a, b = x.scale(Fraction(1, 2)), y.scale(2)
+            ab = a @ b
+            assert _identical(ab, ref.dense_product(a, b)) and ab.is_integral
+            assert ab == x @ y
+            c = x.map(lambda v: Fraction(v, rng.choice((1, 2, 3, 6))))
+            assert _identical(c @ y, ref.dense_product(c, y))
+            assert _identical(y @ c, ref.dense_product(y, c))
+
+
+def test_bareiss_matches_fraction_elimination():
+    cases = [
+        Matrix([[1, 2, 3], [0, 4, 5], [6, 7, 8]]),  # zero lead, a_kk == prev: row kept
+        Matrix([[2, 1, 3], [0, 4, 5], [1, 7, 8]]),  # zero lead, a_kk != prev: row rescaled
+        Matrix([[3, 1, 2, 0], [6, 5, 1, 2], [0, 0, 4, 1], [0, 7, 1, 3]]),  # both, later pivots
+        Matrix([[0, 1, 2], [3, 4, 5], [6, 7, 9]]),  # zero pivot: swap
+        Matrix([[1, 2, 3], [2, 4, 7], [1, 5, 2]]),  # zero pivot after one step: swap
+        Matrix([[0, 1], [0, 2]]),  # zero column
+        Matrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]]),  # singular
+        Matrix([[-7]]),
+    ]
+    rng = random.Random(20260810)
+    for n in range(1, 9):
+        for density in DENSITIES:
+            for entries in (SMALL_ENTRIES, LARGE_ENTRIES):
+                cases.extend(_sparse_matrix(rng, n, n, density, entries) for _ in range(3))
+        for inner in range(n):
+            # rank at most inner < n
+            cases.append(_sparse_matrix(rng, n, inner, 0.5) @ _sparse_matrix(rng, inner, n, 0.5))
+    for m in cases:
+        det = _det_bareiss(m)
+        assert type(det) is int and det == _det_fraction(m), m
+        assert exact_det(m) == det
+
+
+def test_hermite_and_kernel_match_xgcd_reference():
+    rng = random.Random(20260811)
+    for rows, cols in product(range(9), repeat=2):
+        cases = [_sparse_matrix(rng, rows, cols, density) for density in DENSITIES]
+        # multiples of 2 and 6 put non-unit pivots above entries they do and do not divide
+        cases.append(_sparse_matrix(rng, rows, cols, 0.7, (2, -4, 6, 3, -9, 12)))
+        cases.append(_sparse_matrix(rng, rows, cols, 0.5, LARGE_ENTRIES))
+        for inner in range(min(rows, cols)):
+            cases.append(_sparse_matrix(rng, rows, inner, 0.5) @ _sparse_matrix(rng, inner, cols, 0.5))
+        for m in cases:
+            assert _identical(row_hermite(m), ref.row_hermite(m)), m
+            assert _identical(integer_kernel(m), ref.integer_kernel(m)), m
+
+
+def test_smith_form_matches_reference():
+    rng = random.Random(20260812)
+    cases = [Matrix([[2, 4], [6, 8]]), Matrix([[4, 6], [6, 4]]), Matrix([[2, 0], [0, 3]])]
+    for rows, cols in product(range(9), repeat=2):
+        for density in DENSITIES:
+            m = _sparse_matrix(rng, rows, cols, density)
+            cases += [m, m.scale(2), m.scale(6)]  # the scaled copies have no unit pivot
+        cases.append(_sparse_matrix(rng, rows, cols, 0.6, (2, -4, 6, 3, -9, 12)))
+    for m in cases:
+        ours, theirs = smith_normal_form(m), ref.smith_normal_form(m)
+        assert all(map(_identical, ours, theirs)), m
