@@ -60,6 +60,14 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"invalid JSON in {path}: nested too deeply")
 
 
+def _list_field(job: dict, key: str, of_lists: bool = True) -> list:
+    """``job[key]``, which must be a JSON list, and for a matrix field a list of lists."""
+    value = job[key]
+    if not isinstance(value, list) or (of_lists and not all(isinstance(r, list) for r in value)):
+        raise ValueError(f"job field {key!r} must be a JSON list{' of lists' if of_lists else ''}")
+    return value
+
+
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
@@ -108,8 +116,8 @@ def cmd_isometry_check(args) -> int:
     for key in ("gram", "matrix", "p"):
         if key not in job:
             raise ValueError(f"isometry job needs field {key!r}")
-    lat = lattice_from_dict({"gram": job["gram"], "name": job.get("name")})
-    iso = LatticeIsometry(lat, Matrix(job["matrix"]), job["p"])
+    lat = lattice_from_dict({"gram": _list_field(job, "gram"), "name": job.get("name")})
+    iso = LatticeIsometry(lat, Matrix(_list_field(job, "matrix")), job["p"])
     inv = compute_invariants(iso)
     p = iso.order
     square_ok = check_square_theorem(inv, p) if p != 2 else None
@@ -224,7 +232,8 @@ def cmd_kummer(args) -> int:
         for key in ("H", "b", "n"):
             if key not in job:
                 raise ValueError(f"kummer job needs field {key!r}")
-        aut = torus_automorphism(Matrix(job["H"]), job["b"], job["n"])
+        h, b = Matrix(_list_field(job, "H")), _list_field(job, "b", of_lists=False)
+        aut = torus_automorphism(h, b, job["n"])
     elif args.type is not None:
         if args.variant is None:
             raise ValueError("--type requires --variant; see kummer --list-variants")

@@ -287,7 +287,7 @@ def conjugate_isometry(iso: LatticeIsometry, p_matrix: Matrix) -> LatticeIsometr
     if not (p_matrix.is_square and p_matrix.is_integral):
         raise ValueError("basis change must be unimodular")
     hermite = row_hermite(hstack(p_matrix, identity(n))).data
-    if Matrix([row[:n] for row in hermite], cols=n) != identity(n):
+    if tuple(row[:n] for row in hermite) != identity(n).data:
         raise ValueError("basis change must be unimodular")
     p_inverse = Matrix([row[n:] for row in hermite], cols=n)
     new_gram = p_matrix.transpose() @ iso.lattice.gram @ p_matrix

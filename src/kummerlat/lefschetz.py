@@ -99,6 +99,12 @@ class TorusAutomorphism:
     basis; ``translation`` holds the coordinates of the n-torsion point b
     (residues mod n); ``sign`` records whether the entry came from h or -h
     for catalog bookkeeping.
+
+    Any unimodular h is accepted, det h = -1 included, since the tests run
+    the engine on random unimodular matrices.  An h with det -1 reverses
+    the orientation of the real torus, so psi is not holomorphic and
+    psi^[n] is not the natural automorphism the formula is about; its
+    polynomial is computed all the same and is in general not palindromic.
     """
 
     matrix: Matrix

@@ -14,12 +14,19 @@ rewrites one row when the pivot divides the entry it clears, and the
 Smith form ends its pivot search at an entry +-1 and skips the
 divisibility scan at a unit pivot.  None of these shortcuts changes an
 output.
+
+Integrality is recorded once, when a matrix is built.  Sums, products,
+transposes and stacks of integer matrices, and the outputs of the Smith,
+Hermite and kernel routines (which accept integer input only), hold plain
+ints by construction, so they are built without normalizing their rows a
+second time; every other result goes through the public constructor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, mul, sub
+from functools import lru_cache
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
 _INT_ONLY = frozenset({int})
@@ -35,25 +42,27 @@ def _normalize_entry(x):
     raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
 
 
-def _normalize_row(row) -> tuple:
-    """A row of plain ints is kept as it is; any other row is normalized entry by entry."""
-    row = tuple(row)
-    if _INT_ONLY.issuperset(map(type, row)):
-        return row
-    return tuple(_normalize_entry(x) for x in row)
-
-
 class Matrix:
     """Immutable rectangular matrix with exact entries.
 
-    Entries with denominator 1 are normalized to int, so integrality of a
-    rational computation can be tested with :attr:`is_integral`.
+    Entries with denominator 1 are normalized to int, and ``is_integral``
+    records at construction whether every entry is an int.  The private
+    ``_of_ints`` builds a matrix from rows that are plain ints already,
+    without normalizing them again.
     """
 
-    __slots__ = ("data", "rows", "cols")
+    __slots__ = ("data", "rows", "cols", "is_integral")
 
     def __init__(self, rows: Iterable[Iterable], cols: int | None = None):
-        data = tuple(map(_normalize_row, rows))
+        data = []
+        integral = True
+        for row in rows:
+            row = tuple(row)
+            # a row of plain ints is kept as it is; any other row is normalized entry by entry
+            if not _INT_ONLY.issuperset(map(type, row)):
+                row = tuple(map(_normalize_entry, row))
+                integral = integral and _INT_ONLY.issuperset(map(type, row))
+            data.append(row)
         if data:
             widths = set(map(len, data))
             if len(widths) != 1:
@@ -63,9 +72,20 @@ class Matrix:
                 raise ValueError("explicit column count disagrees with row data")
         else:
             width = cols if cols is not None else 0
-        self.data = data
+        self.data = tuple(data)
         self.rows = len(data)
         self.cols = width
+        self.is_integral = integral
+
+    @classmethod
+    def _of_ints(cls, data: tuple, cols: int) -> "Matrix":
+        """A matrix on ``data``, a tuple of ``cols``-tuples of plain ints, taken as it is."""
+        m = object.__new__(cls)
+        m.data = data
+        m.rows = len(data)
+        m.cols = cols
+        m.is_integral = True
+        return m
 
     @property
     def shape(self):
@@ -74,11 +94,6 @@ class Matrix:
     @property
     def is_square(self):
         return self.rows == self.cols
-
-    @property
-    def is_integral(self):
-        # entries are plain ints or non-integral Fractions, see _normalize_entry
-        return all(_INT_ONLY.issuperset(map(type, row)) for row in self.data)
 
     @property
     def is_symmetric(self):
@@ -92,11 +107,10 @@ class Matrix:
         return tuple(self.data[i][j] for i in range(self.rows))
 
     def transpose(self) -> "Matrix":
-        if self.rows == 0:
-            return Matrix([[] for _ in range(self.cols)], cols=0)
-        if self.cols == 0:
-            return Matrix([], cols=self.rows)
-        return Matrix(tuple(zip(*self.data)))
+        data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
+        if self.is_integral:
+            return Matrix._of_ints(data, self.rows)
+        return Matrix(data, cols=self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """Product as row combinations over the nonzero entries of ``self``.
@@ -123,6 +137,8 @@ class Matrix:
                 else:
                     acc = [x + v * y for x, y in zip(acc, orow)]
             out.append(acc)
+        if self.is_integral and other.is_integral:
+            return Matrix._of_ints(tuple(map(tuple, out)), other.cols)
         return Matrix(out, cols=other.cols)
 
     def apply(self, vec: Sequence):
@@ -131,24 +147,25 @@ class Matrix:
             raise ValueError("vector length mismatch")
         return tuple(sum(map(mul, row, vec)) for row in self.data)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, op, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return Matrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-            cols=self.cols,
-        )
+        data = tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.data, other.data))
+        if self.is_integral and other.is_integral:
+            return Matrix._of_ints(data, self.cols)
+        return Matrix(data, cols=self.cols)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(add, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-            cols=self.cols,
-        )
+        return self._entrywise(sub, other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-x for x in row] for row in self.data], cols=self.cols)
+        data = tuple(tuple(map(neg, row)) for row in self.data)
+        if self.is_integral:
+            return Matrix._of_ints(data, self.cols)
+        return Matrix(data, cols=self.cols)
 
     def scale(self, k) -> "Matrix":
         return Matrix([[k * x for x in row] for row in self.data], cols=self.cols)
@@ -182,32 +199,36 @@ class Matrix:
         return f"Matrix({self.to_lists()!r})"
 
 
+@lru_cache(maxsize=64)
 def identity(n: int) -> Matrix:
-    return Matrix([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+    """The n x n identity; memoized, since matrices are immutable."""
+    return Matrix._of_ints(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
 
 
 def zeros(rows: int, cols: int) -> Matrix:
-    return Matrix([[0] * cols for _ in range(rows)], cols=cols)
+    return Matrix._of_ints(((0,) * cols,) * rows, cols)
 
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:
     if a.rows != b.rows:
         raise ValueError("row count mismatch")
-    return Matrix([ra + rb for ra, rb in zip(a.data, b.data)], cols=a.cols + b.cols)
+    data = tuple(ra + rb for ra, rb in zip(a.data, b.data))
+    if a.is_integral and b.is_integral:
+        return Matrix._of_ints(data, a.cols + b.cols)
+    return Matrix(data, cols=a.cols + b.cols)
 
 
 def block_diag(*mats: Matrix) -> Matrix:
-    rows = sum(m.rows for m in mats)
     cols = sum(m.cols for m in mats)
-    out = [[0] * cols for _ in range(rows)]
-    r0 = c0 = 0
+    data = []
+    c0 = 0
     for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                out[r0 + i][c0 + j] = m.data[i][j]
-        r0 += m.rows
+        left, right = (0,) * c0, (0,) * (cols - c0 - m.cols)
+        data += [left + row + right for row in m.data]
         c0 += m.cols
-    return Matrix(out, cols=cols)
+    if all(m.is_integral for m in mats):
+        return Matrix._of_ints(tuple(data), cols)
+    return Matrix(data, cols=cols)
 
 
 def _xgcd(a: int, b: int):
@@ -407,7 +428,10 @@ def smith_normal_form(m: Matrix):
                 break
             add_row(t, offender, 1)
         t += 1
-    return Matrix(u), Matrix(a), Matrix(v)
+    # as Matrix(a) would: a matrix with no rows has no columns
+    return (Matrix._of_ints(tuple(map(tuple, u)), rows),
+            Matrix._of_ints(tuple(map(tuple, a)), cols if rows else 0),
+            Matrix._of_ints(tuple(map(tuple, v)), cols))
 
 
 def _hermite_rows(a: list, cols: int) -> int:
@@ -466,7 +490,7 @@ def row_hermite(m: Matrix) -> Matrix:
         raise ValueError("Hermite normal form requires integer entries")
     a = [list(r) for r in m.data]
     rank = _hermite_rows(a, m.cols)
-    return Matrix(a[:rank], cols=m.cols)
+    return Matrix._of_ints(tuple(map(tuple, a[:rank])), m.cols)
 
 
 def column_hermite_basis(m: Matrix) -> Matrix:
@@ -489,12 +513,12 @@ def integer_kernel(m: Matrix) -> Matrix:
         raise ValueError("Hermite normal form requires integer entries")
     rows, cols = m.rows, m.cols
     left = zip(*m.data) if rows else [()] * cols
-    a = [list(col) + [int(i == j) for j in range(cols)] for i, col in enumerate(left)]
+    a = [[*col, *unit] for col, unit in zip(left, identity(cols).data)]
     _hermite_rows(a, rows + cols)
     kernel = [row[rows:] for row in a if not any(row[:rows])]
     if not kernel:
         return zeros(cols, 0)
-    return Matrix(tuple(zip(*kernel)), cols=len(kernel))
+    return Matrix._of_ints(tuple(zip(*kernel)), len(kernel))
 
 
 def saturate_columns(b: Matrix) -> Matrix:

@@ -267,6 +267,23 @@ def test_job_fields_must_be_json_integers(tmp_path, capsys, command, text):
     assert err.count("\n") == 1 and "integer" in err
 
 
+@pytest.mark.parametrize("command, text, field", [
+    ("kummer", _KUMMER_JOB % ('{"a": 1}', [0, 0, 0, 0], "3"), "'H'"),
+    ("kummer", _KUMMER_JOB % ("5", [0, 0, 0, 0], "3"), "'H'"),
+    ("kummer", _KUMMER_JOB % (ID4, "5", "3"), "'b'"),
+    ("isometry", '{"gram": %s, "matrix": [1, 2], "p": 5}' % A4M_GRAM, "'matrix'"),
+    ("isometry", '{"gram": 5, "matrix": %s, "p": 5}' % C5, "'gram'"),
+], ids=["H=object", "H=5", "b=5", "matrix=flat", "gram=5"])
+def test_job_matrix_fields_must_be_json_lists(tmp_path, capsys, command, text, field):
+    path = tmp_path / "job.json"
+    path.write_text(text, encoding="utf-8")
+    argv = ["kummer", "--job", str(path)] if command == "kummer" else ["isometry", "check", str(path)]
+    assert main(argv) == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and field in err and "JSON list" in err
+
+
 def test_kummer_missing_args(capsys):
     assert main(["kummer"]) == EXIT_INPUT_ERROR
     assert "either --type/--variant or --job" in capsys.readouterr().err

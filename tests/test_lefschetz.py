@@ -160,6 +160,27 @@ def test_lefschetz_polynomial_type0_palindromic():
     assert poly[2] == 7 and poly[3] == -8 and poly[4] == 108
 
 
+def test_poincare_duality_for_every_catalog_entry():
+    # psi^[n] is a holomorphic automorphism of the compact fourfold K_(n-1)(A)
+    # of real dimension 4n - 4, so it fixes the orientation class and Poincare
+    # duality pairs H^k with H^(4n-4-k) equivariantly; the traces are rational,
+    # hence equal, and the coefficients of q^0 .. q^(4n-4) form a palindrome.
+    rng = random.Random(83)
+    cases = 0
+    for kind, variant, _ in CATALOG_EXPECTED:
+        h = catalog(kind, variant).matrix
+        for m in (h, -h):
+            for n in range(2, 9):
+                top = 4 * n - 4
+                for b in ((0, 0, 0, 0), tuple(rng.randrange(n) for _ in range(4))):
+                    poly = lefschetz_q(torus_automorphism(m, b, n)).polynomial.to_fraction_coeffs()
+                    assert set(poly) <= set(range(top + 1)), (kind, variant, n, b)
+                    assert all(poly.get(k, 0) == poly.get(top - k, 0) for k in range(top + 1)), \
+                        (kind, variant, m, n, b)
+                    cases += 1
+    assert cases == 1092
+
+
 def test_kummer_point_is_trivial():
     # K_1 is a point: any automorphism has Lefschetz number 1
     rng = random.Random(21)

@@ -11,6 +11,7 @@ from kummerlat.matrix import (
     Matrix,
     _det_bareiss,
     _det_fraction,
+    block_diag,
     column_hermite_basis,
     exact_det,
     exact_inverse,
@@ -308,3 +309,96 @@ def test_smith_form_matches_reference():
     for m in cases:
         ours, theirs = smith_normal_form(m), ref.smith_normal_form(m)
         assert all(map(_identical, ours, theirs)), m
+
+
+# --- integrality recorded at construction: the integer path against the public constructor ---
+
+
+def _fraction_matrix(rng, rows, cols):
+    # denominators 1 and 2 give integral Fractions (stored as int) next to halves
+    return Matrix(
+        [[Fraction(rng.choice(SMALL_ENTRIES + (0, 0)), rng.choice((1, 2))) for _ in range(cols)]
+         for _ in range(rows)],
+        cols=cols,
+    )
+
+
+def _halves(rng, rows, cols):
+    # every entry a half: a product with an even integer matrix is integral
+    return Matrix([[Fraction(rng.choice((1, -1, 3)), 2) for _ in range(cols)] for _ in range(rows)],
+                  cols=cols)
+
+
+def _operands(rng, rows, cols):
+    """Integer, Fraction and all-halves matrices of one shape."""
+    return [_sparse_matrix(rng, rows, cols, 0.6), _sparse_matrix(rng, rows, cols, 0.6, (2, -4, 6)),
+            _fraction_matrix(rng, rows, cols), _halves(rng, rows, cols)]
+
+
+def _public_transpose(m):
+    if m.rows == 0:
+        return Matrix([[] for _ in range(m.cols)], cols=0)
+    if m.cols == 0:
+        return Matrix([], cols=m.rows)
+    return Matrix(tuple(zip(*m.data)))
+
+
+def _public_block_diag(*mats):
+    cols = sum(m.cols for m in mats)
+    out = []
+    c0 = 0
+    for m in mats:
+        out += [[0] * c0 + list(row) + [0] * (cols - c0 - m.cols) for row in m.data]
+        c0 += m.cols
+    return Matrix(out, cols=cols)
+
+
+def _check_built(m, expected):
+    """``m`` equals ``expected``, built by the public constructor, in entries, types and shape;
+    so does ``m`` rebuilt from its own data, and ``is_integral`` is a fresh scan of the entries."""
+    assert _identical(m, expected), (m, expected)
+    assert m.shape == expected.shape
+    assert _identical(m, Matrix(m.data, cols=m.cols))
+    assert m.is_integral == all(type(x) is int for row in m.data for x in row) == expected.is_integral
+
+
+def test_integer_results_match_the_public_constructor():
+    rng = random.Random(20260813)
+    for rows, cols in product(range(5), repeat=2):
+        same_shape = _operands(rng, rows, cols)
+        for a in same_shape:
+            _check_built(-a, Matrix([[-x for x in row] for row in a.data], cols=cols))
+            _check_built(a.transpose(), _public_transpose(a))
+            for k in (3, Fraction(1, 2), Fraction(2)):
+                _check_built(a.scale(k), Matrix([[k * x for x in row] for row in a.data], cols=cols))
+            for b in same_shape:
+                _check_built(a + b, Matrix([[x + y for x, y in zip(r, s)]
+                                            for r, s in zip(a.data, b.data)], cols=cols))
+                _check_built(a - b, Matrix([[x - y for x, y in zip(r, s)]
+                                            for r, s in zip(a.data, b.data)], cols=cols))
+            for inner in range(4):
+                for b in _operands(rng, cols, inner):
+                    _check_built(a @ b, ref.dense_product(a, b))
+                for b in _operands(rng, rows, inner):
+                    _check_built(hstack(a, b), Matrix([list(r) + list(s) for r, s in zip(a.data, b.data)],
+                                                      cols=cols + inner))
+                    for c in _operands(rng, inner, rows):
+                        _check_built(block_diag(a, b, c), _public_block_diag(a, b, c))
+            if a.is_integral:
+                for ours, theirs in zip(smith_normal_form(a), ref.smith_normal_form(a)):
+                    _check_built(ours, theirs)
+                _check_built(row_hermite(a), ref.row_hermite(a))
+                _check_built(integer_kernel(a), ref.integer_kernel(a))
+            else:
+                for kernel in (smith_normal_form, row_hermite, integer_kernel):
+                    with pytest.raises(ValueError, match="integer entries"):
+                        kernel(a)
+    _check_built(block_diag(), Matrix([]))
+
+
+def test_identity_and_zeros_match_the_public_constructor():
+    for n in range(46):
+        _check_built(identity(n), Matrix([[int(i == j) for j in range(n)] for i in range(n)], cols=n))
+        assert identity(n) is identity(n)
+    for rows, cols in product(range(5), repeat=2):
+        _check_built(zeros(rows, cols), Matrix([[0] * cols for _ in range(rows)], cols=cols))
