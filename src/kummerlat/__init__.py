@@ -41,7 +41,7 @@ from .lefschetz import (
     torus_automorphism,
 )
 from .matrix import Matrix, integer_kernel, smith_normal_form
-from .series import LaurentPoly, TruncatedBiSeries
+from .series import LaurentPoly
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,6 @@ __all__ = [
     "Matrix",
     "Sublattice",
     "TorusAutomorphism",
-    "TruncatedBiSeries",
     "catalog",
     "check_square_theorem",
     "check_unimodular_corollary",

@@ -51,13 +51,16 @@ ELEMENTARY_PRIMES = (2, 3, 5, 7, 23)
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise ValueError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON in {path}: line {exc.lineno}: {exc.msg}")
     except RecursionError:
         raise ValueError(f"invalid JSON in {path}: nested too deeply")
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: the top level must be a JSON object")
+    return data
 
 
 def _list_field(job: dict, key: str, of_lists: bool = True) -> list:
@@ -195,9 +198,9 @@ def _result_payload(aut, result) -> dict:
     cor = corollary_value(aut)
     l_one = lefschetz_poly_surface(aut.matrix).evaluate_one()
     return {
-        "poly_q": {str(e): _frac_str(c) for e, c in sorted(result.polynomial.to_fraction_coeffs().items())},
+        "poly_q": {str(e): str(c) for e, c in sorted(result.polynomial.coeffs.items())},
         "value": result.value,
-        "corollary_check": cor == Fraction(l_one) * result.value,
+        "corollary_check": cor == l_one * result.value,
     }
 
 

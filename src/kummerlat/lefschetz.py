@@ -40,15 +40,16 @@ over Z only:
   exponentiates it.  The product for the order w is G(t^w), whose t^n
   coefficient is G_(n/w) when w divides n and 0 otherwise.  No exterior
   power, wedge factor or series product is formed on the way.
-* L(psi, q) has constant term 1 and leading coefficient det Psi = +-1, so
-  the division by it is exact long division over Z (never an evaluation at
-  q = 1, where L(psi, q) often vanishes).
+* L(psi, q) = c(q) has constant term c_0 = 1, so the division by it is
+  synthetic division over Z from the low end, with no division of
+  coefficients (never an evaluation at q = 1, where L(psi, q) often
+  vanishes).
 
 Two runtime guards remain: every division in Newton's identities and in
 the exponential recurrences must be exact ("integrality violated"), and
 the division by L(psi, q) must leave no remainder ("division identity
-violated").  The quotient then has integer coefficients and its value at
-q = 1 is the integer Lefschetz number.
+violated").  The quotient has integer coefficients and its value at q = 1
+is the integer Lefschetz number; the q-free corollary is an integer too.
 
 c = det(1 - x Psi) is kept in a bounded memo per matrix (``_charpoly``),
 which ``lefschetz_poly_surface`` and the power sums read.  Everything that
@@ -74,7 +75,7 @@ from typing import NamedTuple
 
 from .cyclotomic import moebius
 from .matrix import Matrix, block_diag, exact_det, exact_inverse, identity, smith_normal_form
-from .series import LaurentPoly, laurent_divmod
+from .series import LaurentPoly
 
 # Largest accepted torsion order n.  The character sums cost O(tau(n)^2)
 # integer steps at any n and the order products O(n^3); the bound is the
@@ -136,7 +137,7 @@ def torus_automorphism(matrix: Matrix, translation, torsion: int, sign: int = 1,
 
 @dataclass(frozen=True)
 class LefschetzResult:
-    polynomial: LaurentPoly  # rational coefficients, q^0 .. q^(4n-4)
+    polynomial: LaurentPoly  # integer coefficients, q^0 .. q^(4n-4)
     value: int
 
 
@@ -179,7 +180,7 @@ def lefschetz_poly_surface(h: Matrix) -> LaurentPoly:
 
     Equals the alternating sum of exterior power traces weighted by q^k.
     """
-    return LaurentPoly({k: Fraction(c) for k, c in enumerate(_charpoly(h.data))})
+    return LaurentPoly(dict(enumerate(_charpoly(h.data))))
 
 
 def _exact_quotient(a: int, k: int, what: str) -> int:
@@ -229,16 +230,19 @@ def _wedge_table(c, top: int) -> list[tuple[int, ...]]:
     return [tuple(_elementary([p[j * s] for j in range(1, d + 1)])) for s in range(top + 1)]
 
 
-def _order_tops(psi: Matrix, orders, n: int) -> dict[int, LaurentPoly]:
-    """w -> q^(2n) [t^n] prod_{v w <= n} F(t^(v w)) for each order w, over Z.
+def _order_tops(c, orders, n: int) -> dict[int, tuple[int, list[int]]]:
+    """w -> (offset, G_(n/w)) for each order w | n, from c = det(1 - x Psi).
 
     F(x) = prod_i det(1 - wedge^i(Psi) q^(i-2) x)^((-1)^(i+1)) is
     exp(sum_s D_s x^s / s) with D_s = sum_i (-1)^i E_i(s) q^((i-2) s), so
     G(u) = prod_(v >= 1) F(u^v) has k [u^k] log G = sum_(s | k) (k / s) D_s
     and k G_k = sum_(j=1..k) (j log_j) G_(k-j).  The product for the order
-    w is G(t^w).  G_k is a dense list of q^(-2k) .. q^(2k).
+    w is G(t^w), so q^(2n) [t^n] of it is q^(2n) G_(n/w).  G_k is a dense
+    int list of q^(-2k) .. q^(2k), which q^(2n) moves to start at the
+    offset 2 (n - k).  Orders that do not divide n contribute nothing and
+    get no entry.
     """
-    table = _wedge_table(_charpoly(psi.transpose().data), n)  # keyed by h = Psi^T
+    table = _wedge_table(c, n)
     logs = [{} for _ in range(n + 1)]  # logs[k]: q exponent -> coefficient of k log_k
     for s in range(1, n + 1):
         for k in range(s, n + 1, s):
@@ -257,14 +261,7 @@ def _order_tops(psi: Matrix, orders, n: int) -> dict[int, LaurentPoly]:
                     for idx, x in enumerate(prev, base):
                         acc[idx] += a * x
         g.append([_exact_quotient(x, k, f"{k} G_{k}") for x in acc])
-    tops = {}
-    for w in orders:
-        if n % w:
-            tops[w] = LaurentPoly.zero()
-        else:
-            k = n // w
-            tops[w] = LaurentPoly({2 * (n - k) + idx: x for idx, x in enumerate(g[k])})
-    return tops
+    return {w: (2 * (n - n // w), g[n // w]) for w in orders if n % w == 0}
 
 
 def _one_minus(rows) -> Matrix:
@@ -272,16 +269,17 @@ def _one_minus(rows) -> Matrix:
     return Matrix([[(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(rows)])
 
 
-def _exp_tops(psi: Matrix, orders, n: int) -> dict[int, Fraction]:
+def _exp_tops(rows, orders, n: int) -> dict[int, int]:
     """w -> [t^n] prod_{v >= 1} exp(sum_{s >= 1} det(1 - Psi^s)/s t^(v w s)).
 
     The recurrence of ``_order_tops`` at q = 1, on its own inputs: H(u) with
     k [u^k] log H = sum_(s | k) (k / s) det(1 - Psi^s), the determinants
     taken of matrix powers, and k H_k = sum_j (j log_j) H_(k-j).  The
-    product for the order w is H(t^w).
+    product for the order w is H(t^w).  ``rows`` are the int rows of h or
+    of Psi = h^T: det(1 - Psi^s) is transpose invariant.
     """
-    cols = list(zip(*psi.data))
-    powers = [psi.data]  # Psi^1 .. Psi^n as int rows
+    cols = list(zip(*rows))
+    powers = [rows]  # the powers 1 .. n as int rows
     for _ in range(n - 1):
         powers.append([[sum(map(mul, row, col)) for col in cols] for row in powers[-1]])
     dets = [0] + [exact_det(_one_minus(power)) for power in powers]
@@ -293,7 +291,7 @@ def _exp_tops(psi: Matrix, orders, n: int) -> dict[int, Fraction]:
     for k in range(1, n + 1):
         acc = sum(logs[j] * h[k - j] for j in range(1, k + 1))
         h.append(_exact_quotient(acc, k, f"{k} H_{k}"))
-    return {w: Fraction(0 if n % w else h[n // w]) for w in orders}
+    return {w: 0 if n % w else h[n // w] for w in orders}
 
 
 class _Profile(NamedTuple):
@@ -302,15 +300,13 @@ class _Profile(NamedTuple):
     u_rows: tuple  # rows of U, with U (1 - H) V = diag(d_1, .., d_4) a Smith form
     subgroups: tuple  # per divisor e of n: (|A[e]|, (gcd(d_i, e))_i), A[e] killed by e
     moebius: tuple  # per divisor w of n: (w, ((index of e, moebius(w / e)) for e | w))
-    l_poly: LaurentPoly  # det(1 - q Psi), integer coefficients
-    tops: dict  # divisor w of n -> q^(2n) [t^n] of the order-w product
+    c: tuple  # c_0 .. c_4 of det(1 - q Psi) = L(psi, q), with c_0 = 1
+    tops: dict  # divisor w of n -> (offset, G_(n/w)): q^(2n) [t^n] of the order-w product
     exp_tops: dict  # divisor w of n -> [t^n] of the order-w exponential form
 
 
 @lru_cache(maxsize=16)
 def _profile(h_data, n: int) -> _Profile:
-    h = Matrix(h_data)
-    psi = h.transpose()
     u, d, _ = smith_normal_form(_one_minus(h_data))
     diagonal = [d.data[i][i] for i in range(4)]
     divisors = [e for e in range(1, n + 1) if n % e == 0]
@@ -322,13 +318,14 @@ def _profile(h_data, n: int) -> _Profile:
     for w in divisors:
         terms = ((i, moebius(w // e)) for i, e in enumerate(divisors) if w % e == 0)
         table.append((w, tuple((i, mu) for i, mu in terms if mu)))
+    c = _charpoly(h_data)
     return _Profile(
         u.data,
         tuple(subgroups),
         tuple(table),
-        LaurentPoly(dict(enumerate(_charpoly(h_data)))),
-        _order_tops(psi, divisors, n),
-        _exp_tops(psi, divisors, n),
+        c,
+        _order_tops(c, divisors, n),
+        _exp_tops(h_data, divisors, n),
     )
 
 
@@ -349,31 +346,41 @@ def _order_sums(aut: TorusAutomorphism, profile: _Profile) -> dict[int, int]:
 def lefschetz_q(aut: TorusAutomorphism) -> LefschetzResult:
     """Exact q-refined Lefschetz number of the induced Kummer automorphism.
 
-    Raises ValueError("division identity violated") when the character sum
-    is not divisible by L(psi, q), which is unreachable for genuine torus
+    The numerator q^(2n) [t^n] is a dense int list over q^0 .. q^(4n); it is
+    divided by c = L(psi, q) from the low end, exactly since c_0 = 1, and
+    the last four coefficients, the remainder, must vanish.  Raises
+    ValueError("division identity violated") when they do not, or when a
+    term lies below q^0; neither is reachable for genuine torus
     automorphisms.
     """
     n = aut.torsion
     profile = _profile(aut.matrix.data, n)
-    numerator = LaurentPoly.zero()
+    numerator = [0] * (4 * n + 1)
     for w, sigma in _order_sums(aut, profile).items():
         if sigma:
-            numerator = numerator + profile.tops[w] * sigma
-    if numerator.is_zero:
-        return LefschetzResult(LaurentPoly.zero(), 0)
-    if numerator.min_exp < 0:
-        raise ValueError(
-            "division identity violated: q-valuation of the t^n coefficient "
-            f"is {numerator.min_exp - 2 * n} < {-2 * n}"
-        )
-    quotient, remainder = laurent_divmod(numerator, profile.l_poly)
-    if not remainder.is_zero:
+            offset, g = profile.tops[w]
+            if offset < 0:
+                raise ValueError(
+                    "division identity violated: q-valuation of the t^n coefficient "
+                    f"is {offset - 2 * n} < {-2 * n}"
+                )
+            for idx, x in enumerate(g, offset):
+                numerator[idx] += sigma * x
+    _, c1, c2, c3, c4 = profile.c
+    for k in range(4 * n - 3):
+        x = numerator[k]
+        if x:
+            numerator[k + 1] -= c1 * x
+            numerator[k + 2] -= c2 * x
+            numerator[k + 3] -= c3 * x
+            numerator[k + 4] -= c4 * x
+    quotient = numerator[:-4]
+    if any(numerator[-4:]):
         raise ValueError("division identity violated: nonzero remainder")
-    poly = LaurentPoly({e: Fraction(c) for e, c in quotient.coeffs.items()})
-    return LefschetzResult(poly, sum(quotient.coeffs.values()))
+    return LefschetzResult(LaurentPoly(dict(enumerate(quotient))), sum(quotient))
 
 
-def corollary_value(aut: TorusAutomorphism) -> Fraction:
+def corollary_value(aut: TorusAutomorphism) -> int:
     """The q-free exponential form of the character sum, at t^n.
 
     Returns the coefficient of t^n in
@@ -385,7 +392,7 @@ def corollary_value(aut: TorusAutomorphism) -> Fraction:
     """
     profile = _profile(aut.matrix.data, aut.torsion)
     sums = _order_sums(aut, profile)
-    return sum((sigma * profile.exp_tops[w] for w, sigma in sums.items() if sigma), Fraction(0))
+    return sum(sigma * profile.exp_tops[w] for w, sigma in sums.items() if sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -634,6 +641,6 @@ def run_catalog_table() -> CatalogReport:
         aut = catalog(kind, variant)
         result = lefschetz_q(aut)
         l_one = lefschetz_poly_surface(aut.matrix).evaluate_one()
-        cor_ok = corollary_value(aut) == Fraction(l_one) * result.value
+        cor_ok = corollary_value(aut) == l_one * result.value
         entries.append(CatalogEntryReport(kind, variant, expected, result.value, cor_ok))
     return CatalogReport(tuple(entries))

@@ -2,20 +2,131 @@
 
 It lists the h-fixed characters of (Z/n)^4 one by one (an n^4 scan), sums
 chi(b) as cyclotomic numbers, and multiplies the wedge series factor by
-factor, so it shares no step with the integer engine of
-``kummerlat.lefschetz`` beyond c = det(1 - x M).
+factor, as truncated power series in t over Laurent polynomials in q, so
+it shares no step with the integer engine of ``kummerlat.lefschetz``
+beyond c = det(1 - x M).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 from kummerlat.cyclotomic import CyclotomicNumber
 from kummerlat.lefschetz import TorusAutomorphism, _det_one_minus_x
 from kummerlat.matrix import Matrix, exact_det, identity
-from kummerlat.series import LaurentPoly, TruncatedBiSeries
+from kummerlat.series import LaurentPoly
+
+
+def scalar_inverse(x):
+    if isinstance(x, CyclotomicNumber):
+        return x.inverse()
+    if isinstance(x, int) and abs(x) == 1:
+        return x  # a unit of Z: inversion and division by it stay over Z
+    return Fraction(1) / Fraction(x)
+
+
+def _unit_inverse(p: LaurentPoly) -> LaurentPoly:
+    """Inverse of a unit of the Laurent ring over a field: a single monomial."""
+    if len(p.coeffs) != 1:
+        raise ValueError("Laurent polynomial is not a unit (single monomial)")
+    ((e, v),) = p.coeffs.items()
+    return LaurentPoly({-e: scalar_inverse(v)})
+
+
+class TruncatedBiSeries:
+    """Power series in t up to a fixed order, with LaurentPoly coefficients."""
+
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, order: int, coeffs):
+        if order < 0:
+            raise ValueError("truncation order must be nonnegative")
+        cs = list(coeffs)
+        if len(cs) > order + 1:
+            raise ValueError("too many coefficients for the truncation order")
+        cs += [LaurentPoly.zero()] * (order + 1 - len(cs))
+        self.order = order
+        self.coeffs = tuple(cs)
+
+    @classmethod
+    def one(cls, order: int) -> "TruncatedBiSeries":
+        return cls(order, [LaurentPoly.one()])
+
+    @classmethod
+    def zero(cls, order: int) -> "TruncatedBiSeries":
+        return cls(order, [])
+
+    def coeff(self, k: int) -> LaurentPoly:
+        if not 0 <= k <= self.order:
+            raise IndexError("t exponent outside truncation order")
+        return self.coeffs[k]
+
+    def __add__(self, other: "TruncatedBiSeries") -> "TruncatedBiSeries":
+        if self.order != other.order:
+            raise ValueError("truncation order mismatch")
+        return TruncatedBiSeries(
+            self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
+        )
+
+    def __sub__(self, other: "TruncatedBiSeries") -> "TruncatedBiSeries":
+        if self.order != other.order:
+            raise ValueError("truncation order mismatch")
+        return TruncatedBiSeries(
+            self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
+        )
+
+    def __mul__(self, other: "TruncatedBiSeries") -> "TruncatedBiSeries":
+        if self.order != other.order:
+            raise ValueError("truncation order mismatch")
+        n = self.order
+        out = [LaurentPoly.zero() for _ in range(n + 1)]
+        for i, a in enumerate(self.coeffs):
+            if a.is_zero:
+                continue
+            for j in range(0, n - i + 1):
+                b = other.coeffs[j]
+                if not b.is_zero:
+                    out[i + j] = out[i + j] + a * b
+        return TruncatedBiSeries(n, out)
+
+    def scaled(self, factor) -> "TruncatedBiSeries":
+        """Multiply every coefficient by a LaurentPoly or scalar."""
+        return TruncatedBiSeries(self.order, [c * factor for c in self.coeffs])
+
+    def invert(self) -> "TruncatedBiSeries":
+        """Inverse up to the truncation order.
+
+        Requires the t-constant coefficient to be a unit Laurent polynomial.
+        """
+        lead = self.coeffs[0]
+        if len(lead.coeffs) != 1:  # the units are the single monomials
+            raise ValueError("series is not invertible: leading coefficient is not a unit")
+        n = self.order
+        b0 = _unit_inverse(lead)
+        out = [b0]
+        for k in range(1, n + 1):
+            acc = LaurentPoly.zero()
+            for j in range(1, k + 1):
+                aj = self.coeffs[j]
+                if not aj.is_zero:
+                    acc = acc + aj * out[k - j]
+            out.append(-(b0 * acc) if not acc.is_zero else LaurentPoly.zero())
+        return TruncatedBiSeries(n, out)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, TruncatedBiSeries)
+            and self.order == other.order
+            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        )
+
+    def __repr__(self):
+        parts = [f"[{c!r}]*t^{k}" for k, c in enumerate(self.coeffs) if not c.is_zero]
+        return " + ".join(parts) if parts else "TruncatedBiSeries(0)"
+
 
 
 @dataclass(frozen=True)

@@ -335,3 +335,16 @@ def test_deeply_nested_json_process_exit(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert "nested too deeply" in proc.stderr
+
+
+@pytest.mark.parametrize("text", ['["H", "b", "n"]', '"gram matrix p"'], ids=["list", "string"])
+@pytest.mark.parametrize("argv", [["isometry", "check"], ["kummer", "--job"], ["lattice", "info"]],
+                         ids=["isometry", "kummer", "lattice"])
+def test_non_object_json_is_input_error(tmp_path, capsys, argv, text):
+    path = tmp_path / "job.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(argv + [str(path)]) == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert str(path) in err and "top level must be a JSON object" in err

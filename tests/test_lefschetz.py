@@ -23,9 +23,10 @@ from kummerlat.lefschetz import (
 )
 from kummerlat.matrix import Matrix, block_diag, exact_det, exact_inverse, identity
 from kummerlat.pool import random_unimodular
-from kummerlat.series import LaurentPoly, TruncatedBiSeries
+from kummerlat.series import LaurentPoly
 from lefschetz_reference import (
     CharacterClass,
+    TruncatedBiSeries,
     _character_order_sums,
     _order_product,
     exterior_power,
@@ -179,6 +180,21 @@ def test_poincare_duality_for_every_catalog_entry():
                         (kind, variant, m, n, b)
                     cases += 1
     assert cases == 1092
+
+
+def test_outputs_are_plain_ints():
+    # the engine stays over Z: no Fraction, bool or int subclass in any output
+    rng = random.Random(89)
+    auts = [catalog(kind, variant) for kind, variant, _ in CATALOG_EXPECTED]
+    for n in range(1, 9):
+        for _ in range(3):
+            h = random_unimodular(rng, 4)
+            auts.append(torus_automorphism(h, tuple(rng.randrange(n) for _ in range(4)), n))
+    for aut in auts:
+        result = lefschetz_q(aut)
+        values = list(result.polynomial.coeffs.values()) + [result.value, corollary_value(aut)]
+        values += lefschetz_poly_surface(aut.matrix).coeffs.values()
+        assert all(type(x) is int for x in values), (aut.matrix, aut.translation, aut.torsion)
 
 
 def test_kummer_point_is_trivial():
@@ -352,14 +368,35 @@ def test_division_and_rationality_guards(monkeypatch):
         monkeypatch.setattr(lef, "_profile", lambda h, n: genuine._replace(**fields))
 
     # q^(2n) [t^n] with a negative exponent: q-valuation below -2n
-    corrupt(tops={1: LaurentPoly({-1: 1}), 3: LaurentPoly.zero()})
+    corrupt(tops={1: (-1, [1]), 3: (0, [])})
     with pytest.raises(ValueError, match="division identity violated: q-valuation"):
         lef.lefschetz_q(aut)
 
     # numerator not divisible by L(psi, q)
-    corrupt(tops={1: LaurentPoly.one(), 3: LaurentPoly.zero()})
+    corrupt(tops={1: (0, [1]), 3: (0, [])})
     with pytest.raises(ValueError, match="division identity violated: nonzero remainder"):
         lef.lefschetz_q(aut)
+
+
+def test_division_guard_reads_every_remainder_coefficient(monkeypatch):
+    # the quotient of a degree 4n numerator by the quartic L(psi, q) stops at
+    # q^(4n-4); a stray term at any of q^(4n-3) .. q^(4n) is a remainder
+    import kummerlat.lefschetz as lef
+
+    aut = catalog(0, "id")
+    n = aut.torsion
+    genuine = lef._profile(aut.matrix.data, n)
+
+    def numerator(dense):
+        monkeypatch.setattr(lef, "_profile",
+                            lambda h, n: genuine._replace(tops={1: (0, dense), 3: (0, [])}))
+
+    numerator(list(genuine.c))  # sigma_1 = 1: the numerator is L(psi, q) itself
+    assert lef.lefschetz_q(aut) == lef.LefschetzResult(LaurentPoly.one(), 1)
+    for k in range(4 * n - 3, 4 * n + 1):
+        numerator(list(genuine.c) + [0] * (k - 5) + [1])
+        with pytest.raises(ValueError, match="division identity violated: nonzero remainder"):
+            lef.lefschetz_q(aut)
 
 
 def _catalog_matrices():
@@ -430,9 +467,11 @@ def test_order_tops_match_reference_products():
     for h in _catalog_matrices()[::3] + [random_unimodular(rng, 4) for _ in range(3)]:
         psi = h.transpose()
         for n in range(1, 7):
-            tops = lef._order_tops(psi, range(1, n + 1), n)
+            tops = lef._order_tops(lef._charpoly(h.data), range(1, n + 1), n)
             for w in range(1, n + 1):
-                assert tops[w] == _order_product(psi, w, n).coeff(n).shift(2 * n), (h, n, w)
+                offset, g = tops.get(w, (0, []))
+                top = LaurentPoly(dict(enumerate(g, offset)))
+                assert top == _order_product(psi, w, n).coeff(n).shift(2 * n), (h, n, w)
 
 
 def _table_matrices():
@@ -475,7 +514,7 @@ def test_integrality_guards(monkeypatch):
     # p_1 = 5, p_2 = 4: 2 E_2(1) = 5 * 5 - 4 is odd
     monkeypatch.setattr(lef, "_power_sums", bump_first)
     with pytest.raises(ValueError, match="integrality violated: 2 e_2"):
-        lef._order_tops(psi, [1], 2)
+        lef._order_tops(lef._charpoly(psi.data), [1], 2)
     lef._profile.cache_clear()
     with pytest.raises(ValueError, match="integrality violated"):
         lefschetz_q(torus_automorphism(psi, (0, 0, 0, 0), 2))
@@ -489,7 +528,7 @@ def test_integrality_guards(monkeypatch):
     # 2 G_2 = D_1^2 + 2 D_1 + D_2 is even at q^-4 (1 + 0 + 1), odd once E_0(2) moves
     monkeypatch.setattr(lef, "_wedge_table", bump_table)
     with pytest.raises(ValueError, match="integrality violated: 2 G_2"):
-        lef._order_tops(psi, [1], 2)
+        lef._order_tops(lef._charpoly(psi.data), [1], 2)
     monkeypatch.setattr(lef, "_wedge_table", wedge_table)
 
     # 2 H_2 = 2 d_1 + d_2 + d_1^2 = 32 + 1 + 256 for Psi = -1, with d_2 =
@@ -497,7 +536,7 @@ def test_integrality_guards(monkeypatch):
     zero = Matrix([[0] * 4] * 4)
     monkeypatch.setattr(lef, "exact_det", lambda m: 1 if m == zero else det(m))
     with pytest.raises(ValueError, match="integrality violated: 2 H_2"):
-        lef._exp_tops(-psi, [1], 2)
+        lef._exp_tops((-psi).data, [1], 2)
     lef._profile.cache_clear()
 
 
@@ -628,7 +667,7 @@ def test_exp_tops_match_factorial_exponential():
         psi = h.transpose()
         for n in range(1, 6):
             dets = [exact_det(identity(4) - psi ** s) for s in range(1, n + 1)]
-            tops = lef._exp_tops(psi, range(1, n + 1), n)
+            tops = lef._exp_tops(psi.data, range(1, n + 1), n)
             exp_one = [Fraction(1)] + [Fraction(0)] * n
             for w in range(1, n + 1):
                 product_series = list(exp_one)
