@@ -1,7 +1,7 @@
 """Exact lattice isometry invariants and Lefschetz numbers of natural
 automorphisms of generalized Kummer fourfolds."""
 
-from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial, euler_phi, moebius
+from .cyclotomic import moebius
 from .isometries import (
     IsometryInvariants,
     LatticeIsometry,
@@ -19,16 +19,12 @@ from .lattices import (
     direct_sum,
     discriminant_form,
     discriminant_group,
-    dual_rescaled,
     fqf_from_diagonal,
     fqf_isomorphic,
     is_p_elementary,
     make_standard,
     orthogonal_complement,
-    rescale,
-    saturate,
     signature,
-    sublattice,
 )
 from .lefschetz import (
     LefschetzResult,
@@ -46,7 +42,6 @@ from .series import LaurentPoly
 __version__ = "0.1.0"
 
 __all__ = [
-    "CyclotomicNumber",
     "FiniteQuadraticForm",
     "IsometryInvariants",
     "Lattice",
@@ -62,12 +57,9 @@ __all__ = [
     "coinvariant_lattice",
     "compute_invariants",
     "corollary_value",
-    "cyclotomic_polynomial",
     "direct_sum",
     "discriminant_form",
     "discriminant_group",
-    "dual_rescaled",
-    "euler_phi",
     "fqf_from_diagonal",
     "fqf_isomorphic",
     "integer_kernel",
@@ -79,11 +71,8 @@ __all__ = [
     "moebius",
     "orthogonal_complement",
     "overlattice_by_glue",
-    "rescale",
     "run_catalog_table",
-    "saturate",
     "signature",
     "smith_normal_form",
-    "sublattice",
     "torus_automorphism",
 ]

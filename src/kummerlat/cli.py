@@ -5,6 +5,8 @@ Subcommands:
     isometry check <file>        (m, a, disc S) plus the square and corollary checks
     classify verify [--json]     the order five classification table
     kummer ...                   Lefschetz numbers on the Kummer fourfold
+    pool check [--seed S] [--count N]
+                                 the isometry property checks over the seeded pool
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 input error.
 """
@@ -40,6 +42,7 @@ from .lefschetz import (
     torus_automorphism,
 )
 from .matrix import Matrix
+from .pool import extended_pool
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -262,6 +265,27 @@ def cmd_kummer_list_variants(_args) -> int:
     return EXIT_OK
 
 
+def cmd_pool_check(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
+    pool = extended_pool(seed=args.seed, count=args.count)
+    failures = 0
+    for entry in pool:
+        iso = entry.isometry
+        inv = compute_invariants(iso)
+        checks = {"a<=m": inv.a <= inv.m}
+        if iso.order != 2:
+            checks["square"] = check_square_theorem(inv, iso.order)
+            if iso.lattice.is_unimodular:
+                checks["corollary"] = check_unimodular_corollary(inv, iso.order, iso.lattice)
+        bad = [k for k, v in checks.items() if not v]
+        if bad:
+            failures += 1
+            print(f"FAIL {entry.name}: {bad} (m={inv.m}, a={inv.a}, discS={inv.disc_s})")
+    print(f"pool size: {len(pool)}, failures: {failures}")
+    return EXIT_OK if failures == 0 else EXIT_VERIFICATION_FAILED
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kummerlat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -294,6 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_kum.add_argument("--json", action="store_true")
     p_kum.add_argument("--list-variants", action="store_true")
     p_kum.set_defaults(func=cmd_kummer)
+
+    p_pool = sub.add_parser("pool", help="seeded isometry property pool")
+    pool_sub = p_pool.add_subparsers(dest="subcommand", required=True)
+    p_pcheck = pool_sub.add_parser("check", help="run the isometry property checks over the pool")
+    p_pcheck.add_argument("--seed", type=int, default=20260808)
+    p_pcheck.add_argument("--count", type=int, default=220)
+    p_pcheck.set_defaults(func=cmd_pool_check)
     return parser
 
 

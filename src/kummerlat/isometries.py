@@ -289,7 +289,7 @@ def conjugate_isometry(iso: LatticeIsometry, p_matrix: Matrix) -> LatticeIsometr
     hermite = row_hermite(hstack(p_matrix, identity(n))).data
     if tuple(row[:n] for row in hermite) != identity(n).data:
         raise ValueError("basis change must be unimodular")
-    p_inverse = Matrix([row[n:] for row in hermite], cols=n)
+    p_inverse = Matrix._of_ints(tuple(row[n:] for row in hermite), n)
     new_gram = p_matrix.transpose() @ iso.lattice.gram @ p_matrix
     new_phi = p_inverse @ iso.matrix @ p_matrix
     return LatticeIsometry(Lattice(new_gram, iso.lattice.name), new_phi, iso.order)

@@ -1,11 +1,11 @@
 """Even integral lattices given by Gram matrices.
 
 Provides the standard named lattices (U, E8(-1), A4(-1), H5, ...), direct
-sums and rescalings, exact signatures, discriminant groups and forms, and
-isomorphism testing of finite quadratic forms on their p-primary parts: an
-(order, q) census of both groups, then a backtracking search for generator
-images with forward checking, all in integers scaled by the common
-denominator of the forms' values.
+sums, exact signatures, discriminant groups and forms, and isomorphism
+testing of finite quadratic forms on their p-primary parts: an (order, q)
+census of both groups, then a backtracking search for generator images
+with forward checking, all in integers scaled by the common denominator
+of the forms' values.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -25,7 +25,6 @@ from .matrix import (
     exact_det,
     exact_inverse,
     integer_kernel,
-    saturate_columns,
     smith_normal_form,
 )
 
@@ -159,19 +158,6 @@ def direct_sum(*lattices: Lattice, name: str | None = None) -> Lattice:
         if all(parts):
             name = " + ".join(parts)
     return Lattice(block_diag(*(lat.gram for lat in lattices)), name)
-
-
-def rescale(lat: Lattice, k: int, name: str | None = None) -> Lattice:
-    if k == 0:
-        raise ValueError("rescaling factor must be nonzero")
-    return lattice_from_rational_gram(lat.gram.scale(k), name)
-
-
-def dual_rescaled(lat: Lattice, k: int, name: str | None = None) -> Lattice:
-    """The dual lattice with its form multiplied by k; must come out integral and even."""
-    if k == 0:
-        raise ValueError("rescaling factor must be nonzero")
-    return lattice_from_rational_gram(exact_inverse(lat.gram).scale(k), name)
 
 
 def signature(lat: Lattice) -> tuple[int, int]:
@@ -376,18 +362,6 @@ class Sublattice:
     def induced_gram(self) -> Matrix:
         return self.basis.transpose() @ self.ambient.gram @ self.basis
 
-    def induced_lattice(self, name: str | None = None) -> Lattice:
-        return Lattice(self.induced_gram, name)
-
-
-def sublattice(ambient: Lattice, basis: Matrix) -> Sublattice:
-    return Sublattice(ambient, basis)
-
-
-def saturate(sub: Sublattice) -> Sublattice:
-    """Primitive closure: the largest sublattice with the same rational span."""
-    return Sublattice(sub.ambient, saturate_columns(sub.basis))
-
 
 def orthogonal_complement(sub: Sublattice) -> Sublattice:
     """All ambient vectors pairing to zero with the sublattice; always saturated."""
@@ -589,13 +563,6 @@ def fqf_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def lattice_to_dict(lat: Lattice) -> dict:
-    d = {"gram": lat.gram.to_lists()}
-    if lat.name:
-        d["name"] = lat.name
-    return d
 
 
 def lattice_from_dict(d: dict) -> Lattice:

@@ -78,8 +78,9 @@ from .matrix import Matrix, block_diag, exact_det, exact_inverse, identity, smit
 from .series import LaurentPoly
 
 # Largest accepted torsion order n.  The character sums cost O(tau(n)^2)
-# integer steps at any n and the order products O(n^3); the bound is the
-# conductor cap of the cyclotomic reference kept with the tests.
+# integer steps at any n and the order products O(n^3); the bound is
+# MAX_CONDUCTOR of tests/cyclotomic_reference.py, so the reference path can
+# check every accepted n.
 MAX_TORSION = 60
 
 

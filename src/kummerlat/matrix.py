@@ -15,11 +15,16 @@ Smith form ends its pivot search at an entry +-1 and skips the
 divisibility scan at a unit pivot.  None of these shortcuts changes an
 output.
 
+The determinant, the Smith and Hermite forms and the kernels accept
+integer matrices only.  Rational entries appear in overlattice bases and
+in ``exact_inverse``; the Fraction elimination that cross-checks the
+determinant is kept with the tests (``tests/matrix_reference.py``).
+
 Integrality is recorded once, when a matrix is built.  Sums, products,
 transposes and stacks of integer matrices, and the outputs of the Smith,
-Hermite and kernel routines (which accept integer input only), hold plain
-ints by construction, so they are built without normalizing their rows a
-second time; every other result goes through the public constructor.
+Hermite and kernel routines, hold plain ints by construction, so they are
+built without normalizing their rows a second time; every other result
+goes through the public constructor.
 """
 
 from __future__ import annotations
@@ -243,16 +248,15 @@ def _xgcd(a: int, b: int):
     return a, x0, y0
 
 
-def exact_det(m: Matrix):
-    """Exact determinant; int for integer input, Fraction otherwise."""
+def exact_det(m: Matrix) -> int:
+    """Exact determinant of an integer matrix, by Bareiss elimination."""
     if not m.is_square:
         raise ValueError("determinant needs a square matrix")
-    n = m.rows
-    if n == 0:
+    if not m.is_integral:
+        raise ValueError("determinant requires integer entries")
+    if m.rows == 0:
         return 1
-    if m.is_integral:
-        return _det_bareiss(m)
-    return _det_fraction(m)
+    return _det_bareiss(m)
 
 
 def _det_bareiss(m: Matrix) -> int:
@@ -287,26 +291,6 @@ def _det_bareiss(m: Matrix) -> int:
         a = rest
         prev = pivot
     return sign * a[0][0]
-
-
-def _det_fraction(m: Matrix) -> Fraction:
-    a = [[Fraction(x) for x in row] for row in m.data]
-    n = m.rows
-    det = Fraction(1)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return det
 
 
 def exact_inverse(m: Matrix) -> Matrix:
@@ -519,15 +503,4 @@ def integer_kernel(m: Matrix) -> Matrix:
     if not kernel:
         return zeros(cols, 0)
     return Matrix._of_ints(tuple(zip(*kernel)), len(kernel))
-
-
-def saturate_columns(b: Matrix) -> Matrix:
-    """Canonical basis of the saturation of the column span of ``b``.
-
-    The saturation is the largest sublattice of Z^rows with the same span
-    over Q; it is computed as a double integer kernel, so the output basis
-    is primitive.
-    """
-    complement = integer_kernel(b.transpose())
-    return integer_kernel(complement.transpose())
 

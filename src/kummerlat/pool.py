@@ -223,7 +223,7 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 12) -> Matrix:
             rows[i], rows[j] = rows[j], rows[i]
         elif kind == 2:
             rows[i] = [-x for x in rows[i]]
-    return Matrix(rows, cols=n)
+    return Matrix._of_ints(tuple(map(tuple, rows)), n)
 
 
 def extended_pool(seed: int = 20260808, count: int = 220, max_conjugated_rank: int = 16):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from kummerlat.cyclotomic import CyclotomicNumber
+from cyclotomic_reference import CyclotomicNumber
 from kummerlat.lefschetz import TorusAutomorphism, _det_one_minus_x
 from kummerlat.matrix import Matrix, exact_det, identity
 from kummerlat.series import LaurentPoly

@@ -6,10 +6,16 @@ elimination combines every pair of rows by the 2x2 xgcd transform, even
 when the pivot divides the entry it clears; the Smith form scans the
 whole remaining block for the smallest pivot and for divisibility at
 every pivot, 1 included.  The library must give identical outputs.
+
+The determinant reference is Gaussian elimination over ``Fraction``, which
+also takes rational matrices; the library's Bareiss determinant takes
+integer matrices only.  ``saturate_columns`` checks that a basis is
+primitive.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import mul
 
 from kummerlat.matrix import Matrix, _xgcd, zeros
@@ -24,6 +30,27 @@ def dense_product(a: Matrix, b: Matrix) -> Matrix:
         [[sum(map(mul, row, col)) for col in bt] for row in a.data],
         cols=b.cols,
     )
+
+
+def det_fraction(m: Matrix) -> Fraction:
+    """Determinant by Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in m.data]
+    n = m.rows
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        inv = 1 / a[k][k]
+        for i in range(k + 1, n):
+            if a[i][k]:
+                f = a[i][k] * inv
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
 
 
 def xgcd_hermite_rows(a: list, cols: int) -> int:
@@ -172,3 +199,14 @@ def smith_normal_form(m: Matrix):
             add_row(t, offender, 1)
         t += 1
     return Matrix(u), Matrix(a), Matrix(v)
+
+
+def saturate_columns(b: Matrix) -> Matrix:
+    """Canonical basis of the saturation of the column span of ``b``.
+
+    The saturation is the largest sublattice of Z^rows with the same span
+    over Q; it is computed as a double integer kernel, so the output basis
+    is primitive.
+    """
+    complement = integer_kernel(b.transpose())
+    return integer_kernel(complement.transpose())

@@ -348,3 +348,28 @@ def test_non_object_json_is_input_error(tmp_path, capsys, argv, text):
     assert out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert str(path) in err and "top level must be a JSON object" in err
+
+
+def test_pool_check_default(capsys):
+    assert main(["pool", "check"]) == EXIT_OK
+    assert capsys.readouterr().out == "pool size: 220, failures: 0\n"
+
+
+def test_pool_check_rejects_empty_count(capsys):
+    assert main(["pool", "check", "--count", "0"]) == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --count must be at least 1, got 0\n"
+
+
+def test_pool_check_failing_check_exit_code(monkeypatch, capsys):
+    import kummerlat.cli as cli
+
+    monkeypatch.setattr(cli, "check_square_theorem", lambda inv, p: False)
+    # a count below the size of the base pool checks the base pool alone
+    assert main(["pool", "check", "--count", "1", "--seed", "7"]) == EXIT_VERIFICATION_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    odd = [e for e in base_pool() if e.isometry.order != 2]
+    assert [line.partition(":")[0] for line in lines[:-1]] == [f"FAIL {e.name}" for e in odd]
+    assert all("['square']" in line for line in lines[:-1])
+    assert lines[-1] == f"pool size: {len(base_pool())}, failures: {len(odd)}"

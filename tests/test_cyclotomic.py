@@ -4,13 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kummerlat.cyclotomic import (
-    CyclotomicNumber,
-    cyclotomic_polynomial,
-    euler_phi,
-    is_prime,
-    moebius,
-)
+from cyclotomic_reference import MAX_CONDUCTOR, CyclotomicNumber, cyclotomic_polynomial, euler_phi
+from kummerlat.cyclotomic import is_prime, moebius
+from kummerlat.lefschetz import MAX_TORSION
 
 
 def test_roots_of_unity():
@@ -98,3 +94,8 @@ def test_helpers():
     assert moebius(1) == 1
     assert moebius(12) == 0
     assert is_prime(23) and not is_prime(21) and not is_prime(1)
+
+
+def test_conductor_cap_covers_every_torsion_order():
+    # the reference path sums chi(b) in Q(zeta_n) for every accepted n
+    assert MAX_CONDUCTOR == MAX_TORSION

@@ -44,6 +44,7 @@ from kummerlat.pool import (
     random_unimodular,
 )
 from isometry_reference import rational_transport, smith_kernel
+from matrix_reference import det_fraction
 
 U = make_standard("U")
 A4M = make_standard("A4(-1)")
@@ -300,6 +301,21 @@ def test_conjugate_isometry_matches_rational_inverse():
             assert conj.lattice.gram == p.transpose() @ iso.lattice.gram @ p, entry.name
 
 
+@pytest.mark.parametrize("seed", [20260808, 5])
+def test_conjugates_hold_plain_ints(seed):
+    # P and P^-1 are built from int rows as they are; the conjugates must
+    # still be exactly what the public constructor makes of their rows
+    conjugates = extended_pool(seed=seed)[len(base_pool()):]
+    assert conjugates
+    rng = random.Random(seed)
+    matrices = [random_unimodular(rng, n) for n in range(1, 9)]
+    for entry in conjugates:
+        matrices += [entry.isometry.matrix, entry.isometry.lattice.gram]
+    for m in matrices:
+        assert m == Matrix(m.data) and m.is_integral
+        assert all(type(x) is int for row in m.data for x in row)
+
+
 def test_conjugate_rejects_non_unimodular():
     iso = LatticeIsometry(A4M, C5, 5)
     bad = [
@@ -383,7 +399,7 @@ def test_transport_matches_rational_inverse_on_random_bases():
             )
             x = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], cols=n)
             phis = [Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)], cols=n)]
-            if exact_det(basis):
+            if det_fraction(basis):
                 phis.append(basis @ x @ exact_inverse(basis))
             for phi in phis:
                 got = _transport_outcome(transport_isometry, basis, phi)

@@ -16,7 +16,6 @@ from kummerlat.lattices import (
     direct_sum,
     discriminant_form,
     discriminant_group,
-    dual_rescaled,
     fqf_direct_sum,
     fqf_from_diagonal,
     fqf_from_generators,
@@ -24,17 +23,15 @@ from kummerlat.lattices import (
     group_signature,
     is_p_elementary,
     lattice_from_dict,
-    lattice_to_dict,
+    lattice_from_rational_gram,
     make_standard,
     orthogonal_complement,
     p_primary_part,
-    rescale,
-    saturate,
     signature,
-    sublattice,
 )
-from kummerlat.matrix import Matrix, exact_det
+from kummerlat.matrix import Matrix, exact_det, exact_inverse
 from kummerlat.pool import random_unimodular
+from matrix_reference import saturate_columns
 
 U = make_standard("U")
 H5 = make_standard("H5")
@@ -79,15 +76,14 @@ def test_direct_sum():
 
 
 def test_rescale():
-    assert rescale(U, 5).gram == Matrix([[0, 5], [5, 0]])
-    assert rescale(make_standard("<-2>"), 5).gram == Matrix([[-10]])
-    # the dual of A4 rescaled by -5 is integral, matching the named lattice
-    a4 = Lattice(cartan_a(4))
-    assert dual_rescaled(a4, -5).gram == make_standard("A4*(-5)").gram
+    assert Lattice(U.gram.scale(5)).gram == Matrix([[0, 5], [5, 0]])
+    assert Lattice(make_standard("<-2>").gram.scale(5)).gram == Matrix([[-10]])
+    # the dual of A4 rescaled by -5 is integral: 5 A4^-1 is integral, negated
+    assert make_standard("A4*(-5)").gram == Matrix(
+        [[-4, -3, -2, -1], [-3, -6, -4, -2], [-2, -4, -6, -3], [-1, -2, -3, -4]]
+    )
     with pytest.raises(ValueError):
-        dual_rescaled(H5, 1)  # dual Gram has denominator 5
-    with pytest.raises(ValueError):
-        rescale(U, 0)
+        lattice_from_rational_gram(exact_inverse(H5.gram))  # dual Gram has denominator 5
 
 
 def test_signatures():
@@ -102,9 +98,10 @@ def test_signatures():
 def test_signature_rescale_behavior():
     for lat in (U, H5, A4M):
         plus, minus = signature(lat)
-        assert signature(rescale(lat, 3)) == (plus, minus)
-        assert signature(rescale(lat, -2)) == (minus, plus)
-        assert rescale(lat, 3).det == 3 ** lat.rank * lat.det
+        tripled, negated = Lattice(lat.gram.scale(3)), Lattice(lat.gram.scale(-2))
+        assert signature(tripled) == (plus, minus)
+        assert signature(negated) == (minus, plus)
+        assert tripled.det == 3 ** lat.rank * lat.det
 
 
 def test_discriminant_groups():
@@ -156,15 +153,15 @@ def test_p_elementary():
 
 def test_orthogonal_complements():
     uu = direct_sum(U, U)
-    first = sublattice(uu, Matrix([[1, 0], [0, 1], [0, 0], [0, 0]]))
+    first = Sublattice(uu, Matrix([[1, 0], [0, 1], [0, 0], [0, 0]]))
     comp = orthogonal_complement(first)
     assert comp.basis == Matrix([[0, 0], [0, 0], [1, 0], [0, 1]])
     # span{e1 + e2} inside U pairs as x + y = 0
-    diag = sublattice(U, Matrix([[1], [1]]))
+    diag = Sublattice(U, Matrix([[1], [1]]))
     assert orthogonal_complement(diag).basis == Matrix([[1], [-1]])
     # diagonal A4(-1) inside A4(-1)^2 has the antidiagonal as complement
     a8 = direct_sum(A4M, A4M)
-    diag4 = sublattice(a8, Matrix([[int(i == j) for j in range(4)] for i in range(4)] * 2))
+    diag4 = Sublattice(a8, Matrix([[int(i == j) for j in range(4)] for i in range(4)] * 2))
     comp4 = orthogonal_complement(diag4)
     assert comp4.rank == 4
     top = Matrix([row[:] for row in comp4.basis.to_lists()[:4]])
@@ -173,11 +170,11 @@ def test_orthogonal_complements():
 
 
 def test_complement_pairing_and_saturation():
-    sub = sublattice(direct_sum(U, H5), Matrix([[1], [2], [3], [4]]))
+    sub = Sublattice(direct_sum(U, H5), Matrix([[1], [2], [3], [4]]))
     comp = orthogonal_complement(sub)
     assert (sub.basis.transpose() @ sub.ambient.gram @ comp.basis).data == ((0, 0, 0),)
-    doubled = sublattice(U, Matrix([[2], [0]]))
-    assert saturate(doubled).basis == Matrix([[1], [0]])
+    doubled = Sublattice(U, Matrix([[2], [0]]))
+    assert Sublattice(U, saturate_columns(doubled.basis)).basis == Matrix([[1], [0]])
 
 
 def test_sublattice_validation():
@@ -500,7 +497,7 @@ def test_fqf_direct_sum_and_primary_parts():
 
 def test_serialization_roundtrip():
     for lat in (H5, make_standard("A4*(-5)"), direct_sum(U, H5)):
-        again = lattice_from_dict(lattice_to_dict(lat))
+        again = lattice_from_dict({"gram": lat.gram.to_lists(), "name": lat.name})
         assert again.gram == lat.gram
         assert again.name == lat.name
     with pytest.raises(ValueError):

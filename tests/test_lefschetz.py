@@ -8,7 +8,8 @@ from math import comb, gcd
 
 import pytest
 
-from kummerlat.cyclotomic import CyclotomicNumber, moebius
+from cyclotomic_reference import CyclotomicNumber
+from kummerlat.cyclotomic import moebius
 from kummerlat.lefschetz import (
     CATALOG_EXPECTED,
     MAX_TORSION,

@@ -10,7 +10,6 @@ import matrix_reference as ref
 from kummerlat.matrix import (
     Matrix,
     _det_bareiss,
-    _det_fraction,
     block_diag,
     column_hermite_basis,
     exact_det,
@@ -19,7 +18,6 @@ from kummerlat.matrix import (
     identity,
     integer_kernel,
     row_hermite,
-    saturate_columns,
     smith_normal_form,
     zeros,
 )
@@ -90,7 +88,7 @@ def test_kernel_primitivity(m):
         _, d, _ = smith_normal_form(k)
         assert all(d.data[i][i] == 1 for i in range(k.cols))
     # saturation of the kernel is the kernel itself
-    assert saturate_columns(k) == k
+    assert ref.saturate_columns(k) == k
 
 
 @settings(max_examples=80, deadline=None)
@@ -116,6 +114,13 @@ def test_exact_inverse_and_det():
     assert inv[0, 0] == Fraction(2, 5)
     with pytest.raises(ValueError):
         exact_inverse(Matrix([[1, 1], [1, 1]]))
+
+
+def test_exact_det_rejects_rational_entries():
+    m = Matrix([[2, Fraction(1, 2)], [1, 3]])
+    assert ref.det_fraction(m) == Fraction(11, 2)
+    with pytest.raises(ValueError, match="^determinant requires integer entries$"):
+        exact_det(m)
 
 
 def test_empty_shapes():
@@ -280,7 +285,7 @@ def test_bareiss_matches_fraction_elimination():
             cases.append(_sparse_matrix(rng, n, inner, 0.5) @ _sparse_matrix(rng, inner, n, 0.5))
     for m in cases:
         det = _det_bareiss(m)
-        assert type(det) is int and det == _det_fraction(m), m
+        assert type(det) is int and det == ref.det_fraction(m), m
         assert exact_det(m) == det
 
 

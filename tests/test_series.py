@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kummerlat.cyclotomic import CyclotomicNumber
+from cyclotomic_reference import CyclotomicNumber
 from kummerlat.series import LaurentPoly
 from lefschetz_reference import TruncatedBiSeries, scalar_inverse
 
