@@ -20,13 +20,13 @@ from fractions import Fraction
 from .lattices import (
     FiniteQuadraticForm,
     Lattice,
+    _p_elementary,
     direct_sum,
     discriminant_form,
     discriminant_group,
     fqf_from_diagonal,
     fqf_isomorphic,
     group_signature,
-    is_p_elementary,
     make_standard,
     p_primary_part,
     signature,
@@ -85,7 +85,12 @@ _TWO_PART_TARGET = fqf_from_diagonal([(2, Fraction(-1, 2))])
 
 
 def verify_row(row: ClassificationRow) -> RowReport:
-    """Exact checks of every numeric condition asserted for a table row."""
+    """Exact checks of every numeric condition asserted for a table row.
+
+    Takes two Smith forms: one for the discriminant group of S and one for
+    the discriminant form of T, whose generator orders are the invariant
+    factors of D_T.
+    """
     m, a, s, t = row.m, row.a, row.s, row.t
     checks: dict[str, bool] = {}
     values: dict[str, object] = {}
@@ -101,18 +106,18 @@ def verify_row(row: ClassificationRow) -> RowReport:
     checks["sig_s"] = sig_s == (2, 4 * m - 2)
     checks["sig_t_hyperbolic"] = sig_t == (1, 22 - 4 * m)
 
-    elem, count = is_p_elementary(s, ORDER)
-    values["ds_orders"] = discriminant_group(s).orders
+    ds_orders = discriminant_group(s).orders
+    elem, count = _p_elementary(ds_orders, ORDER)
+    values["ds_orders"] = ds_orders
     checks["ds_is_5_elementary_rank_a"] = elem and count == a
 
-    dt = discriminant_group(t)
+    dt = discriminant_form(t)
     values["dt_orders"] = dt.orders
-    checks["dt_order"] = dt.order == 2 * ORDER**a
+    checks["dt_order"] = dt.group_order == 2 * ORDER**a
     checks["dt_group_is_z2_plus_ds"] = group_signature(dt.orders) == group_signature(
-        (2,) + discriminant_group(s).orders
+        (2,) + ds_orders
     )
-    two_part = p_primary_part(discriminant_form(t), 2)
-    checks["dt_two_part"] = fqf_isomorphic(two_part, _TWO_PART_TARGET)
+    checks["dt_two_part"] = fqf_isomorphic(p_primary_part(dt, 2), _TWO_PART_TARGET)
 
     checks["parity"] = (a - m) % 2 == 0
     checks["a_le_m"] = a <= m

@@ -25,18 +25,11 @@ from .isometries import (
     check_unimodular_corollary,
     compute_invariants,
 )
-from .lattices import (
-    discriminant_form,
-    discriminant_group,
-    is_p_elementary,
-    lattice_from_dict,
-    signature,
-)
+from .lattices import _p_elementary, discriminant_form, lattice_from_dict, signature
 from .lefschetz import (
     catalog,
     catalog_variants,
-    corollary_value,
-    lefschetz_poly_surface,
+    corollary_holds,
     lefschetz_q,
     run_catalog_table,
     torus_automorphism,
@@ -80,19 +73,18 @@ def _frac_str(x: Fraction) -> str:
 
 def cmd_lattice_info(args) -> int:
     lat = lattice_from_dict(_load_json(args.file))
-    group = discriminant_group(lat)
-    form = discriminant_form(lat)
+    form = discriminant_form(lat)  # its generator orders are the invariant factors of D_L
     payload = {
         "name": lat.name,
         "rank": lat.rank,
         "signature": list(signature(lat)),
         "det": lat.det,
         "disc": lat.disc,
-        "discriminant_group": list(group.orders),
+        "discriminant_group": list(form.orders),
         "discriminant_form_q": [_frac_str(q) for q in form.q_values],
         "p_elementary": {
             str(p): {"elementary": flag, "a": a}
-            for p, (flag, a) in ((p, is_p_elementary(lat, p)) for p in ELEMENTARY_PRIMES)
+            for p, (flag, a) in ((p, _p_elementary(form.orders, p)) for p in ELEMENTARY_PRIMES)
         },
     }
     if args.json:
@@ -102,17 +94,14 @@ def cmd_lattice_info(args) -> int:
     print(f"rank: {lat.rank}")
     print(f"signature: {tuple(payload['signature'])}")
     print(f"det: {lat.det}  |det|: {lat.disc}")
-    if group.is_trivial:
+    if form.is_trivial:
         print("discriminant group: trivial")
     else:
-        print("discriminant group: " + " + ".join(f"Z/{d}" for d in group.orders))
-        qs = ", ".join(
-            f"q(g{i + 1}) = {_frac_str(q)} mod 2Z" for i, q in enumerate(form.q_values)
-        )
+        print("discriminant group: " + " + ".join(f"Z/{d}" for d in form.orders))
+        qs = ", ".join(f"q(g{i + 1}) = {q} mod 2Z" for i, q in enumerate(payload["discriminant_form_q"]))
         print(f"discriminant form: {qs}")
-    for p in ELEMENTARY_PRIMES:
-        flag, a = is_p_elementary(lat, p)
-        note = f"a = {a}" if flag else "no"
+    for p, entry in payload["p_elementary"].items():
+        note = f"a = {entry['a']}" if entry["elementary"] else "no"
         print(f"p-elementary p={p}: {note}")
     return EXIT_OK
 
@@ -198,12 +187,10 @@ def cmd_classify_verify(args, rows=None) -> int:
 
 
 def _result_payload(aut, result) -> dict:
-    cor = corollary_value(aut)
-    l_one = lefschetz_poly_surface(aut.matrix).evaluate_one()
     return {
         "poly_q": {str(e): str(c) for e, c in sorted(result.polynomial.coeffs.items())},
         "value": result.value,
-        "corollary_check": cor == l_one * result.value,
+        "corollary_check": corollary_holds(aut, result),
     }
 
 

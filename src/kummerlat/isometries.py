@@ -5,6 +5,11 @@ of (phi - 1), the coinvariant lattice S is its orthogonal complement (equal
 to the kernel of the p-th cyclotomic polynomial evaluated at phi), and the
 pair (m, a) records rank(S) = (p-1) m together with the index
 [L : T + S] = p^a of the glued decomposition.
+
+Glued overlattices, on which the pool realizes nonzero a, are built in
+integers too: the overlattice basis is kept as the integer Hermite basis
+den * B, with den the common denominator of the glue, and an isometry is
+moved onto it by one integer solve of (den B) X = phi (den B).
 """
 
 from __future__ import annotations
@@ -14,12 +19,7 @@ from fractions import Fraction
 from math import isqrt, lcm, prod
 
 from .cyclotomic import is_prime
-from .lattices import (
-    Lattice,
-    Sublattice,
-    lattice_from_rational_gram,
-    orthogonal_complement,
-)
+from .lattices import Lattice, Sublattice, orthogonal_complement
 from .matrix import (
     Matrix,
     column_hermite_basis,
@@ -27,8 +27,8 @@ from .matrix import (
     hstack,
     identity,
     integer_kernel,
-    row_hermite,
     smith_normal_form,
+    solve,
 )
 
 
@@ -47,8 +47,6 @@ class LatticeIsometry:
         n = self.lattice.rank
         if phi.shape != (n, n):
             raise ValueError("isometry matrix size does not match the lattice rank")
-        if not phi.is_integral:
-            raise ValueError("isometry matrix must be integral")
         # phi != 1 of prime order p has Phi_p | charpoly(phi), of degree p - 1
         if self.order - 1 > n:
             raise ValueError(
@@ -191,13 +189,13 @@ def check_unimodular_corollary(inv: IsometryInvariants, p: int, lattice: Lattice
 def overlattice_with_basis(pieces: Lattice, glue_vectors) -> tuple[Lattice, Matrix]:
     """Even integral overlattice generated by ``pieces`` and rational glue vectors.
 
-    Returns the overlattice together with its basis expressed in the
-    coordinates of ``pieces`` (a rational matrix with unit-free denominator).
-    With den the common denominator of the glue, the integer basis
-    B = den * basis is the column Hermite basis of [den I | den v_1 ...], and
-    the Gram matrix B^T G B / den^2 is formed in integers and divided
-    exactly; an entry that does not divide makes the Gram matrix
-    non-integral, which is reported as an invalid overlattice.
+    Returns the overlattice together with the integer matrix den * B, where
+    den is the common denominator of the glue and the columns of B are the
+    overlattice basis in the coordinates of ``pieces``.  den * B is the
+    column Hermite basis of [den I | den v_1 ...], and the Gram matrix
+    B^T G B is (den B)^T G (den B) divided by den^2; an entry that does not
+    divide makes the Gram matrix non-integral, which is reported as an
+    invalid overlattice.
     """
     n = pieces.rank
     if not glue_vectors:
@@ -205,24 +203,17 @@ def overlattice_with_basis(pieces: Lattice, glue_vectors) -> tuple[Lattice, Matr
     cols = [tuple(Fraction(x) for x in v) for v in glue_vectors]
     if any(len(v) != n for v in cols):
         raise ValueError("glue vector length does not match the lattice rank")
-    den = 1
-    for v in cols:
-        for x in v:
-            den = lcm(den, x.denominator)
-    scaled_cols = [[int(x * den) for x in v] for v in cols]
-    gen = [[den * int(i == j) for j in range(n)] for i in range(n)]
-    for v in scaled_cols:
-        for i in range(n):
-            gen[i].append(v[i])
-    basis_scaled = column_hermite_basis(Matrix(gen, cols=n + len(cols)))
-    if basis_scaled.cols != n:
+    den = lcm(*(x.denominator for v in cols for x in v))
+    gen = [[den * int(i == j) for j in range(n)] + [int(v[i] * den) for v in cols] for i in range(n)]
+    basis = column_hermite_basis(Matrix(gen, cols=n + len(cols)))
+    if basis.cols != n:
         raise AssertionError("overlattice basis has wrong rank")
-    basis = basis_scaled.map(lambda x: Fraction(x, den))
     den2 = den * den
-    scaled_gram = basis_scaled.transpose() @ pieces.gram @ basis_scaled
-    gram = scaled_gram.map(lambda x: Fraction(x, den2) if x % den2 else x // den2)
+    scaled_gram = (basis.transpose() @ pieces.gram @ basis).data
     try:
-        lattice = lattice_from_rational_gram(gram)
+        if any(x % den2 for row in scaled_gram for x in row):
+            raise ValueError("Gram matrix is not integral")
+        lattice = Lattice(Matrix._of_ints(tuple(tuple(x // den2 for x in row) for row in scaled_gram), n))
     except ValueError as exc:
         raise ValueError(f"glue vectors do not define an even integral overlattice: {exc}")
     return lattice, basis
@@ -236,60 +227,25 @@ def overlattice_by_glue(pieces: Lattice, glue_vectors, name: str | None = None) 
 
 
 def transport_isometry(basis: Matrix, phi: Matrix) -> Matrix:
-    """Rewrite an isometry in overlattice coordinates: X = basis^-1 phi basis.
+    """Rewrite an isometry in overlattice coordinates: X = B^-1 phi B.
 
-    With den a common denominator of ``basis`` and B = den * basis, X is also
-    B^-1 phi B.  The row Hermite form of [B | phi B] is [H | U phi B] with
-    H = U B upper triangular, so X solves H X = U phi B and is found by back
-    substitution with exact integer division.  A nonzero remainder means X
-    is not integral: the isometry does not preserve the overlattice.  A
-    singular basis leaves H with a zero on its diagonal.
+    ``basis`` is the integer matrix den * B of ``overlattice_with_basis``;
+    the scale cancels, so X solves (den B) X = phi (den B).  X is not
+    integral exactly when the isometry does not preserve the overlattice.
     """
-    n = basis.rows
-    if not basis.is_square:
-        raise ValueError("inverse needs a square matrix")
-    den = 1
-    for row in basis.data:
-        for x in row:
-            if type(x) is Fraction:
-                den = lcm(den, x.denominator)
-    scaled = basis.scale(den)
-    hermite = row_hermite(hstack(scaled, phi @ scaled)).data
-    if len(hermite) < n or not all(hermite[i][i] for i in range(n)):
-        raise ValueError("matrix is singular")
-    x = [None] * n
-    for i in reversed(range(n)):
-        h = hermite[i]
-        acc = h[n:]
-        for k in range(i + 1, n):
-            c = h[k]
-            if c:
-                acc = [s - c * t for s, t in zip(acc, x[k])]
-        pivot = h[i]
-        row = []
-        for s in acc:
-            q, r = divmod(s, pivot)
-            if r:
-                raise ValueError("isometry does not preserve the overlattice")
-            row.append(q)
-        x[i] = row
-    return Matrix(x, cols=n)
+    return solve(basis, phi @ basis, "isometry does not preserve the overlattice")
 
 
 def conjugate_isometry(iso: LatticeIsometry, p_matrix: Matrix) -> LatticeIsometry:
     """Change of basis x = P x': the Gram becomes P^T G P, phi becomes P^-1 phi P.
 
-    The row Hermite form of [P | I] is [I | P^-1] exactly when the integer
-    matrix P is unimodular, so one integer Hermite form both checks P and
-    inverts it.
+    An integer matrix P is unimodular exactly when P X = I has an integer
+    solution, so one solve both checks P and inverts it.
     """
-    n = p_matrix.rows
-    if not (p_matrix.is_square and p_matrix.is_integral):
-        raise ValueError("basis change must be unimodular")
-    hermite = row_hermite(hstack(p_matrix, identity(n))).data
-    if tuple(row[:n] for row in hermite) != identity(n).data:
-        raise ValueError("basis change must be unimodular")
-    p_inverse = Matrix._of_ints(tuple(row[n:] for row in hermite), n)
+    try:
+        p_inverse = solve(p_matrix, identity(p_matrix.rows))
+    except ValueError:
+        raise ValueError("basis change must be unimodular") from None
     new_gram = p_matrix.transpose() @ iso.lattice.gram @ p_matrix
     new_phi = p_inverse @ iso.matrix @ p_matrix
     return LatticeIsometry(Lattice(new_gram, iso.lattice.name), new_phi, iso.order)

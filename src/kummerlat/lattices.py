@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -23,9 +23,10 @@ from .matrix import (
     Matrix,
     block_diag,
     exact_det,
-    exact_inverse,
+    identity,
     integer_kernel,
     smith_normal_form,
+    solve,
 )
 
 FQF_ORDER_CAP = 10000
@@ -33,31 +34,32 @@ FQF_ORDER_CAP = 10000
 
 @dataclass(frozen=True)
 class Lattice:
-    """An even integral lattice with a nondegenerate symmetric Gram matrix."""
+    """An even integral lattice with a nondegenerate symmetric Gram matrix.
+
+    ``det``, the determinant of the Gram matrix, is computed once, by the
+    nondegeneracy check.
+    """
 
     gram: Matrix
     name: str | None = None
+    det: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.gram
         if not g.is_square:
             raise ValueError("Gram matrix must be square")
-        if not g.is_integral:
-            raise ValueError("Gram matrix must be integral")
         if not g.is_symmetric:
             raise ValueError("Gram matrix must be symmetric")
         if any(g.data[i][i] % 2 for i in range(g.rows)):
             raise ValueError("lattice is not even: odd diagonal entry in Gram matrix")
-        if g.rows > 0 and exact_det(g) == 0:
+        det = exact_det(g)
+        if det == 0:
             raise ValueError("Gram matrix is degenerate")
+        object.__setattr__(self, "det", det)
 
     @property
     def rank(self) -> int:
         return self.gram.rows
-
-    @cached_property
-    def det(self) -> int:
-        return exact_det(self.gram)
 
     @property
     def disc(self) -> int:
@@ -79,13 +81,6 @@ class Lattice:
     def __repr__(self):
         label = self.name or f"rank {self.rank} lattice"
         return f"Lattice({label}, det={self.det})"
-
-
-def lattice_from_rational_gram(gram: Matrix, name: str | None = None) -> Lattice:
-    """Build a Lattice from a rational Gram matrix that must be integral and even."""
-    if not gram.is_integral:
-        raise ValueError("Gram matrix is not integral")
-    return Lattice(gram, name)
 
 
 _CARTAN_E8 = Matrix(
@@ -143,8 +138,8 @@ def make_standard(name: str) -> Lattice:
     if name == "A4(-5)":
         return Lattice(cartan_a(4).scale(-5), name)
     if name == "A4*(-5)":
-        dual = exact_inverse(cartan_a(4)).scale(-5)
-        return lattice_from_rational_gram(dual, name)
+        # the dual Gram matrix A4^-1 rescaled by -5 is integral, as det A4 = 5
+        return Lattice(solve(cartan_a(4), identity(4).scale(-5)), name)
     if name == "H5":
         return Lattice(Matrix([[2, 1], [1, -2]]), name)
     raise ValueError(f"unknown standard lattice name: {name!r}")
@@ -330,12 +325,16 @@ def discriminant_form(lat: Lattice) -> FiniteQuadraticForm:
     return fqf_from_generators(group.orders, q, b)
 
 
-def is_p_elementary(lat: Lattice, p: int) -> tuple[bool, int | None]:
-    """Whether D_L is (Z/p)^a; returns (flag, a) with a = 0 for unimodular."""
-    orders = discriminant_group(lat).orders
+def _p_elementary(orders, p: int) -> tuple[bool, int | None]:
+    """Whether the invariant factors ``orders`` give (Z/p)^a; returns (flag, a)."""
     if all(o == p for o in orders):
         return True, len(orders)
     return False, None
+
+
+def is_p_elementary(lat: Lattice, p: int) -> tuple[bool, int | None]:
+    """Whether D_L is (Z/p)^a; returns (flag, a) with a = 0 for unimodular."""
+    return _p_elementary(discriminant_group(lat).orders, p)
 
 
 @dataclass(frozen=True)
@@ -348,8 +347,6 @@ class Sublattice:
     def __post_init__(self):
         if self.basis.rows != self.ambient.rank:
             raise ValueError("basis rows must match ambient rank")
-        if not self.basis.is_integral:
-            raise ValueError("sublattice basis must be integral")
         # B^T B is nonsingular exactly when the columns of B are independent over Q
         if exact_det(self.basis.transpose() @ self.basis) == 0:
             raise ValueError("basis columns are dependent")

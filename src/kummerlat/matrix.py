@@ -1,35 +1,35 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Matrices are immutable, entries are Python ints or ``fractions.Fraction``,
-and every routine is exact.  Kernels and spans come from one integer row
-Hermite form, which is unique, so derived bases are reproducible across
-runs and platforms.  The Smith form is for callers that read invariant
-factors or the transform U; its pivoting rule is fixed and deterministic.
+Matrices are immutable and hold Python ints only, and every routine is
+exact.  Kernels and spans come from one integer row Hermite form, which is
+unique, so derived bases are reproducible across runs and platforms.
+``solve`` reads the integer solution of B X = Y off the same Hermite form.
+The Smith form is for callers that read invariant factors or the
+transform U; its pivoting rule is fixed and deterministic.
 
-The four integer kernels skip the work that zero entries and unit pivots
-make redundant: a product is a sum of row combinations over the nonzero
+The integer kernels skip the work that zero entries and unit pivots make
+redundant: a product is a sum of row combinations over the nonzero
 entries of the left factor, Bareiss elimination updates whole rows and
 only rescales a row with a zero in the pivot column, Hermite elimination
-rewrites one row when the pivot divides the entry it clears, and the
-Smith form ends its pivot search at an entry +-1 and skips the
-divisibility scan at a unit pivot.  None of these shortcuts changes an
-output.
+rewrites one row when the pivot divides the entry it clears, back
+substitution divides by no unit pivot, and the Smith form ends its pivot
+search at an entry +-1 and skips the divisibility scan at a unit pivot.
+None of these shortcuts changes an output.
 
-The determinant, the Smith and Hermite forms and the kernels accept
-integer matrices only.  Rational entries appear in overlattice bases and
-in ``exact_inverse``; the Fraction elimination that cross-checks the
-determinant is kept with the tests (``tests/matrix_reference.py``).
+Rational matrices appear nowhere: an overlattice basis is kept as the
+integer matrix den * B, whose scale cancels in B^-1 phi B, and the
+Fraction references that cross-check the determinant and the inverse are
+kept with the tests (``tests/matrix_reference.py``).
 
-Integrality is recorded once, when a matrix is built.  Sums, products,
-transposes and stacks of integer matrices, and the outputs of the Smith,
-Hermite and kernel routines, hold plain ints by construction, so they are
-built without normalizing their rows a second time; every other result
-goes through the public constructor.
+Entries are checked once, when a matrix is built by the public
+constructor.  Sums, products, transposes and stacks, and the outputs of
+the Smith, Hermite, kernel and solve routines, hold plain ints by
+construction, so they are built without checking their rows a second
+time.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
@@ -38,35 +38,29 @@ _INT_ONLY = frozenset({int})
 
 
 def _normalize_entry(x):
-    if isinstance(x, bool):
-        raise TypeError("matrix entries must be int or Fraction, got bool")
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return int(x)  # an int subclass such as IntEnum is stored as a plain int
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
-    raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
+    raise TypeError(f"matrix entries must be int, got {type(x).__name__}")
 
 
 class Matrix:
-    """Immutable rectangular matrix with exact entries.
+    """Immutable rectangular matrix of Python ints.
 
-    Entries with denominator 1 are normalized to int, and ``is_integral``
-    records at construction whether every entry is an int.  The private
-    ``_of_ints`` builds a matrix from rows that are plain ints already,
-    without normalizing them again.
+    An int subclass entry is stored as a plain int; a bool, Fraction, float
+    or any other entry raises TypeError.  The private ``_of_ints`` builds a
+    matrix from rows that are plain ints already, without checking them
+    again.
     """
 
-    __slots__ = ("data", "rows", "cols", "is_integral")
+    __slots__ = ("data", "rows", "cols")
 
     def __init__(self, rows: Iterable[Iterable], cols: int | None = None):
         data = []
-        integral = True
         for row in rows:
             row = tuple(row)
-            # a row of plain ints is kept as it is; any other row is normalized entry by entry
+            # a row of plain ints is kept as it is; any other row is checked entry by entry
             if not _INT_ONLY.issuperset(map(type, row)):
                 row = tuple(map(_normalize_entry, row))
-                integral = integral and _INT_ONLY.issuperset(map(type, row))
             data.append(row)
         if data:
             widths = set(map(len, data))
@@ -80,7 +74,6 @@ class Matrix:
         self.data = tuple(data)
         self.rows = len(data)
         self.cols = width
-        self.is_integral = integral
 
     @classmethod
     def _of_ints(cls, data: tuple, cols: int) -> "Matrix":
@@ -89,7 +82,6 @@ class Matrix:
         m.data = data
         m.rows = len(data)
         m.cols = cols
-        m.is_integral = True
         return m
 
     @property
@@ -108,14 +100,9 @@ class Matrix:
         i, j = ij
         return self.data[i][j]
 
-    def col(self, j):
-        return tuple(self.data[i][j] for i in range(self.rows))
-
     def transpose(self) -> "Matrix":
         data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
-        if self.is_integral:
-            return Matrix._of_ints(data, self.rows)
-        return Matrix(data, cols=self.rows)
+        return Matrix._of_ints(data, self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """Product as row combinations over the nonzero entries of ``self``.
@@ -141,10 +128,8 @@ class Matrix:
                     acc = list(map(sub, acc, orow))
                 else:
                     acc = [x + v * y for x, y in zip(acc, orow)]
-            out.append(acc)
-        if self.is_integral and other.is_integral:
-            return Matrix._of_ints(tuple(map(tuple, out)), other.cols)
-        return Matrix(out, cols=other.cols)
+            out.append(tuple(acc))
+        return Matrix._of_ints(tuple(out), other.cols)
 
     def apply(self, vec: Sequence):
         """Matrix times column vector, returned as a tuple."""
@@ -156,9 +141,7 @@ class Matrix:
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
         data = tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.data, other.data))
-        if self.is_integral and other.is_integral:
-            return Matrix._of_ints(data, self.cols)
-        return Matrix(data, cols=self.cols)
+        return Matrix._of_ints(data, self.cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._entrywise(add, other)
@@ -167,10 +150,7 @@ class Matrix:
         return self._entrywise(sub, other)
 
     def __neg__(self) -> "Matrix":
-        data = tuple(tuple(map(neg, row)) for row in self.data)
-        if self.is_integral:
-            return Matrix._of_ints(data, self.cols)
-        return Matrix(data, cols=self.cols)
+        return Matrix._of_ints(tuple(tuple(map(neg, row)) for row in self.data), self.cols)
 
     def scale(self, k) -> "Matrix":
         return Matrix([[k * x for x in row] for row in self.data], cols=self.cols)
@@ -187,9 +167,6 @@ class Matrix:
             if bit == "1":
                 result = result @ self
         return result
-
-    def map(self, f) -> "Matrix":
-        return Matrix([[f(x) for x in row] for row in self.data], cols=self.cols)
 
     def to_lists(self):
         return [list(row) for row in self.data]
@@ -217,10 +194,7 @@ def zeros(rows: int, cols: int) -> Matrix:
 def hstack(a: Matrix, b: Matrix) -> Matrix:
     if a.rows != b.rows:
         raise ValueError("row count mismatch")
-    data = tuple(ra + rb for ra, rb in zip(a.data, b.data))
-    if a.is_integral and b.is_integral:
-        return Matrix._of_ints(data, a.cols + b.cols)
-    return Matrix(data, cols=a.cols + b.cols)
+    return Matrix._of_ints(tuple(ra + rb for ra, rb in zip(a.data, b.data)), a.cols + b.cols)
 
 
 def block_diag(*mats: Matrix) -> Matrix:
@@ -231,9 +205,7 @@ def block_diag(*mats: Matrix) -> Matrix:
         left, right = (0,) * c0, (0,) * (cols - c0 - m.cols)
         data += [left + row + right for row in m.data]
         c0 += m.cols
-    if all(m.is_integral for m in mats):
-        return Matrix._of_ints(tuple(data), cols)
-    return Matrix(data, cols=cols)
+    return Matrix._of_ints(tuple(data), cols)
 
 
 def _xgcd(a: int, b: int):
@@ -252,8 +224,6 @@ def exact_det(m: Matrix) -> int:
     """Exact determinant of an integer matrix, by Bareiss elimination."""
     if not m.is_square:
         raise ValueError("determinant needs a square matrix")
-    if not m.is_integral:
-        raise ValueError("determinant requires integer entries")
     if m.rows == 0:
         return 1
     return _det_bareiss(m)
@@ -293,27 +263,6 @@ def _det_bareiss(m: Matrix) -> int:
     return sign * a[0][0]
 
 
-def exact_inverse(m: Matrix) -> Matrix:
-    """Exact inverse over the rationals (entries normalized to int when possible)."""
-    if not m.is_square:
-        raise ValueError("inverse needs a square matrix")
-    n = m.rows
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m.data)]
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        a[k], a[pivot] = a[pivot], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return Matrix([row[n:] for row in a])
-
-
 def smith_normal_form(m: Matrix):
     """Return (U, D, V) with U @ m @ V = D.
 
@@ -324,8 +273,6 @@ def smith_normal_form(m: Matrix):
     the remaining block, since 1 divides every entry.
     """
     rows, cols = m.rows, m.cols
-    if not m.is_integral:
-        raise ValueError("Smith normal form requires integer entries")
     a = [list(r) for r in m.data]
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
     v = [[int(i == j) for j in range(cols)] for i in range(cols)]
@@ -470,8 +417,6 @@ def row_hermite(m: Matrix) -> Matrix:
     [0, pivot), and pivot columns strictly increase down the rows.  The
     output depends only on the row span of the input.
     """
-    if not m.is_integral:
-        raise ValueError("Hermite normal form requires integer entries")
     a = [list(r) for r in m.data]
     rank = _hermite_rows(a, m.cols)
     return Matrix._of_ints(tuple(map(tuple, a[:rank])), m.cols)
@@ -480,6 +425,44 @@ def row_hermite(m: Matrix) -> Matrix:
 def column_hermite_basis(m: Matrix) -> Matrix:
     """Canonical basis (as columns) of the column span of an integer matrix."""
     return row_hermite(m.transpose()).transpose()
+
+
+def solve(b: Matrix, y: Matrix, not_integral: str = "solution is not integral") -> Matrix:
+    """The integer matrix X with B X = Y, for a square nonsingular B.
+
+    The row Hermite form of [B | Y] is [H | U Y] with H = U B upper
+    triangular and U unimodular, so X solves H X = U Y and is found by back
+    substitution with exact integer division; a unit pivot divides nothing.
+    A singular B leaves H with a zero on its diagonal ("matrix is
+    singular"), and a nonzero remainder means that X is not integral, which
+    raises ValueError(not_integral).  (Cohen, A Course in Computational
+    Algebraic Number Theory, GTM 138, section 2.4.)
+    """
+    n = b.rows
+    if not b.is_square or y.rows != n:
+        raise ValueError(f"solve needs a square B and Y with as many rows, got {b.shape}, {y.shape}")
+    hermite = row_hermite(hstack(b, y)).data
+    if len(hermite) < n or not all(hermite[i][i] for i in range(n)):
+        raise ValueError("matrix is singular")
+    x = [None] * n
+    for i in reversed(range(n)):
+        h = hermite[i]
+        acc = h[n:]
+        for k in range(i + 1, n):
+            c = h[k]
+            if c:
+                acc = [s - c * t for s, t in zip(acc, x[k])]
+        pivot = h[i]
+        if pivot != 1:
+            row = []
+            for s in acc:
+                q, r = divmod(s, pivot)
+                if r:
+                    raise ValueError(not_integral)
+                row.append(q)
+            acc = row
+        x[i] = tuple(acc)
+    return Matrix._of_ints(tuple(x), y.cols)
 
 
 def integer_kernel(m: Matrix) -> Matrix:
@@ -493,8 +476,6 @@ def integer_kernel(m: Matrix) -> Matrix:
     returned transposed.  The kernel of an integer matrix is saturated, so
     the columns always extend to a basis of Z^cols.
     """
-    if not m.is_integral:
-        raise ValueError("Hermite normal form requires integer entries")
     rows, cols = m.rows, m.cols
     left = zip(*m.data) if rows else [()] * cols
     a = [[*col, *unit] for col, unit in zip(left, identity(cols).data)]

@@ -7,9 +7,12 @@ when the pivot divides the entry it clears; the Smith form scans the
 whole remaining block for the smallest pivot and for divisibility at
 every pivot, 1 included.  The library must give identical outputs.
 
-The determinant reference is Gaussian elimination over ``Fraction``, which
-also takes rational matrices; the library's Bareiss determinant takes
-integer matrices only.  ``saturate_columns`` checks that a basis is
+The rational references work on lists of rows of ints or ``Fraction``s,
+since ``Matrix`` holds ints only: the determinant by Gaussian elimination,
+the inverse by Gauss-Jordan elimination and the product, with
+``integral_matrix`` to bring a rational result that must be integral back
+to a ``Matrix``.  They cross-check the library's Bareiss determinant and
+its Hermite-form ``solve``.  ``saturate_columns`` checks that a basis is
 primitive.
 """
 
@@ -32,10 +35,10 @@ def dense_product(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def det_fraction(m: Matrix) -> Fraction:
-    """Determinant by Gaussian elimination over the rationals."""
-    a = [[Fraction(x) for x in row] for row in m.data]
-    n = m.rows
+def det_fraction(rows) -> Fraction:
+    """Determinant of the square matrix with the given rows, over the rationals."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
     det = Fraction(1)
     for k in range(n):
         pivot = next((i for i in range(k, n) if a[i][k]), None)
@@ -51,6 +54,41 @@ def det_fraction(m: Matrix) -> Fraction:
                 f = a[i][k] * inv
                 a[i] = [x - f * y for x, y in zip(a[i], a[k])]
     return det
+
+
+def fraction_product(a, b) -> list[list[Fraction]]:
+    """The product of the matrices with rows ``a`` and ``b``, over the rationals."""
+    bt = list(zip(*b))
+    return [[sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
+
+
+def fraction_inverse(rows) -> list[list[Fraction]]:
+    """Inverse of the square matrix with the given rows, by Gauss-Jordan elimination."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("inverse needs a square matrix")
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        a[k], a[pivot] = a[pivot], a[k]
+        inv = 1 / a[k][k]
+        a[k] = [x * inv for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k]:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return [row[n:] for row in a]
+
+
+def integral_matrix(rows, message: str = "matrix is not integral") -> Matrix:
+    """The Matrix of rational rows whose entries must all be integers, else ValueError(message)."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    if any(x.denominator != 1 for row in rows for x in row):
+        raise ValueError(message)
+    return Matrix([[int(x) for x in row] for row in rows])
 
 
 def xgcd_hermite_rows(a: list, cols: int) -> int:
@@ -114,8 +152,6 @@ def smith_normal_form(m: Matrix):
     entries of the remaining block, ties broken by lowest row, then column.
     """
     rows, cols = m.rows, m.cols
-    if not m.is_integral:
-        raise ValueError("Smith normal form requires integer entries")
     a = [list(r) for r in m.data]
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
     v = [[int(i == j) for j in range(cols)] for i in range(cols)]

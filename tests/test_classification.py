@@ -99,3 +99,21 @@ def test_44_row_presentation_probe():
     assert signature(l1) == signature(l2)
     assert l1.det == l2.det
     assert fqf_isomorphic(discriminant_form(l1), discriminant_form(l2))
+
+
+def test_verify_all_takes_one_smith_form_per_lattice(monkeypatch):
+    # one Smith form for S and one for T per row, plus one for the (5, 3) complement
+    import kummerlat.lattices as lattices
+
+    calls = []
+    real = lattices.smith_normal_form
+
+    def counted(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(lattices, "smith_normal_form", counted)
+    rows = table_rows()
+    assert not calls
+    assert verify_all(rows).passed
+    assert len(calls) == 2 * len(rows) + 1 == 17

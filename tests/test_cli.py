@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -6,6 +8,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kummerlat.cli import (
     EXIT_INPUT_ERROR,
@@ -54,6 +58,33 @@ def test_lattice_info_unimodular(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "|det|: 1" in out
     assert "discriminant group: trivial" in out
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_lattice_info_takes_one_smith_form(tmp_path, capsys, monkeypatch, flags):
+    # the discriminant form carries the group orders and the p-elementary flags,
+    # and text mode prints from the payload the JSON mode dumps
+    import kummerlat.lattices as lattices
+
+    calls = []
+    real = lattices.smith_normal_form
+
+    def counted(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(lattices, "smith_normal_form", counted)
+    path = _write(tmp_path, "t.json", {"gram": [[0, 5, 0], [5, 0, 0], [0, 0, -10]]})
+    assert main(["lattice", "info", path] + flags) == EXIT_OK
+    assert calls == [(3, 3)]
+    out = capsys.readouterr().out
+    if flags:
+        payload = json.loads(out)
+        assert payload["discriminant_group"] == [5, 5, 10]
+        assert payload["p_elementary"]["5"] == {"elementary": False, "a": None}
+    else:
+        assert "discriminant group: Z/5 + Z/5 + Z/10" in out
+        assert "p-elementary p=5: no" in out
 
 
 def test_lattice_info_rejects_asymmetric(tmp_path, capsys):
@@ -373,3 +404,71 @@ def test_pool_check_failing_check_exit_code(monkeypatch, capsys):
     assert [line.partition(":")[0] for line in lines[:-1]] == [f"FAIL {e.name}" for e in odd]
     assert all("['square']" in line for line in lines[:-1])
     assert lines[-1] == f"pool size: {len(base_pool())}, failures: {len(odd)}"
+
+
+# --- fuzzed job files: any JSON value exits 0, 1 or 2, and an input error is one line ---
+
+_ENTRIES = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+    st.lists(st.integers(min_value=-2, max_value=2), max_size=2),
+)
+_SQUARE = st.integers(min_value=0, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+# A + A^T is symmetric with an even diagonal, so it reaches the lattice checks past the shape
+_SYMMETRIC_EVEN = _SQUARE.map(lambda a: [[x + y for x, y in zip(r, c)] for r, c in zip(a, zip(*a))])
+_MATRICES = st.one_of(_SQUARE, _SYMMETRIC_EVEN, st.lists(st.lists(_ENTRIES, max_size=4), max_size=4), _ENTRIES)
+_SCALARS = st.one_of(st.integers(min_value=-2, max_value=8), _ENTRIES)
+_FIELDS = {
+    "gram": _MATRICES,
+    "name": st.one_of(st.text(max_size=3), _ENTRIES),
+    "matrix": _MATRICES,
+    "p": _SCALARS,
+    "H": _MATRICES,
+    "b": st.one_of(st.lists(_SCALARS, max_size=5), _ENTRIES),
+    "n": _SCALARS,
+}
+_WELL_FORMED = {
+    "lattice": [H5, {"gram": [[0, 5, 0], [5, 0, 0], [0, 0, -10]]}],
+    "isometry": [{"gram": A4M_GRAM, "matrix": C5, "p": 5},
+                 {"gram": [[0, 1], [1, 0]], "matrix": [[-1, 0], [0, -1]], "p": 2}],
+    "kummer": [{"H": C5, "b": [1, 0, 2, 0], "n": 3}, {"H": ID4, "b": [0, 0, 0, 0], "n": 2}],
+}
+_ARGV = {"lattice": ["lattice", "info"], "isometry": ["isometry", "check"], "kummer": ["kummer", "--job"]}
+
+
+def _jobs(command):
+    """A well-formed job with each field kept or fuzzed, or any subset of fuzzed fields."""
+    mutated = st.sampled_from(_WELL_FORMED[command]).flatmap(lambda job: st.fixed_dictionaries(
+        {key: st.one_of(st.just(value), st.just(value), _FIELDS[key]) for key, value in job.items()}))
+    fields = {key: _FIELDS[key] for key in _WELL_FORMED[command][0]}
+    return st.one_of(mutated, st.fixed_dictionaries({}, optional=fields))
+
+
+@pytest.mark.parametrize("command", sorted(_ARGV))
+def test_fuzzed_job_files_exit_cleanly(tmp_path_factory, command):
+    path = tmp_path_factory.mktemp(command) / "job.json"
+
+    @settings(max_examples=150, deadline=None)
+    @given(job=_jobs(command), as_json=st.booleans())
+    def check(job, as_json):
+        path.write_text(json.dumps(job), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(_ARGV[command] + [str(path)] + (["--json"] if as_json else []))
+        assert time.perf_counter() - start < 5, job
+        assert code in (EXIT_OK, EXIT_VERIFICATION_FAILED, EXIT_INPUT_ERROR), job
+        if code == EXIT_INPUT_ERROR:
+            assert out.getvalue() == "", job
+            assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: "), job
+            assert "Traceback" not in err.getvalue(), job
+        else:
+            assert err.getvalue() == "", job
+
+    check()

@@ -23,13 +23,12 @@ from kummerlat.lattices import (
     group_signature,
     is_p_elementary,
     lattice_from_dict,
-    lattice_from_rational_gram,
     make_standard,
     orthogonal_complement,
     p_primary_part,
     signature,
 )
-from kummerlat.matrix import Matrix, exact_det, exact_inverse
+from kummerlat.matrix import Matrix, exact_det, identity, solve
 from kummerlat.pool import random_unimodular
 from matrix_reference import saturate_columns
 
@@ -64,6 +63,26 @@ def test_lattice_validation():
         Lattice(Matrix([[2, 2], [2, 2]]))  # degenerate
 
 
+def test_lattice_det_is_computed_once(monkeypatch):
+    # the nondegeneracy check computes det; reading it later computes nothing
+    calls = []
+    real = lattices.exact_det
+
+    def counted(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(lattices, "exact_det", counted)
+    lat = Lattice(E8M.gram, "E8(-1)")
+    assert calls == [(8, 8)]
+    assert (lat.det, lat.disc, lat.is_unimodular) == (1, 1, True) and lat.det == 1
+    assert repr(lat) == "Lattice(E8(-1), det=1)"
+    assert len(calls) == 1
+    # det takes no part in equality and hashing
+    assert lat == E8M and hash(lat) == hash(E8M)
+    assert Lattice(Matrix([])).det == 1
+
+
 def test_direct_sum():
     s = direct_sum(U, H5)
     assert s.rank == 4
@@ -82,8 +101,8 @@ def test_rescale():
     assert make_standard("A4*(-5)").gram == Matrix(
         [[-4, -3, -2, -1], [-3, -6, -4, -2], [-2, -4, -6, -3], [-1, -2, -3, -4]]
     )
-    with pytest.raises(ValueError):
-        lattice_from_rational_gram(exact_inverse(H5.gram))  # dual Gram has denominator 5
+    with pytest.raises(ValueError, match="^solution is not integral$"):
+        solve(H5.gram, identity(2))  # the dual Gram matrix H5^-1 has denominator 5
 
 
 def test_signatures():

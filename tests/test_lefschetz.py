@@ -22,7 +22,7 @@ from kummerlat.lefschetz import (
     run_catalog_table,
     torus_automorphism,
 )
-from kummerlat.matrix import Matrix, block_diag, exact_det, exact_inverse, identity
+from kummerlat.matrix import Matrix, block_diag, exact_det, identity
 from kummerlat.pool import random_unimodular
 from kummerlat.series import LaurentPoly
 from lefschetz_reference import (
@@ -34,6 +34,7 @@ from lefschetz_reference import (
     fixed_characters,
     generating_series,
 )
+from matrix_reference import fraction_inverse, fraction_product, integral_matrix
 
 
 def test_exterior_powers():
@@ -350,10 +351,11 @@ def test_values_are_basis_independent():
         base = lefschetz_q(aut).value
         for _ in range(4):
             p = random_unimodular(rng, 4)
-            p_inv = exact_inverse(p)
-            h2 = (p_inv @ aut.matrix @ p).map(int)
+            p_inv = fraction_inverse(p.data)
+            h2 = integral_matrix(fraction_product(fraction_product(p_inv, aut.matrix.data), p.data))
             # translation transforms by the inverse basis change
-            b2 = tuple(int(x) % 3 for x in p_inv.apply(aut.translation))
+            b2 = integral_matrix(fraction_product(p_inv, [[x] for x in aut.translation]))
+            b2 = tuple(row[0] % 3 for row in b2.data)
             value = lefschetz_q(torus_automorphism(h2, b2, 3)).value
             assert value == base
 

@@ -13,12 +13,12 @@ from kummerlat.matrix import (
     block_diag,
     column_hermite_basis,
     exact_det,
-    exact_inverse,
     hstack,
     identity,
     integer_kernel,
     row_hermite,
     smith_normal_form,
+    solve,
     zeros,
 )
 from isometry_reference import smith_kernel
@@ -107,20 +107,53 @@ def test_hermite_kernel_deterministic():
     assert column_hermite_basis(Matrix([[-1, 0], [1, 0]])) == Matrix([[1], [-1]])
 
 
-def test_exact_inverse_and_det():
+def test_solve_and_det():
     m = Matrix([[2, 1], [1, -2]])
-    inv = exact_inverse(m)
-    assert m @ inv == identity(2)
-    assert inv[0, 0] == Fraction(2, 5)
-    with pytest.raises(ValueError):
-        exact_inverse(Matrix([[1, 1], [1, 1]]))
+    assert exact_det(m) == -5
+    # 5 m^-1 is integral, m^-1 is not
+    five_inverse = solve(m, identity(2).scale(5))
+    assert m @ five_inverse == identity(2).scale(5) and five_inverse[0, 0] == 2
+    with pytest.raises(ValueError, match="^solution is not integral$"):
+        solve(m, identity(2))
+    with pytest.raises(ValueError, match="^no preserved lattice$"):
+        solve(m, identity(2), "no preserved lattice")
+    with pytest.raises(ValueError, match="^matrix is singular$"):
+        solve(Matrix([[1, 1], [1, 1]]), identity(2))
+    for b, y in ((Matrix([[1, 2]]), identity(1)), (identity(2), identity(3))):
+        with pytest.raises(ValueError, match="^solve needs a square B"):
+            solve(b, y)
+    assert solve(identity(0), zeros(0, 3)).shape == (0, 3)
 
 
-def test_exact_det_rejects_rational_entries():
-    m = Matrix([[2, Fraction(1, 2)], [1, 3]])
-    assert ref.det_fraction(m) == Fraction(11, 2)
-    with pytest.raises(ValueError, match="^determinant requires integer entries$"):
-        exact_det(m)
+def _solve_outcome(b, y):
+    try:
+        return solve(b, y)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_solve_matches_fraction_inverse():
+    # B X = Y against the Gauss-Jordan inverse over the rationals: the same
+    # integer X, or the same refusal (singular B, or no integral X)
+    rng = random.Random(20260814)
+    outcomes = set()
+    for n in range(1, 7):
+        for k in range(4):
+            for density in DENSITIES[1:]:
+                b = _sparse_matrix(rng, n, n, density, (1, -1, 2, -3, 4))
+                x = _sparse_matrix(rng, n, k, density)
+                for y in (b @ x, _sparse_matrix(rng, n, k, density)):
+                    try:
+                        expected = ref.integral_matrix(
+                            ref.fraction_product(ref.fraction_inverse(b.data), y.data),
+                            "solution is not integral",
+                        )
+                    except ValueError as exc:
+                        expected = str(exc)
+                    got = _solve_outcome(b, y)
+                    assert got == expected, (b, y)
+                    outcomes.add(got if isinstance(got, str) else "integral")
+    assert outcomes == {"integral", "matrix is singular", "solution is not integral"}
 
 
 def test_empty_shapes():
@@ -132,15 +165,19 @@ def test_empty_shapes():
 
 
 def test_entry_normalization():
-    # rows of plain ints are kept; any other row is normalized entry by entry
+    # rows of plain ints are kept; any other row is checked entry by entry
     assert Matrix(iter([iter([1, -2]), (3, 4)])).data == ((1, -2), (3, 4))
-    m = Matrix([[Fraction(4, 2), 1], [Fraction(1, 2), 0]])
-    assert type(m[0, 0]) is int and m[0, 0] == 2 and m[1, 0] == Fraction(1, 2)
-    assert not m.is_integral
-    assert (m @ Matrix([[0], [2]])).data == ((2,), (0,))
-    for bad in ([[1, True]], [[False]], [[1, 2.0]], [["1"]]):
+    for bad in ([[1, True]], [[False]], [[1, 2.0]], [["1"]], [[1, None]], [[[1]]]):
         with pytest.raises(TypeError):
             Matrix(bad)
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2), 1.0, True],
+                         ids=["half", "two", "float", "bool"])
+def test_matrix_rejects_non_int_entries(entry):
+    name = type(entry).__name__
+    with pytest.raises(TypeError, match=f"^matrix entries must be int, got {name}$"):
+        Matrix([[1, 0], [0, entry]])
 
 
 def test_int_subclass_entries_are_stored_as_int():
@@ -149,11 +186,9 @@ def test_int_subclass_entries_are_stored_as_int():
     class Two(IntEnum):
         TWO = 2
 
-    m = Matrix([[Two.TWO, 1], [0, Fraction(4, 2)]])
+    m = Matrix([[Two.TWO, 1], [0, Two.TWO]])
     assert [type(x) for row in m.data for x in row] == [int] * 4
-    assert m.data == ((2, 1), (0, 2)) and m.is_integral
-    assert Matrix([[Fraction(4, 2)]]).is_integral
-    assert not Matrix([[1], [Fraction(1, 2)]]).is_integral
+    assert m.data == ((2, 1), (0, 2))
 
 
 def test_unimodular_check():
@@ -187,7 +222,7 @@ def test_power_matches_repeated_products():
     mats = [
         Matrix([[0, -1], [1, -1]]),  # order 3
         Matrix([[1, 1], [0, 1]]),  # unipotent: entries grow linearly
-        Matrix([[Fraction(1, 2), 1], [0, 3]]),
+        Matrix([[2, 1], [0, 3]]),
         _random_matrix(rng, 3, 3, 2),
         identity(0),
     ]
@@ -209,7 +244,7 @@ def test_matrix_construction_checks():
         Matrix([[1, 2]], cols=3)
     assert Matrix([], cols=4).shape == (0, 4)
     assert Matrix([[]]).shape == (1, 0)
-    assert Matrix([[1, 2], [2, Fraction(1, 2)]]).is_symmetric
+    assert Matrix([[1, 2], [2, 5]]).is_symmetric
     assert Matrix([]).is_symmetric
     assert not Matrix([[0, 1], [2, 0]]).is_symmetric
     assert not Matrix([[1, 2]]).is_symmetric
@@ -248,22 +283,6 @@ def test_product_matches_dense_reference():
         identity(2) @ zeros(3, 1)
 
 
-def test_fraction_product_matches_dense_reference():
-    rng = random.Random(20260809)
-    for n in range(1, 9):
-        for density in DENSITIES:
-            x = _sparse_matrix(rng, n, n, density)
-            y = _sparse_matrix(rng, n, n, density)
-            # halves times even entries: every entry normalizes to int
-            a, b = x.scale(Fraction(1, 2)), y.scale(2)
-            ab = a @ b
-            assert _identical(ab, ref.dense_product(a, b)) and ab.is_integral
-            assert ab == x @ y
-            c = x.map(lambda v: Fraction(v, rng.choice((1, 2, 3, 6))))
-            assert _identical(c @ y, ref.dense_product(c, y))
-            assert _identical(y @ c, ref.dense_product(y, c))
-
-
 def test_bareiss_matches_fraction_elimination():
     cases = [
         Matrix([[1, 2, 3], [0, 4, 5], [6, 7, 8]]),  # zero lead, a_kk == prev: row kept
@@ -285,7 +304,7 @@ def test_bareiss_matches_fraction_elimination():
             cases.append(_sparse_matrix(rng, n, inner, 0.5) @ _sparse_matrix(rng, inner, n, 0.5))
     for m in cases:
         det = _det_bareiss(m)
-        assert type(det) is int and det == ref.det_fraction(m), m
+        assert type(det) is int and det == ref.det_fraction(m.data), m
         assert exact_det(m) == det
 
 
@@ -316,28 +335,13 @@ def test_smith_form_matches_reference():
         assert all(map(_identical, ours, theirs)), m
 
 
-# --- integrality recorded at construction: the integer path against the public constructor ---
-
-
-def _fraction_matrix(rng, rows, cols):
-    # denominators 1 and 2 give integral Fractions (stored as int) next to halves
-    return Matrix(
-        [[Fraction(rng.choice(SMALL_ENTRIES + (0, 0)), rng.choice((1, 2))) for _ in range(cols)]
-         for _ in range(rows)],
-        cols=cols,
-    )
-
-
-def _halves(rng, rows, cols):
-    # every entry a half: a product with an even integer matrix is integral
-    return Matrix([[Fraction(rng.choice((1, -1, 3)), 2) for _ in range(cols)] for _ in range(rows)],
-                  cols=cols)
+# --- entries checked at construction: the integer path against the public constructor ---
 
 
 def _operands(rng, rows, cols):
-    """Integer, Fraction and all-halves matrices of one shape."""
+    """Sparse integer matrices of one shape, with small and with large entries."""
     return [_sparse_matrix(rng, rows, cols, 0.6), _sparse_matrix(rng, rows, cols, 0.6, (2, -4, 6)),
-            _fraction_matrix(rng, rows, cols), _halves(rng, rows, cols)]
+            _sparse_matrix(rng, rows, cols, 0.6, LARGE_ENTRIES)]
 
 
 def _public_transpose(m):
@@ -360,11 +364,11 @@ def _public_block_diag(*mats):
 
 def _check_built(m, expected):
     """``m`` equals ``expected``, built by the public constructor, in entries, types and shape;
-    so does ``m`` rebuilt from its own data, and ``is_integral`` is a fresh scan of the entries."""
+    so does ``m`` rebuilt from its own data, and every entry is a plain int."""
     assert _identical(m, expected), (m, expected)
     assert m.shape == expected.shape
     assert _identical(m, Matrix(m.data, cols=m.cols))
-    assert m.is_integral == all(type(x) is int for row in m.data for x in row) == expected.is_integral
+    assert all(type(x) is int for row in m.data for x in row)
 
 
 def test_integer_results_match_the_public_constructor():
@@ -374,7 +378,7 @@ def test_integer_results_match_the_public_constructor():
         for a in same_shape:
             _check_built(-a, Matrix([[-x for x in row] for row in a.data], cols=cols))
             _check_built(a.transpose(), _public_transpose(a))
-            for k in (3, Fraction(1, 2), Fraction(2)):
+            for k in (3, -1, 0):
                 _check_built(a.scale(k), Matrix([[k * x for x in row] for row in a.data], cols=cols))
             for b in same_shape:
                 _check_built(a + b, Matrix([[x + y for x, y in zip(r, s)]
@@ -389,15 +393,10 @@ def test_integer_results_match_the_public_constructor():
                                                       cols=cols + inner))
                     for c in _operands(rng, inner, rows):
                         _check_built(block_diag(a, b, c), _public_block_diag(a, b, c))
-            if a.is_integral:
-                for ours, theirs in zip(smith_normal_form(a), ref.smith_normal_form(a)):
-                    _check_built(ours, theirs)
-                _check_built(row_hermite(a), ref.row_hermite(a))
-                _check_built(integer_kernel(a), ref.integer_kernel(a))
-            else:
-                for kernel in (smith_normal_form, row_hermite, integer_kernel):
-                    with pytest.raises(ValueError, match="integer entries"):
-                        kernel(a)
+            for ours, theirs in zip(smith_normal_form(a), ref.smith_normal_form(a)):
+                _check_built(ours, theirs)
+            _check_built(row_hermite(a), ref.row_hermite(a))
+            _check_built(integer_kernel(a), ref.integer_kernel(a))
     _check_built(block_diag(), Matrix([]))
 
 
