@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import classification
 from .isometries import (
@@ -67,10 +66,6 @@ def _list_field(job: dict, key: str, of_lists: bool = True) -> list:
     return value
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def cmd_lattice_info(args) -> int:
     lat = lattice_from_dict(_load_json(args.file))
     form = discriminant_form(lat)  # its generator orders are the invariant factors of D_L
@@ -81,7 +76,7 @@ def cmd_lattice_info(args) -> int:
         "det": lat.det,
         "disc": lat.disc,
         "discriminant_group": list(form.orders),
-        "discriminant_form_q": [_frac_str(q) for q in form.q_values],
+        "discriminant_form_q": [str(q) for q in form.q_values],
         "p_elementary": {
             str(p): {"elementary": flag, "a": a}
             for p, (flag, a) in ((p, _p_elementary(form.orders, p)) for p in ELEMENTARY_PRIMES)

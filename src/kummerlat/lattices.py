@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm, prod
-from operator import mul
 
+from .cyclotomic import factorize
 from .matrix import (
     Matrix,
     block_diag,
@@ -69,14 +69,6 @@ class Lattice:
     @property
     def is_unimodular(self) -> bool:
         return self.disc == 1
-
-    def pairing(self, x, y):
-        return sum(
-            xi * self.gram.data[i][j] * yj
-            for i, xi in enumerate(x)
-            for j, yj in enumerate(y)
-            if xi and self.gram.data[i][j] and yj
-        )
 
     def __repr__(self):
         label = self.name or f"rank {self.rank} lattice"
@@ -230,21 +222,23 @@ class DiscriminantGroup:
         return not self.orders
 
 
-def discriminant_group(lat: Lattice) -> DiscriminantGroup:
-    """Invariant factors and dual-vector generators of the discriminant group.
+def _smith_generators(lat: Lattice) -> tuple[list[int], Matrix]:
+    """The invariant factors d_j > 1 of G and, as columns, the v_j of U G V = D (Smith form).
 
-    With U G V = D in Smith form, the class of column j of V divided by d_j
-    generates a cyclic factor of order d_j.
+    The class of v_j / d_j generates a cyclic factor of order d_j of D_L.
     """
     _, d, v = smith_normal_form(lat.gram)
-    orders = []
-    gens = []
-    for j in range(lat.rank):
-        dj = d.data[j][j]
-        if dj > 1:
-            orders.append(dj)
-            gens.append(tuple(Fraction(v.data[i][j], dj) for i in range(lat.rank)))
-    return DiscriminantGroup(tuple(orders), tuple(gens))
+    picked = [j for j in range(lat.rank) if d.data[j][j] > 1]
+    columns = tuple(tuple(row[j] for j in picked) for row in v.data)
+    return [d.data[j][j] for j in picked], Matrix._of_ints(columns, len(picked))
+
+
+def discriminant_group(lat: Lattice) -> DiscriminantGroup:
+    """Invariant factors and dual-vector generators v_j / d_j of the discriminant group."""
+    orders, v = _smith_generators(lat)
+    gens = tuple(tuple(Fraction(x, d) for x in column)
+                 for d, column in zip(orders, v.transpose().data))
+    return DiscriminantGroup(tuple(orders), gens)
 
 
 @dataclass(frozen=True)
@@ -316,13 +310,18 @@ def fqf_direct_sum(a: FiniteQuadraticForm, b: FiniteQuadraticForm) -> FiniteQuad
 
 
 def discriminant_form(lat: Lattice) -> FiniteQuadraticForm:
-    """The discriminant quadratic form of an even lattice."""
-    group = discriminant_group(lat)
-    gens = group.generators
-    k = len(gens)
-    q = [lat.pairing(g, g) % 2 for g in gens]
-    b = [[lat.pairing(gens[i], gens[j]) % 1 for j in range(k)] for i in range(k)]
-    return fqf_from_generators(group.orders, q, b)
+    """The discriminant quadratic form of an even lattice.
+
+    The generators g_i = v_i / d_i of ``discriminant_group`` pair to
+    W_ij / (d_i d_j), with W = V^T G V the integer Gram matrix of the Smith
+    columns v_i; so q_i = W_ii / d_i^2 mod 2 and b_ij = W_ij / (d_i d_j)
+    mod 1, read off one integer product.
+    """
+    orders, v = _smith_generators(lat)
+    w = (v.transpose() @ lat.gram @ v).data
+    q = [Fraction(w[i][i], d * d) for i, d in enumerate(orders)]
+    b = [[Fraction(x, d * e) for x, e in zip(row, orders)] for row, d in zip(w, orders)]
+    return fqf_from_generators(orders, q, b)
 
 
 def _p_elementary(orders, p: int) -> tuple[bool, int | None]:
@@ -370,41 +369,19 @@ def orthogonal_complement(sub: Sublattice) -> Sublattice:
 # finite quadratic form isomorphism
 
 
-def _padic_valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def _prime_factors(n: int):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def group_signature(orders) -> dict[int, tuple[int, ...]]:
     """Multiset of prime power exponents per prime; classifies the abelian group."""
     sig: dict[int, list[int]] = {}
     for o in orders:
-        for p in _prime_factors(o):
-            sig.setdefault(p, []).append(_padic_valuation(o, p))
+        for p, v in factorize(o).items():
+            sig.setdefault(p, []).append(v)
     return {p: tuple(sorted(v)) for p, v in sig.items()}
 
 
 def p_primary_part(form: FiniteQuadraticForm, p: int) -> FiniteQuadraticForm:
     """Restriction of the form to the p-primary component of the group."""
     idx = [i for i, o in enumerate(form.orders) if o % p == 0]
-    vals = [_padic_valuation(form.orders[i], p) for i in idx]
+    vals = [factorize(form.orders[i])[p] for i in idx]
     cof = [form.orders[i] // p ** v for i, v in zip(idx, vals)]
     order_key = sorted(range(len(idx)), key=lambda t: (p ** vals[t], idx[t]))
     idx = [idx[t] for t in order_key]
@@ -457,26 +434,6 @@ def _descends(orders, qs, bm, m) -> bool:
     )
 
 
-def _det_mod_p(rows, p) -> int:
-    a = [[x % p for x in row] for row in rows]
-    n = len(a)
-    det = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] % p), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det = (det * a[k][k]) % p
-        inv = pow(a[k][k], -1, p)
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = (a[i][k] * inv) % p
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
-    return det % p
-
-
 def _extend(chosen, domains, b1, m: int, p: int) -> bool:
     """Search images for generators i = len(chosen), i + 1, ... with forward checking.
 
@@ -487,12 +444,12 @@ def _extend(chosen, domains, b1, m: int, p: int) -> bool:
     """
     i = len(chosen)
     if not domains:
-        return _det_mod_p([list(e) for e in zip(*chosen)], p) != 0
+        return exact_det(Matrix(chosen)) % p != 0  # the images generate
     for e, w in domains[0]:
         narrowed = []
         for t, dom in enumerate(domains[1:], i + 1):
             target = b1[t][i]
-            keep = [c for c in dom if sum(map(mul, c[0], w)) % m == target]
+            keep = [c for c in dom if sum([x * y for x, y in zip(c[0], w)]) % m == target]
             if not keep:
                 break
             narrowed.append(keep)

@@ -45,19 +45,24 @@ over Z only:
   coefficients (never an evaluation at q = 1, where L(psi, q) often
   vanishes).
 
-Two runtime guards remain: every division in Newton's identities and in
-the exponential recurrences must be exact ("integrality violated"), and
-the division by L(psi, q) must leave no remainder ("division identity
-violated").  The quotient has integer coefficients and its value at q = 1
-is the integer Lefschetz number; the q-free corollary is an integer too.
+Three runtime guards remain: every division in Newton's identities and in
+the exponential recurrences must be exact ("integrality violated"), the
+division by L(psi, q) must leave no remainder ("division identity
+violated"), and for det h = 1 the quotient must be palindromic ("Poincaré
+duality violated").  The quotient has integer coefficients and its value
+at q = 1 is the integer Lefschetz number; the q-free corollary is an
+integer too.
 
-c = det(1 - x Psi) is kept in a bounded memo per matrix (``_charpoly``),
-which ``lefschetz_poly_surface`` and the power sums read.  Everything that
+c = det(1 - x Psi) comes from the traces tr h^k (k = 1..4) by Newton's
+identities, the same ``_elementary`` that fills the power-sum table, and
+is kept in a bounded memo per matrix (``_charpoly``), which
+``lefschetz_poly_surface`` and the power sums read.  Everything that
 depends on (h, n) but not on b is kept in one bounded memo (``_profile``),
 so the translation variants of one matrix share it.  The direct
 cyclotomic evaluation of the character sum over the listed fixed
-characters, and the factor-by-factor product of the wedge series, are kept
-with the tests (``tests/lefschetz_reference.py``) as references.
+characters, the factor-by-factor product of the wedge series, and the
+Faddeev-LeVerrier recurrence for det(1 - x M) are kept with the tests
+(``tests/lefschetz_reference.py``) as references.
 
 The catalog covers the torus automorphisms whose action on second cohomology
 has prime order, together with their sign flips and translation variants,
@@ -72,7 +77,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from operator import mul
 from typing import NamedTuple
 
 from .cyclotomic import moebius
@@ -144,36 +148,22 @@ class LefschetzResult:
     value: int
 
 
-def _det_one_minus_x(m: Matrix) -> list[int]:
-    """Coefficients c_k with det(1 - x M) = sum c_k x^k, for an integral M.
-
-    c_k is the coefficient of lambda^(d-k) in det(lambda - M), computed by
-    the Faddeev-LeVerrier recurrence M_k = M M_(k-1) + c_(k-1),
-    c_k = -tr(M M_k) / k, whose divisions are exact over Z.
-    """
-    a, d = m.data, m.rows
-    coeffs = [1]
-    acc = [[0] * d for _ in range(d)]
-    for k in range(1, d + 1):
-        c = coeffs[-1]
-        acc = [
-            [sum(x * acc[l][j] for l, x in enumerate(row)) + (c if i == j else 0)
-             for j in range(d)]
-            for i, row in enumerate(a)
-        ]
-        trace = sum(x * acc[l][i] for i, row in enumerate(a) for l, x in enumerate(row))
-        coeffs.append(-trace // k)
-    return coeffs
-
-
 @lru_cache(maxsize=64)
 def _charpoly(h_data) -> tuple[int, ...]:
-    """c = det(1 - x Psi) for Psi the transpose of the matrix with rows h_data.
+    """c = det(1 - x Psi) for Psi the transpose of the d x d matrix with rows h_data.
 
-    The determinant is transpose invariant, so Faddeev-LeVerrier runs on h
-    itself, once per matrix.
+    c_k = (-1)^k e_k(lambda) for the eigenvalues lambda of Psi, and
+    ``_elementary`` takes the e_k from the power sums tr h^k (k = 1..d),
+    which are transpose invariant, so the powers are those of h itself,
+    once per matrix.
     """
-    return tuple(_det_one_minus_x(Matrix(h_data)))
+    d = len(h_data)
+    h, power = Matrix._of_ints(h_data, d), identity(d)
+    traces = []
+    for _ in range(d):
+        power = power @ h
+        traces.append(sum(row[i] for i, row in enumerate(power.data)))
+    return tuple((-1) ** k * e for k, e in enumerate(_elementary(traces)))
 
 
 def lefschetz_poly_surface(h: Matrix) -> LaurentPoly:
@@ -265,11 +255,6 @@ def _order_tops(c, orders, n: int) -> dict[int, tuple[int, list[int]]]:
     return {w: (2 * (n - n // w), g[n // w]) for w in orders if n % w == 0}
 
 
-def _one_minus(rows) -> Matrix:
-    """1 - M for the square matrix M with the given int rows."""
-    return Matrix([[(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(rows)])
-
-
 def _exp_tops(rows, orders, n: int) -> dict[int, int]:
     """w -> [t^n] prod_{v >= 1} exp(sum_{s >= 1} det(1 - Psi^s)/s t^(v w s)).
 
@@ -279,11 +264,11 @@ def _exp_tops(rows, orders, n: int) -> dict[int, int]:
     product for the order w is H(t^w).  ``rows`` are the int rows of h or
     of Psi = h^T: det(1 - Psi^s) is transpose invariant.
     """
-    cols = list(zip(*rows))
-    powers = [rows]  # the powers 1 .. n as int rows
-    for _ in range(n - 1):
-        powers.append([[sum(map(mul, row, col)) for col in cols] for row in powers[-1]])
-    dets = [0] + [exact_det(_one_minus(power)) for power in powers]
+    psi, power = Matrix._of_ints(rows, 4), identity(4)
+    dets = [0]
+    for _ in range(n):
+        power = power @ psi
+        dets.append(exact_det(identity(4) - power))
     logs = [0] * (n + 1)
     for s in range(1, n + 1):
         for k in range(s, n + 1, s):
@@ -308,7 +293,7 @@ class _Profile(NamedTuple):
 
 @lru_cache(maxsize=16)
 def _profile(h_data, n: int) -> _Profile:
-    u, d, _ = smith_normal_form(_one_minus(h_data))
+    u, d, _ = smith_normal_form(identity(4) - Matrix._of_ints(h_data, 4))
     diagonal = [d.data[i][i] for i in range(4)]
     divisors = [e for e in range(1, n + 1) if n % e == 0]
     subgroups = []
@@ -351,8 +336,10 @@ def lefschetz_q(aut: TorusAutomorphism) -> LefschetzResult:
     divided by c = L(psi, q) from the low end, exactly since c_0 = 1, and
     the last four coefficients, the remainder, must vanish.  Raises
     ValueError("division identity violated") when they do not, or when a
-    term lies below q^0; neither is reachable for genuine torus
-    automorphisms.
+    term lies below q^0.  For det h = c_4 = 1 the quotient over
+    q^0 .. q^(4n-4) must be a palindrome (Poincare duality), else
+    ValueError("Poincaré duality violated"); det h = -1 is not checked.
+    None of these is reachable for genuine torus automorphisms.
     """
     n = aut.torsion
     profile = _profile(aut.matrix.data, n)
@@ -378,6 +365,8 @@ def lefschetz_q(aut: TorusAutomorphism) -> LefschetzResult:
     quotient = numerator[:-4]
     if any(numerator[-4:]):
         raise ValueError("division identity violated: nonzero remainder")
+    if c4 == 1 and quotient != quotient[::-1]:
+        raise ValueError("Poincaré duality violated")
     return LefschetzResult(LaurentPoly(dict(enumerate(quotient))), sum(quotient))
 
 

@@ -7,6 +7,12 @@ unique, so derived bases are reproducible across runs and platforms.
 The Smith form is for callers that read invariant factors or the
 transform U; its pivoting rule is fixed and deterministic.
 
+Each job has one implementation, which the rest of the package calls:
+``@`` is the matrix product (matrix powers, 1 - h, Gram matrices such as
+the V^T G V of the discriminant form, ``apply``), and ``exact_det`` the
+determinant (det(1 - Psi^s), and the generation check of the finite
+quadratic form search, taken mod p).
+
 The integer kernels skip the work that zero entries and unit pivots make
 redundant: a product is a sum of row combinations over the nonzero
 entries of the left factor, Bareiss elimination updates whole rows and
@@ -31,7 +37,7 @@ time.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, mul, neg, sub
+from operator import add, neg, sub
 from typing import Iterable, Sequence
 
 _INT_ONLY = frozenset({int})
@@ -132,10 +138,10 @@ class Matrix:
         return Matrix._of_ints(tuple(out), other.cols)
 
     def apply(self, vec: Sequence):
-        """Matrix times column vector, returned as a tuple."""
+        """Matrix times column vector, returned as a tuple: the product with one column."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(map(mul, row, vec)) for row in self.data)
+        return tuple(row[0] for row in (self @ Matrix([[x] for x in vec], cols=1)).data)
 
     def _entrywise(self, op, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:

@@ -3,8 +3,9 @@
 It lists the h-fixed characters of (Z/n)^4 one by one (an n^4 scan), sums
 chi(b) as cyclotomic numbers, and multiplies the wedge series factor by
 factor, as truncated power series in t over Laurent polynomials in q, so
-it shares no step with the integer engine of ``kummerlat.lefschetz``
-beyond c = det(1 - x M).
+it shares no step with the integer engine of ``kummerlat.lefschetz``.  Its
+wedge polynomials det(1 - x M) come from the Faddeev-LeVerrier
+recurrence, not from Newton's identities on traces as in the engine.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import combinations
 from math import gcd
 
 from cyclotomic_reference import CyclotomicNumber
-from kummerlat.lefschetz import TorusAutomorphism, _det_one_minus_x
+from kummerlat.lefschetz import TorusAutomorphism
 from kummerlat.matrix import Matrix, exact_det, identity
 from kummerlat.series import LaurentPoly
 
@@ -195,6 +196,28 @@ def _character_order_sums(aut: TorusAutomorphism) -> dict[int, CyclotomicNumber]
         else:
             sums[chi.order] = value
     return sums
+
+
+def _det_one_minus_x(m: Matrix) -> list[int]:
+    """Coefficients c_k with det(1 - x M) = sum c_k x^k, for an integral M.
+
+    c_k is the coefficient of lambda^(d-k) in det(lambda - M), computed by
+    the Faddeev-LeVerrier recurrence M_k = M M_(k-1) + c_(k-1),
+    c_k = -tr(M M_k) / k, whose divisions are exact over Z.
+    """
+    a, d = m.data, m.rows
+    coeffs = [1]
+    acc = [[0] * d for _ in range(d)]
+    for k in range(1, d + 1):
+        c = coeffs[-1]
+        acc = [
+            [sum(x * acc[l][j] for l, x in enumerate(row)) + (c if i == j else 0)
+             for j in range(d)]
+            for i, row in enumerate(a)
+        ]
+        trace = sum(x * acc[l][i] for i, row in enumerate(a) for l, x in enumerate(row))
+        coeffs.append(-trace // k)
+    return coeffs
 
 
 def _wedge_factor(psi_coeffs: list[int], i: int, t_exp: int, trunc: int) -> TruncatedBiSeries:

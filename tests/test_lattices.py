@@ -150,6 +150,16 @@ def test_discriminant_forms():
     assert fu5.b_matrix[0][1] == Fraction(1, 5)
 
 
+def _pairing(lat, x, y):
+    """x^T G y for rational coordinate vectors x, y: the oracle for the discriminant form."""
+    return sum(
+        xi * lat.gram.data[i][j] * yj
+        for i, xi in enumerate(x)
+        for j, yj in enumerate(y)
+        if xi and lat.gram.data[i][j] and yj
+    )
+
+
 def test_form_consistency_identity():
     # q(x + y) - q(x) - q(y) = 2 b(x, y) on all generator pairs
     for lat in (H5, make_standard("U(5)"), make_standard("A4*(-5)"), A4M):
@@ -159,8 +169,25 @@ def test_form_consistency_identity():
         for i, gi in enumerate(gens):
             for j, gj in enumerate(gens):
                 both = tuple(a + b for a, b in zip(gi, gj))
-                lhs = (lat.pairing(both, both) - lat.pairing(gi, gi) - lat.pairing(gj, gj)) % 2
+                lhs = _pairing(lat, both, both) - _pairing(lat, gi, gi) - _pairing(lat, gj, gj)
+                lhs %= 2
                 assert lhs == (2 * lat_form.b_matrix[i][j]) % 2
+
+
+def test_discriminant_form_matches_pairing_of_generators():
+    # q and b read off the integer V^T G V agree with x^T G y on the Fraction
+    # generators v_j / d_j of discriminant_group
+    rng = random.Random(157)
+    lattices_ = [_random_even_lattice(rng, rng.randint(1, 5), max_det=10**6) for _ in range(60)]
+    lattices_ += [make_standard("A4*(-5)"), make_standard("U(5)"),
+                  direct_sum(H5, make_standard("<-10>"))]
+    for lat in lattices_:
+        form = discriminant_form(lat)
+        gens = discriminant_group(lat).generators
+        assert form.orders == discriminant_group(lat).orders
+        assert form.q_values == tuple(_pairing(lat, g, g) % 2 for g in gens), lat
+        b = tuple(tuple(_pairing(lat, g, h) % 1 for h in gens) for g in gens)
+        assert form.b_matrix == b, lat
 
 
 def test_p_elementary():
@@ -243,6 +270,14 @@ def test_fqf_isomorphism_cap():
         fqf_isomorphic(big, big)
 
 
+def test_generation_check_reduces_the_determinant_mod_p():
+    # on the zero form of (Z/3)^2 the images (2, 1) and (1, 2) pair correctly
+    # but do not generate: their integer determinant 3 is 0 mod 3
+    zero = [[0, 0], [0, 0]]
+    assert lattices._extend([], [[((2, 1), (0, 0))], [((1, 2), (0, 0))]], zero, 1, 3) is False
+    assert lattices._extend([], [[((1, 0), (0, 0))], [((1, 2), (0, 0))]], zero, 1, 3) is True
+
+
 def _random_even_lattice(rng, n, max_det=400):
     while True:
         g = [[0] * n for _ in range(n)]
@@ -319,7 +354,7 @@ def _reference_p_isomorphic(f1, f2, p):
 
     def backtrack(i):
         if i == k:
-            return lattices._det_mod_p([list(e) for e in zip(*chosen)], p) != 0
+            return exact_det(Matrix(zip(*chosen))) % p != 0
         for cand in by_order_q.get((f1.orders[i], f1.q_values[i]), ()):
             if all(_b_of(cand, chosen[j], f2) == f1.b_matrix[i][j] for j in range(i)):
                 chosen.append(cand)

@@ -394,12 +394,35 @@ def test_division_guard_reads_every_remainder_coefficient(monkeypatch):
         monkeypatch.setattr(lef, "_profile",
                             lambda h, n: genuine._replace(tops={1: (0, dense), 3: (0, [])}))
 
-    numerator(list(genuine.c))  # sigma_1 = 1: the numerator is L(psi, q) itself
-    assert lef.lefschetz_q(aut) == lef.LefschetzResult(LaurentPoly.one(), 1)
+    # sigma_1 = 1: the numerator is L(psi, q) (1 + q^(4n-4)), whose quotient
+    # is a palindrome, as the Poincare duality guard requires for det h = 1
+    numerator(list(genuine.c) + [0] * (4 * n - 9) + list(genuine.c))
+    assert lef.lefschetz_q(aut) == lef.LefschetzResult(LaurentPoly({0: 1, 4 * n - 4: 1}), 2)
     for k in range(4 * n - 3, 4 * n + 1):
         numerator(list(genuine.c) + [0] * (k - 5) + [1])
         with pytest.raises(ValueError, match="division identity violated: nonzero remainder"):
             lef.lefschetz_q(aut)
+
+
+def test_poincare_duality_guard(monkeypatch):
+    # the numerator L(psi, q) divides exactly, with quotient 1, which is no
+    # palindrome on q^0 .. q^(4n-4) for n >= 2: only the duality guard fires
+    import kummerlat.lefschetz as lef
+
+    def corrupt(aut):
+        genuine = lef._profile(aut.matrix.data, aut.torsion)
+        tops = {1: (0, list(genuine.c)), 3: (0, [])}
+        monkeypatch.setattr(lef, "_profile", lambda h, n: genuine._replace(tops=tops))
+
+    aut = catalog(0, "id")  # det h = 1
+    corrupt(aut)
+    with pytest.raises(ValueError, match="Poincaré duality violated"):
+        lef.lefschetz_q(aut)
+    # det h = -1 is outside the guard's scope
+    monkeypatch.undo()
+    aut = torus_automorphism(block_diag(-identity(1), identity(3)), (0, 0, 0, 0), 3)
+    corrupt(aut)
+    assert lef.lefschetz_q(aut) == lef.LefschetzResult(LaurentPoly.one(), 1)
 
 
 def _catalog_matrices():
@@ -445,9 +468,12 @@ def test_fixed_characters_match_matrix_apply():
 
 
 def test_det_one_minus_x_matches_principal_minors():
+    # the engine's Newton identities on traces and the Faddeev-LeVerrier
+    # reference, on the unimodular h and its exterior powers (up to 6 x 6)
     from itertools import combinations
 
-    from kummerlat.lefschetz import _det_one_minus_x
+    import kummerlat.lefschetz as lef
+    from lefschetz_reference import _det_one_minus_x
 
     rng = random.Random(47)
     for _ in range(6):
@@ -459,6 +485,7 @@ def test_det_one_minus_x_matches_principal_minors():
                                 for idx in combinations(range(m.rows), k))
                 for k in range(1, m.rows + 1)
             ]
+            assert list(lef._charpoly(m.data)) == expected
             assert _det_one_minus_x(m) == expected
 
 
@@ -484,6 +511,7 @@ def _table_matrices():
 
 def test_power_sum_table_matches_exterior_powers():
     import kummerlat.lefschetz as lef
+    from lefschetz_reference import _det_one_minus_x
 
     for h in _table_matrices():
         psi = h.transpose()
@@ -500,7 +528,7 @@ def test_power_sum_table_matches_exterior_powers():
             d = comb(4, i)
             e = lef._elementary([table[s][i] for s in range(1, d + 1)])
             newton = [(-1) ** k * x for k, x in enumerate(e)]
-            assert newton == lef._det_one_minus_x(exterior_power(psi, i)), (h, i)
+            assert newton == _det_one_minus_x(exterior_power(psi, i)), (h, i)
 
 
 def test_integrality_guards(monkeypatch):
@@ -706,7 +734,7 @@ def test_profile_memo_is_bounded_and_shared_across_translations():
 def test_transpose_invariance_of_factors():
     # every determinant entering the product is transpose invariant, so only
     # the fixed character pairing depends on the transpose convention
-    from kummerlat.lefschetz import _det_one_minus_x
+    from lefschetz_reference import _det_one_minus_x
 
     rng = random.Random(31)
     for _ in range(8):
