@@ -1,11 +1,15 @@
 """Even integral lattices given by Gram matrices.
 
 Provides the standard named lattices (U, E8(-1), A4(-1), H5, ...), direct
-sums, exact signatures, discriminant groups and forms, and isomorphism
-testing of finite quadratic forms on their p-primary parts: an (order, q)
-census of both groups, then a backtracking search for generator images
-with forward checking, all in integers scaled by the common denominator
-of the forms' values.
+sums, exact signatures (symmetric elimination over Z), discriminant groups
+and forms, and isomorphism testing of finite quadratic forms on their
+p-primary parts: an (order, q) census of both groups, then a backtracking
+search for generator images with forward checking.  The test scales both
+forms once, by the lcm m of all their denominators, and works on integers
+from there: each p-part is read off the scaled values, and each element
+carries its pairing row as one int of fixed-width slots, left unreduced
+(a slot holds less than k * (largest order) * m), which is unpacked only
+for the candidates of the search.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, product
 from math import gcd, lcm, prod
+from operator import itemgetter
 
 from .cyclotomic import factorize
 from .matrix import (
@@ -148,57 +153,58 @@ def direct_sum(*lattices: Lattice, name: str | None = None) -> Lattice:
 
 
 def signature(lat: Lattice) -> tuple[int, int]:
-    """Exact inertia (n_plus, n_minus), via symmetric block diagonalization.
+    """Exact inertia (n_plus, n_minus), via symmetric block diagonalization over Z.
 
     Uses 1x1 pivots when a nonzero diagonal entry is available and hyperbolic
-    2x2 blocks otherwise; all arithmetic is rational.
+    2x2 blocks otherwise.  The Schur complement of a pivot alpha is kept
+    scaled by |alpha|, that of a hyperbolic pivot b by b^2, and the block is
+    then divided by its content; each is a positive rescaling, which keeps
+    the inertia and the zero pattern that picks the next pivot.
     """
-    n = lat.rank
-    a = [[Fraction(x) for x in row] for row in lat.gram.data]
-    active = list(range(n))
+    a = [list(row) for row in lat.gram.data]
     plus = minus = 0
-    while active:
-        d = next((i for i in active if a[i][i] != 0), None)
+    while a:
+        d = next((i for i, row in enumerate(a) if row[i]), None)
         if d is not None:
-            if a[d][d] > 0:
+            alpha = a[d][d]
+            if alpha > 0:
                 plus += 1
             else:
                 minus += 1
-            inv = 1 / a[d][d]
-            active.remove(d)
-            coeff = {k: a[k][d] * inv for k in active if a[k][d]}
-            for k, f in coeff.items():
-                for l in active:
-                    if a[d][l]:
-                        a[k][l] -= f * a[d][l]
-            continue
-        pair = None
-        for idx, i in enumerate(active):
-            for j in active[idx + 1 :]:
-                if a[i][j] != 0:
-                    pair = (i, j)
-                    break
-            if pair:
+            # |alpha| (a_kl - a_kd a_dl / alpha)
+            scale = abs(alpha)
+            pivot = a.pop(d)
+            c = [row.pop(d) for row in a]
+            del pivot[d]
+            if alpha < 0:
+                pivot = [-y for y in pivot]
+            a = [
+                [scale * x - ck * y for x, y in zip(row, pivot)] if ck
+                else ([scale * x for x in row] if scale != 1 else row)
+                for row, ck in zip(a, c)
+            ]
+        else:
+            pair = next(
+                ((i, j) for i, row in enumerate(a) for j in range(i + 1, len(a)) if row[j]), None
+            )
+            if pair is None:
                 break
-        if pair is None:
-            break
-        i, j = pair
-        b = a[i][j]
-        plus += 1
-        minus += 1
-        active.remove(i)
-        active.remove(j)
-        rows_i = {k: a[k][i] for k in active if a[k][i]}
-        rows_j = {k: a[k][j] for k in active if a[k][j]}
-        for k in active:
-            ki = rows_i.get(k, 0)
-            kj = rows_j.get(k, 0)
-            if ki or kj:
-                for l in active:
-                    il = a[i][l]
-                    jl = a[j][l]
-                    if il or jl:
-                        a[k][l] -= (ki * jl + kj * il) / b
+            i, j = pair
+            b = a[i][j]
+            plus += 1
+            minus += 1
+            keep = [t for t in range(len(a)) if t not in pair]
+            row_i = [a[i][t] for t in keep]
+            row_j = [a[j][t] for t in keep]
+            # b^2 (a_kl - (a_ki a_jl + a_kj a_il) / b)
+            a = [
+                [b * b * a[k][t] - b * (a[k][i] * y + a[k][j] * x)
+                 for t, x, y in zip(keep, row_i, row_j)]
+                for k in keep
+            ]
+        content = gcd(*chain.from_iterable(a))
+        if content > 1:
+            a = [[x // content for x in row] for row in a]
     return (plus, minus)
 
 
@@ -378,50 +384,65 @@ def group_signature(orders) -> dict[int, tuple[int, ...]]:
     return {p: tuple(sorted(v)) for p, v in sig.items()}
 
 
-def p_primary_part(form: FiniteQuadraticForm, p: int) -> FiniteQuadraticForm:
-    """Restriction of the form to the p-primary component of the group."""
-    idx = [i for i, o in enumerate(form.orders) if o % p == 0]
-    vals = [factorize(form.orders[i])[p] for i in idx]
-    cof = [form.orders[i] // p ** v for i, v in zip(idx, vals)]
-    order_key = sorted(range(len(idx)), key=lambda t: (p ** vals[t], idx[t]))
-    idx = [idx[t] for t in order_key]
-    vals = [vals[t] for t in order_key]
-    cof = [cof[t] for t in order_key]
-    orders = [p ** v for v in vals]
-    qs = [(cof[t] ** 2 * form.q_values[idx[t]]) % 2 for t in range(len(idx))]
-    bm = [
-        [(cof[s] * cof[t] * form.b_matrix[idx[s]][idx[t]]) % 1 for t in range(len(idx))]
-        for s in range(len(idx))
-    ]
-    return fqf_from_generators(orders, qs, bm)
+def _common_scale(*forms: FiniteQuadraticForm) -> int:
+    """The lcm m of the denominators of every q and b value of ``forms``."""
+    return lcm(*(x.denominator for f in forms for x in chain(f.q_values, *f.b_matrix)))
 
 
 def _scaled(form: FiniteQuadraticForm, m: int):
     """Q_i = q_i m mod 2m and B_ij = b_ij m mod m, for m a multiple of every denominator."""
-    qs = [int(q * m) % (2 * m) for q in form.q_values]
-    bm = [[int(x * m) % m for x in row] for row in form.b_matrix]
+    qs = [q.numerator * (m // q.denominator) % (2 * m) for q in form.q_values]
+    bm = [[x.numerator * (m // x.denominator) % m for x in row] for row in form.b_matrix]
     return qs, bm
 
 
-def _elements(orders, qs, bm, m):
-    """Every element e of the group as (e, order, Q(e), w(e) = e^T B mod m).
+def _p_part(orders, qs, bm, m: int, p: int):
+    """The p-primary part of a form scaled by m, as (orders, Q, B) in integers.
 
-    Built one generator at a time: Q(e + a g_i) = Q(e) + a^2 Q_i + 2 a w(e)_i
-    when e involves only the generators before g_i.  The orders are powers of
+    A generator g of order p^v c, with c prime to p, gives the generator
+    c g of order p^v, with Q = c^2 Q(g) mod 2m and B = c c' B(g, g') mod m.
+    The part's generators are sorted by order, ties by position.
+    """
+    idx = [i for i, o in enumerate(orders) if o % p == 0]
+    power = {i: p ** factorize(orders[i])[p] for i in idx}
+    idx.sort(key=power.__getitem__)
+    cof = [orders[i] // power[i] for i in idx]
+    part_q = [c * c * qs[i] % (2 * m) for c, i in zip(cof, idx)]
+    part_b = [[c * d * bm[i][j] % m for d, j in zip(cof, idx)] for c, i in zip(cof, idx)]
+    return [power[i] for i in idx], part_q, part_b
+
+
+def p_primary_part(form: FiniteQuadraticForm, p: int) -> FiniteQuadraticForm:
+    """Restriction of the form to the p-primary component of the group."""
+    m = _common_scale(form)
+    orders, qs, bm = _p_part(form.orders, *_scaled(form, m), m, p)
+    return FiniteQuadraticForm(
+        tuple(orders),
+        tuple(Fraction(q, m) for q in qs),
+        tuple(tuple(Fraction(x, m) for x in row) for row in bm),
+    )
+
+
+def _elements(orders, qs, rows, m: int, width: int):
+    """(order, Q(e), W(e)) for every element e of the group, e in lexicographic order.
+
+    W(e) packs the pairing row e^T B into slots of ``width`` bits, slot j
+    holding sum_i e_i B_ij unreduced; ``rows[i]`` is row i of B packed the
+    same way.  Built one generator at a time: Q(e + a g_i) = Q(e) + a^2 Q_i
+    + 2 a w(e)_i when e involves only the generators before g_i, and 2 a w_i
+    mod 2m does not depend on reducing w_i mod m.  The orders are powers of
     one prime, so the order of e is the largest order of its coordinates.
     """
-    out = [((), 1, 0, (0,) * len(orders))]
+    mask = (1 << width) - 1
+    two_m = 2 * m
+    out = [(1, 0, 0)]
     for i, o in enumerate(orders):
-        steps = [(a, o // gcd(a, o), a * a * qs[i], [a * x for x in bm[i]]) for a in range(o)]
+        shift = i * width
+        steps = [(o // gcd(a, o), a * a * qs[i], 2 * a, a * rows[i]) for a in range(o)]
         out = [
-            (
-                e + (a,),
-                max(eo, ao),
-                (q + aq + 2 * a * w[i]) % (2 * m),
-                tuple((x + y) % m for x, y in zip(w, aw)),
-            )
-            for e, eo, q, w in out
-            for a, ao, aq, aw in steps
+            (ao if ao > eo else eo, (q + aq + twice_a * (w >> shift & mask)) % two_m, w + aw)
+            for eo, q, w in out
+            for ao, aq, twice_a, aw in steps
         ]
     return out
 
@@ -461,46 +482,63 @@ def _extend(chosen, domains, b1, m: int, p: int) -> bool:
     return False
 
 
-def _p_forms_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm, p: int) -> bool:
-    k = len(f1.orders)
-    if f1.orders != f2.orders:
+def _parts_isomorphic(part1, part2, m: int, p: int) -> bool:
+    """Decide isomorphism of two p-primary parts (orders, Q, B) scaled by the same m."""
+    orders, q1, b1 = part1
+    if orders != part2[0]:
         return False
-    if k == 0:
-        return True
-    m = lcm(*(x.denominator for f in (f1, f2) for x in chain(f.q_values, *f.b_matrix)))
-    q1, b1 = _scaled(f1, m)
-    q2, b2 = _scaled(f2, m)
-    elems = _elements(f2.orders, q2, b2, m)
+    _, q2, b2 = part2
+    k = len(orders)
+    # slot j of W(e) is a sum of k terms e_i B_ij < max order * m
+    width = (k * max(orders) * m).bit_length()
+    mask = (1 << width) - 1
+
+    def packed(bm):
+        return [sum(x << (j * width) for j, x in enumerate(row)) for row in bm]
+
+    key = itemgetter(0, 1)
+    elems = _elements(orders, q2, packed(b2), m, width)
     # an isomorphism preserves the order and Q of every element, so the
     # (order, Q) counts must agree, provided Q is a function on f2's group
-    if _descends(f2.orders, q2, b2, m):
-        census1 = Counter((o, q) for _, o, q, _ in _elements(f1.orders, q1, b1, m))
-        if census1 != Counter((o, q) for _, o, q, _ in elems):
+    if _descends(orders, q2, b2, m):
+        census1 = Counter(map(key, _elements(orders, q1, packed(b1), m, width)))
+        if census1 != Counter(map(key, elems)):
             return False
-    by_key: dict[tuple[int, int], list] = {}
-    for e, o, q, w in elems:
-        by_key.setdefault((o, q), []).append((e, w))
-    domains = [by_key.get((f1.orders[i], q1[i]), []) for i in range(k)]
+    # unpack coordinates and rows only for the candidates of some generator
+    by_key: dict[tuple[int, int], list] = {(o, q): [] for o, q in zip(orders, q1)}
+    shifts = [j * width for j in range(k)]
+    candidates = compress(zip(product(*map(range, orders)), elems),
+                          map(by_key.__contains__, map(key, elems)))
+    for e, (o, q, w) in candidates:
+        by_key[o, q].append((e, tuple([(w >> s & mask) % m for s in shifts])))
+    domains = [by_key[o, q] for o, q in zip(orders, q1)]
     return _extend([], domains, b1, m, p)
 
 
 def fqf_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
     """Decide isomorphism of finite quadratic forms.
 
-    Splits both forms into p-primary parts and decides each pair of parts in
-    integers: with m the lcm of the denominators of all q and b values of the
-    two parts, q becomes Q = q m mod 2m and b becomes B = b m mod m, which is
-    exact for any rational presentation.  Every element of both groups gets
-    its order and Q; an isomorphism preserves both, so differing (order, Q)
-    counts decide "not isomorphic" without a search (only when q is well
-    defined on the second group, as it is on every discriminant form).
-    Otherwise the images of the generators of the first form are searched
-    among the elements of the second with matching order and Q.  Each
-    element carries its pairing row w(e) = e^T B mod m, so b is an integer
-    dot product; choosing an image filters the candidates of every later
-    generator to the correct pairing with it, and an empty candidate list
-    backtracks at once.  A complete assignment is accepted when the images
-    generate (checked modulo p).
+    Both forms are scaled once, by the lcm m of the denominators of all
+    their q and b values: q becomes Q = q m mod 2m and b becomes B = b m mod
+    m, which is exact for any rational presentation.  Each pair of
+    p-primary parts is then read off these integers and decided on its own;
+    any common multiple m gives the same verdicts.  Every element of both
+    groups gets its order and Q; an isomorphism preserves both, so differing
+    (order, Q) counts decide "not isomorphic" without a search (only when q
+    is well defined on the second group, as it is on every discriminant
+    form).  Otherwise the images of the generators of the first form are
+    searched among the elements of the second with matching order and Q.
+    Choosing an image filters the candidates of every later generator to
+    the correct pairing with it, and an empty candidate list backtracks at
+    once.  A complete assignment is accepted when the images generate
+    (checked modulo p).
+
+    Each element carries its pairing row e^T B as one int of k slots of
+    ``width`` bits, left unreduced: a slot holds less than k * (largest
+    order) * m, and ``width`` is the bit length of that bound, so no slot
+    overflows into the next.  Coordinates and rows w(e) = e^T B mod m are
+    unpacked only for the search candidates, so b is an integer dot
+    product there.
     """
     if max(f1.group_order, f2.group_order) > FQF_ORDER_CAP:
         raise ValueError(f"group order exceeds cap {FQF_ORDER_CAP}")
@@ -509,10 +547,12 @@ def fqf_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
     sig1, sig2 = group_signature(f1.orders), group_signature(f2.orders)
     if sig1 != sig2:
         return False
-    for p in sig1:
-        if not _p_forms_isomorphic(p_primary_part(f1, p), p_primary_part(f2, p), p):
-            return False
-    return True
+    m = _common_scale(f1, f2)
+    s1, s2 = _scaled(f1, m), _scaled(f2, m)
+    return all(
+        _parts_isomorphic(_p_part(f1.orders, *s1, m, p), _p_part(f2.orders, *s2, m, p), m, p)
+        for p in sig1
+    )
 
 
 # ---------------------------------------------------------------------------

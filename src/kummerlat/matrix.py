@@ -9,7 +9,7 @@ transform U; its pivoting rule is fixed and deterministic.
 
 Each job has one implementation, which the rest of the package calls:
 ``@`` is the matrix product (matrix powers, 1 - h, Gram matrices such as
-the V^T G V of the discriminant form, ``apply``), and ``exact_det`` the
+the V^T G V of the discriminant form), and ``exact_det`` the
 determinant (det(1 - Psi^s), and the generation check of the finite
 quadratic form search, taken mod p).
 
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import add, neg, sub
-from typing import Iterable, Sequence
+from typing import Iterable
 
 _INT_ONLY = frozenset({int})
 
@@ -136,12 +136,6 @@ class Matrix:
                     acc = [x + v * y for x, y in zip(acc, orow)]
             out.append(tuple(acc))
         return Matrix._of_ints(tuple(out), other.cols)
-
-    def apply(self, vec: Sequence):
-        """Matrix times column vector, returned as a tuple: the product with one column."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(row[0] for row in (self @ Matrix([[x] for x in vec], cols=1)).data)
 
     def _entrywise(self, op, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:

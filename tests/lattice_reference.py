@@ -1,0 +1,85 @@
+"""Rational references for ``kummerlat.lattices``, used by the tests alone.
+
+``signature`` is the symmetric block elimination on ``Fraction`` entries:
+the same pivot order as the library's integer elimination, with exact
+Schur complements instead of positively rescaled ones.  ``p_primary_part``
+restricts a finite quadratic form to its p-primary component on
+``Fraction`` values, generator by generator, without scaling to integers.
+The library must give identical outputs.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from kummerlat.cyclotomic import factorize
+from kummerlat.lattices import FiniteQuadraticForm, Lattice, fqf_from_generators
+
+
+def signature(lat: Lattice) -> tuple[int, int]:
+    """Exact inertia (n_plus, n_minus): 1x1 pivots where the diagonal allows, else 2x2 blocks."""
+    n = lat.rank
+    a = [[Fraction(x) for x in row] for row in lat.gram.data]
+    active = list(range(n))
+    plus = minus = 0
+    while active:
+        d = next((i for i in active if a[i][i] != 0), None)
+        if d is not None:
+            if a[d][d] > 0:
+                plus += 1
+            else:
+                minus += 1
+            inv = 1 / a[d][d]
+            active.remove(d)
+            coeff = {k: a[k][d] * inv for k in active if a[k][d]}
+            for k, f in coeff.items():
+                for l in active:
+                    if a[d][l]:
+                        a[k][l] -= f * a[d][l]
+            continue
+        pair = None
+        for idx, i in enumerate(active):
+            for j in active[idx + 1 :]:
+                if a[i][j] != 0:
+                    pair = (i, j)
+                    break
+            if pair:
+                break
+        if pair is None:
+            break
+        i, j = pair
+        b = a[i][j]
+        plus += 1
+        minus += 1
+        active.remove(i)
+        active.remove(j)
+        rows_i = {k: a[k][i] for k in active if a[k][i]}
+        rows_j = {k: a[k][j] for k in active if a[k][j]}
+        for k in active:
+            ki = rows_i.get(k, 0)
+            kj = rows_j.get(k, 0)
+            if ki or kj:
+                for l in active:
+                    il = a[i][l]
+                    jl = a[j][l]
+                    if il or jl:
+                        a[k][l] -= (ki * jl + kj * il) / b
+    return (plus, minus)
+
+
+def p_primary_part(form: FiniteQuadraticForm, p: int) -> FiniteQuadraticForm:
+    """Restriction of the form to the p-primary component of the group."""
+    idx = [i for i, o in enumerate(form.orders) if o % p == 0]
+    vals = [factorize(form.orders[i])[p] for i in idx]
+    cof = [form.orders[i] // p ** v for i, v in zip(idx, vals)]
+    order_key = sorted(range(len(idx)), key=lambda t: (p ** vals[t], idx[t]))
+    idx = [idx[t] for t in order_key]
+    vals = [vals[t] for t in order_key]
+    cof = [cof[t] for t in order_key]
+    orders = [p ** v for v in vals]
+    qs = [(cof[t] ** 2 * form.q_values[idx[t]]) % 2 for t in range(len(idx))]
+    bm = [
+        [(cof[s] * cof[t] * form.b_matrix[idx[s]][idx[t]]) % 1 for t in range(len(idx))]
+        for s in range(len(idx))
+    ]
+    return fqf_from_generators(orders, qs, bm)

@@ -13,7 +13,7 @@ the inverse by Gauss-Jordan elimination and the product, with
 ``integral_matrix`` to bring a rational result that must be integral back
 to a ``Matrix``.  They cross-check the library's Bareiss determinant and
 its Hermite-form ``solve``.  ``saturate_columns`` checks that a basis is
-primitive.
+primitive, and ``apply`` multiplies a matrix by one column vector.
 """
 
 from __future__ import annotations
@@ -22,6 +22,13 @@ from fractions import Fraction
 from operator import mul
 
 from kummerlat.matrix import Matrix, _xgcd, zeros
+
+
+def apply(a: Matrix, vec) -> tuple:
+    """a times the column vector ``vec``, as a tuple: the product with one column."""
+    if len(vec) != a.cols:
+        raise ValueError("vector length mismatch")
+    return tuple(row[0] for row in (a @ Matrix([[x] for x in vec], cols=1)).data)
 
 
 def dense_product(a: Matrix, b: Matrix) -> Matrix:

@@ -47,7 +47,7 @@ from kummerlat.matrix import (
 from kummerlat.pool import base_pool, random_unimodular
 from cyclotomic_reference import CyclotomicNumber, euler_phi
 from lefschetz_reference import generating_series
-from matrix_reference import saturate_columns
+from matrix_reference import apply, saturate_columns
 
 SEED = 20260808
 MIN_CASES = 200
@@ -259,7 +259,7 @@ def test_criterion_5f_b_shift_invariance():
         h = matrices[cases % len(matrices)]
         beta = tuple(rng.randrange(3) for _ in range(4))
         x = tuple(rng.randrange(3) for _ in range(4))
-        shift = (h - identity(4)).apply(x)
+        shift = apply(h - identity(4), x)
         shifted = tuple((b + s) % 3 for b, s in zip(beta, shift))
         v1 = lefschetz_q(torus_automorphism(h, beta, 3)).value
         v2 = lefschetz_q(torus_automorphism(h, shifted, 3)).value

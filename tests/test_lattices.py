@@ -30,6 +30,8 @@ from kummerlat.lattices import (
 )
 from kummerlat.matrix import Matrix, exact_det, identity, solve
 from kummerlat.pool import random_unimodular
+from lattice_reference import p_primary_part as reference_p_primary_part
+from lattice_reference import signature as reference_signature
 from matrix_reference import saturate_columns
 
 U = make_standard("U")
@@ -249,6 +251,28 @@ def test_signature_invariance_under_basis_change():
             assert conj.det == lat.det
 
 
+def test_signature_matches_fraction_reference():
+    # random nondegenerate even Gram matrices up to rank 24; an all-zero
+    # diagonal forces a hyperbolic pivot first, a sparse one mixes both kinds
+    rng = random.Random(24)
+    hyperbolic_first = 0
+    for n in [*range(1, 13), 16, 20, 24]:
+        for zero_share in (0.0, 0.5, 1.0) if n > 1 else (0.0,):
+            while True:
+                g = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    if rng.random() >= zero_share:
+                        g[i][i] = 2 * rng.choice((-3, -2, -1, 1, 2, 3))
+                    for j in range(i + 1, n):
+                        g[i][j] = g[j][i] = rng.choice((0, 0, 0, -2, -1, 1, 2, 7))
+                if exact_det(Matrix(g)):
+                    break
+            lat = Lattice(Matrix(g))
+            hyperbolic_first += all(g[i][i] == 0 for i in range(n))
+            assert signature(lat) == reference_signature(lat), g
+    assert hyperbolic_first >= 14
+
+
 def test_fqf_isomorphism_examples():
     target = fqf_from_diagonal(
         [(5, Fraction(-2, 5)), (5, Fraction(4, 5)), (5, Fraction(4, 5)), (2, Fraction(-1, 2))]
@@ -373,7 +397,8 @@ def _reference_isomorphic(f1, f2):
     if sig1 != group_signature(f2.orders):
         return False
     return all(
-        _reference_p_isomorphic(p_primary_part(f1, p), p_primary_part(f2, p), p) for p in sig1
+        _reference_p_isomorphic(reference_p_primary_part(f1, p), reference_p_primary_part(f2, p), p)
+        for p in sig1
     )
 
 
@@ -534,6 +559,90 @@ def test_fqf_isomorphic_cost_cliff(p, k):
     assert time.perf_counter() - start < 5.0
 
 
+def _limit_pairs():
+    """Pairs near FQF_ORDER_CAP or with a large scale m, as (f1, f2, known answer or None).
+
+    The Fraction reference takes over half a second per pair on (Z/3)^8
+    and (Z/2)^13 and cannot finish a twisted pair there, and searches a
+    twisted (Z/97)^2 pair exhaustively, so those pairs carry their answer
+    by construction: a base change is an isomorphism, and a nonsquare twist
+    of one diagonal value changes the Gauss sum.
+    """
+    rng = random.Random(14)
+    pairs = []
+    for p, k, q, twist in ((3, 8, Fraction(2, 3), Fraction(4, 3)),
+                           (2, 13, Fraction(1, 2), Fraction(3, 2))):
+        plain = fqf_from_diagonal([(p, q)] * k)
+        twisted = fqf_from_diagonal([(p, twist)] + [(p, q)] * (k - 1))
+        u = [list(r) for r in random_unimodular(rng, k).data]
+        rebased = _rebased(plain, u)
+        pairs += [(plain, rebased, True), (twisted, rebased, False)]
+        # every off-diagonal pairing (p - 1)/p, so the slots of e^T B fill up
+        # before they are read
+        dense = fqf_from_generators(
+            [p] * k, [0] * k, [[Fraction(p - 1, p) * (i != j) for j in range(k)] for i in range(k)]
+        )
+        pairs.append((dense, _rebased(dense, u), True))
+    # m = 9973 on Z/9973, and m = 2 * 619 on the 2-part of (Z/2)^4 + Z/619
+    big = 9973
+    plain = fqf_from_diagonal([(big, Fraction(2, big))])
+    pairs += [(plain, fqf_from_diagonal([(big, Fraction(2 * 1234 ** 2, big))]), None),
+              (plain, fqf_from_diagonal([(big, Fraction(2 * _nonsquare(big), big))]), None)]
+    two = fqf_from_diagonal([(2, Fraction(1, 2))] * 4)
+    two_twisted = fqf_from_diagonal([(2, Fraction(3, 2))] + [(2, Fraction(1, 2))] * 3)
+    odd = fqf_from_diagonal([(619, Fraction(2 * 5, 619))])
+    u = [list(r) for r in random_unimodular(rng, 4).data]
+    rebased = fqf_direct_sum(_rebased(two, u), odd)
+    pairs += [(fqf_direct_sum(two, odd), rebased, None),
+              (fqf_direct_sum(two_twisted, odd), rebased, None)]
+    # (Z/97)^2 with m = 97, rebased and twisted
+    squares = [rng.randrange(1, 97) ** 2 % 97 for _ in range(2)]
+    plain = fqf_from_diagonal([(97, Fraction(2 * a, 97)) for a in squares])
+    twisted = fqf_from_diagonal([(97, Fraction(2 * squares[0] * _nonsquare(97), 97)),
+                                 (97, Fraction(2 * squares[1], 97))])
+    u = [list(r) for r in random_unimodular(rng, 2).data]
+    rebased = _rebased(plain, u)
+    pairs += [(plain, rebased, None), (twisted, rebased, False)]
+    # denominators carrying 10007: q is not well defined on the group, so
+    # there is no census; a base change with entries in [0, 3) keeps the
+    # values of the coordinate tuples, so the search finds it
+    for _ in range(3):
+        qs = [Fraction(rng.randrange(1, 6 * 10007), 3 * 10007) for _ in range(4)]
+        f = fqf_from_diagonal([(3, q) for q in qs])
+        u = [[x % 3 for x in r] for r in random_unimodular(rng, 4).data]
+        pairs += [(_rebased(f, u), f, None), (f, _rebased(f, u), None)]
+    return pairs
+
+
+# _extend calls per pair of _limit_pairs: the census rejects the twisted
+# pairs whose q is well defined (0 calls), and the search order fixes the
+# number of nodes of every other search
+LIMIT_EXTEND_CALLS = [9, 0, 9, 14, 0, 15, 2, 0, 7, 0, 3, 0, 5, 1, 5, 1, 5, 1]
+
+
+def test_fqf_isomorphic_at_the_limits(monkeypatch):
+    calls = []
+    search = lattices._extend
+
+    def counted(*args):
+        calls.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(lattices, "_extend", counted)
+    pairs = _limit_pairs()
+    counts, answers, seconds = [], [], 0.0
+    for f1, f2, known in pairs:
+        before = len(calls)
+        start = time.perf_counter()
+        answers.append(fqf_isomorphic(f1, f2))
+        seconds += time.perf_counter() - start
+        counts.append(len(calls) - before)
+        assert answers[-1] == (_reference_isomorphic(f1, f2) if known is None else known)
+    assert counts == LIMIT_EXTEND_CALLS
+    assert {a for a, (_, _, known) in zip(answers, pairs) if known is None} == {True, False}
+    assert seconds < 2.0
+
+
 def test_fqf_direct_sum_and_primary_parts():
     f = fqf_direct_sum(
         fqf_from_diagonal([(2, Fraction(-1, 2))]), fqf_from_diagonal([(5, Fraction(2, 5))])
@@ -547,6 +656,34 @@ def test_fqf_direct_sum_and_primary_parts():
     assert five2.orders == (5,) and five2.q_values == (Fraction(-2, 5) % 2,)
     two2 = p_primary_part(z10, 2)
     assert two2.orders == (2,) and two2.q_values == (Fraction(-5, 2) % 2,)
+
+
+
+def test_p_primary_part_matches_fraction_reference():
+    rng = random.Random(20260808)
+    forms = [
+        discriminant_form(_random_even_lattice(rng, rng.randint(1, 3), max_det=200))
+        for _ in range(60)
+    ]
+    # hand-built presentations: denominators prime to the orders, and mixed
+    # orders whose p-parts are generated by cofactor multiples
+    for _ in range(40):
+        orders = [rng.choice((2, 3, 4, 5, 6, 9, 10, 12, 36)) for _ in range(rng.randint(1, 3))]
+        den = rng.choice((7, 11, 10007, 4 * orders[0], 3 * orders[-1]))
+        qs = [Fraction(rng.randrange(2 * den), den) for _ in orders]
+        b = [[qs[i] % 1 if i == j else Fraction(0) for j in range(len(orders))]
+             for i in range(len(orders))]
+        for i in range(len(orders)):
+            for j in range(i):
+                b[i][j] = b[j][i] = Fraction(rng.randrange(den), den)
+        forms.append(fqf_from_generators(orders, qs, b))
+    forms.append(fqf_from_diagonal([(3, Fraction(4, 7)), (3, 0), (9, Fraction(2, 9))]))
+    parts = 0
+    for f in forms:
+        for p in group_signature(f.orders):
+            assert p_primary_part(f, p) == reference_p_primary_part(f, p), (f, p)
+            parts += 1
+    assert parts > 150
 
 
 def test_serialization_roundtrip():
