@@ -56,13 +56,20 @@ integer too.
 c = det(1 - x Psi) comes from the traces tr h^k (k = 1..4) by Newton's
 identities, the same ``_elementary`` that fills the power-sum table, and
 is kept in a bounded memo per matrix (``_charpoly``), which
-``lefschetz_poly_surface`` and the power sums read.  Everything that
-depends on (h, n) but not on b is kept in one bounded memo (``_profile``),
-so the translation variants of one matrix share it.  The direct
-cyclotomic evaluation of the character sum over the listed fixed
-characters, the factor-by-factor product of the wedge series, and the
-Faddeev-LeVerrier recurrence for det(1 - x M) are kept with the tests
-(``tests/lefschetz_reference.py``) as references.
+``lefschetz_poly_surface`` and the power sums read.  No series depends
+on n: G(u) depends on c alone, and its q = 1 counterpart H(u) of
+``corollary_value``, taken from det(1 - Psi^s) of matrix powers, on h
+alone.  So one G series per c (``_order_series``) and one H series per h
+(``_exp_series``) are kept in bounded memos and grown on demand: a sweep
+over n computes each G_k and H_k once, and conjugate matrices share one
+G series.  The Smith form of 1 - H is kept per h (``_smith``).  What
+depends on (h, n) but not on b (the subgroup orders and the Moebius table
+over the divisors of n, with references to G_(n/w) and H_(n/w)) is kept
+in one bounded memo (``_profile``), so the translation variants of one
+matrix share it.  The direct cyclotomic evaluation of the character sum
+over the listed fixed characters, the factor-by-factor product of the
+wedge series, and the Faddeev-LeVerrier recurrence for det(1 - x M) are
+kept with the tests (``tests/lefschetz_reference.py``) as references.
 
 The catalog covers the torus automorphisms whose action on second cohomology
 has prime order, together with their sign flips and translation variants,
@@ -84,9 +91,10 @@ from .matrix import Matrix, block_diag, exact_det, identity, smith_normal_form, 
 from .series import LaurentPoly
 
 # Largest accepted torsion order n.  The character sums cost O(tau(n)^2)
-# integer steps at any n and the order products O(n^3); the bound is
-# MAX_CONDUCTOR of tests/cyclotomic_reference.py, so the reference path can
-# check every accepted n.
+# integer steps at any n; the first growth of a G series to n costs O(n^3),
+# and a sweep over n pays it once per c, since later n extend the series.
+# The bound is MAX_CONDUCTOR of tests/cyclotomic_reference.py, so the
+# reference path can check every accepted n.
 MAX_TORSION = 60
 
 
@@ -174,10 +182,11 @@ def lefschetz_poly_surface(h: Matrix) -> LaurentPoly:
     return LaurentPoly(dict(enumerate(_charpoly(h.data))))
 
 
-def _exact_quotient(a: int, k: int, what: str) -> int:
+def _exact_quotient(a: int, k: int, name: str) -> int:
+    """a / k for the term k name_k of a recurrence; ValueError when it is not exact."""
     quotient, remainder = divmod(a, k)
     if remainder:
-        raise ValueError(f"integrality violated: {what} = {a}/{k}")
+        raise ValueError(f"integrality violated: {k} {name}_{k} = {a}/{k}")
     return quotient
 
 
@@ -205,8 +214,10 @@ def _elementary(sums) -> list[int]:
     """
     e = [1]
     for i in range(1, len(sums) + 1):
-        acc = sum((-1) ** (j - 1) * sums[j - 1] * e[i - j] for j in range(1, i + 1))
-        e.append(_exact_quotient(acc, i, f"{i} e_{i}"))
+        acc = 0
+        for j in range(i, 0, -1):  # the alternating sum, folded from its last term
+            acc = sums[j - 1] * e[i - j] - acc
+        e.append(_exact_quotient(acc, i, "e"))
     return e
 
 
@@ -221,63 +232,125 @@ def _wedge_table(c, top: int) -> list[tuple[int, ...]]:
     return [tuple(_elementary([p[j * s] for j in range(1, d + 1)])) for s in range(top + 1)]
 
 
-def _order_tops(c, orders, n: int) -> dict[int, tuple[int, list[int]]]:
-    """w -> (offset, G_(n/w)) for each order w | n, from c = det(1 - x Psi).
+class _OrderSeries:
+    """G(u) = prod_(v >= 1) F(u^v) for one c = det(1 - x Psi), grown on demand.
 
     F(x) = prod_i det(1 - wedge^i(Psi) q^(i-2) x)^((-1)^(i+1)) is
     exp(sum_s D_s x^s / s) with D_s = sum_i (-1)^i E_i(s) q^((i-2) s), so
-    G(u) = prod_(v >= 1) F(u^v) has k [u^k] log G = sum_(s | k) (k / s) D_s
-    and k G_k = sum_(j=1..k) (j log_j) G_(k-j).  The product for the order
-    w is G(t^w), so q^(2n) [t^n] of it is q^(2n) G_(n/w).  G_k is a dense
-    int list of q^(-2k) .. q^(2k), which q^(2n) moves to start at the
-    offset 2 (n - k).  Orders that do not divide n contribute nothing and
-    get no entry.
+    k [u^k] log G = sum_(s | k) (k / s) D_s and k G_k = sum_(j=1..k)
+    (j log_j) G_(k-j).  ``g[k]`` is G_k as a dense int list of q^(-2k) ..
+    q^(2k); ``logs[k]`` holds the nonzero terms of k log_k as (index, a)
+    pairs, the index counted from q^(-2k).  Neither depends on n, so one
+    series serves every n: ``grow(n)`` computes the terms k = N+1 .. n only.
     """
-    table = _wedge_table(c, n)
-    logs = [{} for _ in range(n + 1)]  # logs[k]: q exponent -> coefficient of k log_k
-    for s in range(1, n + 1):
-        for k in range(s, n + 1, s):
-            log = logs[k]
-            for i, e in enumerate(table[s]):
-                exp = (i - 2) * s
-                log[exp] = log.get(exp, 0) + (-1) ** i * (k // s) * e
-    g = [[1]]
-    for k in range(1, n + 1):
-        acc = [0] * (4 * k + 1)
-        for j in range(1, k + 1):
-            prev = g[k - j]
-            for exp, a in logs[j].items():
-                if a:
-                    base = exp + 2 * j
+
+    __slots__ = ("c", "logs", "g")
+
+    def __init__(self, c):
+        self.c, self.logs, self.g = c, [()], [[1]]
+
+    def grow(self, n: int) -> None:
+        top = len(self.g) - 1
+        if n <= top:
+            return
+        # the power-sum table is O(n) steps against the O(n^3) recurrence,
+        # so it is taken afresh rather than kept
+        table = _wedge_table(self.c, n)
+        new_logs = [{} for _ in range(n - top)]
+        for s in range(1, n + 1):
+            for k in range((top // s + 1) * s, n + 1, s):
+                log = new_logs[k - top - 1]
+                for i, e in enumerate(table[s]):
+                    index = (i - 2) * s + 2 * k
+                    log[index] = log.get(index, 0) + (-1) ** i * (k // s) * e
+        # nothing is committed until every division is exact
+        logs = self.logs + [tuple((i, a) for i, a in log.items() if a) for log in new_logs]
+        g = self.g[:]
+        for k in range(top + 1, n + 1):
+            acc = [0] * (4 * k + 1)
+            for j in range(1, k + 1):
+                prev = g[k - j]
+                for base, a in logs[j]:
                     for idx, x in enumerate(prev, base):
                         acc[idx] += a * x
-        g.append([_exact_quotient(x, k, f"{k} G_{k}") for x in acc])
-    return {w: (2 * (n - n // w), g[n // w]) for w in orders if n % w == 0}
+            g.append([_exact_quotient(x, k, "G") for x in acc])
+        self.logs, self.g = logs, g
+
+
+class _ExpSeries:
+    """H(u) with k [u^k] log H = sum_(s | k) (k / s) det(1 - Psi^s), grown on demand.
+
+    The recurrence of ``_OrderSeries`` at q = 1, on its own inputs: the
+    determinants are taken of matrix powers, not read off the power-sum
+    table, so ``corollary_holds`` checks one against the other.  ``rows``
+    are the int rows of h or of Psi = h^T: det(1 - Psi^s) is transpose
+    invariant.  ``power`` is Psi^N and ``h[k]`` is H_k for k = 0 .. N.
+    """
+
+    __slots__ = ("psi", "power", "dets", "logs", "h")
+
+    def __init__(self, rows):
+        self.psi, self.power = Matrix._of_ints(rows, 4), identity(4)
+        self.dets, self.logs, self.h = [0], [0], [1]
+
+    def grow(self, n: int) -> None:
+        top = len(self.h) - 1
+        if n <= top:
+            return
+        power, dets = self.power, self.dets[:]
+        for _ in range(top, n):
+            power = power @ self.psi
+            dets.append(exact_det(identity(4) - power))
+        logs = self.logs + [sum((k // s) * dets[s] for s in range(1, k + 1) if k % s == 0)
+                            for k in range(top + 1, n + 1)]
+        h = self.h[:]
+        for k in range(top + 1, n + 1):
+            acc = sum(logs[j] * h[k - j] for j in range(1, k + 1))
+            h.append(_exact_quotient(acc, k, "H"))
+        self.power, self.dets, self.logs, self.h = power, dets, logs, h
+
+
+# One series per c and per h, kept across n.  The memos per h hold 32, so
+# that the 18 catalog matrices +-h of a sweep over n fit: an LRU memo
+# cycled through more keys than it holds misses on every lookup.
+@lru_cache(maxsize=16)
+def _order_series(c) -> _OrderSeries:
+    return _OrderSeries(c)
+
+
+@lru_cache(maxsize=32)
+def _exp_series(rows) -> _ExpSeries:
+    return _ExpSeries(rows)
+
+
+def _order_tops(c, orders, n: int) -> dict[int, tuple[int, list[int]]]:
+    """w -> (offset, G_(n/w)) for each order w | n, from c = det(1 - x Psi).
+
+    The product for the order w is G(t^w), so q^(2n) [t^n] of it is
+    q^(2n) G_(n/w), which starts at the offset 2 (n - n/w).  Orders that do
+    not divide n contribute nothing and get no entry.
+    """
+    series = _order_series(c)
+    series.grow(n)
+    return {w: (2 * (n - n // w), series.g[n // w]) for w in orders if n % w == 0}
 
 
 def _exp_tops(rows, orders, n: int) -> dict[int, int]:
     """w -> [t^n] prod_{v >= 1} exp(sum_{s >= 1} det(1 - Psi^s)/s t^(v w s)).
 
-    The recurrence of ``_order_tops`` at q = 1, on its own inputs: H(u) with
-    k [u^k] log H = sum_(s | k) (k / s) det(1 - Psi^s), the determinants
-    taken of matrix powers, and k H_k = sum_j (j log_j) H_(k-j).  The
-    product for the order w is H(t^w).  ``rows`` are the int rows of h or
-    of Psi = h^T: det(1 - Psi^s) is transpose invariant.
+    The product for the order w is H(t^w), whose t^n coefficient is
+    H_(n/w) when w divides n and 0 otherwise.
     """
-    psi, power = Matrix._of_ints(rows, 4), identity(4)
-    dets = [0]
-    for _ in range(n):
-        power = power @ psi
-        dets.append(exact_det(identity(4) - power))
-    logs = [0] * (n + 1)
-    for s in range(1, n + 1):
-        for k in range(s, n + 1, s):
-            logs[k] += (k // s) * dets[s]
-    h = [1]
-    for k in range(1, n + 1):
-        acc = sum(logs[j] * h[k - j] for j in range(1, k + 1))
-        h.append(_exact_quotient(acc, k, f"{k} H_{k}"))
-    return {w: 0 if n % w else h[n // w] for w in orders}
+    series = _exp_series(rows)
+    series.grow(n)
+    return {w: 0 if n % w else series.h[n // w] for w in orders}
+
+
+@lru_cache(maxsize=32)
+def _smith(h_data) -> tuple[tuple, tuple[int, ...]]:
+    """(rows of U, (d_1, .., d_4)) with U (1 - H) V = diag(d_1, .., d_4), for any n."""
+    u, d, _ = smith_normal_form(identity(4) - Matrix._of_ints(h_data, 4))
+    return u.data, tuple(d.data[i][i] for i in range(4))
 
 
 class _Profile(NamedTuple):
@@ -293,8 +366,7 @@ class _Profile(NamedTuple):
 
 @lru_cache(maxsize=16)
 def _profile(h_data, n: int) -> _Profile:
-    u, d, _ = smith_normal_form(identity(4) - Matrix._of_ints(h_data, 4))
-    diagonal = [d.data[i][i] for i in range(4)]
+    u_rows, diagonal = _smith(h_data)
     divisors = [e for e in range(1, n + 1) if n % e == 0]
     subgroups = []
     for e in divisors:
@@ -306,7 +378,7 @@ def _profile(h_data, n: int) -> _Profile:
         table.append((w, tuple((i, mu) for i, mu in terms if mu)))
     c = _charpoly(h_data)
     return _Profile(
-        u.data,
+        u_rows,
         tuple(subgroups),
         tuple(table),
         c,

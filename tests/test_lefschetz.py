@@ -37,6 +37,19 @@ from lefschetz_reference import (
 from matrix_reference import apply, fraction_inverse, fraction_product, integral_matrix
 
 
+def _clear_lefschetz_memos():
+    import kummerlat.lefschetz as lef
+
+    for memo in (lef._charpoly, lef._smith, lef._order_series, lef._exp_series, lef._profile):
+        memo.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_lefschetz_memos():
+    # a memo grown by an earlier test would skip the code a guard test corrupts
+    _clear_lefschetz_memos()
+
+
 def test_exterior_powers():
     assert exterior_power(identity(4), 2) == identity(6)
     m = Matrix([[1, 2, 0, 1], [0, 1, 1, 0], [2, 0, 1, 1], [1, 1, 0, 1]])
@@ -546,7 +559,6 @@ def test_integrality_guards(monkeypatch):
     monkeypatch.setattr(lef, "_power_sums", bump_first)
     with pytest.raises(ValueError, match="integrality violated: 2 e_2"):
         lef._order_tops(lef._charpoly(psi.data), [1], 2)
-    lef._profile.cache_clear()
     with pytest.raises(ValueError, match="integrality violated"):
         lefschetz_q(torus_automorphism(psi, (0, 0, 0, 0), 2))
     monkeypatch.setattr(lef, "_power_sums", power_sums)
@@ -568,7 +580,6 @@ def test_integrality_guards(monkeypatch):
     monkeypatch.setattr(lef, "exact_det", lambda m: 1 if m == zero else det(m))
     with pytest.raises(ValueError, match="integrality violated: 2 H_2"):
         lef._exp_tops((-psi).data, [1], 2)
-    lef._profile.cache_clear()
 
 
 def _partitions(m, largest):
@@ -634,9 +645,6 @@ def test_literature_oracles_for_the_identity():
 
 def test_identity_at_the_torsion_bound():
     # no character is listed, so n = 60 (12.96M characters of (Z/60)^4) is quick
-    import kummerlat.lefschetz as lef
-
-    lef._profile.cache_clear()
     start = time.perf_counter()
     result = lefschetz_q(torus_automorphism(identity(4), (0, 0, 0, 0), 60))
     assert result.value == 60**3 * sum(d for d in range(1, 61) if 60 % d == 0) == 36288000
@@ -717,7 +725,6 @@ def test_exp_tops_match_factorial_exponential():
 def test_profile_memo_is_bounded_and_shared_across_translations():
     import kummerlat.lefschetz as lef
 
-    lef._profile.cache_clear()
     h = _h_matrix(7)
     for beta in list(product(range(3), repeat=4))[:10]:
         lefschetz_q(torus_automorphism(h, beta, 3))
@@ -728,7 +735,107 @@ def test_profile_memo_is_bounded_and_shared_across_translations():
     matrices = {random_unimodular(rng, 4) for _ in range(24)}
     for m in matrices:
         lefschetz_q(torus_automorphism(m, (1, 0, 0, 0), 2))
+        assert lef._order_series.cache_info().currsize <= 16
     assert len(matrices) > 16 and lef._profile.cache_info().currsize == 16
+    assert lef._order_series.cache_info()[2:] == (16, 16)  # maxsize, currsize
+    # the 18 matrices of the benchmark sweep over n = 2..6 share 10 c and
+    # grow each series in place: one G series per c, one H series and one
+    # Smith form per h
+    _clear_lefschetz_memos()
+    sweep = _catalog_matrices()
+    assert len({lef._charpoly(h.data) for h in sweep}) == 10
+    for n in range(2, 7):
+        for h in sweep:
+            for b in ((0, 0, 0, 0), tuple(rng.randrange(n) for _ in range(4))):
+                aut = torus_automorphism(h, b, n)
+                lefschetz_q(aut)
+                corollary_value(aut)
+    assert (lef._order_series.cache_info().misses, lef._exp_series.cache_info().misses,
+            lef._smith.cache_info().misses) == (10, 18, 18)
+    assert lef._profile.cache_info().misses == 5 * 18
+
+
+def _reference_cases():
+    """The 615 cases: the catalog, and n = 1..12 x (18 catalog +-h and 6 random h) x 2 b."""
+    rng = random.Random(615)
+    cases = [catalog(kind, variant) for kind, variant, _ in CATALOG_EXPECTED]
+    matrices = _catalog_matrices() + [random_unimodular(rng, 4) for _ in range(6)]
+    for n in range(1, 13):
+        for h in matrices:
+            for b in ((0, 0, 0, 0), tuple(rng.randrange(n) for _ in range(4))):
+                cases.append(torus_automorphism(h, b, n))
+    return cases
+
+
+def test_outputs_do_not_depend_on_the_order_of_the_calls():
+    # the memos grow in whatever order n arrives; each case run cold (all
+    # memos cleared) is the oracle for the same case run in a shuffled order
+    cases = _reference_cases()
+    assert len(cases) == 615
+    cold = []
+    for aut in cases:
+        _clear_lefschetz_memos()
+        cold.append((lefschetz_q(aut), corollary_value(aut)))
+    _clear_lefschetz_memos()
+    order = list(range(len(cases)))
+    random.Random(617).shuffle(order)
+    for i in order:
+        assert (lefschetz_q(cases[i]), corollary_value(cases[i])) == cold[i], cases[i]
+
+
+def test_series_grown_in_steps_match_series_grown_at_once():
+    import kummerlat.lefschetz as lef
+
+    rng = random.Random(619)
+    for h in _catalog_matrices()[::5] + [random_unimodular(rng, 4) for _ in range(2)]:
+        c = lef._charpoly(h.data)
+        far, steps, exp_far = lef._OrderSeries(c), lef._OrderSeries(c), lef._ExpSeries(h.data)
+        far.grow(12)
+        exp_far.grow(12)
+        for k in range(13):
+            steps.grow(k)
+            assert steps.g == far.g[:k + 1] and steps.logs == far.logs[:k + 1], (h, k)
+            straight, exp_straight = lef._OrderSeries(c), lef._ExpSeries(h.data)
+            straight.grow(k)
+            exp_straight.grow(k)
+            assert straight.g[k] == far.g[k] and exp_straight.h[k] == exp_far.h[k], (h, k)
+            assert exp_straight.power == h ** k
+
+
+def test_failed_growth_commits_nothing(monkeypatch):
+    import kummerlat.lefschetz as lef
+
+    psi = identity(4)
+    series = lef._OrderSeries(lef._charpoly(psi.data))
+    series.grow(1)
+    before = (list(series.logs), [list(g) for g in series.g])
+    wedge_table = lef._wedge_table
+
+    def bump_table(c, top):
+        table = wedge_table(c, top)
+        table[3] = (table[3][0] + 1,) + table[3][1:]
+        return table
+
+    # G_2 divides exactly before 3 G_3 moves by 1 at q^-6
+    monkeypatch.setattr(lef, "_wedge_table", bump_table)
+    with pytest.raises(ValueError, match="integrality violated: 3 G_3"):
+        series.grow(3)
+    assert (series.logs, series.g) == before
+    monkeypatch.undo()
+    series.grow(3)
+    fresh = lef._OrderSeries(lef._charpoly(psi.data))
+    fresh.grow(3)
+    assert (series.logs, series.g) == (fresh.logs, fresh.g)
+
+    # the H series of Psi = -1 with det(1 - Psi^2) = 0 read as 1
+    exp_series = lef._ExpSeries((-psi).data)
+    exp_series.grow(1)
+    before = (exp_series.power, list(exp_series.dets), list(exp_series.logs), list(exp_series.h))
+    zero, det = Matrix([[0] * 4] * 4), lef.exact_det
+    monkeypatch.setattr(lef, "exact_det", lambda m: 1 if m == zero else det(m))
+    with pytest.raises(ValueError, match="integrality violated: 2 H_2"):
+        exp_series.grow(2)
+    assert (exp_series.power, exp_series.dets, exp_series.logs, exp_series.h) == before
 
 
 def test_transpose_invariance_of_factors():
