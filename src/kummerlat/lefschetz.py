@@ -54,22 +54,21 @@ at q = 1 is the integer Lefschetz number; the q-free corollary is an
 integer too.
 
 c = det(1 - x Psi) comes from the traces tr h^k (k = 1..4) by Newton's
-identities, the same ``_elementary`` that fills the power-sum table, and
-is kept in a bounded memo per matrix (``_charpoly``), which
-``lefschetz_poly_surface`` and the power sums read.  No series depends
-on n: G(u) depends on c alone, and its q = 1 counterpart H(u) of
-``corollary_value``, taken from det(1 - Psi^s) of matrix powers, on h
-alone.  So one G series per c (``_order_series``) and one H series per h
-(``_exp_series``) are kept in bounded memos and grown on demand: a sweep
-over n computes each G_k and H_k once, and conjugate matrices share one
-G series.  The Smith form of 1 - H is kept per h (``_smith``).  What
-depends on (h, n) but not on b (the subgroup orders and the Moebius table
-over the divisors of n, with references to G_(n/w) and H_(n/w)) is kept
-in one bounded memo (``_profile``), so the translation variants of one
-matrix share it.  The direct cyclotomic evaluation of the character sum
+identities, the same ``_elementary`` that fills the power-sum table.  No
+series depends on n: G(u) depends on c alone, and its q = 1 counterpart
+H(u) of ``corollary_value``, taken from det(1 - Psi^s) of matrix powers,
+on h alone.  So the engine keeps one record per matrix (``_Matrix``) in
+one bounded memo: c, the Smith form of 1 - H, the H series of h, the G
+series of c, and the subgroup orders and Moebius table of the last n,
+with references to G_(n/w) and H_(n/w).  The series grow on demand, so a
+sweep over n computes each G_k and H_k once, and the translation
+variants of a matrix share its record.  Records with the same c share
+one G series through a weak map, so a G series lives as long as some
+record holds it.  The direct cyclotomic evaluation of the character sum
 over the listed fixed characters, the factor-by-factor product of the
-wedge series, and the Faddeev-LeVerrier recurrence for det(1 - x M) are
-kept with the tests (``tests/lefschetz_reference.py``) as references.
+wedge series, the Faddeev-LeVerrier recurrence for det(1 - x M) and the
+equivariant Goettsche-Soergel sum over partitions are kept with the
+tests (``tests/lefschetz_reference.py``) as references.
 
 The catalog covers the torus automorphisms whose action on second cohomology
 has prime order, together with their sign flips and translation variants,
@@ -83,8 +82,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
-from typing import NamedTuple
+from math import gcd, prod
+from weakref import WeakValueDictionary
 
 from .cyclotomic import moebius
 from .matrix import Matrix, block_diag, exact_det, identity, smith_normal_form, solve
@@ -133,7 +132,7 @@ class TorusAutomorphism:
         _check_torsion(self.torsion)
         if self.matrix.shape != (4, 4):
             raise ValueError("torus automorphism needs an integral 4x4 matrix")
-        if abs(_charpoly(self.matrix.data)[4]) != 1:  # c_4 = det Psi = det h
+        if abs(_matrix(self.matrix.data).c[4]) != 1:  # c_4 = det Psi = det h
             raise ValueError("torus automorphism matrix must be unimodular")
         if len(self.translation) != 4:
             raise ValueError("translation must have four coordinates")
@@ -156,7 +155,6 @@ class LefschetzResult:
     value: int
 
 
-@lru_cache(maxsize=64)
 def _charpoly(h_data) -> tuple[int, ...]:
     """c = det(1 - x Psi) for Psi the transpose of the d x d matrix with rows h_data.
 
@@ -175,11 +173,14 @@ def _charpoly(h_data) -> tuple[int, ...]:
 
 
 def lefschetz_poly_surface(h: Matrix) -> LaurentPoly:
-    """L(psi, q) = det(1 - q Psi) with Psi the transpose of h.
+    """L(psi, q) = det(1 - q Psi) with Psi the transpose of the 4x4 matrix h.
 
     Equals the alternating sum of exterior power traces weighted by q^k.
+    Any other shape raises ValueError.
     """
-    return LaurentPoly(dict(enumerate(_charpoly(h.data))))
+    if h.shape != (4, 4):
+        raise ValueError("torus automorphism needs an integral 4x4 matrix")
+    return LaurentPoly(dict(enumerate(_matrix(h.data).c)))
 
 
 def _exact_quotient(a: int, k: int, name: str) -> int:
@@ -244,7 +245,7 @@ class _OrderSeries:
     series serves every n: ``grow(n)`` computes the terms k = N+1 .. n only.
     """
 
-    __slots__ = ("c", "logs", "g")
+    __slots__ = ("c", "logs", "g", "__weakref__")
 
     def __init__(self, c):
         self.c, self.logs, self.g = c, [()], [[1]]
@@ -310,95 +311,74 @@ class _ExpSeries:
         self.power, self.dets, self.logs, self.h = power, dets, logs, h
 
 
-# One series per c and per h, kept across n.  The memos per h hold 32, so
-# that the 18 catalog matrices +-h of a sweep over n fit: an LRU memo
-# cycled through more keys than it holds misses on every lookup.
-@lru_cache(maxsize=16)
-def _order_series(c) -> _OrderSeries:
-    return _OrderSeries(c)
+# c -> the G series of c, while some record holds it
+_ORDER_SERIES: WeakValueDictionary = WeakValueDictionary()
 
 
-@lru_cache(maxsize=32)
-def _exp_series(rows) -> _ExpSeries:
-    return _ExpSeries(rows)
+class _Matrix:
+    """What lefschetz_q and corollary_value keep of one 4x4 matrix h, whatever b is.
 
-
-def _order_tops(c, orders, n: int) -> dict[int, tuple[int, list[int]]]:
-    """w -> (offset, G_(n/w)) for each order w | n, from c = det(1 - x Psi).
-
-    The product for the order w is G(t^w), so q^(2n) [t^n] of it is
-    q^(2n) G_(n/w), which starts at the offset 2 (n - n/w).  Orders that do
-    not divide n contribute nothing and get no entry.
+    ``c`` holds c_0 .. c_4 of det(1 - q Psi) = L(psi, q), with c_0 = 1;
+    ``u_rows`` and ``diagonal`` are U and (d_1, .., d_4) of a Smith form
+    U (1 - H) V = diag(d_1, .., d_4); ``exp_series`` is the H series of h and
+    ``order_series`` the G series of c, shared with every record of the
+    same c.  ``table(n)`` grows both to n and sets the tables of n, kept
+    until another n is asked for:
+    ``subgroups`` per divisor e of n: (|A[e]|, (gcd(d_i, e))_i), A[e] killed by e;
+    ``moebius`` per divisor w of n: (w, ((index of e, moebius(w / e)) for e | w));
+    ``tops`` divisor w of n -> (offset, G_(n/w)): q^(2n) [t^n] of the order-w product;
+    ``exp_tops`` divisor w of n -> H_(n/w): [t^n] of the order-w exponential form.
     """
-    series = _order_series(c)
-    series.grow(n)
-    return {w: (2 * (n - n // w), series.g[n // w]) for w in orders if n % w == 0}
+
+    __slots__ = ("c", "u_rows", "diagonal", "order_series", "exp_series",
+                 "n", "subgroups", "moebius", "tops", "exp_tops")
+
+    def __init__(self, h_data):
+        self.c = c = _charpoly(h_data)
+        u, d, _ = smith_normal_form(identity(4) - Matrix._of_ints(h_data, 4))
+        self.u_rows, self.diagonal = u.data, tuple(d.data[i][i] for i in range(4))
+        self.order_series = _ORDER_SERIES.get(c) or _ORDER_SERIES.setdefault(c, _OrderSeries(c))
+        self.exp_series = _ExpSeries(h_data)
+        self.n = 0
+
+    def table(self, n: int) -> _Matrix:
+        if n == self.n:
+            return self
+        g, h = self.order_series, self.exp_series
+        g.grow(n)
+        h.grow(n)
+        divisors = [e for e in range(1, n + 1) if n % e == 0]
+        gcds = [tuple(gcd(x, e) for x in self.diagonal) for e in divisors]
+        mu = {e: moebius(e) for e in divisors}  # w / e divides n too
+        self.subgroups = tuple((prod(row), row) for row in gcds)
+        self.moebius = tuple((w, tuple((i, mu[w // e]) for i, e in enumerate(divisors)
+                                       if w % e == 0 and mu[w // e])) for w in divisors)
+        # the product for the order w is G(t^w), so q^(2n) [t^n] of it is
+        # q^(2n) G_(n/w), from the offset 2 (n - n/w); H(t^w) gives H_(n/w)
+        self.tops = {w: (2 * (n - n // w), g.g[n // w]) for w in divisors}
+        self.exp_tops = {w: h.h[n // w] for w in divisors}
+        self.n = n
+        return self
 
 
-def _exp_tops(rows, orders, n: int) -> dict[int, int]:
-    """w -> [t^n] prod_{v >= 1} exp(sum_{s >= 1} det(1 - Psi^s)/s t^(v w s)).
-
-    The product for the order w is H(t^w), whose t^n coefficient is
-    H_(n/w) when w divides n and 0 otherwise.
-    """
-    series = _exp_series(rows)
-    series.grow(n)
-    return {w: 0 if n % w else series.h[n // w] for w in orders}
+# One record per matrix.  It holds 32, so that the 18 catalog matrices +-h
+# of a sweep over n fit: an LRU memo cycled through more keys than it holds
+# misses on every lookup.
+_matrix = lru_cache(maxsize=32)(_Matrix)
 
 
-@lru_cache(maxsize=32)
-def _smith(h_data) -> tuple[tuple, tuple[int, ...]]:
-    """(rows of U, (d_1, .., d_4)) with U (1 - H) V = diag(d_1, .., d_4), for any n."""
-    u, d, _ = smith_normal_form(identity(4) - Matrix._of_ints(h_data, 4))
-    return u.data, tuple(d.data[i][i] for i in range(4))
-
-
-class _Profile(NamedTuple):
-    """What lefschetz_q and corollary_value need of (h, n), whatever b is."""
-
-    u_rows: tuple  # rows of U, with U (1 - H) V = diag(d_1, .., d_4) a Smith form
-    subgroups: tuple  # per divisor e of n: (|A[e]|, (gcd(d_i, e))_i), A[e] killed by e
-    moebius: tuple  # per divisor w of n: (w, ((index of e, moebius(w / e)) for e | w))
-    c: tuple  # c_0 .. c_4 of det(1 - q Psi) = L(psi, q), with c_0 = 1
-    tops: dict  # divisor w of n -> (offset, G_(n/w)): q^(2n) [t^n] of the order-w product
-    exp_tops: dict  # divisor w of n -> [t^n] of the order-w exponential form
-
-
-@lru_cache(maxsize=16)
-def _profile(h_data, n: int) -> _Profile:
-    u_rows, diagonal = _smith(h_data)
-    divisors = [e for e in range(1, n + 1) if n % e == 0]
-    subgroups = []
-    for e in divisors:
-        gcds = tuple(gcd(x, e) for x in diagonal)
-        subgroups.append((gcds[0] * gcds[1] * gcds[2] * gcds[3], gcds))
-    table = []
-    for w in divisors:
-        terms = ((i, moebius(w // e)) for i, e in enumerate(divisors) if w % e == 0)
-        table.append((w, tuple((i, mu) for i, mu in terms if mu)))
-    c = _charpoly(h_data)
-    return _Profile(
-        u_rows,
-        tuple(subgroups),
-        tuple(table),
-        c,
-        _order_tops(c, divisors, n),
-        _exp_tops(h_data, divisors, n),
-    )
-
-
-def _order_sums(aut: TorusAutomorphism, profile: _Profile) -> dict[int, int]:
+def _order_sums(aut: TorusAutomorphism, record: _Matrix) -> dict[int, int]:
     """sigma_w, the sum of chi(b) over the fixed chi of order w, for every w | n.
 
     The chi(b) over A[e] sum to |A[e]| when gcd(d_i, e) divides (U b)_i for
     every i and to 0 otherwise; Moebius inversion over the divisors of w
-    separates the orders.
+    separates the orders.  ``record`` holds the tables of n.
     """
     b0, b1, b2, b3 = aut.translation
-    x0, x1, x2, x3 = [u0 * b0 + u1 * b1 + u2 * b2 + u3 * b3 for u0, u1, u2, u3 in profile.u_rows]
+    x0, x1, x2, x3 = [u0 * b0 + u1 * b1 + u2 * b2 + u3 * b3 for u0, u1, u2, u3 in record.u_rows]
     subgroup_sums = [0 if x0 % g0 or x1 % g1 or x2 % g2 or x3 % g3 else size
-                     for size, (g0, g1, g2, g3) in profile.subgroups]
-    return {w: sum([mu * subgroup_sums[i] for i, mu in terms]) for w, terms in profile.moebius}
+                     for size, (g0, g1, g2, g3) in record.subgroups]
+    return {w: sum([mu * subgroup_sums[i] for i, mu in terms]) for w, terms in record.moebius}
 
 
 def lefschetz_q(aut: TorusAutomorphism) -> LefschetzResult:
@@ -414,11 +394,11 @@ def lefschetz_q(aut: TorusAutomorphism) -> LefschetzResult:
     None of these is reachable for genuine torus automorphisms.
     """
     n = aut.torsion
-    profile = _profile(aut.matrix.data, n)
+    record = _matrix(aut.matrix.data).table(n)
     numerator = [0] * (4 * n + 1)
-    for w, sigma in _order_sums(aut, profile).items():
+    for w, sigma in _order_sums(aut, record).items():
         if sigma:
-            offset, g = profile.tops[w]
+            offset, g = record.tops[w]
             if offset < 0:
                 raise ValueError(
                     "division identity violated: q-valuation of the t^n coefficient "
@@ -426,7 +406,7 @@ def lefschetz_q(aut: TorusAutomorphism) -> LefschetzResult:
                 )
             for idx, x in enumerate(g, offset):
                 numerator[idx] += sigma * x
-    _, c1, c2, c3, c4 = profile.c
+    _, c1, c2, c3, c4 = record.c
     for k in range(4 * n - 3):
         x = numerator[k]
         if x:
@@ -461,9 +441,9 @@ def corollary_value(aut: TorusAutomorphism) -> int:
 
     which equals L(psi) * L(psi^[n]).
     """
-    profile = _profile(aut.matrix.data, aut.torsion)
-    sums = _order_sums(aut, profile)
-    return sum(sigma * profile.exp_tops[w] for w, sigma in sums.items() if sigma)
+    record = _matrix(aut.matrix.data).table(aut.torsion)
+    sums = _order_sums(aut, record)
+    return sum(sigma * record.exp_tops[w] for w, sigma in sums.items() if sigma)
 
 
 # ---------------------------------------------------------------------------

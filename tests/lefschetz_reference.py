@@ -6,13 +6,18 @@ factor, as truncated power series in t over Laurent polynomials in q, so
 it shares no step with the integer engine of ``kummerlat.lefschetz``.  Its
 wedge polynomials det(1 - x M) come from the Faddeev-LeVerrier
 recurrence, not from Newton's identities on traces as in the engine.
+
+``goettsche_soergel`` is an oracle by another formula: the equivariant sum
+over the partitions of n, with brute-force counts of fixed components.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, product
 from math import gcd
 
 from cyclotomic_reference import CyclotomicNumber
@@ -266,3 +271,89 @@ def generating_series(aut: TorusAutomorphism, trunc: int) -> TruncatedBiSeries:
             continue
         total = total + _order_product(psi, w, trunc).scaled(sigma)
     return total
+
+
+def _partitions(m, largest):
+    if m == 0:
+        yield ()
+    for part in range(min(m, largest), 0, -1):
+        for rest in _partitions(m - part, part):
+            yield (part,) + rest
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _poly_add(a, b):
+    a, b = (a, b) if len(a) >= len(b) else (b, a)
+    return [x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)]
+
+
+def _symmetric_traces(h: Matrix, top: int) -> list[list[int]]:
+    """S_0 .. S_top, dense in q: the signed q-trace of psi on Sym^a A.
+
+    S_a = [t^a] prod_(i=0..4) det(1 - t q^i wedge^i Psi)^((-1)^(i+1))
+    (Macdonald's formula for symmetric products).  Each factor has constant
+    term 1, so dividing by one is a recurrence over Z[q].
+    """
+    psi = h.transpose()
+    series = [[1]] + [[0]] * top
+    for i in range(5):
+        c = _det_one_minus_x(exterior_power(psi, i))
+        factor = [[0] * (i * k) + [x] for k, x in enumerate(c)][1:top + 1]
+        if i % 2:
+            series = [reduce(_poly_add, (_poly_mul(f, series[a - k])
+                                         for k, f in enumerate(factor[:a], 1)), series[a])
+                      for a in range(top + 1)]
+        else:
+            for a in range(1, top + 1):
+                for k, f in enumerate(factor[:a], 1):
+                    series[a] = _poly_add(series[a], [-x for x in _poly_mul(f, series[a - k])])
+    return series
+
+
+def _fixed_components(h: Matrix, b, g: int) -> int:
+    """N_g(h, b) = #{x in (Z/g)^4 : h x + b = x mod g}, by brute force."""
+    rows = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(h.data)]
+    return sum(all((r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3 + bi) % g == 0
+                   for (r0, r1, r2, r3), bi in zip(rows, b))
+               for x0, x1, x2, x3 in product(range(g), repeat=4))
+
+
+def goettsche_soergel(h: Matrix, b, n: int) -> list[int]:
+    """Coefficients of q^0 .. q^(4n-4) of L(psi^[n], q) for psi = t_b o h.
+
+    The decomposition of H*(K_(n-1)(A)) over the partitions alpha of n
+    (Goettsche-Soergel, Math. Ann. 296, 1993), made equivariant:
+
+        L(psi^[n], q) = sum_(alpha |- n) q^(2(n - l(alpha))) N_g(h, b)
+                            prod_i S_(a_i)(q) / det(1 - q Psi),
+
+    with l(alpha) the number of parts, a_i the number of parts equal to i,
+    g the gcd of the parts, and N_g(h, b) the components of the fibre of
+    A^(alpha) -> A that psi fixes: it maps the component tau in A[g] to
+    h tau + b / g.  Asserts that the division leaves no remainder.
+    """
+    sym = _symmetric_traces(h, n)
+    counts: dict[int, int] = {}
+    total = [0] * (4 * n + 1)
+    for alpha in _partitions(n, n):
+        g = gcd(*alpha)
+        if g not in counts:
+            counts[g] = _fixed_components(h, b, g)
+        if counts[g]:
+            poly = reduce(_poly_mul, (sym[a] for a in Counter(alpha).values()))
+            for i, x in enumerate(poly, 2 * (n - len(alpha))):
+                total[i] += counts[g] * x
+    c = _det_one_minus_x(h.transpose())
+    for k in range(4 * n - 3):  # c_0 = 1: divide from the low end
+        for j in range(1, 5):
+            total[k + j] -= c[j] * total[k]
+    assert not any(total[4 * n - 3:]), "remainder in the Goettsche-Soergel sum"
+    return total[:4 * n - 3]

@@ -1,9 +1,7 @@
 import random
 import time
-from collections import Counter
 from fractions import Fraction
-from functools import reduce
-from itertools import accumulate, product
+from itertools import product
 from math import comb, gcd
 
 import pytest
@@ -33,6 +31,7 @@ from lefschetz_reference import (
     exterior_power,
     fixed_characters,
     generating_series,
+    goettsche_soergel,
 )
 from matrix_reference import apply, fraction_inverse, fraction_product, integral_matrix
 
@@ -40,8 +39,8 @@ from matrix_reference import apply, fraction_inverse, fraction_product, integral
 def _clear_lefschetz_memos():
     import kummerlat.lefschetz as lef
 
-    for memo in (lef._charpoly, lef._smith, lef._order_series, lef._exp_series, lef._profile):
-        memo.cache_clear()
+    lef._matrix.cache_clear()
+    lef._ORDER_SERIES.clear()
 
 
 @pytest.fixture(autouse=True)
@@ -83,6 +82,14 @@ def test_lefschetz_poly_surface():
     assert lefschetz_poly_surface(-identity(4)) == LaurentPoly({0: 1, 1: 4, 2: 6, 3: 4, 4: 1})
     comp5 = catalog(8, "h").matrix
     assert lefschetz_poly_surface(comp5) == LaurentPoly({k: 1 for k in range(5)})
+
+
+def test_lefschetz_poly_surface_needs_a_4x4_matrix():
+    # a 3x4 matrix once gave (1 - q)^3 and a 3x2 one an IndexError
+    for m in (Matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]), Matrix([[1, 0], [0, 1], [0, 0]]),
+              identity(3), identity(5)):
+        with pytest.raises(ValueError, match="torus automorphism needs an integral 4x4 matrix"):
+            lefschetz_poly_surface(m)
 
 
 def test_lefschetz_poly_equals_alternating_traces():
@@ -378,18 +385,18 @@ def test_division_and_rationality_guards(monkeypatch):
     import kummerlat.lefschetz as lef
 
     aut = catalog(0, "id")
-    genuine = lef._profile(aut.matrix.data, aut.torsion)
+    record = lef._matrix(aut.matrix.data).table(aut.torsion)
 
-    def corrupt(**fields):
-        monkeypatch.setattr(lef, "_profile", lambda h, n: genuine._replace(**fields))
+    def corrupt(tops):
+        monkeypatch.setattr(record, "tops", tops)
 
     # q^(2n) [t^n] with a negative exponent: q-valuation below -2n
-    corrupt(tops={1: (-1, [1]), 3: (0, [])})
+    corrupt({1: (-1, [1]), 3: (0, [])})
     with pytest.raises(ValueError, match="division identity violated: q-valuation"):
         lef.lefschetz_q(aut)
 
     # numerator not divisible by L(psi, q)
-    corrupt(tops={1: (0, [1]), 3: (0, [])})
+    corrupt({1: (0, [1]), 3: (0, [])})
     with pytest.raises(ValueError, match="division identity violated: nonzero remainder"):
         lef.lefschetz_q(aut)
 
@@ -401,18 +408,17 @@ def test_division_guard_reads_every_remainder_coefficient(monkeypatch):
 
     aut = catalog(0, "id")
     n = aut.torsion
-    genuine = lef._profile(aut.matrix.data, n)
+    record = lef._matrix(aut.matrix.data).table(n)
 
     def numerator(dense):
-        monkeypatch.setattr(lef, "_profile",
-                            lambda h, n: genuine._replace(tops={1: (0, dense), 3: (0, [])}))
+        monkeypatch.setattr(record, "tops", {1: (0, dense), 3: (0, [])})
 
     # sigma_1 = 1: the numerator is L(psi, q) (1 + q^(4n-4)), whose quotient
     # is a palindrome, as the Poincare duality guard requires for det h = 1
-    numerator(list(genuine.c) + [0] * (4 * n - 9) + list(genuine.c))
+    numerator(list(record.c) + [0] * (4 * n - 9) + list(record.c))
     assert lef.lefschetz_q(aut) == lef.LefschetzResult(LaurentPoly({0: 1, 4 * n - 4: 1}), 2)
     for k in range(4 * n - 3, 4 * n + 1):
-        numerator(list(genuine.c) + [0] * (k - 5) + [1])
+        numerator(list(record.c) + [0] * (k - 5) + [1])
         with pytest.raises(ValueError, match="division identity violated: nonzero remainder"):
             lef.lefschetz_q(aut)
 
@@ -423,9 +429,8 @@ def test_poincare_duality_guard(monkeypatch):
     import kummerlat.lefschetz as lef
 
     def corrupt(aut):
-        genuine = lef._profile(aut.matrix.data, aut.torsion)
-        tops = {1: (0, list(genuine.c)), 3: (0, [])}
-        monkeypatch.setattr(lef, "_profile", lambda h, n: genuine._replace(tops=tops))
+        record = lef._matrix(aut.matrix.data).table(aut.torsion)
+        monkeypatch.setattr(record, "tops", {1: (0, list(record.c)), 3: (0, [])})
 
     aut = catalog(0, "id")  # det h = 1
     corrupt(aut)
@@ -459,7 +464,7 @@ def test_integer_character_sums_match_cyclotomic_sums():
             for b in ((0, 0, 0, 0), tuple(rng.randrange(n) for _ in range(4))):
                 aut = torus_automorphism(h, b, n)
                 expected = _character_order_sums(aut)
-                sums = lef._order_sums(aut, lef._profile(h.data, n))
+                sums = lef._order_sums(aut, lef._matrix(h.data).table(n))
                 assert sorted(sums) == divisors
                 assert set(expected) <= set(divisors)
                 for w in divisors:
@@ -510,7 +515,7 @@ def test_order_tops_match_reference_products():
     for h in _catalog_matrices()[::3] + [random_unimodular(rng, 4) for _ in range(3)]:
         psi = h.transpose()
         for n in range(1, 7):
-            tops = lef._order_tops(lef._charpoly(h.data), range(1, n + 1), n)
+            tops = lef._matrix(h.data).table(n).tops
             for w in range(1, n + 1):
                 offset, g = tops.get(w, (0, []))
                 top = LaurentPoly(dict(enumerate(g, offset)))
@@ -558,7 +563,7 @@ def test_integrality_guards(monkeypatch):
     # p_1 = 5, p_2 = 4: 2 E_2(1) = 5 * 5 - 4 is odd
     monkeypatch.setattr(lef, "_power_sums", bump_first)
     with pytest.raises(ValueError, match="integrality violated: 2 e_2"):
-        lef._order_tops(lef._charpoly(psi.data), [1], 2)
+        lef._OrderSeries(lef._charpoly(psi.data)).grow(2)
     with pytest.raises(ValueError, match="integrality violated"):
         lefschetz_q(torus_automorphism(psi, (0, 0, 0, 0), 2))
     monkeypatch.setattr(lef, "_power_sums", power_sums)
@@ -571,7 +576,7 @@ def test_integrality_guards(monkeypatch):
     # 2 G_2 = D_1^2 + 2 D_1 + D_2 is even at q^-4 (1 + 0 + 1), odd once E_0(2) moves
     monkeypatch.setattr(lef, "_wedge_table", bump_table)
     with pytest.raises(ValueError, match="integrality violated: 2 G_2"):
-        lef._order_tops(lef._charpoly(psi.data), [1], 2)
+        lef._OrderSeries(lef._charpoly(psi.data)).grow(2)
     monkeypatch.setattr(lef, "_wedge_table", wedge_table)
 
     # 2 H_2 = 2 d_1 + d_2 + d_1^2 = 32 + 1 + 256 for Psi = -1, with d_2 =
@@ -579,15 +584,7 @@ def test_integrality_guards(monkeypatch):
     zero = Matrix([[0] * 4] * 4)
     monkeypatch.setattr(lef, "exact_det", lambda m: 1 if m == zero else det(m))
     with pytest.raises(ValueError, match="integrality violated: 2 H_2"):
-        lef._exp_tops((-psi).data, [1], 2)
-
-
-def _partitions(m, largest):
-    if m == 0:
-        yield ()
-    for part in range(min(m, largest), 0, -1):
-        for rest in _partitions(m - part, part):
-            yield (part,) + rest
+        lef._ExpSeries((-psi).data).grow(2)
 
 
 def _goettsche_soergel(n):
@@ -598,38 +595,9 @@ def _goettsche_soergel(n):
     prod_i S_(a_i) / S_1.  S_a is the signed Poincare polynomial of the
     symmetric product A^(a) (Macdonald): sum_a S_a t^a = (1 - q t)^4
     (1 - q^3 t)^4 / ((1 - t) (1 - q^2 t)^6 (1 - q^4 t)), and S_1 = (1 - q)^4.
+    It is the equivariant sum at h = 1, b = 0.
     """
-    def add(a, b):
-        a, b = (a, b) if len(a) >= len(b) else (b, a)
-        return [x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)]
-
-    def mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
-
-    factors = (  # k -> [t^k] of the factor, a polynomial in q
-        lambda k: [0] * k + [(-1) ** k * comb(4, k)],  # (1 - q t)^4
-        lambda k: [0] * (3 * k) + [(-1) ** k * comb(4, k)],  # (1 - q^3 t)^4
-        lambda k: [1],  # 1 / (1 - t)
-        lambda k: [0] * (2 * k) + [comb(k + 5, 5)],  # 1 / (1 - q^2 t)^6
-        lambda k: [0] * (4 * k) + [1],  # 1 / (1 - q^4 t)
-    )
-    sym = [[1]] + [[0]] * n
-    for f in factors:
-        sym = [reduce(add, (mul(sym[a - k], f(k)) for k in range(a + 1))) for a in range(n + 1)]
-    total = [0] * (4 * n - 3)
-    for alpha in _partitions(n, n):
-        poly = reduce(mul, (sym[a] for a in Counter(alpha).values()))
-        for _ in range(4):  # divide by 1 - q: prefix sums, the last one must vanish
-            poly = list(accumulate(poly))
-            assert poly.pop() == 0
-        shift = 2 * (n - len(alpha))
-        for i, c in enumerate(poly):
-            total[shift + i] += gcd(*alpha) ** 4 * c
-    return total
+    return goettsche_soergel(identity(4), (0, 0, 0, 0), n)
 
 
 def test_literature_oracles_for_the_identity():
@@ -641,6 +609,24 @@ def test_literature_oracles_for_the_identity():
         assert result.polynomial == LaurentPoly(dict(enumerate(expected))), n
     assert _goettsche_soergel(3) == [1, 0, 7, -8, 108, -8, 7, 0, 1]
     assert _goettsche_soergel(4)[:7] == [1, 0, 7, -8, 51, -56, 458]
+
+
+def test_equivariant_goettsche_soergel_sum():
+    # an oracle for every (h, b, n) that shares no formula with the engine:
+    # the sum over the partitions of n, with brute-force fixed components
+    rng = random.Random(73)
+    matrices = _catalog_matrices() + [random_unimodular(rng, 4) for _ in range(10)]
+    assert {exact_det(h) for h in matrices} == {1, -1}
+    for n in range(1, 9):
+        for h in matrices:
+            for b in ((0, 0, 0, 0), tuple(rng.randrange(n) for _ in range(4))):
+                expected = LaurentPoly(dict(enumerate(goettsche_soergel(h, b, n))))
+                assert lefschetz_q(torus_automorphism(h, b, n)).polynomial == expected, (h, b, n)
+    for kind, variant, value in CATALOG_EXPECTED:
+        aut = catalog(kind, variant)
+        expected = goettsche_soergel(aut.matrix, aut.translation, aut.torsion)
+        assert sum(expected) == value, (kind, variant)
+        assert lefschetz_q(aut).polynomial == LaurentPoly(dict(enumerate(expected)))
 
 
 def test_identity_at_the_torsion_bound():
@@ -706,7 +692,7 @@ def test_exp_tops_match_factorial_exponential():
         psi = h.transpose()
         for n in range(1, 6):
             dets = [exact_det(identity(4) - psi ** s) for s in range(1, n + 1)]
-            tops = lef._exp_tops(psi.data, range(1, n + 1), n)
+            tops = lef._matrix(psi.data).table(n).exp_tops
             exp_one = [Fraction(1)] + [Fraction(0)] * n
             for w in range(1, n + 1):
                 product_series = list(exp_one)
@@ -719,29 +705,59 @@ def test_exp_tops_match_factorial_exponential():
                         power = mul(power, log)
                         exp = [x + y / factorial(j) for x, y in zip(exp, power)]
                     product_series = mul(product_series, exp)
-                assert tops[w] == product_series[n], (h, n, w)
+                assert tops.get(w, 0) == product_series[n], (h, n, w)
 
 
-def test_profile_memo_is_bounded_and_shared_across_translations():
+def test_profile_memo_is_bounded_and_shared_across_translations(monkeypatch):
+    import gc
+
     import kummerlat.lefschetz as lef
 
     h = _h_matrix(7)
+    record = lef._matrix(h.data).table(3)
+    tables = (record.subgroups, record.moebius, record.tops, record.exp_tops)
     for beta in list(product(range(3), repeat=4))[:10]:
         lefschetz_q(torus_automorphism(h, beta, 3))
         corollary_value(torus_automorphism(h, beta, 3))
-    info = lef._profile.cache_info()
-    assert (info.maxsize, info.misses, info.hits, info.currsize) == (16, 1, 19, 1)
+    # every torus_automorphism reads the record too: the catalog entry of
+    # _h_matrix, the table above, 20 automorphisms and 20 calls
+    info = lef._matrix.cache_info()
+    assert (info.maxsize, info.misses, info.hits, info.currsize) == (32, 1, 41, 1)
+    assert all(a is b for a, b in zip(
+        tables, (record.subgroups, record.moebius, record.tops, record.exp_tops)))
+    del record  # a record held outside the memo keeps its G series alive
     rng = random.Random(61)
-    matrices = {random_unimodular(rng, 4) for _ in range(24)}
+    matrices = {random_unimodular(rng, 4) for _ in range(48)}
     for m in matrices:
         lefschetz_q(torus_automorphism(m, (1, 0, 0, 0), 2))
-        assert lef._order_series.cache_info().currsize <= 16
-    assert len(matrices) > 16 and lef._profile.cache_info().currsize == 16
-    assert lef._order_series.cache_info()[2:] == (16, 16)  # maxsize, currsize
-    # the 18 matrices of the benchmark sweep over n = 2..6 share 10 c and
-    # grow each series in place: one G series per c, one H series and one
-    # Smith form per h
+        assert lef._matrix.cache_info().currsize <= 32 and len(lef._ORDER_SERIES) <= 32
+    assert len(matrices) > 32 and lef._matrix.cache_info()[2:] == (32, 32)  # maxsize, currsize
+
+    built = []
+
+    class CountedSeries(lef._OrderSeries):
+        __slots__ = ()
+
+        def __init__(self, c):
+            built.append(c)
+            super().__init__(c)
+
+    monkeypatch.setattr(lef, "_OrderSeries", CountedSeries)
+    # 24 matrices with 24 distinct c, n-major: each G series is built once
+    # and grown in place, although an n-major sweep visits every c per n
     _clear_lefschetz_memos()
+    distinct = {}
+    while len(distinct) < 24:
+        m = random_unimodular(rng, 4)
+        distinct.setdefault(lef._charpoly(m.data), m)
+    for n in range(2, 7):
+        for m in distinct.values():
+            lefschetz_q(torus_automorphism(m, (0, 0, 0, 0), n))
+    assert len(built) == 24 and set(built) == set(distinct)
+    # the 18 matrices of the benchmark sweep over n = 2..6 share 10 c: one
+    # record, H series and Smith form per h, one G series per c
+    _clear_lefschetz_memos()
+    del built[:]
     sweep = _catalog_matrices()
     assert len({lef._charpoly(h.data) for h in sweep}) == 10
     for n in range(2, 7):
@@ -750,9 +766,12 @@ def test_profile_memo_is_bounded_and_shared_across_translations():
                 aut = torus_automorphism(h, b, n)
                 lefschetz_q(aut)
                 corollary_value(aut)
-    assert (lef._order_series.cache_info().misses, lef._exp_series.cache_info().misses,
-            lef._smith.cache_info().misses) == (10, 18, 18)
-    assert lef._profile.cache_info().misses == 5 * 18
+    info = lef._matrix.cache_info()
+    assert (info.misses, info.currsize, len(lef._ORDER_SERIES), len(built)) == (18, 18, 10, 10)
+    # a G series lives exactly as long as some cached record holds it
+    lef._matrix.cache_clear()
+    gc.collect()
+    assert len(lef._ORDER_SERIES) == 0
 
 
 def _reference_cases():
