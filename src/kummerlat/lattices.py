@@ -153,71 +153,49 @@ def direct_sum(*lattices: Lattice, name: str | None = None) -> Lattice:
 
 
 def signature(lat: Lattice) -> tuple[int, int]:
-    """Exact inertia (n_plus, n_minus), via symmetric block diagonalization over Z.
+    """Exact inertia (n_plus, n_minus), via fraction-free symmetric elimination over Z.
 
-    Uses 1x1 pivots when a nonzero diagonal entry is available and hyperbolic
-    2x2 blocks otherwise.  The Schur complement of a pivot alpha is kept
-    scaled by |alpha|, that of a hyperbolic pivot b by b^2, and the block is
-    then divided by its content; each is a positive rescaling, which keeps
-    the inertia and the zero pattern that picks the next pivot.
+    Each pivot alpha = a_dd takes the Bareiss step
+    a_kl <- (alpha a_kl - a_kd a_dl) // prev, exact as every entry is a
+    minor of the Gram matrix (in the current basis).  The block is prev
+    times the Schur complement, so the pivot counts with the sign of
+    alpha / prev.  When the remaining diagonal is zero, the congruence
+    e_d -> e_d + e_j with a_dj != 0 makes a_dd = 2 a_dj and keeps prev,
+    the minor of the earlier pivots.
     """
     a = [list(row) for row in lat.gram.data]
     plus = minus = 0
+    prev = 1
     while a:
         d = next((i for i, row in enumerate(a) if row[i]), None)
-        if d is not None:
-            alpha = a[d][d]
-            if alpha > 0:
-                plus += 1
-            else:
-                minus += 1
-            # |alpha| (a_kl - a_kd a_dl / alpha)
-            scale = abs(alpha)
-            pivot = a.pop(d)
-            c = [row.pop(d) for row in a]
-            del pivot[d]
-            if alpha < 0:
-                pivot = [-y for y in pivot]
-            a = [
-                [scale * x - ck * y for x, y in zip(row, pivot)] if ck
-                else ([scale * x for x in row] if scale != 1 else row)
-                for row, ck in zip(a, c)
-            ]
-        else:
-            pair = next(
-                ((i, j) for i, row in enumerate(a) for j in range(i + 1, len(a)) if row[j]), None
-            )
-            if pair is None:
-                break
-            i, j = pair
-            b = a[i][j]
+        if d is None:
+            # a nondegenerate block with zero diagonal has a nonzero a_dj
+            d, j = next((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x)
+            a[d] = [x + y for x, y in zip(a[d], a[j])]
+            for row in a:
+                row[d] += row[j]
+        alpha = a[d][d]
+        if (alpha > 0) == (prev > 0):
             plus += 1
+        else:
             minus += 1
-            keep = [t for t in range(len(a)) if t not in pair]
-            row_i = [a[i][t] for t in keep]
-            row_j = [a[j][t] for t in keep]
-            # b^2 (a_kl - (a_ki a_jl + a_kj a_il) / b)
-            a = [
-                [b * b * a[k][t] - b * (a[k][i] * y + a[k][j] * x)
-                 for t, x, y in zip(keep, row_i, row_j)]
-                for k in keep
-            ]
-        content = gcd(*chain.from_iterable(a))
-        if content > 1:
-            a = [[x // content for x in row] for row in a]
+        pivot = a.pop(d)
+        del pivot[d]
+        c = [row.pop(d) for row in a]
+        a = [
+            [(alpha * x - ck * y) // prev for x, y in zip(row, pivot)] if ck
+            else [alpha * x // prev for x in row]
+            for row, ck in zip(a, c)
+        ]
+        prev = alpha
     return (plus, minus)
 
 
 @dataclass(frozen=True)
 class DiscriminantGroup:
-    """Invariant factor decomposition of dual/lattice, with explicit generators.
-
-    Generators are vectors in L tensor Q (lattice coordinates); generator i
-    has the stated order in the quotient.
-    """
+    """Invariant factor decomposition of dual/lattice: the orders of its cyclic factors."""
 
     orders: tuple[int, ...]
-    generators: tuple[tuple[Fraction, ...], ...]
 
     @property
     def order(self) -> int:
@@ -240,11 +218,8 @@ def _smith_generators(lat: Lattice) -> tuple[list[int], Matrix]:
 
 
 def discriminant_group(lat: Lattice) -> DiscriminantGroup:
-    """Invariant factors and dual-vector generators v_j / d_j of the discriminant group."""
-    orders, v = _smith_generators(lat)
-    gens = tuple(tuple(Fraction(x, d) for x in column)
-                 for d, column in zip(orders, v.transpose().data))
-    return DiscriminantGroup(tuple(orders), gens)
+    """Invariant factors d_j > 1 of the discriminant group."""
+    return DiscriminantGroup(tuple(_smith_generators(lat)[0]))
 
 
 @dataclass(frozen=True)
@@ -318,7 +293,7 @@ def fqf_direct_sum(a: FiniteQuadraticForm, b: FiniteQuadraticForm) -> FiniteQuad
 def discriminant_form(lat: Lattice) -> FiniteQuadraticForm:
     """The discriminant quadratic form of an even lattice.
 
-    The generators g_i = v_i / d_i of ``discriminant_group`` pair to
+    The generators g_i = v_i / d_i of ``_smith_generators`` pair to
     W_ij / (d_i d_j), with W = V^T G V the integer Gram matrix of the Smith
     columns v_i; so q_i = W_ii / d_i^2 mod 2 and b_ij = W_ij / (d_i d_j)
     mod 1, read off one integer product.

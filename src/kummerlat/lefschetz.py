@@ -112,8 +112,7 @@ class TorusAutomorphism:
 
     ``matrix`` is the action of h on the rank four torus lattice in a fixed
     basis; ``translation`` holds the coordinates of the n-torsion point b
-    (residues mod n); ``sign`` records whether the entry came from h or -h
-    for catalog bookkeeping.
+    (residues mod n).
 
     Any unimodular h is accepted, det h = -1 included, since the tests run
     the engine on random unimodular matrices.  An h with det -1 reverses
@@ -125,8 +124,6 @@ class TorusAutomorphism:
     matrix: Matrix
     translation: tuple[int, int, int, int]
     torsion: int
-    sign: int = 1
-    label: str = ""
 
     def __post_init__(self):
         _check_torsion(self.torsion)
@@ -140,13 +137,12 @@ class TorusAutomorphism:
             raise ValueError("translation coordinates must be residues mod n")
 
 
-def torus_automorphism(matrix: Matrix, translation, torsion: int, sign: int = 1,
-                       label: str = "") -> TorusAutomorphism:
+def torus_automorphism(matrix: Matrix, translation, torsion: int) -> TorusAutomorphism:
     _check_torsion(torsion)
     if not all(map(_is_int, translation)):
         raise ValueError(f"translation coordinates must be integers, got {list(translation)!r}")
     b = tuple(x % torsion for x in translation)
-    return TorusAutomorphism(matrix, b, torsion, sign, label)
+    return TorusAutomorphism(matrix, b, torsion)
 
 
 @dataclass(frozen=True)
@@ -589,7 +585,7 @@ def catalog(kind: int, variant: str) -> TorusAutomorphism:
     sign, translation = table[variant]
     h = _type_matrix(kind)
     matrix = h if sign == 1 else -h
-    return torus_automorphism(matrix, translation, _KUMMER_N, sign, f"type {kind}: {variant}")
+    return torus_automorphism(matrix, translation, _KUMMER_N)
 
 
 # golden targets: exact integer Lefschetz numbers of every catalog entry

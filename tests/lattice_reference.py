@@ -1,8 +1,8 @@
 """Rational references for ``kummerlat.lattices``, used by the tests alone.
 
-``signature`` is the symmetric block elimination on ``Fraction`` entries:
-the same pivot order as the library's integer elimination, with exact
-Schur complements instead of positively rescaled ones.  ``p_primary_part``
+``signature`` is the symmetric block elimination on ``Fraction`` entries,
+with exact Schur complements and hyperbolic 2x2 pivots where the library
+takes fraction-free (Bareiss) steps and a congruence.  ``p_primary_part``
 restricts a finite quadratic form to its p-primary component on
 ``Fraction`` values, generator by generator, without scaling to integers.
 The library must give identical outputs.

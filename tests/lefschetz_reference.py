@@ -2,8 +2,9 @@
 
 It lists the h-fixed characters of (Z/n)^4 one by one (an n^4 scan), sums
 chi(b) as cyclotomic numbers, and multiplies the wedge series factor by
-factor, as truncated power series in t over Laurent polynomials in q, so
-it shares no step with the integer engine of ``kummerlat.lefschetz``.  Its
+factor, as truncated power series in t over Laurent polynomials in q
+(``LaurentPoly`` here, the exact-scalar ring on the engine's output type),
+so it shares no step with the integer engine of ``kummerlat.lefschetz``.  Its
 wedge polynomials det(1 - x M) come from the Faddeev-LeVerrier
 recurrence, not from Newton's identities on traces as in the engine.
 
@@ -21,9 +22,91 @@ from itertools import combinations, product
 from math import gcd
 
 from cyclotomic_reference import CyclotomicNumber
+from kummerlat import series
 from kummerlat.lefschetz import TorusAutomorphism
 from kummerlat.matrix import Matrix, exact_det, identity
-from kummerlat.series import LaurentPoly
+
+
+class LaurentPoly(series.LaurentPoly):
+    """The Laurent ring in q over exact scalars, on the engine's output type.
+
+    The coefficients use their own arithmetic, so any exact scalars that
+    add and multiply with each other and with int (int, Fraction,
+    CyclotomicNumber) can be coefficients.  Every operand is checked
+    against the engine's class, so engine outputs take part directly and
+    compare equal to reference polynomials in both directions.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls) -> "LaurentPoly":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "LaurentPoly":
+        return cls({0: 1})
+
+    @classmethod
+    def monomial(cls, coef, exp: int) -> "LaurentPoly":
+        return cls({exp: coef})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __add__(self, other):
+        if not isinstance(other, series.LaurentPoly):
+            other = LaurentPoly({0: other})
+        out = dict(self.coeffs)
+        for e, v in other.coeffs.items():
+            s = out.get(e, 0) + v
+            if s == 0:
+                out.pop(e, None)
+            else:
+                out[e] = s
+        res = LaurentPoly.__new__(LaurentPoly)
+        res.coeffs = out
+        return res
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return LaurentPoly({e: -v for e, v in self.coeffs.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, series.LaurentPoly):
+            other = LaurentPoly({0: other})
+        return self + LaurentPoly({e: -v for e, v in other.coeffs.items()})
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, series.LaurentPoly):
+            out = {}
+            for e1, v1 in self.coeffs.items():
+                for e2, v2 in other.coeffs.items():
+                    e = e1 + e2
+                    s = out.get(e, 0) + v1 * v2
+                    if s == 0:
+                        out.pop(e, None)
+                    else:
+                        out[e] = s
+            res = LaurentPoly.__new__(LaurentPoly)
+            res.coeffs = out
+            return res
+        return LaurentPoly({e: v * other for e, v in self.coeffs.items()})
+
+    __rmul__ = __mul__
+
+    def shift(self, k: int) -> "LaurentPoly":
+        """Multiply by q^k."""
+        return LaurentPoly({e + k: v for e, v in self.coeffs.items()})
+
+    def to_fraction_coeffs(self) -> dict[int, Fraction]:
+        """Coefficients as Fractions."""
+        return {e: Fraction(v) for e, v in self.coeffs.items()}
 
 
 def scalar_inverse(x):

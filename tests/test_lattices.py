@@ -162,12 +162,18 @@ def _pairing(lat, x, y):
     )
 
 
+def _generators(lat):
+    """The dual vectors v_j / d_j, in lattice coordinates, generating the discriminant group."""
+    orders, v = lattices._smith_generators(lat)
+    return tuple(tuple(Fraction(x, d) for x in column)
+                 for d, column in zip(orders, v.transpose().data))
+
+
 def test_form_consistency_identity():
     # q(x + y) - q(x) - q(y) = 2 b(x, y) on all generator pairs
     for lat in (H5, make_standard("U(5)"), make_standard("A4*(-5)"), A4M):
         lat_form = discriminant_form(lat)
-        group = discriminant_group(lat)
-        gens = group.generators
+        gens = _generators(lat)
         for i, gi in enumerate(gens):
             for j, gj in enumerate(gens):
                 both = tuple(a + b for a, b in zip(gi, gj))
@@ -178,14 +184,14 @@ def test_form_consistency_identity():
 
 def test_discriminant_form_matches_pairing_of_generators():
     # q and b read off the integer V^T G V agree with x^T G y on the Fraction
-    # generators v_j / d_j of discriminant_group
+    # generators v_j / d_j of the Smith columns
     rng = random.Random(157)
     lattices_ = [_random_even_lattice(rng, rng.randint(1, 5), max_det=10**6) for _ in range(60)]
     lattices_ += [make_standard("A4*(-5)"), make_standard("U(5)"),
                   direct_sum(H5, make_standard("<-10>"))]
     for lat in lattices_:
         form = discriminant_form(lat)
-        gens = discriminant_group(lat).generators
+        gens = _generators(lat)
         assert form.orders == discriminant_group(lat).orders
         assert form.q_values == tuple(_pairing(lat, g, g) % 2 for g in gens), lat
         b = tuple(tuple(_pairing(lat, g, h) % 1 for h in gens) for g in gens)
@@ -271,6 +277,27 @@ def test_signature_matches_fraction_reference():
             hyperbolic_first += all(g[i][i] == 0 for i in range(n))
             assert signature(lat) == reference_signature(lat), g
     assert hyperbolic_first >= 14
+
+
+def test_signature_congruence_step_matches_fraction_reference():
+    # a block with zero diagonal after a block with pivots: the integer version
+    # reaches a zero diagonal with prev != 1 and applies e_d -> e_d + e_j there
+    rng = random.Random(29)
+
+    def block(n, zero_diagonal):
+        while True:
+            g = [[0] * n for _ in range(n)]
+            for i in range(n):
+                if not zero_diagonal:
+                    g[i][i] = 2 * rng.choice((-3, -2, -1, 1, 2, 3))
+                for j in range(i + 1, n):
+                    g[i][j] = g[j][i] = rng.choice((0, -2, -1, 1, 2, 7))
+            if exact_det(Matrix(g)):
+                return Lattice(Matrix(g))
+
+    for _ in range(40):
+        lat = direct_sum(block(rng.randint(1, 4), False), block(2 * rng.randint(1, 3), True))
+        assert signature(lat) == reference_signature(lat), lat.gram
 
 
 def test_fqf_isomorphism_examples():
