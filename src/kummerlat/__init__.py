@@ -1,31 +1,16 @@
 """Exact lattice isometry invariants and Lefschetz numbers of natural
-automorphisms of generalized Kummer fourfolds."""
+automorphisms of generalized Kummer fourfolds.
+
+``import kummerlat`` loads the Kummer engine only; the names of ``lattices``
+and ``isometries`` (``_LAZY``) import their submodule on first use (PEP 562),
+so a Lefschetz run compiles no lattice code. ``lefschetz`` stays eager: a
+caller that times its first Lefschetz call would otherwise time the compile
+of the module too.
+"""
+
+import importlib
 
 from .cyclotomic import moebius
-from .isometries import (
-    IsometryInvariants,
-    LatticeIsometry,
-    check_square_theorem,
-    check_unimodular_corollary,
-    compute_invariants,
-    coinvariant_lattice,
-    invariant_lattice,
-    overlattice_by_glue,
-)
-from .lattices import (
-    FiniteQuadraticForm,
-    Lattice,
-    Sublattice,
-    direct_sum,
-    discriminant_form,
-    discriminant_group,
-    fqf_from_diagonal,
-    fqf_isomorphic,
-    is_p_elementary,
-    make_standard,
-    orthogonal_complement,
-    signature,
-)
 from .lefschetz import (
     LefschetzResult,
     TorusAutomorphism,
@@ -38,6 +23,49 @@ from .lefschetz import (
 )
 from .matrix import Matrix, integer_kernel, smith_normal_form
 from .series import LaurentPoly
+
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "IsometryInvariants",
+            "LatticeIsometry",
+            "check_square_theorem",
+            "check_unimodular_corollary",
+            "compute_invariants",
+            "coinvariant_lattice",
+            "invariant_lattice",
+            "overlattice_by_glue",
+        ),
+        "isometries",
+    ),
+    **dict.fromkeys(
+        (
+            "FiniteQuadraticForm",
+            "Lattice",
+            "Sublattice",
+            "direct_sum",
+            "discriminant_form",
+            "discriminant_group",
+            "fqf_from_diagonal",
+            "fqf_isomorphic",
+            "is_p_elementary",
+            "make_standard",
+            "orthogonal_complement",
+            "signature",
+        ),
+        "lattices",
+    ),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -17,14 +17,6 @@ import argparse
 import json
 import sys
 
-from . import classification
-from .isometries import (
-    LatticeIsometry,
-    check_square_theorem,
-    check_unimodular_corollary,
-    compute_invariants,
-)
-from .lattices import _p_elementary, discriminant_form, lattice_from_dict, signature
 from .lefschetz import (
     catalog,
     catalog_variants,
@@ -34,13 +26,19 @@ from .lefschetz import (
     torus_automorphism,
 )
 from .matrix import Matrix
-from .pool import extended_pool
+
+# The lattice side (lattices, isometries, classification, pool) is imported
+# inside the commands that use it, so that the kummer commands compile none of it.
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 ELEMENTARY_PRIMES = (2, 3, 5, 7, 23)
+
+# A pool entry costs about 0.7 ms and 2.6 KB, so the largest pool checks in
+# about 7 s and 40 MB; a larger count is refused before any work.
+MAX_POOL_COUNT = 10_000
 
 
 def _load_json(path: str) -> dict:
@@ -67,6 +65,8 @@ def _list_field(job: dict, key: str, of_lists: bool = True) -> list:
 
 
 def cmd_lattice_info(args) -> int:
+    from .lattices import _p_elementary, discriminant_form, lattice_from_dict, signature
+
     lat = lattice_from_dict(_load_json(args.file))
     form = discriminant_form(lat)  # its generator orders are the invariant factors of D_L
     payload = {
@@ -102,6 +102,14 @@ def cmd_lattice_info(args) -> int:
 
 
 def cmd_isometry_check(args) -> int:
+    from .isometries import (
+        LatticeIsometry,
+        check_square_theorem,
+        check_unimodular_corollary,
+        compute_invariants,
+    )
+    from .lattices import lattice_from_dict
+
     job = _load_json(args.file)
     for key in ("gram", "matrix", "p"):
         if key not in job:
@@ -156,6 +164,8 @@ def _row_report_payload(report) -> dict:
 
 
 def cmd_classify_verify(args, rows=None) -> int:
+    from . import classification
+
     report = classification.verify_all(rows=rows)
     payload = {
         "rows": [_row_report_payload(r) for r in report.row_reports],
@@ -250,6 +260,11 @@ def cmd_kummer_list_variants(_args) -> int:
 def cmd_pool_check(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
+    if args.count > MAX_POOL_COUNT:
+        raise ValueError(f"--count must be at most {MAX_POOL_COUNT}, got {args.count}")
+    from .isometries import check_square_theorem, check_unimodular_corollary, compute_invariants
+    from .pool import extended_pool
+
     pool = extended_pool(seed=args.seed, count=args.count)
     failures = 0
     for entry in pool:

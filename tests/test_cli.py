@@ -235,6 +235,23 @@ def test_kummer_table(capsys):
     assert out.count("PASS") == 40  # 39 entries plus the overall line
 
 
+def test_kummer_table_loads_no_lattice_module():
+    # the kummer commands compile only the Kummer side of the package
+    code = ("import contextlib, io, json, sys\n"
+            "from kummerlat.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['kummer', '--table']) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('kummerlat'))))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "kummerlat.lefschetz" in loaded
+    lattice_side = {f"kummerlat.{m}" for m in ("lattices", "isometries", "classification", "pool")}
+    assert loaded & lattice_side == set()
+
+
 def test_kummer_catalog_json_golden(capsys):
     # full --json payload of every catalog entry, byte for byte
     entries = json.loads((GOLDEN / "kummer_catalog.json").read_text(encoding="utf-8"))
@@ -393,10 +410,23 @@ def test_pool_check_rejects_empty_count(capsys):
     assert err == "error: --count must be at least 1, got 0\n"
 
 
-def test_pool_check_failing_check_exit_code(monkeypatch, capsys):
-    import kummerlat.cli as cli
+def test_pool_check_rejects_count_over_the_bound():
+    # an unbounded count once ran for minutes and past 1 GB before any output
+    from kummerlat.cli import MAX_POOL_COUNT
 
-    monkeypatch.setattr(cli, "check_square_theorem", lambda inv, p: False)
+    start = time.perf_counter()
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "kummerlat.cli", "pool", "check", "--count",
+                           str(MAX_POOL_COUNT + 1)], capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == EXIT_INPUT_ERROR and proc.stdout == ""
+    assert proc.stderr == f"error: --count must be at most {MAX_POOL_COUNT}, got {MAX_POOL_COUNT + 1}\n"
+
+
+def test_pool_check_failing_check_exit_code(monkeypatch, capsys):
+    import kummerlat.isometries as isometries
+
+    monkeypatch.setattr(isometries, "check_square_theorem", lambda inv, p: False)
     # a count below the size of the base pool checks the base pool alone
     assert main(["pool", "check", "--count", "1", "--seed", "7"]) == EXIT_VERIFICATION_FAILED
     lines = capsys.readouterr().out.splitlines()

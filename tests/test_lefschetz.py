@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -785,6 +786,31 @@ def _reference_cases():
             for b in ((0, 0, 0, 0), tuple(rng.randrange(n) for _ in range(4))):
                 cases.append(torus_automorphism(h, b, n))
     return cases
+
+
+# sha256 of the canonical lines below over the 615 reference cases; a change
+# that keeps the outputs keeps this digest
+REFERENCE_DIGEST = "870d400ae95ea0e96d5e343109f214315080de8372cb8f9be2c338ffa128bb56"
+
+
+def _canonical_line(aut) -> str:
+    """One case as ``e:type:c,...|type:value|type:corollary``, exponents ascending."""
+    result = lefschetz_q(aut)
+    cor = corollary_value(aut)
+    poly = ",".join(
+        f"{e}:{type(c).__name__}:{c}" for e, c in sorted(result.polynomial.coeffs.items())
+    )
+    return (
+        f"{poly}|{type(result.value).__name__}:{result.value}"
+        f"|{type(cor).__name__}:{cor}\n"
+    )
+
+
+def test_reference_outputs_digest():
+    cases = _reference_cases()
+    assert len(cases) == 615
+    text = "".join(_canonical_line(aut) for aut in cases)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == REFERENCE_DIGEST
 
 
 def test_outputs_do_not_depend_on_the_order_of_the_calls():

@@ -1,4 +1,28 @@
+import importlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
 import kummerlat
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+# what a fresh ``import kummerlat`` loads: the Kummer engine and nothing of
+# the lattice side, which loads on first use of one of its names
+EAGER = {"kummerlat", "kummerlat.cyclotomic", "kummerlat.lefschetz", "kummerlat.matrix",
+         "kummerlat.series"}
+
+
+def _fresh(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_exports_resolve():
@@ -10,3 +34,28 @@ def test_cyclotomic_reference_is_not_exported():
     for name in ("CyclotomicNumber", "euler_phi", "cyclotomic_polynomial"):
         assert not hasattr(kummerlat, name)
         assert name not in kummerlat.__all__
+
+
+def test_import_loads_the_kummer_engine_only():
+    out = _fresh("import json, sys, kummerlat\n"
+                 "print(json.dumps(sorted(m for m in sys.modules if m.startswith('kummerlat'))))")
+    assert set(json.loads(out)) == EAGER
+
+
+def test_star_import_resolves_every_export():
+    out = _fresh("from kummerlat import *\n"
+                 "import kummerlat\n"
+                 "print(all(name in globals() for name in kummerlat.__all__))")
+    assert out == "True\n"
+
+
+def test_exports_are_the_objects_of_their_submodules():
+    for name in kummerlat.__all__:
+        value = getattr(kummerlat, name)
+        module = importlib.import_module(value.__module__)
+        assert getattr(module, name) is value, name
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        kummerlat.nope
