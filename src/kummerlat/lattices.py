@@ -3,13 +3,18 @@
 Provides the standard named lattices (U, E8(-1), A4(-1), H5, ...), direct
 sums, exact signatures (symmetric elimination over Z), discriminant groups
 and forms, and isomorphism testing of finite quadratic forms on their
-p-primary parts: an (order, q) census of both groups, then a backtracking
-search for generator images with forward checking.  The test scales both
-forms once, by the lcm m of all their denominators, and works on integers
-from there: each p-part is read off the scaled values, and each element
-carries its pairing row as one int of fixed-width slots, left unreduced
-(a slot holds less than k * (largest order) * m), which is unpacked only
-for the candidates of the search.
+p-primary parts.  The test scales both forms once, by the lcm m of all
+their denominators, and works on integers from there.  An odd p-part
+whose q descends to the group and whose b is nondegenerate is decided by
+its Jordan invariants: for each scale p^s, the rank of the constituent
+and the Legendre symbol of its determinant (Wall, "Quadratic forms on
+finite groups, and related topics", Topology 2, 1963; Nikulin, Math. USSR
+Izv. 14, 1980, section 1.8).  Every other part (each 2-part, a degenerate
+b, a q that does not descend) gets an (order, q) census of both groups,
+then a backtracking search for generator images with forward checking;
+there each element carries its pairing row as one int of fixed-width
+slots, left unreduced (a slot holds less than k * (largest order) * m),
+which is unpacked only for the candidates of the search.
 """
 
 from __future__ import annotations
@@ -34,6 +39,9 @@ from .matrix import (
     solve,
 )
 
+# The census and search of fqf_isomorphic enumerate every element of both
+# groups, so the group order is capped; the cap is checked before any work,
+# also for the odd p-parts that the Jordan invariants decide without it.
 FQF_ORDER_CAP = 10000
 
 
@@ -430,6 +438,51 @@ def _descends(orders, qs, bm, m) -> bool:
     )
 
 
+def _odd_jordan(orders, qs, bm, m: int, p: int):
+    """The Jordan invariants {p^s: (r_s, d_s^((p - 1)/2) mod p)} of an odd p-part, or None.
+
+    r_s is the rank of the constituent of scale p^s and d_s its
+    determinant, so the second entry is its Legendre symbol (1 or p - 1).
+    None when q does not descend to the group (otherwise q is a function of
+    b, as p is odd) or b is degenerate.  Works on A = B p^K / m mod p^K, the
+    Gram matrix of the current generators, with p^K the largest order: an
+    entry of least valuation e is moved to the diagonal (g_i + g_j, whose
+    square 2 b_ij + b_ii + b_jj keeps valuation e as p is odd), that
+    generator x is split off at scale p^s = p^(K - e), and every other
+    generator g is replaced by its projection g - c x to x^perp.  The x
+    are orthogonal with b(x, x) of order p^s and, with the rest pairing to
+    zero, they generate the group modulo the radical of b: so the scales
+    multiply to |G| / |radical|, and b is nondegenerate exactly when they
+    multiply to |G| (then each x has order p^s).
+    """
+    if not _descends(orders, qs, bm, m):
+        return None
+    top = max(orders)
+    a = [[x * top // m % top for x in row] for row in bm]
+    units: dict[int, list[int]] = {}
+    while a:
+        g, offdiag, i, j = min((gcd(x, top), i != j, i, j)
+                               for i, row in enumerate(a) for j, x in enumerate(row))
+        if g == top:
+            break
+        if offdiag:
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] += row[j]
+        pivot = a.pop(i)
+        unit = pivot.pop(i) % top // g
+        scale = top // g
+        units.setdefault(scale, []).append(unit)
+        inverse = pow(unit, -1, scale)
+        for r, row in enumerate(a):
+            c = row.pop(i) // g * inverse % scale
+            if c:
+                a[r] = [(y - c * z) % top for y, z in zip(row, pivot)]
+    if prod(s ** len(us) for s, us in units.items()) != prod(orders):
+        return None
+    return {s: (len(us), pow(prod(us), (p - 1) // 2, p)) for s, us in units.items()}
+
+
 def _extend(chosen, domains, b1, m: int, p: int) -> bool:
     """Search images for generators i = len(chosen), i + 1, ... with forward checking.
 
@@ -462,6 +515,10 @@ def _parts_isomorphic(part1, part2, m: int, p: int) -> bool:
     orders, q1, b1 = part1
     if orders != part2[0]:
         return False
+    if p != 2 and (jordan := _odd_jordan(*part1, m, p)) is not None:
+        other = _odd_jordan(*part2, m, p)
+        if other is not None:
+            return jordan == other
     _, q2, b2 = part2
     k = len(orders)
     # slot j of W(e) is a sum of k terms e_i B_ij < max order * m
@@ -497,23 +554,32 @@ def fqf_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
     their q and b values: q becomes Q = q m mod 2m and b becomes B = b m mod
     m, which is exact for any rational presentation.  Each pair of
     p-primary parts is then read off these integers and decided on its own;
-    any common multiple m gives the same verdicts.  Every element of both
-    groups gets its order and Q; an isomorphism preserves both, so differing
-    (order, Q) counts decide "not isomorphic" without a search (only when q
-    is well defined on the second group, as it is on every discriminant
-    form).  Otherwise the images of the generators of the first form are
-    searched among the elements of the second with matching order and Q.
-    Choosing an image filters the candidates of every later generator to
-    the correct pairing with it, and an empty candidate list backtracks at
-    once.  A complete assignment is accepted when the images generate
-    (checked modulo p).
+    any common multiple m gives the same verdicts.
+
+    For odd p, when q descends to both groups and b is nondegenerate on
+    both, q is a function of b and the parts are isomorphic exactly when
+    their Jordan invariants agree: the rank r_s of the constituent of each
+    scale p^s and the Legendre symbol of its determinant (Wall 1963;
+    Nikulin 1980, section 1.8), read off by ``_odd_jordan`` in O(k^3).
+
+    Every other pair of parts (p = 2, a degenerate b, a q that does not
+    descend) is searched.  Every element of both groups gets its order and
+    Q; an isomorphism preserves both, so differing (order, Q) counts decide
+    "not isomorphic" without a search (only when q is well defined on the
+    second group, as it is on every discriminant form).  Otherwise the
+    images of the generators of the first form are searched among the
+    elements of the second with matching order and Q.  Choosing an image
+    filters the candidates of every later generator to the correct pairing
+    with it, and an empty candidate list backtracks at once.  A complete
+    assignment is accepted when the images generate (checked modulo p).
 
     Each element carries its pairing row e^T B as one int of k slots of
     ``width`` bits, left unreduced: a slot holds less than k * (largest
     order) * m, and ``width`` is the bit length of that bound, so no slot
     overflows into the next.  Coordinates and rows w(e) = e^T B mod m are
     unpacked only for the search candidates, so b is an integer dot
-    product there.
+    product there.  The group order is capped at ``FQF_ORDER_CAP`` for
+    every input.
     """
     if max(f1.group_order, f2.group_order) > FQF_ORDER_CAP:
         raise ValueError(f"group order exceeds cap {FQF_ORDER_CAP}")

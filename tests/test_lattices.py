@@ -568,6 +568,75 @@ def test_fqf_isomorphic_matches_reference_on_hand_built_denominators(monkeypatch
     assert any(not fqf_isomorphic(f, g) for f, g in pairs[6:])
 
 
+def _every_form(orders):
+    """Every symmetric b on the odd group of ``orders``, each with the q that descends.
+
+    In product order: the first forms have all but their last b values
+    zero, so they are degenerate.
+    """
+    k = len(orders)
+    cells = [(i, j) for i in range(k) for j in range(i, k)]
+    for values in product(*(range(gcd(orders[i], orders[j])) for i, j in cells)):
+        b = [[Fraction(0)] * k for _ in range(k)]
+        for (i, j), v in zip(cells, values):
+            b[i][j] = b[j][i] = Fraction(v, gcd(orders[i], orders[j]))
+        # q_i is b_ii or b_ii + 1, whichever makes o_i^2 q_i even
+        q = [b[i][i] + (o * o * b[i][i]).numerator % 2 for i, o in enumerate(orders)]
+        yield fqf_from_generators(orders, q, b)
+
+
+@pytest.mark.parametrize("orders", [(3, 3, 3), (9, 3), (25, 5), (7, 7)])
+def test_fqf_isomorphic_matches_reference_on_every_small_form(orders):
+    # the first forms of the enumeration and a seeded sample of the rest; on
+    # the whole enumeration the verdicts agree with the search as well, but
+    # checking that takes seconds per group
+    every = list(_every_form(orders))
+    forms = every[:8] + random.Random(len(every)).sample(every[8:], 16)
+    reps, classes = [], []
+    for f in forms:
+        c = next((c for c, r in enumerate(reps) if _reference_isomorphic(f, r)), len(reps))
+        if c == len(reps):
+            reps.append(f)
+        classes.append(c)
+    assert len(reps) > 2
+    for f, c in zip(forms, classes):
+        for g, d in zip(forms, classes):
+            assert fqf_isomorphic(f, g) == (c == d), (f, g)
+    # the other lift of b_00 to q_0 does not descend, so those pairs are searched
+    for f in forms[::8]:
+        lifted = fqf_from_generators(orders, (f.q_values[0] + 1,) + f.q_values[1:], f.b_matrix)
+        for r in reps:
+            assert fqf_isomorphic(lifted, r) == _reference_isomorphic(lifted, r)
+            assert fqf_isomorphic(r, lifted) == _reference_isomorphic(r, lifted)
+
+
+def test_fqf_isomorphic_searches_only_two_parts_and_degenerate_parts(monkeypatch):
+    five = fqf_from_diagonal([(5, Fraction(2, 5)), (5, Fraction(4, 5))])
+    twisted = fqf_from_diagonal([(5, Fraction(2, 5)), (5, Fraction(2, 5))])
+    # the hyperbolic plane on (Z/3)^2 has a zero diagonal, so its Jordan split
+    # starts off the diagonal; it is <1/3, 2/3>, not <1/3, 1/3>
+    plane = fqf_from_generators([3, 3], [0, 0], [[0, Fraction(1, 3)], [Fraction(1, 3), 0]])
+    # Z/9 + Z/3 on the generators g_0 + g_1 and g_1
+    mixed = fqf_from_diagonal([(9, Fraction(10, 9)), (3, Fraction(4, 3))])
+    rebased = fqf_from_generators([9, 3], [Fraction(4, 9), Fraction(4, 3)],
+                                  [[Fraction(4, 9), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 3)]])
+    odd = [(five, _rebased(five, [[2, 1], [1, 1]])), (five, twisted),
+           (plane, fqf_from_diagonal([(3, Fraction(4, 3)), (3, Fraction(2, 3))])),
+           (plane, fqf_from_diagonal([(3, Fraction(4, 3)), (3, Fraction(4, 3))])),
+           (mixed, rebased), (fqf_from_diagonal([(9, Fraction(10, 9)), (3, Fraction(2, 3))]), rebased)]
+    assert _census_and_search_agree(odd, monkeypatch) == (3, 0)
+    assert [fqf_isomorphic(f1, f2) for f1, f2 in odd] == [True, False] * 3
+    # 2-parts, degenerate b and q that does not descend still reach the search
+    two = fqf_from_diagonal([(2, Fraction(1, 2)), (4, Fraction(1, 4))])
+    zero = fqf_from_diagonal([(3, 0), (3, 0)])
+    skew = fqf_from_diagonal([(3, 0), (3, Fraction(1, 7))])
+    four = fqf_from_diagonal([(3, Fraction(4, 7))])
+    one = fqf_from_diagonal([(3, Fraction(1, 7))])
+    searched = [(two, two), (zero, zero), (zero, skew), (four, one)]
+    assert _census_and_search_agree(searched, monkeypatch) == (0, 4)
+    assert [fqf_isomorphic(f1, f2) for f1, f2 in searched] == [True, True, False, True]
+
+
 @pytest.mark.parametrize("p, k", [(5, 4), (3, 6)])
 def test_fqf_isomorphic_cost_cliff(p, k):
     # without the census each twisted pair is searched exhaustively: the
@@ -641,10 +710,11 @@ def _limit_pairs():
     return pairs
 
 
-# _extend calls per pair of _limit_pairs: the census rejects the twisted
-# pairs whose q is well defined (0 calls), and the search order fixes the
-# number of nodes of every other search
-LIMIT_EXTEND_CALLS = [9, 0, 9, 14, 0, 15, 2, 0, 7, 0, 3, 0, 5, 1, 5, 1, 5, 1]
+# _extend calls per pair of _limit_pairs: odd p-parts whose q is well
+# defined and whose b is nondegenerate are decided by their Jordan
+# invariants (0 calls), the census rejects the twisted 2-parts (0 calls),
+# and the search order fixes the number of nodes of every other search
+LIMIT_EXTEND_CALLS = [0, 0, 0, 14, 0, 15, 0, 0, 5, 0, 0, 0, 5, 1, 5, 1, 5, 1]
 
 
 def test_fqf_isomorphic_at_the_limits(monkeypatch):
