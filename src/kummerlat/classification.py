@@ -106,7 +106,7 @@ def verify_row(row: ClassificationRow) -> RowReport:
     checks["sig_s"] = sig_s == (2, 4 * m - 2)
     checks["sig_t_hyperbolic"] = sig_t == (1, 22 - 4 * m)
 
-    ds_orders = discriminant_group(s).orders
+    ds_orders = discriminant_group(s)
     elem, count = _p_elementary(ds_orders, ORDER)
     values["ds_orders"] = ds_orders
     checks["ds_is_5_elementary_rank_a"] = elem and count == a

@@ -47,6 +47,10 @@ def _load_json(path: str) -> dict:
             data = json.load(fh)
     except FileNotFoundError:
         raise ValueError(f"no such file: {path}")
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON in {path}: line {exc.lineno}: {exc.msg}")
     except RecursionError:
@@ -163,10 +167,10 @@ def _row_report_payload(report) -> dict:
     }
 
 
-def cmd_classify_verify(args, rows=None) -> int:
+def cmd_classify_verify(args) -> int:
     from . import classification
 
-    report = classification.verify_all(rows=rows)
+    report = classification.verify_all()
     payload = {
         "rows": [_row_report_payload(r) for r in report.row_reports],
         "candidate_pairs": [list(p) for p in report.pairs],

@@ -5,13 +5,13 @@ sums, exact signatures (symmetric elimination over Z), discriminant groups
 and forms, and isomorphism testing of finite quadratic forms on their
 p-primary parts.  The test scales both forms once, by the lcm m of all
 their denominators, and works on integers from there.  An odd p-part
-whose q descends to the group and whose b is nondegenerate is decided by
-its Jordan invariants: for each scale p^s, the rank of the constituent
-and the Legendre symbol of its determinant (Wall, "Quadratic forms on
-finite groups, and related topics", Topology 2, 1963; Nikulin, Math. USSR
-Izv. 14, 1980, section 1.8).  Every other part (each 2-part, a degenerate
-b, a q that does not descend) gets an (order, q) census of both groups,
-then a backtracking search for generator images with forward checking;
+whose b is nondegenerate is decided by its Jordan invariants: for each
+scale p^s, the rank of the constituent and the Legendre symbol of its
+determinant (Wall, "Quadratic forms on finite groups, and related
+topics", Topology 2, 1963; Nikulin, Math. USSR Izv. 14, 1980, section
+1.8).  Every other part (each 2-part and each degenerate odd part) gets
+an (order, q) census of both groups, then a backtracking search for
+generator images with forward checking;
 there each element carries its pairing row as one int of fixed-width
 slots, left unreduced (a slot holds less than k * (largest order) * m),
 which is unpacked only for the candidates of the search.
@@ -199,21 +199,6 @@ def signature(lat: Lattice) -> tuple[int, int]:
     return (plus, minus)
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
-    """Invariant factor decomposition of dual/lattice: the orders of its cyclic factors."""
-
-    orders: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return prod(self.orders) if self.orders else 1
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.orders
-
-
 def _smith_generators(lat: Lattice) -> tuple[list[int], Matrix]:
     """The invariant factors d_j > 1 of G and, as columns, the v_j of U G V = D (Smith form).
 
@@ -225,9 +210,9 @@ def _smith_generators(lat: Lattice) -> tuple[list[int], Matrix]:
     return [d.data[j][j] for j in picked], Matrix._of_ints(columns, len(picked))
 
 
-def discriminant_group(lat: Lattice) -> DiscriminantGroup:
-    """Invariant factors d_j > 1 of the discriminant group."""
-    return DiscriminantGroup(tuple(_smith_generators(lat)[0]))
+def discriminant_group(lat: Lattice) -> tuple[int, ...]:
+    """Invariant factors d_j > 1 of the discriminant group, the orders of its cyclic factors."""
+    return tuple(_smith_generators(lat)[0])
 
 
 @dataclass(frozen=True)
@@ -238,6 +223,11 @@ class FiniteQuadraticForm:
     in Q/Z (stored in [0,1)).  Generator orders are presentation data; they
     form the invariant factor chain when produced by discriminant_form but
     may be an arbitrary diagonal presentation for hand-built targets.
+
+    q and b must be well defined on the group, as every discriminant form
+    is: o_i^2 q_i in 2Z and o_i b_ij in Z for each generator g_i of order
+    o_i, so that q(x + o_i g_i) = q(x) and b(x + o_i g_i, y) = b(x, y).
+    Any other presentation is refused with a ValueError.
     """
 
     orders: tuple[int, ...]
@@ -250,14 +240,20 @@ class FiniteQuadraticForm:
             raise ValueError("inconsistent generator data")
         if any(o < 2 for o in self.orders):
             raise ValueError("generator orders must be >= 2")
-        for i in range(k):
-            if len(self.b_matrix[i]) != k:
+        for i, (o, q, row) in enumerate(zip(self.orders, self.q_values, self.b_matrix)):
+            if len(row) != k:
                 raise ValueError("bilinear matrix is not square")
-            if self.b_matrix[i][i] != self.q_values[i] % 1:
+            if row[i] != q % 1:
                 raise ValueError("diagonal of b must equal q mod 1")
             for j in range(k):
-                if self.b_matrix[i][j] != self.b_matrix[j][i]:
+                if row[j] != self.b_matrix[j][i]:
                     raise ValueError("bilinear matrix must be symmetric")
+            if o * o * q.numerator % (2 * q.denominator):
+                raise ValueError(f"q is not well defined: generator {i} of order {o} "
+                                 f"has o^2 q = {o * o * q}, which is not even")
+            if any(o % x.denominator for x in row):
+                raise ValueError(f"b is not well defined: generator {i} of order {o} "
+                                 f"has a value o b_ij that is not an integer")
 
     @property
     def group_order(self) -> int:
@@ -322,7 +318,7 @@ def _p_elementary(orders, p: int) -> tuple[bool, int | None]:
 
 def is_p_elementary(lat: Lattice, p: int) -> tuple[bool, int | None]:
     """Whether D_L is (Z/p)^a; returns (flag, a) with a = 0 for unimodular."""
-    return _p_elementary(discriminant_group(lat).orders, p)
+    return _p_elementary(discriminant_group(lat), p)
 
 
 @dataclass(frozen=True)
@@ -430,33 +426,23 @@ def _elements(orders, qs, rows, m: int, width: int):
     return out
 
 
-def _descends(orders, qs, bm, m) -> bool:
-    """Whether q is well defined on the group, not just on coordinate tuples."""
-    return all(
-        o * o * qi % (2 * m) == 0 and all(o * x % m == 0 for x in row)
-        for o, qi, row in zip(orders, qs, bm)
-    )
-
-
-def _odd_jordan(orders, qs, bm, m: int, p: int):
+def _odd_jordan(orders, bm, m: int, p: int):
     """The Jordan invariants {p^s: (r_s, d_s^((p - 1)/2) mod p)} of an odd p-part, or None.
 
     r_s is the rank of the constituent of scale p^s and d_s its
     determinant, so the second entry is its Legendre symbol (1 or p - 1).
-    None when q does not descend to the group (otherwise q is a function of
-    b, as p is odd) or b is degenerate.  Works on A = B p^K / m mod p^K, the
-    Gram matrix of the current generators, with p^K the largest order: an
-    entry of least valuation e is moved to the diagonal (g_i + g_j, whose
-    square 2 b_ij + b_ii + b_jj keeps valuation e as p is odd), that
-    generator x is split off at scale p^s = p^(K - e), and every other
-    generator g is replaced by its projection g - c x to x^perp.  The x
-    are orthogonal with b(x, x) of order p^s and, with the rest pairing to
-    zero, they generate the group modulo the radical of b: so the scales
-    multiply to |G| / |radical|, and b is nondegenerate exactly when they
-    multiply to |G| (then each x has order p^s).
+    They fix the form, as q is a function of b when p is odd.  None when b
+    is degenerate.  Works on A = B p^K / m mod p^K, the Gram matrix of the
+    current generators, with p^K the largest order: an entry of least
+    valuation e is moved to the diagonal (g_i + g_j, whose square
+    2 b_ij + b_ii + b_jj keeps valuation e as p is odd), that generator x
+    is split off at scale p^s = p^(K - e), and every other generator g is
+    replaced by its projection g - c x to x^perp.  The x are orthogonal
+    with b(x, x) of order p^s and, with the rest pairing to zero, they
+    generate the group modulo the radical of b: so the scales multiply to
+    |G| / |radical|, and b is nondegenerate exactly when they multiply to
+    |G| (then each x has order p^s).
     """
-    if not _descends(orders, qs, bm, m):
-        return None
     top = max(orders)
     a = [[x * top // m % top for x in row] for row in bm]
     units: dict[int, list[int]] = {}
@@ -512,14 +498,13 @@ def _extend(chosen, domains, b1, m: int, p: int) -> bool:
 
 def _parts_isomorphic(part1, part2, m: int, p: int) -> bool:
     """Decide isomorphism of two p-primary parts (orders, Q, B) scaled by the same m."""
-    orders, q1, b1 = part1
-    if orders != part2[0]:
+    (orders, q1, b1), (orders2, q2, b2) = part1, part2
+    if orders != orders2:
         return False
-    if p != 2 and (jordan := _odd_jordan(*part1, m, p)) is not None:
-        other = _odd_jordan(*part2, m, p)
+    if p != 2 and (jordan := _odd_jordan(orders, b1, m, p)) is not None:
+        other = _odd_jordan(orders, b2, m, p)
         if other is not None:
             return jordan == other
-    _, q2, b2 = part2
     k = len(orders)
     # slot j of W(e) is a sum of k terms e_i B_ij < max order * m
     width = (k * max(orders) * m).bit_length()
@@ -531,11 +516,10 @@ def _parts_isomorphic(part1, part2, m: int, p: int) -> bool:
     key = itemgetter(0, 1)
     elems = _elements(orders, q2, packed(b2), m, width)
     # an isomorphism preserves the order and Q of every element, so the
-    # (order, Q) counts must agree, provided Q is a function on f2's group
-    if _descends(orders, q2, b2, m):
-        census1 = Counter(map(key, _elements(orders, q1, packed(b1), m, width)))
-        if census1 != Counter(map(key, elems)):
-            return False
+    # (order, Q) counts must agree
+    census1 = Counter(map(key, _elements(orders, q1, packed(b1), m, width)))
+    if census1 != Counter(map(key, elems)):
+        return False
     # unpack coordinates and rows only for the candidates of some generator
     by_key: dict[tuple[int, int], list] = {(o, q): [] for o, q in zip(orders, q1)}
     shifts = [j * width for j in range(k)]
@@ -556,22 +540,21 @@ def fqf_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
     p-primary parts is then read off these integers and decided on its own;
     any common multiple m gives the same verdicts.
 
-    For odd p, when q descends to both groups and b is nondegenerate on
-    both, q is a function of b and the parts are isomorphic exactly when
-    their Jordan invariants agree: the rank r_s of the constituent of each
-    scale p^s and the Legendre symbol of its determinant (Wall 1963;
-    Nikulin 1980, section 1.8), read off by ``_odd_jordan`` in O(k^3).
+    For odd p, when b is nondegenerate on both parts, q is a function of b
+    and the parts are isomorphic exactly when their Jordan invariants
+    agree: the rank r_s of the constituent of each scale p^s and the
+    Legendre symbol of its determinant (Wall 1963; Nikulin 1980, section
+    1.8), read off by ``_odd_jordan`` in O(k^3).
 
-    Every other pair of parts (p = 2, a degenerate b, a q that does not
-    descend) is searched.  Every element of both groups gets its order and
-    Q; an isomorphism preserves both, so differing (order, Q) counts decide
-    "not isomorphic" without a search (only when q is well defined on the
-    second group, as it is on every discriminant form).  Otherwise the
-    images of the generators of the first form are searched among the
-    elements of the second with matching order and Q.  Choosing an image
-    filters the candidates of every later generator to the correct pairing
-    with it, and an empty candidate list backtracks at once.  A complete
-    assignment is accepted when the images generate (checked modulo p).
+    Every other pair of parts (p = 2, or a degenerate b) is searched.
+    Every element of both groups gets its order and Q; an isomorphism
+    preserves both, so differing (order, Q) counts decide "not isomorphic"
+    without a search.  Otherwise the images of the generators of the first
+    form are searched among the elements of the second with matching order
+    and Q.  Choosing an image filters the candidates of every later
+    generator to the correct pairing with it, and an empty candidate list
+    backtracks at once.  A complete assignment is accepted when the images
+    generate (checked modulo p).
 
     Each element carries its pairing row e^T B as one int of k slots of
     ``width`` bits, left unreduced: a slot holds less than k * (largest

@@ -226,12 +226,17 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 12) -> Matrix:
     return Matrix._of_ints(tuple(map(tuple, rows)), n)
 
 
-def extended_pool(seed: int = 20260808, count: int = 220, max_conjugated_rank: int = 16):
+# Only base entries up to this rank are conjugated to extend the pool; the
+# glued lattices of rank 22 and 44 are not.
+MAX_CONJUGATED_RANK = 16
+
+
+def extended_pool(seed: int = 20260808, count: int = 220):
     """The base pool plus seeded unimodular conjugates, at least ``count`` entries."""
     base = base_pool()
     rng = random.Random(seed)
     entries = list(base)
-    small = [e for e in base if e.isometry.lattice.rank <= max_conjugated_rank]
+    small = [e for e in base if e.isometry.lattice.rank <= MAX_CONJUGATED_RANK]
     i = 0
     while len(entries) < count:
         src = small[i % len(small)]

@@ -4,15 +4,19 @@ Each workload of ``bench/workloads.py`` builds its tiny inputs, runs every
 item and checks every output against its oracle, at two seeds, in this
 process.  A package change that breaks a call the harness makes (a renamed
 function, a changed signature, a wrong answer) fails here, in seconds,
-instead of in a benchmark run.  The bench files are only imported.
+instead of in a benchmark run.  A tiny traced child of each workload runs
+in a subprocess too.  The bench files are only imported and run.
 """
 
+import json
 import pathlib
+import subprocess
 import sys
 
 import pytest
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+WORKLOAD_NAMES = ["catalog_table", "kummer_sweep", "isometry_pool", "classify_forms"]
 
 
 @pytest.fixture(scope="module")
@@ -28,12 +32,27 @@ def workloads():
     return workloads
 
 
-@pytest.mark.parametrize(
-    "name", ["catalog_table", "kummer_sweep", "isometry_pool", "classify_forms"]
-)
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
 def test_tiny_workload_verifies(workloads, name):
     wl = workloads.WORKLOADS[name]
     for seed in (workloads.DEFAULT_SEED, 7):
         items = wl.build(seed, True, 2)
         outputs = [wl.run(item) for item in items]
         assert items and wl.check(items, outputs) == [True] * len(items), (name, seed)
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_tiny_traced_child_reports_every_layer(name):
+    # the traced run imports every submodule and wraps every public function
+    # and method (bench/spans.py); a package change that breaks under it
+    # leaves the traced benchmark run without metrics
+    proc = subprocess.run(
+        [sys.executable, "-B", str(BENCH / "child.py"), "--workload", name,
+         "--seed", "20260808", "--tiny", "--trace"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["ok"] and all(result["ok"]), result["failed"]
+    per_layer = json.loads((BENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    assert set(result["layers"]) == {m["name"] for m in per_layer} - {"trace.overhead_ratio"}

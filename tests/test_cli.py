@@ -194,16 +194,14 @@ def test_classify_verify_golden(capsys, argv, golden):
     assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
-def test_classify_verify_corrupted_rows_exit_code(capsys):
-    from argparse import Namespace
-
+def test_classify_verify_corrupted_rows_exit_code(capsys, monkeypatch):
+    from kummerlat import classification
     from kummerlat.classification import ClassificationRow, table_rows
-    from kummerlat.cli import cmd_classify_verify
 
     rows = table_rows()
     corrupted = rows[:7] + [ClassificationRow(5, 3, rows[7].s, rows[0].t)]
-    rc = cmd_classify_verify(Namespace(json=False), rows=corrupted)
-    assert rc == EXIT_VERIFICATION_FAILED
+    monkeypatch.setattr(classification, "table_rows", lambda: corrupted)
+    assert main(["classify", "verify"]) == EXIT_VERIFICATION_FAILED
     assert "FAIL" in capsys.readouterr().out
 
 
@@ -351,6 +349,23 @@ def test_kummer_list_variants(capsys):
 def test_missing_file_is_input_error(capsys):
     assert main(["lattice", "info", "/does/not/exist.json"]) == EXIT_INPUT_ERROR
     assert "no such file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["isometry", "check"], ["kummer", "--job"], ["lattice", "info"]],
+                         ids=["isometry", "kummer", "lattice"])
+def test_directory_path_is_input_error(tmp_path, capsys, argv):
+    assert main(argv + [str(tmp_path)]) == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: cannot read {tmp_path}: ")
+
+
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"gram": [[2]], "name": "\xff"}')
+    assert main(["lattice", "info", str(path)]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{path} is not UTF-8 text" in err
 
 
 def test_invalid_json_is_input_error(tmp_path, capsys):

@@ -2,7 +2,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -126,10 +126,10 @@ def test_signature_rescale_behavior():
 
 
 def test_discriminant_groups():
-    assert discriminant_group(U).is_trivial
-    assert discriminant_group(H5).orders == (5,)
-    assert discriminant_group(make_standard("<-2>")).orders == (2,)
-    assert discriminant_group(direct_sum(make_standard("U(5)"), make_standard("<-10>"))).orders == (
+    assert discriminant_group(U) == ()
+    assert discriminant_group(H5) == (5,)
+    assert discriminant_group(make_standard("<-2>")) == (2,)
+    assert discriminant_group(direct_sum(make_standard("U(5)"), make_standard("<-10>"))) == (
         5,
         5,
         10,
@@ -138,7 +138,7 @@ def test_discriminant_groups():
 
 def test_discriminant_group_order_matches_det():
     for lat in (U, H5, E8M, A4M, make_standard("A4*(-5)"), make_standard("U(5)")):
-        assert discriminant_group(lat).order == lat.disc
+        assert prod(discriminant_group(lat)) == lat.disc
 
 
 def test_discriminant_forms():
@@ -192,7 +192,7 @@ def test_discriminant_form_matches_pairing_of_generators():
     for lat in lattices_:
         form = discriminant_form(lat)
         gens = _generators(lat)
-        assert form.orders == discriminant_group(lat).orders
+        assert form.orders == discriminant_group(lat)
         assert form.q_values == tuple(_pairing(lat, g, g) % 2 for g in gens), lat
         b = tuple(tuple(_pairing(lat, g, h) % 1 for h in gens) for g in gens)
         assert form.b_matrix == b, lat
@@ -479,21 +479,15 @@ def _census_and_search_agree(pairs, monkeypatch):
     return rejected, searched
 
 
-def test_fqf_isomorphic_matches_reference_on_discriminant_forms(monkeypatch):
+def _discriminant_pool():
     rng = random.Random(20260808)
-    forms = [
+    return [
         discriminant_form(_random_even_lattice(rng, rng.randint(1, 3), max_det=200))
         for _ in range(100)
     ]
-    pairs = [(f, g) for f in forms for g in forms if f.group_order == g.group_order]
-    assert len(pairs) > 500
-    rejected, searched = _census_and_search_agree(pairs, monkeypatch)
-    assert rejected > 0 and searched > 0
-    assert any(_reference_isomorphic(f, g) for f, g in pairs if f is not g)
-    assert any(not _reference_isomorphic(f, g) for f, g in pairs)
 
 
-def test_fqf_isomorphic_matches_reference_on_rebased_forms(monkeypatch):
+def _rebased_pool():
     rng = random.Random(5)
     pairs = []
     for d in (2, 3, 4, 5, 7, 8, 9):
@@ -510,12 +504,10 @@ def test_fqf_isomorphic_matches_reference_on_rebased_forms(monkeypatch):
     z4 = fqf_from_diagonal([(4, Fraction(1, 4)), (4, Fraction(3, 4))])
     mixed = fqf_direct_sum(_rebased(z4, [[1, 1], [0, 1]]), _rebased(z5, [[2, 1], [1, 1]]))
     pairs += [(fqf_direct_sum(z5, z4), mixed), (mixed, fqf_direct_sum(z4, z5))]
-    rejected, searched = _census_and_search_agree(pairs, monkeypatch)
-    assert rejected > 0 and searched > 0
-    assert fqf_isomorphic(fqf_direct_sum(z5, z4), mixed)
+    return pairs
 
 
-def test_fqf_isomorphic_matches_reference_on_twisted_pairs(monkeypatch):
+def _twisted_pool():
     rng = random.Random(3)
     pairs = []
     for p in (3, 5, 7):
@@ -527,45 +519,95 @@ def test_fqf_isomorphic_matches_reference_on_twisted_pairs(monkeypatch):
                 [(p, Fraction(2 * squares[0] * nu, p))] + [(p, Fraction(2 * a, p)) for a in squares[1:]]
             )
             pairs += [(plain, twisted), (twisted, plain)]
+    return pairs
+
+
+def test_fqf_isomorphic_matches_reference_on_discriminant_forms(monkeypatch):
+    forms = _discriminant_pool()
+    pairs = [(f, g) for f in forms for g in forms if f.group_order == g.group_order]
+    assert len(pairs) > 500
+    rejected, searched = _census_and_search_agree(pairs, monkeypatch)
+    assert rejected > 0 and searched > 0
+    assert any(_reference_isomorphic(f, g) for f, g in pairs if f is not g)
+    assert any(not _reference_isomorphic(f, g) for f, g in pairs)
+
+
+def test_fqf_isomorphic_matches_reference_on_rebased_forms(monkeypatch):
+    pairs = _rebased_pool()
+    rejected, searched = _census_and_search_agree(pairs, monkeypatch)
+    assert rejected > 0 and searched > 0
+    assert fqf_isomorphic(*pairs[-2])  # the rebased orthogonal sum
+
+
+def test_fqf_isomorphic_matches_reference_on_twisted_pairs(monkeypatch):
+    pairs = _twisted_pool()
     rejected, searched = _census_and_search_agree(pairs, monkeypatch)
     assert rejected == len(pairs) and searched == 0
 
 
+def _is_well_defined(orders, q_values):
+    """Whether the diagonal form of (orders, q_values) is well defined: o^2 q even, o b integral."""
+    return all(o * o * q % 2 == 0 and o * q % 1 == 0 for o, q in zip(orders, q_values))
+
+
+# census-agreeing degenerate forms on Z/27 + Z/3 that are not isomorphic:
+# each pair differs in b(g_0, g_1) alone, and the search runs to exhaustion
+DEGENERATE_27_3 = [
+    (fqf_from_generators([27, 3], [q, 0], [[q % 1, 0], [0, 0]]),
+     fqf_from_generators([27, 3], [q, 0], [[q % 1, Fraction(1, 3)], [Fraction(1, 3), 0]]))
+    for q in (Fraction(10, 9), Fraction(2, 9))
+]
+
+
 def test_fqf_isomorphic_matches_reference_on_hand_built_denominators(monkeypatch):
-    # q = 4/7 and q = 1/7 on Z/3 are not well defined on the group; the (order,
-    # q) counts differ, yet the generator 2 of the second form matches, so the
-    # census must not decide this pair
-    four = fqf_from_diagonal([(3, Fraction(4, 7))])
-    one = fqf_from_diagonal([(3, Fraction(1, 7))])
-    assert fqf_isomorphic(four, one) and _reference_isomorphic(four, one)
-    # on Z/3, q = 1/3 is not well defined (3^2 q is odd) although 3 b = 1 is
-    third = fqf_from_diagonal([(3, Fraction(1, 3))])
+    # q and b must be well defined on the group: on Z/3, 3^2 q is not even for
+    # q = 4/7, 1/7 and 1/3 (although 3 b = 1 for the last), and 3 b is not an
+    # integer for q = 2/9 and 8/9 (although 3^2 q is even)
+    for q, value in ((Fraction(4, 7), "q"), (Fraction(1, 7), "q"), (Fraction(1, 3), "q"),
+                     (Fraction(2, 9), "b"), (Fraction(8, 9), "b")):
+        with pytest.raises(ValueError, match=f"^{value} is not well defined: generator 0 "):
+            fqf_from_diagonal([(3, q)])
+    with pytest.raises(ValueError, match="^q is not well defined: generator 1 "):
+        fqf_from_diagonal([(3, 0), (3, Fraction(1, 7))])
+    with pytest.raises(ValueError, match="^b is not well defined: generator 0 "):
+        fqf_from_generators([3, 3], [0, 0], [[0, Fraction(1, 9)], [Fraction(1, 9), 0]])
+    # q = 4/3 on Z/3 is the well-defined lift of b = 1/3
     four_thirds = fqf_from_diagonal([(3, Fraction(4, 3))])
-    assert fqf_isomorphic(four_thirds, third) and not fqf_isomorphic(third, four_thirds)
-    # on Z/3, q = 2/9 has 3^2 q even but 3 b = 2/3 is not an integer
-    two_ninths = fqf_from_diagonal([(3, Fraction(2, 9))])
-    eight_ninths = fqf_from_diagonal([(3, Fraction(8, 9))])
-    assert fqf_isomorphic(eight_ninths, two_ninths)
-    # every image of the zero form's generators that matches q and b lies on
-    # the first axis, so the images never generate
-    zero = fqf_from_diagonal([(3, 0), (3, 0)])
-    skew = fqf_from_diagonal([(3, 0), (3, Fraction(1, 7))])
-    assert not fqf_isomorphic(zero, skew)
+    assert fqf_isomorphic(four_thirds, four_thirds)
+    assert not fqf_isomorphic(four_thirds, fqf_from_diagonal([(3, Fraction(2, 3))]))
+    degenerate = DEGENERATE_27_3 + [(g, f) for f, g in DEGENERATE_27_3]
+    assert _census_and_search_agree(degenerate, monkeypatch) == (0, len(degenerate))
+    assert not any(fqf_isomorphic(f, g) for f, g in degenerate)
+    # random diagonal presentations: those with denominators 7, 11, 4 d or 3 d
+    # are refused unless they are well defined; values c / d with d c even are
+    # always well defined, and their denominators may be proper divisors of d
     rng = random.Random(9)
-    pairs = [(four, one), (one, four), (four_thirds, third), (third, four_thirds),
-             (eight_ninths, two_ninths), (zero, skew)]
+    pairs = []
     for _ in range(40):
         d = rng.choice((2, 3, 4, 5, 9))
         k = 1 if d > 3 else rng.randint(1, 3)
         den = rng.choice((7, 11, 4 * d, 3 * d))
         qs = [Fraction(rng.randrange(1, 2 * den), den) for _ in range(k)]
+        built = []
+        for values in (qs, [q * rng.choice((1, 4, 9)) for q in qs]):
+            if _is_well_defined([d] * k, values):
+                built.append(fqf_from_diagonal([(d, q) for q in values]))
+            else:
+                with pytest.raises(ValueError, match="is not well defined"):
+                    fqf_from_diagonal([(d, q) for q in values])
+        if len(built) == 2:
+            pairs.append(tuple(built))
+        d = rng.choice((2, 3, 4, 5, 9, 27))
+        k = 1 if d > 3 else rng.randint(1, 3)
+        qs = [Fraction(c, d) for c in rng.choices(range(0, 2 * d, 1 + d % 2), k=k)]
+        assert _is_well_defined([d] * k, qs)
         f = fqf_from_diagonal([(d, q) for q in qs])
         g = fqf_from_diagonal([(d, q * rng.choice((1, 4, 9))) for q in qs])
         pairs.append((f, g))
     _, searched = _census_and_search_agree(pairs, monkeypatch)
     assert searched > 0
-    assert any(fqf_isomorphic(f, g) for f, g in pairs[6:])
-    assert any(not fqf_isomorphic(f, g) for f, g in pairs[6:])
+    assert any(fqf_isomorphic(f, g) for f, g in pairs)
+    assert any(not fqf_isomorphic(f, g) for f, g in pairs)
 
 
 def _every_form(orders):
@@ -585,13 +627,20 @@ def _every_form(orders):
         yield fqf_from_generators(orders, q, b)
 
 
-@pytest.mark.parametrize("orders", [(3, 3, 3), (9, 3), (25, 5), (7, 7)])
-def test_fqf_isomorphic_matches_reference_on_every_small_form(orders):
-    # the first forms of the enumeration and a seeded sample of the rest; on
-    # the whole enumeration the verdicts agree with the search as well, but
-    # checking that takes seconds per group
+SMALL_ORDERS = [(3, 3, 3), (9, 3), (25, 5), (7, 7)]
+
+
+def _small_forms(orders):
+    """The first forms of ``_every_form`` (degenerate) and a seeded sample of the rest."""
     every = list(_every_form(orders))
-    forms = every[:8] + random.Random(len(every)).sample(every[8:], 16)
+    return every[:8] + random.Random(len(every)).sample(every[8:], 16)
+
+
+@pytest.mark.parametrize("orders", SMALL_ORDERS)
+def test_fqf_isomorphic_matches_reference_on_every_small_form(orders):
+    # on the whole enumeration the verdicts agree with the search as well,
+    # but checking that takes seconds per group
+    forms = _small_forms(orders)
     reps, classes = [], []
     for f in forms:
         c = next((c for c, r in enumerate(reps) if _reference_isomorphic(f, r)), len(reps))
@@ -602,12 +651,23 @@ def test_fqf_isomorphic_matches_reference_on_every_small_form(orders):
     for f, c in zip(forms, classes):
         for g, d in zip(forms, classes):
             assert fqf_isomorphic(f, g) == (c == d), (f, g)
-    # the other lift of b_00 to q_0 does not descend, so those pairs are searched
+    # the other lift of b_00 to q_0 does not descend, so it is refused
     for f in forms[::8]:
-        lifted = fqf_from_generators(orders, (f.q_values[0] + 1,) + f.q_values[1:], f.b_matrix)
-        for r in reps:
-            assert fqf_isomorphic(lifted, r) == _reference_isomorphic(lifted, r)
-            assert fqf_isomorphic(r, lifted) == _reference_isomorphic(r, lifted)
+        with pytest.raises(ValueError, match="^q is not well defined: generator 0 "):
+            fqf_from_generators(orders, (f.q_values[0] + 1,) + f.q_values[1:], f.b_matrix)
+
+
+def test_fqf_isomorphic_is_symmetric():
+    # every pair of forms within each pool above, in both orders
+    pools = [_discriminant_pool(), *map(_small_forms, SMALL_ORDERS)]
+    pools += [[f for pair in pairs for f in pair] for pairs in (_rebased_pool(), _twisted_pool())]
+    checked = 0
+    for forms in pools:
+        for i, f in enumerate(forms):
+            for g in forms[:i]:
+                assert fqf_isomorphic(f, g) == fqf_isomorphic(g, f), (f, g)
+                checked += 1
+    assert checked > 6000
 
 
 def test_fqf_isomorphic_searches_only_two_parts_and_degenerate_parts(monkeypatch):
@@ -626,15 +686,16 @@ def test_fqf_isomorphic_searches_only_two_parts_and_degenerate_parts(monkeypatch
            (mixed, rebased), (fqf_from_diagonal([(9, Fraction(10, 9)), (3, Fraction(2, 3))]), rebased)]
     assert _census_and_search_agree(odd, monkeypatch) == (3, 0)
     assert [fqf_isomorphic(f1, f2) for f1, f2 in odd] == [True, False] * 3
-    # 2-parts, degenerate b and q that does not descend still reach the search
+    # 2-parts and degenerate b still reach the search
     two = fqf_from_diagonal([(2, Fraction(1, 2)), (4, Fraction(1, 4))])
     zero = fqf_from_diagonal([(3, 0), (3, 0)])
-    skew = fqf_from_diagonal([(3, 0), (3, Fraction(1, 7))])
-    four = fqf_from_diagonal([(3, Fraction(4, 7))])
-    one = fqf_from_diagonal([(3, Fraction(1, 7))])
-    searched = [(two, two), (zero, zero), (zero, skew), (four, one)]
-    assert _census_and_search_agree(searched, monkeypatch) == (0, 4)
-    assert [fqf_isomorphic(f1, f2) for f1, f2 in searched] == [True, True, False, True]
+    searched = [(two, two), (zero, zero), DEGENERATE_27_3[0]]
+    assert _census_and_search_agree(searched, monkeypatch) == (0, 3)
+    assert [fqf_isomorphic(f1, f2) for f1, f2 in searched] == [True, True, False]
+    # q that does not descend is refused before any search
+    for q in (Fraction(4, 7), Fraction(1, 7)):
+        with pytest.raises(ValueError, match="^q is not well defined"):
+            fqf_from_diagonal([(3, q)])
 
 
 @pytest.mark.parametrize("p, k", [(5, 4), (3, 6)])
@@ -699,22 +760,14 @@ def _limit_pairs():
     u = [list(r) for r in random_unimodular(rng, 2).data]
     rebased = _rebased(plain, u)
     pairs += [(plain, rebased, None), (twisted, rebased, False)]
-    # denominators carrying 10007: q is not well defined on the group, so
-    # there is no census; a base change with entries in [0, 3) keeps the
-    # values of the coordinate tuples, so the search finds it
-    for _ in range(3):
-        qs = [Fraction(rng.randrange(1, 6 * 10007), 3 * 10007) for _ in range(4)]
-        f = fqf_from_diagonal([(3, q) for q in qs])
-        u = [[x % 3 for x in r] for r in random_unimodular(rng, 4).data]
-        pairs += [(_rebased(f, u), f, None), (f, _rebased(f, u), None)]
     return pairs
 
 
-# _extend calls per pair of _limit_pairs: odd p-parts whose q is well
-# defined and whose b is nondegenerate are decided by their Jordan
-# invariants (0 calls), the census rejects the twisted 2-parts (0 calls),
-# and the search order fixes the number of nodes of every other search
-LIMIT_EXTEND_CALLS = [0, 0, 0, 14, 0, 15, 0, 0, 5, 0, 0, 0, 5, 1, 5, 1, 5, 1]
+# _extend calls per pair of _limit_pairs: odd p-parts whose b is
+# nondegenerate are decided by their Jordan invariants (0 calls), the
+# census rejects the twisted 2-parts (0 calls), and the search order fixes
+# the number of nodes of every other search
+LIMIT_EXTEND_CALLS = [0, 0, 0, 14, 0, 15, 0, 0, 5, 0, 0, 0]
 
 
 def test_fqf_isomorphic_at_the_limits(monkeypatch):
@@ -762,19 +815,19 @@ def test_p_primary_part_matches_fraction_reference():
         discriminant_form(_random_even_lattice(rng, rng.randint(1, 3), max_det=200))
         for _ in range(60)
     ]
-    # hand-built presentations: denominators prime to the orders, and mixed
-    # orders whose p-parts are generated by cofactor multiples
+    # hand-built presentations on mixed orders, whose p-parts are generated
+    # by cofactor multiples: q_i = c / o_i with o_i c even, b_ij = v / gcd(o_i, o_j)
     for _ in range(40):
         orders = [rng.choice((2, 3, 4, 5, 6, 9, 10, 12, 36)) for _ in range(rng.randint(1, 3))]
-        den = rng.choice((7, 11, 10007, 4 * orders[0], 3 * orders[-1]))
-        qs = [Fraction(rng.randrange(2 * den), den) for _ in orders]
+        qs = [Fraction(rng.randrange(0, 2 * o, 1 + o % 2), o) for o in orders]
         b = [[qs[i] % 1 if i == j else Fraction(0) for j in range(len(orders))]
              for i in range(len(orders))]
         for i in range(len(orders)):
             for j in range(i):
-                b[i][j] = b[j][i] = Fraction(rng.randrange(den), den)
+                g = gcd(orders[i], orders[j])
+                b[i][j] = b[j][i] = Fraction(rng.randrange(g), g)
         forms.append(fqf_from_generators(orders, qs, b))
-    forms.append(fqf_from_diagonal([(3, Fraction(4, 7)), (3, 0), (9, Fraction(2, 9))]))
+    forms.append(fqf_from_diagonal([(3, Fraction(4, 3)), (3, 0), (9, Fraction(2, 9))]))
     parts = 0
     for f in forms:
         for p in group_signature(f.orders):
