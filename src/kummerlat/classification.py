@@ -20,13 +20,13 @@ from fractions import Fraction
 from .lattices import (
     FiniteQuadraticForm,
     Lattice,
-    _p_elementary,
     direct_sum,
     discriminant_form,
     discriminant_group,
     fqf_from_diagonal,
     fqf_isomorphic,
     group_signature,
+    is_p_elementary,
     make_standard,
     p_primary_part,
     signature,
@@ -107,7 +107,7 @@ def verify_row(row: ClassificationRow) -> RowReport:
     checks["sig_t_hyperbolic"] = sig_t == (1, 22 - 4 * m)
 
     ds_orders = discriminant_group(s)
-    elem, count = _p_elementary(ds_orders, ORDER)
+    elem, count = is_p_elementary(ds_orders, ORDER)
     values["ds_orders"] = ds_orders
     checks["ds_is_5_elementary_rank_a"] = elem and count == a
 

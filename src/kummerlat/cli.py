@@ -69,7 +69,7 @@ def _list_field(job: dict, key: str, of_lists: bool = True) -> list:
 
 
 def cmd_lattice_info(args) -> int:
-    from .lattices import _p_elementary, discriminant_form, lattice_from_dict, signature
+    from .lattices import discriminant_form, is_p_elementary, lattice_from_dict, signature
 
     lat = lattice_from_dict(_load_json(args.file))
     form = discriminant_form(lat)  # its generator orders are the invariant factors of D_L
@@ -83,7 +83,7 @@ def cmd_lattice_info(args) -> int:
         "discriminant_form_q": [str(q) for q in form.q_values],
         "p_elementary": {
             str(p): {"elementary": flag, "a": a}
-            for p, (flag, a) in ((p, _p_elementary(form.orders, p)) for p in ELEMENTARY_PRIMES)
+            for p, (flag, a) in ((p, is_p_elementary(form.orders, p)) for p in ELEMENTARY_PRIMES)
         },
     }
     if args.json:

@@ -3,18 +3,18 @@
 Provides the standard named lattices (U, E8(-1), A4(-1), H5, ...), direct
 sums, exact signatures (symmetric elimination over Z), discriminant groups
 and forms, and isomorphism testing of finite quadratic forms on their
-p-primary parts.  The test scales both forms once, by the lcm m of all
-their denominators, and works on integers from there.  An odd p-part
-whose b is nondegenerate is decided by its Jordan invariants: for each
-scale p^s, the rank of the constituent and the Legendre symbol of its
-determinant (Wall, "Quadratic forms on finite groups, and related
-topics", Topology 2, 1963; Nikulin, Math. USSR Izv. 14, 1980, section
-1.8).  Every other part (each 2-part and each degenerate odd part) gets
-an (order, q) census of both groups, then a backtracking search for
-generator images with forward checking;
-there each element carries its pairing row as one int of fixed-width
-slots, left unreduced (a slot holds less than k * (largest order) * m),
-which is unpacked only for the candidates of the search.
+p-primary parts.  The test splits each form once into its p-parts and
+scales each part by its own largest order p^K, then works on integers.
+An odd p-part whose b is nondegenerate is decided by its Jordan
+invariants: for each scale p^s, the rank of the constituent and the
+Legendre symbol of its determinant (Wall, "Quadratic forms on finite
+groups, and related topics", Topology 2, 1963; Nikulin, Math. USSR Izv.
+14, 1980, section 1.8).  Every other part (each 2-part and each
+degenerate odd part) gets an (order, q) census of both groups, then a
+backtracking search for generator images with forward checking; there
+each element carries its pairing row as one int of fixed-width slots,
+left unreduced (a slot holds less than k * p^K * p^K), which is unpacked
+only for the candidates of the search.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, product
-from math import gcd, lcm, prod
+from itertools import compress, product
+from math import gcd, prod
 from operator import itemgetter
 
 from .cyclotomic import factorize
@@ -309,16 +309,15 @@ def discriminant_form(lat: Lattice) -> FiniteQuadraticForm:
     return fqf_from_generators(orders, q, b)
 
 
-def _p_elementary(orders, p: int) -> tuple[bool, int | None]:
-    """Whether the invariant factors ``orders`` give (Z/p)^a; returns (flag, a)."""
+def is_p_elementary(orders, p: int) -> tuple[bool, int | None]:
+    """Whether the invariant factors ``orders`` give (Z/p)^a; returns (flag, a).
+
+    Pass ``discriminant_group(lat)`` or ``discriminant_form(lat).orders``;
+    the trivial group gives (True, 0).
+    """
     if all(o == p for o in orders):
         return True, len(orders)
     return False, None
-
-
-def is_p_elementary(lat: Lattice, p: int) -> tuple[bool, int | None]:
-    """Whether D_L is (Z/p)^a; returns (flag, a) with a = 0 for unimodular."""
-    return _p_elementary(discriminant_group(lat), p)
 
 
 @dataclass(frozen=True)
@@ -363,78 +362,81 @@ def group_signature(orders) -> dict[int, tuple[int, ...]]:
     return {p: tuple(sorted(v)) for p, v in sig.items()}
 
 
-def _common_scale(*forms: FiniteQuadraticForm) -> int:
-    """The lcm m of the denominators of every q and b value of ``forms``."""
-    return lcm(*(x.denominator for f in forms for x in chain(f.q_values, *f.b_matrix)))
+def _p_parts(form: FiniteQuadraticForm) -> dict[int, tuple[list, list, list]]:
+    """The p-primary parts of ``form`` as {p: (orders, Q, B)} in integers, each on its own scale.
 
-
-def _scaled(form: FiniteQuadraticForm, m: int):
-    """Q_i = q_i m mod 2m and B_ij = b_ij m mod m, for m a multiple of every denominator."""
-    qs = [q.numerator * (m // q.denominator) % (2 * m) for q in form.q_values]
-    bm = [[x.numerator * (m // x.denominator) % m for x in row] for row in form.b_matrix]
-    return qs, bm
-
-
-def _p_part(orders, qs, bm, m: int, p: int):
-    """The p-primary part of a form scaled by m, as (orders, Q, B) in integers.
-
-    A generator g of order p^v c, with c prime to p, gives the generator
-    c g of order p^v, with Q = c^2 Q(g) mod 2m and B = c c' B(g, g') mod m.
-    The part's generators are sorted by order, ties by position.
+    A generator g of order o = p^v c, with c prime to p, gives the
+    generator c g of order p^v; a part's generators are sorted by order,
+    ties by position.  A part whose largest order is p^K is scaled by p^K:
+    Q = c^2 q(g) p^K mod 2p^K and B = c c' b(g, g') p^K mod p^K.  A value
+    n/d of g has d | o, as the FiniteQuadraticForm constructor guarantees,
+    so these are the exact integers c^2 n p^K // d and c c' n p^K // d.
+    Each order is factorized once.
     """
-    idx = [i for i, o in enumerate(orders) if o % p == 0]
-    power = {i: p ** factorize(orders[i])[p] for i in idx}
-    idx.sort(key=power.__getitem__)
-    cof = [orders[i] // power[i] for i in idx]
-    part_q = [c * c * qs[i] % (2 * m) for c, i in zip(cof, idx)]
-    part_b = [[c * d * bm[i][j] % m for d, j in zip(cof, idx)] for c, i in zip(cof, idx)]
-    return [power[i] for i in idx], part_q, part_b
+    gens: dict[int, list[tuple[int, int]]] = {}
+    for i, o in enumerate(form.orders):
+        for p, v in factorize(o).items():
+            gens.setdefault(p, []).append((p ** v, i))
+    parts = {}
+    for p, part in gens.items():
+        part.sort()
+        top = part[-1][0]
+        idx = [i for _, i in part]
+        cof = [form.orders[i] // power for power, i in part]
+        qs = [c * c * x.numerator * top // x.denominator % (2 * top)
+              for c, x in zip(cof, map(form.q_values.__getitem__, idx))]
+        bm = [[c * d * x.numerator * top // x.denominator % top
+               for d, x in zip(cof, map(row.__getitem__, idx))]
+              for c, row in zip(cof, map(form.b_matrix.__getitem__, idx))]
+        parts[p] = ([power for power, _ in part], qs, bm)
+    return parts
 
 
 def p_primary_part(form: FiniteQuadraticForm, p: int) -> FiniteQuadraticForm:
     """Restriction of the form to the p-primary component of the group."""
-    m = _common_scale(form)
-    orders, qs, bm = _p_part(form.orders, *_scaled(form, m), m, p)
+    orders, qs, bm = _p_parts(form).get(p, ([], [], []))
+    top = max(orders, default=1)
     return FiniteQuadraticForm(
         tuple(orders),
-        tuple(Fraction(q, m) for q in qs),
-        tuple(tuple(Fraction(x, m) for x in row) for row in bm),
+        tuple(Fraction(q, top) for q in qs),
+        tuple(tuple(Fraction(x, top) for x in row) for row in bm),
     )
 
 
-def _elements(orders, qs, rows, m: int, width: int):
-    """(order, Q(e), W(e)) for every element e of the group, e in lexicographic order.
+def _elements(orders, qs, rows, width: int):
+    """(order, Q(e), W(e)) for every element e of a p-part, e in lexicographic order.
 
-    W(e) packs the pairing row e^T B into slots of ``width`` bits, slot j
-    holding sum_i e_i B_ij unreduced; ``rows[i]`` is row i of B packed the
-    same way.  Built one generator at a time: Q(e + a g_i) = Q(e) + a^2 Q_i
-    + 2 a w(e)_i when e involves only the generators before g_i, and 2 a w_i
-    mod 2m does not depend on reducing w_i mod m.  The orders are powers of
-    one prime, so the order of e is the largest order of its coordinates.
+    Q and B are scaled by the largest order p^K.  W(e) packs the pairing
+    row e^T B into slots of ``width`` bits, slot j holding sum_i e_i B_ij
+    unreduced; ``rows[i]`` is row i of B packed the same way.  Built one
+    generator at a time: Q(e + a g_i) = Q(e) + a^2 Q_i + 2 a w(e)_i when e
+    involves only the generators before g_i, and 2 a w_i mod 2p^K does not
+    depend on reducing w_i mod p^K.  The orders are powers of one prime, so
+    the order of e is the largest order of its coordinates.
     """
     mask = (1 << width) - 1
-    two_m = 2 * m
+    two_top = 2 * max(orders)
     out = [(1, 0, 0)]
     for i, o in enumerate(orders):
         shift = i * width
         steps = [(o // gcd(a, o), a * a * qs[i], 2 * a, a * rows[i]) for a in range(o)]
         out = [
-            (ao if ao > eo else eo, (q + aq + twice_a * (w >> shift & mask)) % two_m, w + aw)
+            (ao if ao > eo else eo, (q + aq + twice_a * (w >> shift & mask)) % two_top, w + aw)
             for eo, q, w in out
             for ao, aq, twice_a, aw in steps
         ]
     return out
 
 
-def _odd_jordan(orders, bm, m: int, p: int):
+def _odd_jordan(orders, bm, p: int):
     """The Jordan invariants {p^s: (r_s, d_s^((p - 1)/2) mod p)} of an odd p-part, or None.
 
     r_s is the rank of the constituent of scale p^s and d_s its
     determinant, so the second entry is its Legendre symbol (1 or p - 1).
     They fix the form, as q is a function of b when p is odd.  None when b
-    is degenerate.  Works on A = B p^K / m mod p^K, the Gram matrix of the
-    current generators, with p^K the largest order: an entry of least
-    valuation e is moved to the diagonal (g_i + g_j, whose square
+    is degenerate.  Works on a copy of B, which is the Gram matrix of the
+    current generators mod p^K, with p^K the largest order: an entry of
+    least valuation e is moved to the diagonal (g_i + g_j, whose square
     2 b_ij + b_ii + b_jj keeps valuation e as p is odd), that generator x
     is split off at scale p^s = p^(K - e), and every other generator g is
     replaced by its projection g - c x to x^perp.  The x are orthogonal
@@ -444,7 +446,7 @@ def _odd_jordan(orders, bm, m: int, p: int):
     |G| (then each x has order p^s).
     """
     top = max(orders)
-    a = [[x * top // m % top for x in row] for row in bm]
+    a = [list(row) for row in bm]
     units: dict[int, list[int]] = {}
     while a:
         g, offdiag, i, j = min((gcd(x, top), i != j, i, j)
@@ -469,13 +471,14 @@ def _odd_jordan(orders, bm, m: int, p: int):
     return {s: (len(us), pow(prod(us), (p - 1) // 2, p)) for s, us in units.items()}
 
 
-def _extend(chosen, domains, b1, m: int, p: int) -> bool:
+def _extend(chosen, domains, b1, top: int, p: int) -> bool:
     """Search images for generators i = len(chosen), i + 1, ... with forward checking.
 
     ``domains[s]`` holds the candidates (e, w(e)) for generator i + s that
-    pair correctly with every image chosen so far.  Choosing the image of
-    generator i filters each later domain t to b(c, image) = B1[t][i]; an
-    empty domain backtracks at once.
+    pair correctly with every image chosen so far; pairings are read mod
+    the part's largest order ``top``.  Choosing the image of generator i
+    filters each later domain t to b(c, image) = B1[t][i]; an empty domain
+    backtracks at once.
     """
     i = len(chosen)
     if not domains:
@@ -484,40 +487,39 @@ def _extend(chosen, domains, b1, m: int, p: int) -> bool:
         narrowed = []
         for t, dom in enumerate(domains[1:], i + 1):
             target = b1[t][i]
-            keep = [c for c in dom if sum([x * y for x, y in zip(c[0], w)]) % m == target]
+            keep = [c for c in dom if sum([x * y for x, y in zip(c[0], w)]) % top == target]
             if not keep:
                 break
             narrowed.append(keep)
         else:
             chosen.append(e)
-            if _extend(chosen, narrowed, b1, m, p):
+            if _extend(chosen, narrowed, b1, top, p):
                 return True
             chosen.pop()
     return False
 
 
-def _parts_isomorphic(part1, part2, m: int, p: int) -> bool:
-    """Decide isomorphism of two p-primary parts (orders, Q, B) scaled by the same m."""
-    (orders, q1, b1), (orders2, q2, b2) = part1, part2
-    if orders != orders2:
-        return False
-    if p != 2 and (jordan := _odd_jordan(orders, b1, m, p)) is not None:
-        other = _odd_jordan(orders, b2, m, p)
+def _parts_isomorphic(part1, part2, p: int) -> bool:
+    """Decide isomorphism of two p-parts (orders, Q, B) of ``_p_parts`` with equal orders."""
+    (orders, q1, b1), (_, q2, b2) = part1, part2
+    if p != 2 and (jordan := _odd_jordan(orders, b1, p)) is not None:
+        other = _odd_jordan(orders, b2, p)
         if other is not None:
             return jordan == other
     k = len(orders)
-    # slot j of W(e) is a sum of k terms e_i B_ij < max order * m
-    width = (k * max(orders) * m).bit_length()
+    top = max(orders)
+    # slot j of W(e) is a sum of k terms e_i B_ij < top * top
+    width = (k * top * top).bit_length()
     mask = (1 << width) - 1
 
     def packed(bm):
         return [sum(x << (j * width) for j, x in enumerate(row)) for row in bm]
 
     key = itemgetter(0, 1)
-    elems = _elements(orders, q2, packed(b2), m, width)
+    elems = _elements(orders, q2, packed(b2), width)
     # an isomorphism preserves the order and Q of every element, so the
     # (order, Q) counts must agree
-    census1 = Counter(map(key, _elements(orders, q1, packed(b1), m, width)))
+    census1 = Counter(map(key, _elements(orders, q1, packed(b1), width)))
     if census1 != Counter(map(key, elems)):
         return False
     # unpack coordinates and rows only for the candidates of some generator
@@ -526,19 +528,20 @@ def _parts_isomorphic(part1, part2, m: int, p: int) -> bool:
     candidates = compress(zip(product(*map(range, orders)), elems),
                           map(by_key.__contains__, map(key, elems)))
     for e, (o, q, w) in candidates:
-        by_key[o, q].append((e, tuple([(w >> s & mask) % m for s in shifts])))
+        by_key[o, q].append((e, tuple([(w >> s & mask) % top for s in shifts])))
     domains = [by_key[o, q] for o, q in zip(orders, q1)]
-    return _extend([], domains, b1, m, p)
+    return _extend([], domains, b1, top, p)
 
 
 def fqf_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
     """Decide isomorphism of finite quadratic forms.
 
-    Both forms are scaled once, by the lcm m of the denominators of all
-    their q and b values: q becomes Q = q m mod 2m and b becomes B = b m mod
-    m, which is exact for any rational presentation.  Each pair of
-    p-primary parts is then read off these integers and decided on its own;
-    any common multiple m gives the same verdicts.
+    Each form is split once into its p-primary parts by ``_p_parts``, and
+    each part is scaled by its own largest order p^K: q becomes Q = q p^K
+    mod 2p^K and b becomes B = b p^K mod p^K, exact integers as the form is
+    well defined.  The groups are isomorphic exactly when the parts have
+    the same orders for every p; each pair of p-parts is then decided on
+    its own.
 
     For odd p, when b is nondegenerate on both parts, q is a function of b
     and the parts are isomorphic exactly when their Jordan invariants
@@ -557,26 +560,18 @@ def fqf_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
     generate (checked modulo p).
 
     Each element carries its pairing row e^T B as one int of k slots of
-    ``width`` bits, left unreduced: a slot holds less than k * (largest
-    order) * m, and ``width`` is the bit length of that bound, so no slot
-    overflows into the next.  Coordinates and rows w(e) = e^T B mod m are
-    unpacked only for the search candidates, so b is an integer dot
-    product there.  The group order is capped at ``FQF_ORDER_CAP`` for
-    every input.
+    ``width`` bits, left unreduced: a slot holds less than k p^K p^K, and
+    ``width`` is the bit length of that bound, so no slot overflows into
+    the next.  Coordinates and rows w(e) = e^T B mod p^K are unpacked only
+    for the search candidates, so b is an integer dot product there.  The
+    group order is capped at ``FQF_ORDER_CAP`` for every input.
     """
     if max(f1.group_order, f2.group_order) > FQF_ORDER_CAP:
         raise ValueError(f"group order exceeds cap {FQF_ORDER_CAP}")
-    if f1.group_order != f2.group_order:
+    parts1, parts2 = _p_parts(f1), _p_parts(f2)
+    if {p: part[0] for p, part in parts1.items()} != {p: part[0] for p, part in parts2.items()}:
         return False
-    sig1, sig2 = group_signature(f1.orders), group_signature(f2.orders)
-    if sig1 != sig2:
-        return False
-    m = _common_scale(f1, f2)
-    s1, s2 = _scaled(f1, m), _scaled(f2, m)
-    return all(
-        _parts_isomorphic(_p_part(f1.orders, *s1, m, p), _p_part(f2.orders, *s2, m, p), m, p)
-        for p in sig1
-    )
+    return all(_parts_isomorphic(parts1[p], parts2[p], p) for p in parts1)
 
 
 # ---------------------------------------------------------------------------
@@ -589,4 +584,7 @@ def lattice_from_dict(d: dict) -> Lattice:
     gram = d["gram"]
     if not isinstance(gram, list) or not all(isinstance(r, list) for r in gram):
         raise ValueError("'gram' must be a list of rows")
-    return Lattice(Matrix(gram), d.get("name"))
+    name = d.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ValueError(f"lattice 'name' must be a string or null, not {type(name).__name__}")
+    return Lattice(Matrix(gram), name)

@@ -93,6 +93,23 @@ def test_lattice_info_rejects_asymmetric(tmp_path, capsys):
     assert "symmetric" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, job", [
+    (["lattice", "info"], {"gram": [[2, 1], [1, 2]], "name": [1]}),
+    (["lattice", "info"], {"gram": [[2, 1], [1, 2]], "name": {"a": 1}}),
+    (["isometry", "check"], {"gram": A4M_GRAM, "matrix": C5, "p": 5, "name": {"a": 1}}),
+    (["isometry", "check"], {"gram": A4M_GRAM, "matrix": C5, "p": 5, "name": 5}),
+], ids=["info-list", "info-object", "check-object", "check-int"])
+def test_lattice_name_must_be_a_string_or_null(tmp_path, capsys, argv, job):
+    path = _write(tmp_path, "job.json", job)
+    for flags in ([], ["--json"]):
+        assert main(argv + [path] + flags) == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "'name' must be a string or null" in err
+    path = _write(tmp_path, "job.json", dict(job, name=None))
+    assert main(argv + [path]) == EXIT_OK
+
+
 def test_isometry_check(tmp_path, capsys):
     path = _write(tmp_path, "iso.json", {"gram": A4M_GRAM, "matrix": C5, "p": 5})
     assert main(["isometry", "check", path]) == EXIT_OK

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kummerlat import lattices
+from kummerlat.cyclotomic import factorize
 from kummerlat.lattices import (
     Lattice,
     Sublattice,
@@ -199,10 +200,10 @@ def test_discriminant_form_matches_pairing_of_generators():
 
 
 def test_p_elementary():
-    assert is_p_elementary(H5, 5) == (True, 1)
-    assert is_p_elementary(U, 5) == (True, 0)
-    assert is_p_elementary(make_standard("<-10>"), 5) == (False, None)
-    assert is_p_elementary(make_standard("A4*(-5)"), 5) == (True, 3)
+    assert is_p_elementary(discriminant_group(H5), 5) == (True, 1)
+    assert is_p_elementary(discriminant_group(U), 5) == (True, 0)
+    assert is_p_elementary(discriminant_group(make_standard("<-10>")), 5) == (False, None)
+    assert is_p_elementary(discriminant_form(make_standard("A4*(-5)")).orders, 5) == (True, 3)
 
 
 def test_orthogonal_complements():
@@ -559,28 +560,13 @@ DEGENERATE_27_3 = [
 ]
 
 
-def test_fqf_isomorphic_matches_reference_on_hand_built_denominators(monkeypatch):
-    # q and b must be well defined on the group: on Z/3, 3^2 q is not even for
-    # q = 4/7, 1/7 and 1/3 (although 3 b = 1 for the last), and 3 b is not an
-    # integer for q = 2/9 and 8/9 (although 3^2 q is even)
-    for q, value in ((Fraction(4, 7), "q"), (Fraction(1, 7), "q"), (Fraction(1, 3), "q"),
-                     (Fraction(2, 9), "b"), (Fraction(8, 9), "b")):
-        with pytest.raises(ValueError, match=f"^{value} is not well defined: generator 0 "):
-            fqf_from_diagonal([(3, q)])
-    with pytest.raises(ValueError, match="^q is not well defined: generator 1 "):
-        fqf_from_diagonal([(3, 0), (3, Fraction(1, 7))])
-    with pytest.raises(ValueError, match="^b is not well defined: generator 0 "):
-        fqf_from_generators([3, 3], [0, 0], [[0, Fraction(1, 9)], [Fraction(1, 9), 0]])
-    # q = 4/3 on Z/3 is the well-defined lift of b = 1/3
-    four_thirds = fqf_from_diagonal([(3, Fraction(4, 3))])
-    assert fqf_isomorphic(four_thirds, four_thirds)
-    assert not fqf_isomorphic(four_thirds, fqf_from_diagonal([(3, Fraction(2, 3))]))
-    degenerate = DEGENERATE_27_3 + [(g, f) for f, g in DEGENERATE_27_3]
-    assert _census_and_search_agree(degenerate, monkeypatch) == (0, len(degenerate))
-    assert not any(fqf_isomorphic(f, g) for f, g in degenerate)
-    # random diagonal presentations: those with denominators 7, 11, 4 d or 3 d
-    # are refused unless they are well defined; values c / d with d c even are
-    # always well defined, and their denominators may be proper divisors of d
+def _hand_built_pairs():
+    """Pairs of random diagonal presentations with hand-built denominators.
+
+    Those with denominators 7, 11, 4 d or 3 d are refused unless they are
+    well defined; values c / d with d c even are always well defined, and
+    their denominators may be proper divisors of d.
+    """
     rng = random.Random(9)
     pairs = []
     for _ in range(40):
@@ -604,6 +590,29 @@ def test_fqf_isomorphic_matches_reference_on_hand_built_denominators(monkeypatch
         f = fqf_from_diagonal([(d, q) for q in qs])
         g = fqf_from_diagonal([(d, q * rng.choice((1, 4, 9))) for q in qs])
         pairs.append((f, g))
+    return pairs
+
+
+def test_fqf_isomorphic_matches_reference_on_hand_built_denominators(monkeypatch):
+    # q and b must be well defined on the group: on Z/3, 3^2 q is not even for
+    # q = 4/7, 1/7 and 1/3 (although 3 b = 1 for the last), and 3 b is not an
+    # integer for q = 2/9 and 8/9 (although 3^2 q is even)
+    for q, value in ((Fraction(4, 7), "q"), (Fraction(1, 7), "q"), (Fraction(1, 3), "q"),
+                     (Fraction(2, 9), "b"), (Fraction(8, 9), "b")):
+        with pytest.raises(ValueError, match=f"^{value} is not well defined: generator 0 "):
+            fqf_from_diagonal([(3, q)])
+    with pytest.raises(ValueError, match="^q is not well defined: generator 1 "):
+        fqf_from_diagonal([(3, 0), (3, Fraction(1, 7))])
+    with pytest.raises(ValueError, match="^b is not well defined: generator 0 "):
+        fqf_from_generators([3, 3], [0, 0], [[0, Fraction(1, 9)], [Fraction(1, 9), 0]])
+    # q = 4/3 on Z/3 is the well-defined lift of b = 1/3
+    four_thirds = fqf_from_diagonal([(3, Fraction(4, 3))])
+    assert fqf_isomorphic(four_thirds, four_thirds)
+    assert not fqf_isomorphic(four_thirds, fqf_from_diagonal([(3, Fraction(2, 3))]))
+    degenerate = DEGENERATE_27_3 + [(g, f) for f, g in DEGENERATE_27_3]
+    assert _census_and_search_agree(degenerate, monkeypatch) == (0, len(degenerate))
+    assert not any(fqf_isomorphic(f, g) for f, g in degenerate)
+    pairs = _hand_built_pairs()
     _, searched = _census_and_search_agree(pairs, monkeypatch)
     assert searched > 0
     assert any(fqf_isomorphic(f, g) for f, g in pairs)
@@ -806,6 +815,8 @@ def test_fqf_direct_sum_and_primary_parts():
     assert five2.orders == (5,) and five2.q_values == (Fraction(-2, 5) % 2,)
     two2 = p_primary_part(z10, 2)
     assert two2.orders == (2,) and two2.q_values == (Fraction(-5, 2) % 2,)
+    # a prime that does not divide the group order gives the trivial form
+    assert p_primary_part(f, 3).is_trivial and p_primary_part(f, 3) == reference_p_primary_part(f, 3)
 
 
 
@@ -836,6 +847,68 @@ def test_p_primary_part_matches_fraction_reference():
     assert parts > 150
 
 
+def _pool_forms():
+    """Every form of the discriminant, rebased, twisted and hand-built pools."""
+    pairs = _rebased_pool() + _twisted_pool() + _hand_built_pairs() + DEGENERATE_27_3
+    return _discriminant_pool() + [f for pair in pairs for f in pair]
+
+
+def test_p_parts_are_integral_on_the_scale_of_each_part():
+    # a value n/d of a generator of order o has d | o, so each p-part scaled
+    # by its own largest order p^K is integral
+    mixed = 0
+    for f in _pool_forms():
+        parts = lattices._p_parts(f)
+        assert list(parts) == list(group_signature(f.orders)), f
+        mixed += any(len(factorize(o)) > 1 for o in f.orders)
+        for p, (orders, qs, bm) in parts.items():
+            top = orders[-1]
+            assert orders == sorted(orders) and set(factorize(top)) == {p}
+            assert all(top % o == 0 for o in orders)
+            for i, row in enumerate(bm):
+                assert type(qs[i]) is int and 0 <= qs[i] < 2 * top, (f, p)
+                assert all(type(x) is int and 0 <= x < top for x in row), (f, p)
+                assert [r[i] for r in bm] == row and qs[i] % top == row[i], (f, p)
+    assert mixed > 0
+
+
+def test_fqf_isomorphic_cancels_a_summand_of_coprime_order():
+    # Z/9973 alone fills FQF_ORDER_CAP, so it is added to the trivial form only
+    trivial = fqf_from_diagonal([])
+    big = fqf_from_diagonal([(9973, Fraction(2 * 1234, 9973))])
+    sevens = fqf_from_diagonal([(7, Fraction(2, 7)), (7, Fraction(6, 7))])
+    forms = _discriminant_pool()
+    pairs = [(f, g) for f in forms for g in forms if f.group_order == g.group_order]
+    pairs += _rebased_pool() + _twisted_pool() + _hand_built_pairs()
+    pairs = [(f, g) for f, g in pairs if all(x.group_order <= 204 and x.group_order % 7 for x in (f, g))]
+    assert len(pairs) > 500
+    answers = set()
+    for h, cases in ((big, [(trivial, trivial)]), (sevens, pairs)):
+        for f, g in cases:
+            got = fqf_isomorphic(f, g)
+            assert fqf_isomorphic(fqf_direct_sum(f, h), fqf_direct_sum(g, h)) == got, (f, g, h)
+            answers.add(got)
+    assert answers == {True, False}
+
+
+def test_fqf_isomorphic_factorizes_each_order_once(monkeypatch):
+    calls = []
+    real = lattices.factorize
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(lattices, "factorize", counted)
+    forms = _discriminant_pool()[:40]
+    pairs = [(f, g) for f in forms for g in forms]
+    pairs += _rebased_pool() + _twisted_pool() + _hand_built_pairs()
+    for f1, f2 in pairs:
+        calls.clear()
+        fqf_isomorphic(f1, f2)
+        assert sorted(calls) == sorted(f1.orders + f2.orders), (f1, f2)
+
+
 def test_serialization_roundtrip():
     for lat in (H5, make_standard("A4*(-5)"), direct_sum(U, H5)):
         again = lattice_from_dict({"gram": lat.gram.to_lists(), "name": lat.name})
@@ -845,6 +918,10 @@ def test_serialization_roundtrip():
         lattice_from_dict({"name": "broken"})
     with pytest.raises(ValueError):
         lattice_from_dict({"gram": [[0, 1], [2, 0]]})
+    assert lattice_from_dict({"gram": [[2, 1], [1, 2]], "name": None}).name is None
+    for name in ([1], {"a": 1}, 7, True):
+        with pytest.raises(ValueError, match="^lattice 'name' must be a string or null"):
+            lattice_from_dict({"gram": [[2, 1], [1, 2]], "name": name})
 
 
 @settings(max_examples=60, deadline=None)

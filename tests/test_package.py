@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -59,3 +60,29 @@ def test_exports_are_the_objects_of_their_submodules():
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'nope'"):
         kummerlat.nope
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names bound by module-level imports of ``source`` that it never reads, nor lists in __all__."""
+    tree = ast.parse(source)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                  for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [name for name in bound if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert _unused_imports("from __future__ import annotations\nimport os.path\n"
+                           "from math import gcd, lcm as l\n__all__ = ['l']\n"
+                           "print(gcd)") == ["os"]
+    unused = {path.name: _unused_imports(path.read_text(encoding="utf-8"))
+              for path in sorted((SRC / "kummerlat").glob("*.py"))}
+    assert len(unused) > 5
+    assert {name: names for name, names in unused.items() if names} == {}
