@@ -63,6 +63,13 @@ class LatticeIsometry:
         if phi ** self.order != one:
             raise ValueError(f"matrix does not have order {self.order}")
 
+    @classmethod
+    def _trusted(cls, lattice: Lattice, matrix: Matrix, order: int) -> "LatticeIsometry":
+        """The isometry ``matrix`` of prime order ``order`` of ``lattice``, taken as it is."""
+        iso = object.__new__(cls)
+        vars(iso).update(lattice=lattice, matrix=matrix, order=order)
+        return iso
+
 
 @dataclass(frozen=True)
 class IsometryInvariants:
@@ -222,7 +229,7 @@ def overlattice_with_basis(pieces: Lattice, glue_vectors) -> tuple[Lattice, Matr
 def overlattice_by_glue(pieces: Lattice, glue_vectors, name: str | None = None) -> Lattice:
     lattice, _ = overlattice_with_basis(pieces, glue_vectors)
     if name is not None:
-        lattice = Lattice(lattice.gram, name)
+        lattice = Lattice._trusted(lattice.gram, name, lattice.det)
     return lattice
 
 
@@ -240,7 +247,10 @@ def conjugate_isometry(iso: LatticeIsometry, p_matrix: Matrix) -> LatticeIsometr
     """Change of basis x = P x': the Gram becomes P^T G P, phi becomes P^-1 phi P.
 
     An integer matrix P is unimodular exactly when P X = I has an integer
-    solution, so one solve both checks P and inverts it.
+    solution, so one solve both checks P and inverts it.  The conjugate is
+    then valid by construction and is not checked again: P^T G P is
+    symmetric and even, with det G as det P = +-1, and P^-1 phi P preserves
+    it, is not 1 and has order p, because ``iso`` has these properties.
     """
     try:
         p_inverse = solve(p_matrix, identity(p_matrix.rows))
@@ -248,4 +258,5 @@ def conjugate_isometry(iso: LatticeIsometry, p_matrix: Matrix) -> LatticeIsometr
         raise ValueError("basis change must be unimodular") from None
     new_gram = p_matrix.transpose() @ iso.lattice.gram @ p_matrix
     new_phi = p_inverse @ iso.matrix @ p_matrix
-    return LatticeIsometry(Lattice(new_gram, iso.lattice.name), new_phi, iso.order)
+    lattice = Lattice._trusted(new_gram, iso.lattice.name, iso.lattice.det)
+    return LatticeIsometry._trusted(lattice, new_phi, iso.order)

@@ -50,7 +50,10 @@ class Lattice:
     """An even integral lattice with a nondegenerate symmetric Gram matrix.
 
     ``det``, the determinant of the Gram matrix, is computed once, by the
-    nondegeneracy check.
+    nondegeneracy check of the public constructor.  The private ``_trusted``
+    takes a Gram matrix that is valid by construction together with its
+    determinant, as ``direct_sum``, ``conjugate_isometry`` and renames make
+    them, and checks nothing again.
     """
 
     gram: Matrix
@@ -69,6 +72,13 @@ class Lattice:
         if det == 0:
             raise ValueError("Gram matrix is degenerate")
         object.__setattr__(self, "det", det)
+
+    @classmethod
+    def _trusted(cls, gram: Matrix, name: str | None, det: int) -> "Lattice":
+        """The lattice on a valid Gram matrix whose determinant is ``det``, taken as it is."""
+        lat = object.__new__(cls)
+        vars(lat).update(gram=gram, name=name, det=det)
+        return lat
 
     @property
     def rank(self) -> int:
@@ -151,13 +161,17 @@ def make_standard(name: str) -> Lattice:
 
 
 def direct_sum(*lattices: Lattice, name: str | None = None) -> Lattice:
-    if not lattices:
-        return Lattice(Matrix([]), name)
-    if name is None:
+    """The orthogonal sum of ``lattices``, not checked again.
+
+    Valid blocks make a valid block-diagonal Gram matrix, and its
+    determinant is the product of their ``det``.
+    """
+    if name is None and lattices:
         parts = [lat.name for lat in lattices]
         if all(parts):
             name = " + ".join(parts)
-    return Lattice(block_diag(*(lat.gram for lat in lattices)), name)
+    gram = block_diag(*(lat.gram for lat in lattices))
+    return Lattice._trusted(gram, name, prod(lat.det for lat in lattices))
 
 
 def signature(lat: Lattice) -> tuple[int, int]:

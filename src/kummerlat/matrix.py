@@ -369,6 +369,8 @@ def _hermite_rows(a: list, cols: int) -> int:
     """Bring the integer rows ``a`` to row Hermite form in place; return the rank.
 
     The nonzero rows come first; the rest of ``a`` is zero afterwards.
+    The pivot is the least nonzero entry of the column in absolute value
+    (the scan stops at +-1), which keeps the entries small on dense inputs.
     An entry that the current pivot divides is cleared by subtracting a
     multiple of the pivot row, which rewrites one row; any other entry is
     combined with the pivot by the 2x2 xgcd transform, which rewrites both.
@@ -377,13 +379,18 @@ def _hermite_rows(a: list, cols: int) -> int:
     rows = len(a)
     r = 0
     for c in range(cols):
-        piv = None
+        piv, least = None, 0
+        for i in range(r, rows):
+            e = abs(a[i][c])
+            if e and (piv is None or e < least):
+                piv, least = i, e
+                if e == 1:
+                    break
+        if piv is None:
+            continue
         for i in range(r, rows):
             e = a[i][c]
-            if not e:
-                continue
-            if piv is None:
-                piv = i
+            if not e or i == piv:
                 continue
             rp, ri = a[piv], a[i]
             p = rp[c]
@@ -395,8 +402,6 @@ def _hermite_rows(a: list, cols: int) -> int:
                 p_, q_ = p // g, e // g
                 a[piv] = [x * s + y * t_ for s, t_ in zip(rp, ri)]
                 a[i] = [-q_ * s + p_ * t_ for s, t_ in zip(rp, ri)]
-        if piv is None:
-            continue
         a[r], a[piv] = a[piv], a[r]
         if a[r][c] < 0:
             a[r] = [-x for x in a[r]]

@@ -54,7 +54,7 @@ class PoolEntry:
 def _glued(name, pieces, glues, phi_blocks, p) -> PoolEntry:
     over, basis = overlattice_with_basis(pieces, glues)
     phi = transport_isometry(basis, phi_blocks)
-    return PoolEntry(name, LatticeIsometry(Lattice(over.gram, name), phi, p))
+    return PoolEntry(name, LatticeIsometry(Lattice._trusted(over.gram, name, over.det), phi, p))
 
 
 def base_pool() -> list[PoolEntry]:

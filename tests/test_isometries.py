@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -162,6 +163,10 @@ def test_overlattice_by_glue():
     plus_plus = direct_sum(Lattice(Matrix([[2]])), Lattice(Matrix([[2]])))
     with pytest.raises(ValueError):
         overlattice_by_glue(plus_plus, half)
+    # a rename keeps the determinant of the validated overlattice, sign included
+    named = overlattice_by_glue(mixed, half, name="U'")
+    assert named == Lattice(overlattice_by_glue(mixed, half).gram, "U'")
+    assert named.det == exact_det(named.gram) == -1
 
 
 def test_transport_rejects_nonpreserving():
@@ -197,6 +202,35 @@ def test_invariants_are_basis_independent():
         conj = conjugate_isometry(iso, random_unimodular(rng, iso.lattice.rank))
         inv2 = compute_invariants(conj)
         assert (inv.m, inv.a, inv.disc_s) == (inv2.m, inv2.a, inv2.disc_s), entry.name
+
+
+# sha256 over every extended_pool entry, one line each of (name, Gram rows,
+# phi rows, order, det), taken while each entry was still built by the
+# validating constructors
+POOL_DIGESTS = {
+    20260808: "4e797de370b451186e8447adb1b1af3665016ef569292e55d798b16c609463d1",
+    1: "98ea6c8c6fe6776ea6de99df637f4039de7f92be1709e63985094788d227d61e",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(POOL_DIGESTS))
+def test_extended_pool_digest(seed):
+    h = hashlib.sha256()
+    for entry in extended_pool(seed=seed):
+        iso = entry.isometry
+        line = (entry.name, iso.lattice.gram.data, iso.matrix.data, iso.order, iso.lattice.det)
+        h.update(repr(line).encode() + b"\n")
+    assert h.hexdigest() == POOL_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", [20260808, 1])
+def test_trusted_entries_pass_the_validating_constructors(seed):
+    # conjugates, direct sums and renames skip the checks; every entry must
+    # still be what the validating constructors make of its fields
+    for entry in extended_pool(seed=seed):
+        iso, lat = entry.isometry, entry.isometry.lattice
+        checked = LatticeIsometry(Lattice(lat.gram, lat.name), iso.matrix, iso.order)
+        assert checked == iso and checked.lattice.det == lat.det, entry.name
 
 
 def test_extended_pool_reaches_count():

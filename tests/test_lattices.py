@@ -29,7 +29,7 @@ from kummerlat.lattices import (
     p_primary_part,
     signature,
 )
-from kummerlat.matrix import Matrix, exact_det, identity, solve
+from kummerlat.matrix import Matrix, block_diag, exact_det, identity, solve
 from kummerlat.pool import random_unimodular
 from lattice_reference import p_primary_part as reference_p_primary_part
 from lattice_reference import signature as reference_signature
@@ -94,7 +94,17 @@ def test_direct_sum():
         [[-2, 0], [0, -2]]
     )
     empty = direct_sum()
+    assert (empty.rank, empty.det, empty.name) == (0, 1, None)
     assert direct_sum(H5, empty).gram == H5.gram
+    # direct_sum multiplies the blocks' det instead of taking a determinant
+    names = ["U", "U(3)", "U(-2)", "E8(-1)", "A4(-1)", "A4(-5)", "A4*(-5)", "H5",
+             "<-2>", "<4>", "<-10>"]
+    rng = random.Random(20261019)
+    for _ in range(40):
+        parts = [make_standard(rng.choice(names)) for _ in range(rng.randint(1, 5))]
+        s = direct_sum(*parts)
+        assert s.det == exact_det(block_diag(*(lat.gram for lat in parts))), s.name
+        assert s == Lattice(s.gram, s.name)
 
 
 def test_rescale():

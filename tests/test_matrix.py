@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -21,6 +22,7 @@ from kummerlat.matrix import (
     solve,
     zeros,
 )
+from kummerlat.pool import cyclic_rotation, random_unimodular
 from isometry_reference import smith_kernel
 
 small_matrices = st.integers(min_value=1, max_value=5).flatmap(
@@ -105,6 +107,23 @@ def test_hermite_kernel_deterministic():
     assert integer_kernel(Matrix([[1, 1]])) == Matrix([[1], [-1]])
     assert integer_kernel(Matrix([[2, 2]])) == Matrix([[1], [-1]])
     assert column_hermite_basis(Matrix([[-1, 0], [1, 0]])) == Matrix([[1], [-1]])
+
+
+def test_kernel_of_dense_conjugate_stays_fast():
+    # phi = 1_4 + (rotation of A_44(-1)) conjugated by a dense unimodular P
+    # has small entries; with the first nonzero entry of a column as the
+    # Hermite pivot, the xgcd coefficients explode on it
+    n = 48
+    phi = block_diag(identity(4), cyclic_rotation(44))
+    p = random_unimodular(random.Random(1), n, steps=240)
+    m = solve(p, phi @ p) - identity(n)
+    start = time.perf_counter()
+    k = integer_kernel(m)
+    assert time.perf_counter() - start < 2
+    assert k.shape == (n, 4)
+    assert m @ k == zeros(n, 4)
+    _, d, _ = smith_normal_form(k)
+    assert all(d.data[i][i] == 1 for i in range(4))  # saturated
 
 
 def test_solve_and_det():
