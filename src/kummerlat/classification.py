@@ -193,10 +193,9 @@ EXPECTED_PAIRS = (
 EXCLUDED_PAIRS = ((2, 0), (4, 0))
 
 
-def verify_all(rows: list[ClassificationRow] | None = None) -> ClassificationReport:
+def verify_all() -> ClassificationReport:
     """Run every check: row conditions, candidate pair list, complement form."""
-    if rows is None:
-        rows = table_rows()
+    rows = table_rows()
     reports = tuple(verify_row(r) for r in rows)
     pairs = tuple(candidate_pairs())
     pairs_ok = pairs == EXPECTED_PAIRS

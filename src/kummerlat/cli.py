@@ -18,6 +18,7 @@ import json
 import sys
 
 from .lefschetz import (
+    CATALOG_TYPES,
     catalog,
     catalog_variants,
     corollary_holds,
@@ -256,7 +257,7 @@ def cmd_kummer(args) -> int:
 
 
 def cmd_kummer_list_variants(_args) -> int:
-    for kind in range(9):
+    for kind in CATALOG_TYPES:
         print(f"type {kind}: {', '.join(catalog_variants(kind))}")
     return EXIT_OK
 
@@ -312,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_classify_verify)
 
     p_kum = sub.add_parser("kummer", help="Lefschetz numbers on the Kummer fourfold")
-    p_kum.add_argument("--type", type=int, choices=range(9))
+    p_kum.add_argument("--type", type=int, choices=CATALOG_TYPES)
     p_kum.add_argument("--variant")
     p_kum.add_argument("--job", help="JSON job file with H, b, n")
     p_kum.add_argument("--table", action="store_true", help="run the whole catalog")

@@ -72,10 +72,14 @@ tests (``tests/lefschetz_reference.py``) as references.
 
 The catalog covers the torus automorphisms whose action on second cohomology
 has prime order, together with their sign flips and translation variants,
-all on the Kummer fourfold (n = 3).  The quotient tori of types 2, 3 and 6
-are given by integer bases den * B over the product torus lattice; the
-matrix of h and the translation residues on B come from one integer solve
-each, and the variant table of each type is built once.
+all on the Kummer fourfold (n = 3).  It is two tables of data.  ``_TYPES``
+gives each type's h on the product torus lattice, its order and, for the
+quotient tori of types 2, 3 and 6, an integer basis den * B over that
+lattice.  ``_CATALOG`` has one row per entry: type, variant, sign of h,
+translation residues mod 3 on the type's basis and expected Lefschetz
+number.  The matrix of h on a quotient basis comes from one integer solve,
+on the first use of the type, which also checks the order of h; the
+residues are data, and the tests solve for them again.
 """
 
 from __future__ import annotations
@@ -462,113 +466,107 @@ _COMPANION_5 = Matrix(
     ]
 )
 
-
-def _product_torus_matrix(kind: int) -> Matrix:
-    if kind in (1, 2, 3):
-        return block_diag(identity(2), -identity(2))
-    if kind == 4:
-        return block_diag(_ROT_I, _ROT_I)
-    if kind in (5, 6):
-        return block_diag(identity(2), _ROT_ZETA3)
-    if kind == 7:
-        return block_diag(_ROT_ZETA3, _ROT_ZETA3)
-    raise ValueError(f"no product torus for type {kind}")
-
-
-# quotient torus bases B, as columns over the product torus lattice, stored
-# as (den, den * B):
-#   type 2: basis (w, l2, l1', l2') with w = (l1 + l1')/2
-#   type 3: basis (w1, w2, l1', l2') with w1 = (l1 + l1')/2, w2 = (l2 + l2')/2
-#   type 6: basis (g, l2, 1, zeta6) with g = (l1 + 1 + zeta6)/3
-_QUOTIENT_BASES = {
-    2: (2, Matrix([[1, 0, 0, 0], [0, 2, 0, 0], [1, 0, 2, 0], [0, 0, 0, 2]])),
-    3: (2, Matrix([[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 2, 0], [0, 1, 0, 2]])),
-    6: (3, Matrix([[1, 0, 0, 0], [0, 3, 0, 0], [1, 0, 3, 0], [1, 0, 0, 3]])),
+# type -> (h on the product torus lattice, order of h, den * B or None).  The
+# quotient tori of types 2, 3 and 6 have the basis B, given by its columns
+# over the product torus lattice and scaled by den to integers:
+#   type 2: B = (w, l2, l1', l2') with w = (l1 + l1')/2, den = 2
+#   type 3: B = (w1, w2, l1', l2') with w1 = (l1 + l1')/2, w2 = (l2 + l2')/2, den = 2
+#   type 6: B = (g, l2, 1, zeta6) with g = (l1 + 1 + zeta6)/3, den = 3
+_TYPES = {
+    0: (identity(4), 1, None),
+    1: (block_diag(identity(2), -identity(2)), 2, None),
+    2: (block_diag(identity(2), -identity(2)), 2,
+        Matrix([[1, 0, 0, 0], [0, 2, 0, 0], [1, 0, 2, 0], [0, 0, 0, 2]])),
+    3: (block_diag(identity(2), -identity(2)), 2,
+        Matrix([[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 2, 0], [0, 1, 0, 2]])),
+    4: (block_diag(_ROT_I, _ROT_I), 4, None),
+    5: (block_diag(identity(2), _ROT_ZETA3), 3, None),
+    6: (block_diag(identity(2), _ROT_ZETA3), 3,
+        Matrix([[1, 0, 0, 0], [0, 3, 0, 0], [1, 0, 3, 0], [1, 0, 0, 3]])),
+    7: (block_diag(_ROT_ZETA3, _ROT_ZETA3), 3, None),
+    8: (_COMPANION_5, 5, None),
 }
 
+CATALOG_TYPES: tuple[int, ...] = tuple(_TYPES)
 
-_TYPE_ORDERS = {0: 1, 1: 2, 2: 2, 3: 2, 4: 4, 5: 3, 6: 3, 7: 3, 8: 5}
+# One row per catalog entry: (type, variant, sign of h, translation residues
+# mod 3 on the type's basis, expected Lefschetz number), in the order of the
+# table.  A variant named by a third point of the product torus lattice has
+# that point's coordinates on the type's basis: the point itself, except for
+# "u!=0" of types 2 and 3, where l1 = 2w - l1' gives (2, 0, 2, 0).  The rows
+# are literals, so the compiler folds the table into one constant.
+_CATALOG = (
+    (0, "id", 1, (0, 0, 0, 0), 108),
+    (0, "t_b", 1, (1, 0, 0, 0), 27),
+    (0, "-id", -1, (0, 0, 0, 0), 60),
+    (0, "-t_b", -1, (1, 0, 0, 0), 60),
+    (1, "h", 1, (0, 0, 0, 0), 12),
+    (1, "u=0", 1, (0, 0, 1, 0), 12),
+    (1, "u!=0", 1, (1, 0, 0, 0), 3),
+    (2, "h", 1, (0, 0, 0, 0), 12),
+    (2, "u=0", 1, (0, 0, 1, 0), 12),
+    (2, "u!=0", 1, (2, 0, 2, 0), 3),  # l1 = 2w - l1', not (1, 0, 0, 0)
+    (3, "h", 1, (0, 0, 0, 0), 12),
+    (3, "u=0", 1, (0, 0, 1, 0), 12),
+    (3, "u!=0", 1, (2, 0, 2, 0), 3),  # l1 = 2w1 - l1', not (1, 0, 0, 0)
+    (4, "h", 1, (0, 0, 0, 0), 16),
+    (4, "t_b", 1, (1, 0, 0, 0), 16),
+    (4, "-h", -1, (0, 0, 0, 0), 16),
+    (4, "-h,t_b", -1, (1, 0, 0, 0), 16),
+    (5, "h", 1, (0, 0, 0, 0), 27),
+    (5, "u=0,v in Delta6", 1, (0, 0, 1, 1), 27),
+    (5, "u=0,v notin Delta6", 1, (0, 0, 1, 0), 0),
+    (5, "u!=0,v in Delta6", 1, (1, 0, 1, 1), 0),
+    (5, "u!=0,v notin Delta6", 1, (1, 0, 1, 0), 0),
+    (5, "-h", -1, (0, 0, 0, 0), 9),
+    (5, "-h,t_b", -1, (1, 0, 0, 0), 9),
+    (6, "h", 1, (0, 0, 0, 0), 9),
+    (6, "t=0,u in Za", 1, (0, 0, 1, 0), 9),
+    (6, "t=0,u notin Za", 1, (0, 1, 0, 0), 0),
+    (6, "t!=0", 1, (1, 0, 0, 0), 0),
+    (6, "-h", -1, (0, 0, 0, 0), 9),
+    (6, "-h,t_b", -1, (1, 0, 0, 0), 9),
+    (7, "h", 1, (0, 0, 0, 0), 36),
+    (7, "b in Delta6xDelta6", 1, (1, 1, 0, 0), 36),
+    (7, "b notin Delta6xDelta6", 1, (1, 0, 0, 0), 27),
+    (7, "-h", -1, (0, 0, 0, 0), 12),
+    (7, "-h,t_b", -1, (1, 0, 0, 0), 12),
+    (8, "h", 1, (0, 0, 0, 0), 13),
+    (8, "h,t_b", 1, (1, 0, 0, 0), 13),
+    (8, "-h", -1, (0, 0, 0, 0), 5),
+    (8, "-h,t_b", -1, (1, 0, 0, 0), 5),
+)
+
+# golden targets: exact integer Lefschetz numbers of every catalog entry
+CATALOG_EXPECTED: tuple[tuple[int, str, int], ...] = tuple(
+    (kind, variant, expected) for kind, variant, _, _, expected in _CATALOG
+)
+
+# (type, variant) -> (sign, translation residues)
+_ENTRIES = {(kind, variant): (sign, b) for kind, variant, sign, b, _ in _CATALOG}
 
 
-@lru_cache(maxsize=len(_TYPE_ORDERS))
+@lru_cache(maxsize=len(_TYPES))
 def _type_matrix(kind: int) -> Matrix:
     """The matrix of h on the torus lattice of the given catalog type.
 
     Built once per type; the first use of a type checks that h preserves its
-    lattice (the solve on a quotient basis is integral) and has the type's
-    order.
+    lattice (the solve on a quotient basis is integral; den cancels) and has
+    the type's order.
     """
-    if kind == 0:
-        h = identity(4)
-    elif kind == 8:
-        h = _COMPANION_5
-    else:
-        h = _product_torus_matrix(kind)
-        if kind in _QUOTIENT_BASES:
-            _, basis = _QUOTIENT_BASES[kind]
-            h = solve(basis, h @ basis, "h does not preserve the quotient torus lattice")
-    order = _TYPE_ORDERS[kind]
+    h, order, basis = _TYPES[kind]
+    if basis is not None:
+        h = solve(basis, h @ basis, "h does not preserve the quotient torus lattice")
     if h**order != identity(4):
         raise AssertionError(f"catalog type {kind} matrix does not have order {order}")
     return h
 
 
-def _residues(kind: int, product_vector) -> tuple[int, int, int, int]:
-    """Coordinates mod 3 of a product-lattice third point on the type basis."""
-    if kind in _QUOTIENT_BASES:
-        den, basis = _QUOTIENT_BASES[kind]
-        column = solve(basis, Matrix([[den * x] for x in product_vector]))
-        product_vector = [row[0] for row in column.data]
-    return tuple(x % _KUMMER_N for x in product_vector)
-
-
-@lru_cache(maxsize=len(_TYPE_ORDERS))
-def _variant_table(kind: int) -> dict[str, tuple[int, tuple[int, int, int, int]]]:
-    """variant name -> (sign, translation residues) for each catalog type."""
-    z = (0, 0, 0, 0)
-    e1 = (1, 0, 0, 0)
-    if kind == 0:
-        return {"id": (1, z), "t_b": (1, e1), "-id": (-1, z), "-t_b": (-1, e1)}
-    if kind in (1, 2, 3):
-        u_zero = _residues(kind, (0, 0, 1, 0))
-        u_nonzero = _residues(kind, (1, 0, 0, 0))
-        return {"h": (1, z), "u=0": (1, u_zero), "u!=0": (1, u_nonzero)}
-    if kind == 4:
-        return {"h": (1, z), "t_b": (1, e1), "-h": (-1, z), "-h,t_b": (-1, e1)}
-    if kind == 5:
-        return {
-            "h": (1, z),
-            "u=0,v in Delta6": (1, (0, 0, 1, 1)),
-            "u=0,v notin Delta6": (1, (0, 0, 1, 0)),
-            "u!=0,v in Delta6": (1, (1, 0, 1, 1)),
-            "u!=0,v notin Delta6": (1, (1, 0, 1, 0)),
-            "-h": (-1, z),
-            "-h,t_b": (-1, e1),
-        }
-    if kind == 6:
-        return {
-            "h": (1, z),
-            "t=0,u in Za": (1, _residues(6, (0, 0, 1, 0))),
-            "t=0,u notin Za": (1, _residues(6, (0, 1, 0, 0))),
-            "t!=0": (1, e1),
-            "-h": (-1, z),
-            "-h,t_b": (-1, e1),
-        }
-    if kind == 7:
-        return {
-            "h": (1, z),
-            "b in Delta6xDelta6": (1, (1, 1, 0, 0)),
-            "b notin Delta6xDelta6": (1, e1),
-            "-h": (-1, z),
-            "-h,t_b": (-1, e1),
-        }
-    if kind == 8:
-        return {"h": (1, z), "h,t_b": (1, e1), "-h": (-1, z), "-h,t_b": (-1, e1)}
-    raise ValueError(f"unknown catalog type {kind}")
-
-
 def catalog_variants(kind: int) -> list[str]:
-    return list(_variant_table(kind))
+    variants = [variant for k, variant in _ENTRIES if k == kind]
+    if not variants:
+        raise ValueError(f"unknown catalog type {kind}")
+    return variants
 
 
 def catalog(kind: int, variant: str) -> TorusAutomorphism:
@@ -577,59 +575,14 @@ def catalog(kind: int, variant: str) -> TorusAutomorphism:
     ``kind`` selects the torus and group automorphism h; ``variant`` selects
     the sign of h and the translation class.
     """
-    table = _variant_table(kind)
-    if variant not in table:
-        raise ValueError(
-            f"unknown variant {variant!r} for type {kind}; options: {sorted(table)}"
-        )
-    sign, translation = table[variant]
+    entry = _ENTRIES.get((kind, variant))
+    if entry is None:
+        options = sorted(catalog_variants(kind))
+        raise ValueError(f"unknown variant {variant!r} for type {kind}; options: {options}")
+    sign, translation = entry
     h = _type_matrix(kind)
     matrix = h if sign == 1 else -h
     return torus_automorphism(matrix, translation, _KUMMER_N)
-
-
-# golden targets: exact integer Lefschetz numbers of every catalog entry
-CATALOG_EXPECTED: tuple[tuple[int, str, int], ...] = (
-    (0, "id", 108),
-    (0, "t_b", 27),
-    (0, "-id", 60),
-    (0, "-t_b", 60),
-    (1, "h", 12),
-    (1, "u=0", 12),
-    (1, "u!=0", 3),
-    (2, "h", 12),
-    (2, "u=0", 12),
-    (2, "u!=0", 3),
-    (3, "h", 12),
-    (3, "u=0", 12),
-    (3, "u!=0", 3),
-    (4, "h", 16),
-    (4, "t_b", 16),
-    (4, "-h", 16),
-    (4, "-h,t_b", 16),
-    (5, "h", 27),
-    (5, "u=0,v in Delta6", 27),
-    (5, "u=0,v notin Delta6", 0),
-    (5, "u!=0,v in Delta6", 0),
-    (5, "u!=0,v notin Delta6", 0),
-    (5, "-h", 9),
-    (5, "-h,t_b", 9),
-    (6, "h", 9),
-    (6, "t=0,u in Za", 9),
-    (6, "t=0,u notin Za", 0),
-    (6, "t!=0", 0),
-    (6, "-h", 9),
-    (6, "-h,t_b", 9),
-    (7, "h", 36),
-    (7, "b in Delta6xDelta6", 36),
-    (7, "b notin Delta6xDelta6", 27),
-    (7, "-h", 12),
-    (7, "-h,t_b", 12),
-    (8, "h", 13),
-    (8, "h,t_b", 13),
-    (8, "-h", 5),
-    (8, "-h,t_b", 5),
-)
 
 
 @dataclass(frozen=True)

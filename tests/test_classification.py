@@ -86,10 +86,13 @@ def test_verify_all_report():
     assert all(r.necessary_conditions_only for r in report.row_reports)
 
 
-def test_verify_all_with_corrupted_table():
+def test_verify_all_with_corrupted_table(monkeypatch):
+    import kummerlat.classification as classification
+
     rows = table_rows()
     bad = rows[:7] + [ClassificationRow(5, 3, rows[7].s, rows[0].t)]
-    report = verify_all(rows=bad)
+    monkeypatch.setattr(classification, "table_rows", lambda: bad)
+    report = verify_all()
     assert not report.passed
 
 
@@ -117,5 +120,5 @@ def test_verify_all_takes_one_smith_form_per_lattice(monkeypatch):
     monkeypatch.setattr(lattices, "smith_normal_form", counted)
     rows = table_rows()
     assert not calls
-    assert verify_all(rows).passed
+    assert verify_all().passed
     assert len(calls) == 2 * len(rows) + 1 == 17

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -277,6 +278,13 @@ def test_kummer_catalog_json_golden(capsys):
         assert capsys.readouterr().out == json.dumps(entry["payload"], indent=2) + "\n"
 
 
+def test_kummer_catalog_golden_follows_the_catalog_order():
+    from kummerlat.lefschetz import CATALOG_EXPECTED
+
+    entries = json.loads((GOLDEN / "kummer_catalog.json").read_text(encoding="utf-8"))
+    assert [(e["type"], e["variant"]) for e in entries] == [(k, v) for k, v, _ in CATALOG_EXPECTED]
+
+
 def test_kummer_table_golden(capsys):
     assert main(["kummer", "--table"]) == EXIT_OK
     assert capsys.readouterr().out == (GOLDEN / "kummer_table.txt").read_text(encoding="utf-8")
@@ -361,6 +369,9 @@ def test_kummer_list_variants(capsys):
     assert main(["kummer", "--list-variants"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "type 8" in out
+    # the whole listing, byte for byte
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "275a118053d75df57f52993bcf591b04fa34a03e790a3707e162582c7e708a28")
 
 
 def test_missing_file_is_input_error(capsys):

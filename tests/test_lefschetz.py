@@ -21,7 +21,7 @@ from kummerlat.lefschetz import (
     run_catalog_table,
     torus_automorphism,
 )
-from kummerlat.matrix import Matrix, block_diag, exact_det, identity
+from kummerlat.matrix import Matrix, block_diag, exact_det, identity, solve
 from kummerlat.pool import random_unimodular
 from lefschetz_reference import (
     CharacterClass,
@@ -283,6 +283,38 @@ def test_catalog_quotient_types_are_conjugated_products():
         assert abs(exact_det(aut.matrix)) == 1
 
 
+def test_catalog_translations_are_the_named_points():
+    # a variant named by a third point v/3 of the product torus lattice has
+    # the residues mod 3 of its coordinates x on the type's basis B, where
+    # den B x = den v
+    import kummerlat.lefschetz as lef
+
+    named = {
+        1: {"u=0": (0, 0, 1, 0), "u!=0": (1, 0, 0, 0)},
+        2: {"u=0": (0, 0, 1, 0), "u!=0": (1, 0, 0, 0)},
+        3: {"u=0": (0, 0, 1, 0), "u!=0": (1, 0, 0, 0)},
+        6: {"t=0,u in Za": (0, 0, 1, 0), "t=0,u notin Za": (0, 1, 0, 0)},
+    }
+    den = {1: 1, 2: 2, 3: 2, 6: 3}
+    for kind, points in named.items():
+        basis = lef._TYPES[kind][2] or identity(4)
+        for variant, v in points.items():
+            x = solve(basis, Matrix([[den[kind] * c] for c in v]))
+            assert catalog(kind, variant).translation == tuple(row[0] % 3 for row in x.data), \
+                (kind, variant)
+
+
+def test_catalog_digest():
+    # every catalog entry's expected value, matrix, translation and torsion,
+    # pinned by one sha256 over its lines
+    lines = []
+    for kind, variant, expected in CATALOG_EXPECTED:
+        aut = catalog(kind, variant)
+        lines.append(f"{kind}|{variant}|{expected}|{aut.matrix.data}|{aut.translation}|{aut.torsion}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "6b25f9a0dcc2011658be2538063e2a84218dbb99fe9b79ecddfe83416f574f2c")
+
+
 def test_catalog_type_matrices_built_once(monkeypatch):
     import kummerlat.lefschetz as lef
 
@@ -294,7 +326,7 @@ def test_catalog_type_matrices_built_once(monkeypatch):
     assert catalog(5, "h").matrix is catalog(5, "u=0,v in Delta6").matrix
     # the order check runs inside the memo, on the first use of each type
     lef._type_matrix.cache_clear()
-    monkeypatch.setitem(lef._TYPE_ORDERS, 8, 3)
+    monkeypatch.setitem(lef._TYPES, 8, (lef._TYPES[8][0], 3, None))
     with pytest.raises(AssertionError, match="does not have order 3"):
         catalog(8, "h")
     monkeypatch.undo()
