@@ -1,10 +1,14 @@
 """Prime order isometries of even lattices and their numeric invariants.
 
-For an isometry phi of prime order p, the invariant lattice T is the kernel
-of (phi - 1), the coinvariant lattice S is its orthogonal complement (equal
-to the kernel of the p-th cyclotomic polynomial evaluated at phi), and the
-pair (m, a) records rank(S) = (p-1) m together with the index
-[L : T + S] = p^a of the glued decomposition.
+For an isometry phi of prime order p of L, the invariant lattice T is the
+kernel of (phi - 1), the coinvariant lattice S its orthogonal complement
+(the kernel of the pairings T^T G), and (m, a) records rank(S) = (p-1) m
+and [L : T + S] = p^a.  S is cross-checked as ker Phi_p(phi) by the
+product Phi_p(phi) S, zero exactly when the two agree: L and T are
+nondegenerate, so Q^n = T_Q + S_Q, and Phi_p(phi) is p on T, so its kernel
+meets T_Q in 0 and holds S_Q only if it is S_Q; both are saturated, so
+their canonical Hermite bases are equal, whether or not phi is an
+isometry with phi^p = 1.
 
 Glued overlattices, on which the pool realizes nonzero a, are built in
 integers too: the overlattice basis is kept as the integer Hermite basis
@@ -19,7 +23,7 @@ from fractions import Fraction
 from math import isqrt, lcm, prod
 
 from .cyclotomic import is_prime
-from .lattices import Lattice, Sublattice, orthogonal_complement
+from .lattices import Lattice, Sublattice
 from .matrix import (
     Matrix,
     column_hermite_basis,
@@ -81,16 +85,6 @@ class IsometryInvariants:
     index: int
 
 
-def invariant_lattice(iso: LatticeIsometry) -> Sublattice:
-    """Saturated kernel of (phi - 1); the form restricts nondegenerately."""
-    n = iso.lattice.rank
-    basis = integer_kernel(iso.matrix - identity(n))
-    sub = Sublattice(iso.lattice, basis)
-    if sub.rank and exact_det(sub.induced_gram) == 0:
-        raise ValueError("form degenerates on the invariant lattice; input is not an isometry")
-    return sub
-
-
 def _cyclotomic_value(phi: Matrix, p: int) -> Matrix:
     """Phi_p(phi) = I + phi + ... + phi^(p-1), in O(log p) matrix products.
 
@@ -113,52 +107,52 @@ def _cyclotomic_value(phi: Matrix, p: int) -> Matrix:
     return g
 
 
-def coinvariant_lattice(iso: LatticeIsometry) -> Sublattice:
-    """Orthogonal complement of the invariant lattice.
-
-    Cross validated against the saturated kernel of Phi_p(phi), built by a
-    binary ladder in O(log p) products; a mismatch means the input violates
-    the prime order isometry contract.  ``compute_invariants`` derives S the
-    same way from the invariant lattice it has already built.
-    """
-    return _coinvariant_of(iso, invariant_lattice(iso))
-
-
-def _coinvariant_of(iso: LatticeIsometry, t: Sublattice) -> Sublattice:
-    """The coinvariant lattice T^perp of ``iso``, given its invariant lattice T."""
-    s = orthogonal_complement(t)
-    s_poly = integer_kernel(_cyclotomic_value(iso.matrix, iso.order))
-    if s.basis != s_poly:
+def _split(iso: LatticeIsometry) -> tuple[Sublattice, Sublattice, int]:
+    """(T, S, det T) of ``iso`` by two kernels, one determinant and one product."""
+    p, lattice = iso.order, iso.lattice
+    t = integer_kernel(iso.matrix - identity(lattice.rank))
+    pairings = t.transpose() @ lattice.gram
+    det_t = exact_det(pairings @ t) if t.cols else 1
+    if det_t == 0:
+        raise ValueError("form degenerates on the invariant lattice; input is not an isometry")
+    s = integer_kernel(pairings)
+    if any(map(any, (_cyclotomic_value(iso.matrix, p) @ s).data)):
         raise AssertionError(
             "coinvariant mismatch: orthogonal complement differs from ker Phi_p(phi)"
         )
-    if s.rank % (iso.order - 1):
+    if s.cols % (p - 1):
         raise AssertionError("coinvariant rank is not divisible by p - 1")
-    return s
+    return Sublattice._trusted(lattice, t), Sublattice._trusted(lattice, s), det_t
+
+
+def invariant_lattice(iso: LatticeIsometry) -> Sublattice:
+    """Saturated kernel of (phi - 1); T and S are checked as in ``coinvariant_lattice``."""
+    return _split(iso)[0]
+
+
+def coinvariant_lattice(iso: LatticeIsometry) -> Sublattice:
+    """Orthogonal complement of the invariant lattice, cross-checked as ker Phi_p(phi)."""
+    return _split(iso)[1]
 
 
 def compute_invariants(iso: LatticeIsometry) -> IsometryInvariants:
     """Compute (T, S, m, a, disc S) for a prime order isometry.
 
-    T is built once and S derived from it, as in ``coinvariant_lattice``.
-    The Smith form of the stacked basis [T | S] carries the rest: the index
-    [L : T + S] is the product of its invariant factors and must be a power
-    p^a, and the quotient is p-elementary when every factor is 1 or p.  The
-    three kernels (of phi - 1, of the pairing with T and of Phi_p(phi)) take
-    one Hermite form each, so one Smith form is taken per isometry.
+    Two kernels give T and S, and one product cross-checks S (``_split``).
+    The index [L : T + S] is the product of the invariant factors of the
+    stacked basis [T | S], a power p^a, p-elementary when every factor is 1
+    or p.  T is orthogonal to S, so |det T| |det S| = |det L| [L : T + S]^2
+    gives disc S by one division, with det T from the degeneracy check.
     """
-    p = iso.order
-    t = invariant_lattice(iso)
-    s = _coinvariant_of(iso, t)
-    n = iso.lattice.rank
+    p, n = iso.order, iso.lattice.rank
+    t, s, det_t = _split(iso)
     if t.rank + s.rank != n:
         raise AssertionError("rank(T) + rank(S) != rank(L)")
     m = s.rank // (p - 1)
     _, d, _ = smith_normal_form(hstack(t.basis, s.basis))
     factors = [d.data[i][i] for i in range(n)]
     index = prod(factors)
-    a = 0
-    x = index
+    a, x = 0, index
     while x and x % p == 0:
         x //= p
         a += 1
@@ -166,7 +160,9 @@ def compute_invariants(iso: LatticeIsometry) -> IsometryInvariants:
         raise ValueError(f"index [L : T + S] = {index} is not a power of p = {p}")
     if any(f not in (1, p) for f in factors):
         raise ValueError("quotient L/(T + S) is not p-elementary")
-    disc_s = abs(exact_det(s.induced_gram))
+    disc_s, rest = divmod(iso.lattice.disc * index * index, abs(det_t))
+    if rest:
+        raise AssertionError("|det T| does not divide |det L| [L : T + S]^2")
     return IsometryInvariants(t, s, m, a, disc_s, index)
 
 

@@ -23,7 +23,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import compress, product
 from math import gcd, prod
 from operator import itemgetter
@@ -348,19 +347,22 @@ class Sublattice:
         if exact_det(self.basis.transpose() @ self.basis) == 0:
             raise ValueError("basis columns are dependent")
 
+    @classmethod
+    def _trusted(cls, ambient: Lattice, basis: Matrix) -> "Sublattice":
+        """The sublattice on columns independent by construction (a kernel's), taken as it is."""
+        sub = object.__new__(cls)
+        vars(sub).update(ambient=ambient, basis=basis)
+        return sub
+
     @property
     def rank(self) -> int:
         return self.basis.cols
-
-    @cached_property
-    def induced_gram(self) -> Matrix:
-        return self.basis.transpose() @ self.ambient.gram @ self.basis
 
 
 def orthogonal_complement(sub: Sublattice) -> Sublattice:
     """All ambient vectors pairing to zero with the sublattice; always saturated."""
     pairings = sub.basis.transpose() @ sub.ambient.gram
-    return Sublattice(sub.ambient, integer_kernel(pairings))
+    return Sublattice._trusted(sub.ambient, integer_kernel(pairings))
 
 
 # ---------------------------------------------------------------------------

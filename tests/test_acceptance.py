@@ -214,7 +214,7 @@ def test_criterion_5d_snf_kernel_complement():
             if integer_kernel(b).cols == 0:
                 sub = Sublattice(lat, b)
                 saturated = Sublattice(lat, saturate_columns(b))
-                if exact_det(saturated.induced_gram) != 0:
+                if exact_det(saturated.basis.transpose() @ lat.gram @ saturated.basis) != 0:
                     break
         comp = orthogonal_complement(sub)
         pairing = sub.basis.transpose() @ lat.gram @ comp.basis

@@ -122,3 +122,23 @@ def test_verify_all_takes_one_smith_form_per_lattice(monkeypatch):
     assert not calls
     assert verify_all().passed
     assert len(calls) == 2 * len(rows) + 1 == 17
+
+
+def test_verify_all_takes_each_signature_once(monkeypatch):
+    # 16 lattices: S and T of eight rows; the (5, 3) complement U(5) + <-10>
+    # is the T of its row, whose signature verify_row has already taken
+    import kummerlat.classification as classification
+
+    grams = []
+    real = classification.signature
+
+    def counted(lat):
+        grams.append(lat.gram)
+        return real(lat)
+
+    monkeypatch.setattr(classification, "signature", counted)
+    assert verify_all().passed
+    assert len(grams) == len(set(grams)) == 16
+    # without a matching report the complement takes its own signature
+    grams.clear()
+    assert verify_53_complement() and len(grams) == 1

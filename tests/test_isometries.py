@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -286,7 +287,7 @@ def _reference_invariants(iso):
     return t, s, s.cols // (p - 1), a, abs(exact_det(s.transpose() @ g @ s)), index
 
 
-@pytest.mark.parametrize("seed", [20260808, 1])
+@pytest.mark.parametrize("seed", [20260808, 1, 4242])
 def test_compute_invariants_matches_reference(seed):
     for entry in extended_pool(seed=seed):
         inv = compute_invariants(entry.isometry)
@@ -318,6 +319,93 @@ def test_coinvariant_mismatch_on_wrong_order():
     for f in (coinvariant_lattice, compute_invariants):
         with pytest.raises(AssertionError, match="coinvariant mismatch"):
             f(iso)
+
+
+def _corrupted_inputs(seed):
+    """Seeded inputs that break the prime order isometry contract, and some that keep it.
+
+    For every base_pool entry of rank <= 8: the isometry with a wrong prime
+    order set on it, -phi (of order 2p for odd p), phi P (not an isometry,
+    mostly of infinite order) and P^-1 phi P on the unchanged Gram matrix
+    (of order p, but not an isometry), for a random unimodular P.
+    """
+    rng = random.Random(seed)
+    inputs = []
+    for entry in base_pool():
+        iso = entry.isometry
+        lattice, phi, p, n = iso.lattice, iso.matrix, iso.order, iso.lattice.rank
+        if n > 8:
+            continue
+        for q in (2, 3, 5, 7):
+            if q != p and q - 1 <= n:
+                wrong = LatticeIsometry._trusted(lattice, phi, p)
+                object.__setattr__(wrong, "order", q)
+                inputs.append(wrong)
+        unimodular = random_unimodular(rng, n)
+        moved = conjugate_isometry(iso, unimodular).matrix
+        for psi in (-phi, phi @ unimodular, moved):
+            inputs.append(LatticeIsometry._trusted(lattice, psi, p))
+    return inputs
+
+
+def _expected_cross_check(iso):
+    """'degenerate', 'mismatch' or 'match', from Smith kernels and a power sum."""
+    g, n = iso.lattice.gram, iso.lattice.rank
+    t = smith_kernel(iso.matrix - identity(n))
+    if t.cols and det_fraction((t.transpose() @ g @ t).data) == 0:
+        return "degenerate"
+    s = smith_kernel(t.transpose() @ g)
+    return "match" if s == smith_kernel(_power_sum(iso.matrix, iso.order)) else "mismatch"
+
+
+def _cross_check_outcome(f, iso):
+    try:
+        f(iso)
+    except ValueError as exc:
+        if str(exc).startswith("form degenerates on the invariant lattice"):
+            return "degenerate"
+    except AssertionError as exc:
+        if str(exc).startswith("coinvariant mismatch: "):
+            return "mismatch"
+    return "match"  # the cross-check passed; a later check may still raise
+
+
+@pytest.mark.parametrize("seed", [20260808, 4242])
+def test_product_cross_check_matches_smith_kernel(seed):
+    # Phi_p(phi) S = 0 must fail exactly when the Smith kernel of the power
+    # sum differs from S, on inputs that break the contract in every way
+    # that reaches the check
+    outcomes = []
+    for iso in _corrupted_inputs(seed):
+        expected = _expected_cross_check(iso)
+        for f in (coinvariant_lattice, compute_invariants):
+            assert _cross_check_outcome(f, iso) == expected, (iso.matrix, iso.order, f)
+        outcomes.append(expected)
+    assert {"match", "mismatch"} <= set(outcomes)
+    assert outcomes.count("mismatch") >= 10
+
+
+def test_compute_invariants_does_each_piece_of_work_once(monkeypatch):
+    # two kernels (phi - 1 and the pairings with T), one Smith form, one
+    # determinant (of T's Gram matrix, when T != 0), and no validated Sublattice
+    import kummerlat.isometries as iso_mod
+    from kummerlat.lattices import Sublattice
+
+    pool = base_pool()
+    calls = Counter()
+    for name in ("integer_kernel", "smith_normal_form", "exact_det"):
+        def counted(m, _real=getattr(iso_mod, name), _name=name):
+            calls[_name] += 1
+            return _real(m)
+
+        monkeypatch.setattr(iso_mod, name, counted)
+    monkeypatch.setattr(Sublattice, "__post_init__", lambda sub: calls.update(["Sublattice"]))
+    for entry in pool:
+        calls.clear()
+        inv = compute_invariants(entry.isometry)
+        assert calls == Counter(
+            integer_kernel=2, smith_normal_form=1, exact_det=int(inv.invariant.rank > 0)
+        ), entry.name
 
 
 def test_conjugate_isometry_matches_rational_inverse():
@@ -492,3 +580,24 @@ def test_index_read_off_the_smith_diagonal(monkeypatch, last, message):
     monkeypatch.setattr(iso_mod, "smith_normal_form", last_factor_replaced)
     with pytest.raises(ValueError, match=message):
         compute_invariants(LatticeIsometry(A4M, C5, 5))
+
+
+def test_disc_identity_guard(monkeypatch):
+    # disc S = |det L| [L : T + S]^2 / |det T| must divide exactly; here
+    # |det T| = 5 and the Smith diagonal is forced to ones, so the index is 1
+    import kummerlat.isometries as iso_mod
+
+    glue = [a_n_glue(4) + tuple(2 * x for x in a_n_glue(4))]
+    over, basis = overlattice_with_basis(direct_sum(A4M, A4M), glue)
+    iso = LatticeIsometry(over, transport_isometry(basis, block_diag(identity(4), C5)), 5)
+    assert compute_invariants(iso).index == 5
+    real = iso_mod.smith_normal_form
+
+    def unit_factors(m):
+        u, d, v = real(m)
+        return u, identity(d.rows), v
+
+    monkeypatch.setattr(iso_mod, "smith_normal_form", unit_factors)
+    message = r"^\|det T\| does not divide \|det L\| \[L : T \+ S\]\^2$"
+    with pytest.raises(AssertionError, match=message):
+        compute_invariants(iso)
