@@ -362,7 +362,7 @@ class Sublattice:
 def orthogonal_complement(sub: Sublattice) -> Sublattice:
     """All ambient vectors pairing to zero with the sublattice; always saturated."""
     pairings = sub.basis.transpose() @ sub.ambient.gram
-    return Sublattice._trusted(sub.ambient, integer_kernel(pairings))
+    return Sublattice(sub.ambient, integer_kernel(pairings))
 
 
 # ---------------------------------------------------------------------------
