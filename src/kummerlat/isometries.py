@@ -10,6 +10,12 @@ meets T_Q in 0 and holds S_Q only if it is S_Q; both are saturated, so
 their canonical Hermite bases are equal, whether or not phi is an
 isometry with phi^p = 1.
 
+No Smith form is taken.  The pairings x -> T^T G x have kernel S and map
+T onto (T^T G T) Z^k, so [L : T + S] is |det T| over the index of the
+image of L, which the echelon pivots of the kernel giving S multiply to.
+The quotient L/(T + S) of order p^a is p-elementary exactly when [T | S]
+has rank n - a over F_p.
+
 Glued overlattices, on which the pool realizes nonzero a, are built in
 integers too: the overlattice basis is kept as the integer Hermite basis
 den * B, with den the common denominator of the glue, and an isometry is
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import isqrt, lcm
 
 from .cyclotomic import is_prime
 from .lattices import Lattice, Sublattice
@@ -31,7 +37,6 @@ from .matrix import (
     hstack,
     identity,
     integer_kernel,
-    smith_normal_form,
     solve,
 )
 
@@ -107,22 +112,45 @@ def _cyclotomic_value(phi: Matrix, p: int) -> Matrix:
     return g
 
 
-def _split(iso: LatticeIsometry) -> tuple[Sublattice, Sublattice, int]:
-    """(T, S, det T) of ``iso`` by two kernels, one determinant and one product."""
+def _split(iso: LatticeIsometry) -> tuple[Sublattice, Sublattice, int, int]:
+    """(T, S, det T, [Z^k : T^T G L]) of ``iso`` by two kernels, one determinant and one product.
+
+    The last entry, for k = rank T, is the index of the image of L under the
+    pairings T^T G, read off the echelon pivots of the kernel that gives S.
+    """
     p, lattice = iso.order, iso.lattice
     t = integer_kernel(iso.matrix - identity(lattice.rank))
     pairings = t.transpose() @ lattice.gram
     det_t = exact_det(pairings @ t) if t.cols else 1
     if det_t == 0:
         raise ValueError("form degenerates on the invariant lattice; input is not an isometry")
-    s = integer_kernel(pairings)
+    s, image_index = integer_kernel(pairings, with_index=True)
     if any(map(any, (_cyclotomic_value(iso.matrix, p) @ s).data)):
         raise AssertionError(
             "coinvariant mismatch: orthogonal complement differs from ker Phi_p(phi)"
         )
     if s.cols % (p - 1):
         raise AssertionError("coinvariant rank is not divisible by p - 1")
-    return Sublattice._trusted(lattice, t), Sublattice._trusted(lattice, s), det_t
+    return Sublattice._trusted(lattice, t), Sublattice._trusted(lattice, s), det_t, image_index
+
+
+def _rank_mod(rows, p: int) -> int:
+    """Rank over F_p of the integer matrix with the given rows, by Gaussian elimination mod p."""
+    a = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inverse = pow(a[rank][c], -1, p)
+        pivot_row = [x * inverse % p for x in a[rank]]
+        for i in range(rank + 1, len(a)):
+            e = a[i][c]
+            if e:
+                a[i] = [(x - e * y) % p for x, y in zip(a[i], pivot_row)]
+        rank += 1
+    return rank
 
 
 def invariant_lattice(iso: LatticeIsometry) -> Sublattice:
@@ -139,26 +167,31 @@ def compute_invariants(iso: LatticeIsometry) -> IsometryInvariants:
     """Compute (T, S, m, a, disc S) for a prime order isometry.
 
     Two kernels give T and S, and one product cross-checks S (``_split``).
-    The index [L : T + S] is the product of the invariant factors of the
-    stacked basis [T | S], a power p^a, p-elementary when every factor is 1
-    or p.  T is orthogonal to S, so |det T| |det S| = |det L| [L : T + S]^2
-    gives disc S by one division, with det T from the degeneracy check.
+    The index comes from the pairing map x -> T^T G x, with kernel S: it
+    maps L onto a lattice of index h in Z^k, the product of the echelon
+    pivots of the second kernel, and T onto (T^T G T) Z^k, of index
+    |det T|.  So [L : T + S] = |det T| / h, one exact division, a power
+    p^a.  The quotient is p-elementary exactly when n - a of the invariant
+    factors of [T | S] are prime to p, that is when [T | S] has rank n - a
+    over F_p; a quotient of order 1 or p always is, so only a >= 2 takes
+    the rank.  T is orthogonal to S, so |det T| |det S| = |det L| [L : T + S]^2
+    gives disc S by one more division, with det T from the degeneracy check.
     """
     p, n = iso.order, iso.lattice.rank
-    t, s, det_t = _split(iso)
+    t, s, det_t, image_index = _split(iso)
     if t.rank + s.rank != n:
         raise AssertionError("rank(T) + rank(S) != rank(L)")
     m = s.rank // (p - 1)
-    _, d, _ = smith_normal_form(hstack(t.basis, s.basis))
-    factors = [d.data[i][i] for i in range(n)]
-    index = prod(factors)
+    index, rest = divmod(abs(det_t), image_index)
+    if rest:
+        raise AssertionError("[Z^k : T^T G L] does not divide |det T|")
     a, x = 0, index
     while x and x % p == 0:
         x //= p
         a += 1
     if x != 1:
         raise ValueError(f"index [L : T + S] = {index} is not a power of p = {p}")
-    if any(f not in (1, p) for f in factors):
+    if a > 1 and _rank_mod(hstack(t.basis, s.basis).data, p) != n - a:
         raise ValueError("quotient L/(T + S) is not p-elementary")
     disc_s, rest = divmod(iso.lattice.disc * index * index, abs(det_t))
     if rest:
@@ -252,7 +285,7 @@ def conjugate_isometry(iso: LatticeIsometry, p_matrix: Matrix) -> LatticeIsometr
         p_inverse = solve(p_matrix, identity(p_matrix.rows))
     except ValueError:
         raise ValueError("basis change must be unimodular") from None
-    new_gram = p_matrix.transpose() @ iso.lattice.gram @ p_matrix
-    new_phi = p_inverse @ iso.matrix @ p_matrix
+    new_gram = p_matrix.transpose() @ (iso.lattice.gram @ p_matrix)
+    new_phi = p_inverse @ (iso.matrix @ p_matrix)
     lattice = Lattice._trusted(new_gram, iso.lattice.name, iso.lattice.det)
     return LatticeIsometry._trusted(lattice, new_phi, iso.order)

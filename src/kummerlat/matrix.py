@@ -1,9 +1,14 @@
 """Exact linear algebra over the integers.
 
 Matrices are immutable and hold Python ints only, and every routine is
-exact.  Kernels and spans come from one integer row Hermite form, which is
-unique, so derived bases are reproducible across runs and platforms.
-``solve`` reads the integer solution of B X = Y off the same Hermite form.
+exact.  Spans come from the integer row Hermite form, which is unique, so
+derived bases are reproducible across runs and platforms.  The Hermite
+form is one echelon pass and one pass that reduces above the pivots
+(Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
+section 2.4.3).  A kernel takes the echelon pass of [m^T | I] on its left
+block and the Hermite form of the rows it leaves with a zero left block
+only, and the echelon pivots give the index of the image.  ``solve``
+reads the integer solution of B X = Y off the Hermite form of [B | Y].
 The Smith form is for callers that read invariant factors or the
 transform U; its pivoting rule is fixed and deterministic.
 
@@ -37,6 +42,7 @@ time.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 from operator import add, neg, sub
 from typing import Iterable
 
@@ -365,20 +371,25 @@ def smith_normal_form(m: Matrix):
             Matrix._of_ints(tuple(map(tuple, v)), cols))
 
 
-def _hermite_rows(a: list, cols: int) -> int:
-    """Bring the integer rows ``a`` to row Hermite form in place; return the rank.
+def _echelon_rows(a: list, cols: int) -> list:
+    """Bring the integer rows ``a`` to echelon form on their first ``cols`` columns, in place.
 
-    The nonzero rows come first; the rest of ``a`` is zero afterwards.
-    The pivot is the least nonzero entry of the column in absolute value
-    (the scan stops at +-1), which keeps the entries small on dense inputs.
+    Returns the pivot columns, one per leading row; the rows after them are
+    zero on the first ``cols`` columns afterwards.  The pivot is the least
+    nonzero entry of the column in absolute value (the scan stops at +-1),
+    which keeps the entries small on dense inputs, and it is made positive.
     An entry that the current pivot divides is cleared by subtracting a
     multiple of the pivot row, which rewrites one row; any other entry is
     combined with the pivot by the 2x2 xgcd transform, which rewrites both.
-    Either way the row span is kept, and the Hermite form is unique.
+    Whole rows are combined, so the row span is kept.  Nothing above a
+    pivot is reduced; ``_hermite_rows`` does that for callers that need it.
     """
     rows = len(a)
-    r = 0
+    pivots = []
     for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
         piv, least = None, 0
         for i in range(r, rows):
             e = abs(a[i][c])
@@ -405,14 +416,27 @@ def _hermite_rows(a: list, cols: int) -> int:
         a[r], a[piv] = a[piv], a[r]
         if a[r][c] < 0:
             a[r] = [-x for x in a[r]]
+        pivots.append(c)
+    return pivots
+
+
+def _hermite_rows(a: list, cols: int) -> int:
+    """Bring the integer rows ``a`` to row Hermite form in place; return the rank.
+
+    The echelon pass leaves the nonzero rows first, then each pivot row, in
+    increasing order, reduces the entries above its pivot into [0, pivot).
+    A pivot row is final in the echelon pass once placed, and a reduction
+    against pivot r changes no column left of it, so the rows above every
+    pivot end reduced.  The Hermite form is unique.
+    """
+    pivots = _echelon_rows(a, cols)
+    for r, c in enumerate(pivots):
+        pivot_row = a[r]
         for i in range(r):
-            q = a[i][c] // a[r][c]
+            q = a[i][c] // pivot_row[c]
             if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+                a[i] = [x - q * y for x, y in zip(a[i], pivot_row)]
+    return len(pivots)
 
 
 def row_hermite(m: Matrix) -> Matrix:
@@ -470,23 +494,32 @@ def solve(b: Matrix, y: Matrix, not_integral: str = "solution is not integral") 
     return Matrix._of_ints(tuple(x), y.cols)
 
 
-def integer_kernel(m: Matrix) -> Matrix:
+def integer_kernel(m: Matrix, with_index: bool = False):
     """Canonical basis of the saturated kernel sublattice, as columns.
 
     The rows of [m^T | I] are (x^T m^T, x^T) for the unit vectors x, so their
-    integer span is {((m x)^T, x^T)}.  In its row Hermite form the rows whose
-    pivot lies in the right block are exactly the rows whose left block is
-    zero, and they span {(0, x^T) : m x = 0}.  Hermite forms are unique, so
-    their right block is the canonical Hermite basis of ker(m); it is
-    returned transposed.  The kernel of an integer matrix is saturated, so
-    the columns always extend to a basis of Z^cols.
+    integer span is {((m x)^T, x^T)}.  An echelon pass on the left block
+    leaves r = rank(m) rows with a pivot there, whose left blocks are an
+    echelon basis of the image m Z^cols, and below them rows with a zero
+    left block, whose right blocks span {x : m x = 0}.  Only those rows are
+    brought to row Hermite form, the canonical Hermite basis of ker(m),
+    which is returned transposed.  The image rows are never reduced above
+    their pivots: a kernel does not read them, and on dense inputs that
+    reduction made most of the work and of the coefficient growth.  The
+    kernel of an integer matrix is saturated, so the columns always extend
+    to a basis of Z^cols.
+
+    With ``with_index`` the result is (K, h), where h = [Z^rows : m Z^cols]
+    is the product of the r echelon pivots if m has full row rank, and 0
+    (an infinite index) otherwise.
     """
     rows, cols = m.rows, m.cols
     left = zip(*m.data) if rows else [()] * cols
     a = [[*col, *unit] for col, unit in zip(left, identity(cols).data)]
-    _hermite_rows(a, rows + cols)
-    kernel = [row[rows:] for row in a if not any(row[:rows])]
-    if not kernel:
-        return zeros(cols, 0)
-    return Matrix._of_ints(tuple(zip(*kernel)), len(kernel))
-
+    pivots = _echelon_rows(a, rows)
+    kernel = [row[rows:] for row in a[len(pivots):]]
+    _hermite_rows(kernel, cols)
+    k = Matrix._of_ints(tuple(zip(*kernel)), len(kernel)) if kernel else zeros(cols, 0)
+    if not with_index:
+        return k
+    return k, (prod(a[r][c] for r, c in enumerate(pivots)) if len(pivots) == rows else 0)

@@ -1,15 +1,17 @@
 import hashlib
 import random
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 
 from kummerlat.isometries import (
     LatticeIsometry,
     _cyclotomic_value,
+    _rank_mod,
     check_square_theorem,
     check_unimodular_corollary,
     coinvariant_lattice,
@@ -34,6 +36,7 @@ from kummerlat.matrix import (
     exact_det,
     hstack,
     identity,
+    integer_kernel,
     smith_normal_form,
     zeros,
 )
@@ -47,6 +50,7 @@ from kummerlat.pool import (
 )
 from isometry_reference import rational_transport, smith_kernel
 from matrix_reference import det_fraction, fraction_inverse, fraction_product, integral_matrix
+from matrix_reference import smith_normal_form as reference_smith_form
 
 U = make_standard("U")
 A4M = make_standard("A4(-1)")
@@ -385,27 +389,86 @@ def test_product_cross_check_matches_smith_kernel(seed):
     assert outcomes.count("mismatch") >= 10
 
 
+def _smith_index(t, s, p):
+    """[L : T + S] and n - rank over F_p of [T | S], from the reference Smith form of [T | S]."""
+    _, d, _ = reference_smith_form(hstack(t, s))
+    factors = [d.data[i][i] for i in range(d.rows)]
+    return prod(factors), sum(f % p == 0 for f in factors)
+
+
+@pytest.mark.parametrize("seed", [20260808, 4242])
+def test_index_and_a_match_the_smith_reference(seed):
+    # |det T| / [Z^k : T^T G L] is the product of the invariant factors of
+    # [T | S], and a = n - rank over F_p of [T | S], for every pool entry
+    for entry in extended_pool(seed=seed):
+        iso = entry.isometry
+        p, n = iso.order, iso.lattice.rank
+        inv = compute_invariants(iso)
+        t, s = inv.invariant.basis, inv.coinvariant.basis
+        assert (inv.index, inv.a) == _smith_index(t, s, p), entry.name
+        assert n - _rank_mod(hstack(t, s).data, p) == inv.a, entry.name
+
+
+@pytest.mark.parametrize("seed", [20260808, 4242])
+def test_index_on_corrupted_inputs_matches_the_smith_reference(seed):
+    # the index identity needs only a nondegenerate T, not an isometry of
+    # order p; compute_invariants agrees wherever it reaches the index
+    reached = 0
+    for iso in _corrupted_inputs(seed):
+        g, n, p = iso.lattice.gram, iso.lattice.rank, iso.order
+        t = smith_kernel(iso.matrix - identity(n))
+        det_t = int(det_fraction((t.transpose() @ g @ t).data)) if t.cols else 1
+        if det_t == 0:
+            continue
+        s, image_index = integer_kernel(t.transpose() @ g, with_index=True)
+        assert s == smith_kernel(t.transpose() @ g)
+        index, count = _smith_index(t, s, p)
+        assert abs(det_t) == index * image_index, (iso.matrix, p)
+        assert n - _rank_mod(hstack(t, s).data, p) == count, (iso.matrix, p)
+        try:
+            inv = compute_invariants(iso)
+        except AssertionError as exc:
+            assert str(exc).startswith("coinvariant mismatch: ")
+            continue
+        assert (inv.index, inv.a) == (index, count), (iso.matrix, p)
+        reached += 1
+    assert reached >= 10
+
+
 def test_compute_invariants_does_each_piece_of_work_once(monkeypatch):
-    # two kernels (phi - 1 and the pairings with T), one Smith form, one
-    # determinant (of T's Gram matrix, when T != 0), and no validated Sublattice
+    # two kernels (phi - 1 and the pairings with T), no Smith form in any
+    # module, one determinant (of T's Gram matrix, when T != 0), and no
+    # validated Sublattice
     import kummerlat.isometries as iso_mod
+    import kummerlat.matrix as matrix_mod
     from kummerlat.lattices import Sublattice
 
     pool = base_pool()
     calls = Counter()
-    for name in ("integer_kernel", "smith_normal_form", "exact_det"):
-        def counted(m, _real=getattr(iso_mod, name), _name=name):
-            calls[_name] += 1
-            return _real(m)
 
-        monkeypatch.setattr(iso_mod, name, counted)
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in ("integer_kernel", "exact_det"):
+        monkeypatch.setattr(iso_mod, name, counting(name, getattr(iso_mod, name)))
+    smith = matrix_mod.smith_normal_form
+    counted_smith = counting("smith_normal_form", smith)
+    for module in [m for name, m in sys.modules.items() if name.startswith("kummerlat")]:
+        for attr, value in list(vars(module).items()):
+            if value is smith:
+                monkeypatch.setattr(module, attr, counted_smith)
     monkeypatch.setattr(Sublattice, "__post_init__", lambda sub: calls.update(["Sublattice"]))
     for entry in pool:
         calls.clear()
         inv = compute_invariants(entry.isometry)
-        assert calls == Counter(
-            integer_kernel=2, smith_normal_form=1, exact_det=int(inv.invariant.rank > 0)
-        ), entry.name
+        assert calls == Counter(integer_kernel=2, exact_det=int(inv.invariant.rank > 0)), entry.name
+    # the counting reaches the Smith form wherever it is called from
+    matrix_mod.smith_normal_form(identity(2))
+    assert calls["smith_normal_form"] == 1
 
 
 def test_conjugate_isometry_matches_rational_inverse():
@@ -556,6 +619,22 @@ def test_overlattice_gram_matches_fraction_product(monkeypatch):
         overlattice_with_basis(make_standard("U(5)"), [(Fraction(1, 5), Fraction(1, 5))])
 
 
+def _split_rescaled(monkeypatch, det_factor, image_factor):
+    """Make compute_invariants see det T and [Z^k : T^T G L] multiplied by the given factors.
+
+    The index [L : T + S] is their exact quotient |det T| / [Z^k : T^T G L].
+    """
+    import kummerlat.isometries as iso_mod
+
+    real = iso_mod._split
+
+    def rescaled(iso):
+        t, s, det_t, image_index = real(iso)
+        return t, s, det_t * det_factor, image_index * image_factor
+
+    monkeypatch.setattr(iso_mod, "_split", rescaled)
+
+
 @pytest.mark.parametrize(
     "last, message",
     [
@@ -565,39 +644,37 @@ def test_overlattice_gram_matches_fraction_product(monkeypatch):
     ],
 )
 def test_index_read_off_the_smith_diagonal(monkeypatch, last, message):
-    # the index is the product of the invariant factors of [T | S]; an index
-    # of 0 raises instead of dividing by p forever
-    import kummerlat.isometries as iso_mod
-
-    real = iso_mod.smith_normal_form
-
-    def last_factor_replaced(m):
-        u, d, v = real(m)
-        rows = [list(r) for r in d.data]
-        rows[-1][-1] = last
-        return u, Matrix(rows), v
-
-    monkeypatch.setattr(iso_mod, "smith_normal_form", last_factor_replaced)
+    # the index is |det T| / [Z^k : T^T G L], here 1 / 1 with T = 0, forced
+    # to ``last``; an index of 0 raises instead of dividing by p forever, and
+    # 25 = 5^2 is not p-elementary, as [T | S] = I has rank 4 != 4 - 2 mod 5
+    iso = LatticeIsometry(A4M, C5, 5)
+    assert compute_invariants(iso).index == 1
+    _split_rescaled(monkeypatch, last, 1)
     with pytest.raises(ValueError, match=message):
-        compute_invariants(LatticeIsometry(A4M, C5, 5))
+        compute_invariants(iso)
+
+
+def test_image_index_divides_det_t_guard(monkeypatch):
+    # [Z^k : T^T G L] divides [Z^k : T^T G T] = |det T|, since T lies in L
+    iso = LatticeIsometry(A4M, C5, 5)
+    _split_rescaled(monkeypatch, 1, 2)
+    with pytest.raises(AssertionError, match=r"^\[Z\^k : T\^T G L\] does not divide \|det T\|$"):
+        compute_invariants(iso)
 
 
 def test_disc_identity_guard(monkeypatch):
     # disc S = |det L| [L : T + S]^2 / |det T| must divide exactly; here
-    # |det T| = 5 and the Smith diagonal is forced to ones, so the index is 1
-    import kummerlat.isometries as iso_mod
-
+    # |det L| = 1, |det T| = 5 and the index is 5, and scaling det T and the
+    # image index by 7 keeps the index and the p-elementary check but makes
+    # |det T| = 35, which does not divide 25
     glue = [a_n_glue(4) + tuple(2 * x for x in a_n_glue(4))]
     over, basis = overlattice_with_basis(direct_sum(A4M, A4M), glue)
     iso = LatticeIsometry(over, transport_isometry(basis, block_diag(identity(4), C5)), 5)
-    assert compute_invariants(iso).index == 5
-    real = iso_mod.smith_normal_form
-
-    def unit_factors(m):
-        u, d, v = real(m)
-        return u, identity(d.rows), v
-
-    monkeypatch.setattr(iso_mod, "smith_normal_form", unit_factors)
+    inv = compute_invariants(iso)
+    t = inv.invariant.basis
+    det_t = exact_det(t.transpose() @ over.gram @ t)
+    assert (inv.index, inv.a, over.disc, abs(det_t)) == (5, 1, 1, 5)
+    _split_rescaled(monkeypatch, 7, 7)
     message = r"^\|det T\| does not divide \|det L\| \[L : T \+ S\]\^2$"
     with pytest.raises(AssertionError, match=message):
         compute_invariants(iso)

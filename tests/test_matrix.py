@@ -1,7 +1,9 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,20 @@ def test_kernel_of_dense_conjugate_stays_fast():
     assert all(d.data[i][i] == 1 for i in range(4))  # saturated
 
 
+def test_kernel_of_dense_rank_68_conjugate_stays_fast():
+    # P^-1 C P - 1 for the rotation C of A_68(-1): the echelon pass leaves the
+    # image rows unreduced above their pivots; a full Hermite form of
+    # [m^T | I] took about 17 s here
+    n = 68
+    p = random_unimodular(random.Random(1), n, steps=4 * n)
+    m = solve(p, cyclic_rotation(n) @ p) - identity(n)
+    start = time.perf_counter()
+    k, image_index = integer_kernel(m, with_index=True)
+    assert time.perf_counter() - start < 3
+    # C - 1 is nonsingular with |det| = 69, the order of the discriminant of A_68
+    assert k.shape == (n, 0) and image_index == abs(exact_det(m)) == 69
+
+
 def test_solve_and_det():
     m = Matrix([[2, 1], [1, -2]])
     assert exact_det(m) == -5
@@ -223,7 +239,10 @@ def _random_matrix(rng, rows, cols, bound=9):
 
 
 def test_integer_kernel_matches_smith_reference():
+    # the echelon pivots multiply to the index of m Z^cols in Z^rows, the
+    # product of the invariant factors of m, when m has full row rank
     rng = random.Random(20260808)
+    full_row_rank = Counter()
     for rows in range(7):
         for cols in range(7):
             cases = [zeros(rows, cols), _random_matrix(rng, rows, cols)]
@@ -231,9 +250,15 @@ def test_integer_kernel_matches_smith_reference():
                 # rank at most inner < min(rows, cols)
                 cases.append(_random_matrix(rng, rows, inner, 3) @ _random_matrix(rng, inner, cols, 3))
             for m in cases:
-                k = integer_kernel(m)
-                assert k == smith_kernel(m), m
+                k, image_index = integer_kernel(m, with_index=True)
+                assert k == smith_kernel(m) == integer_kernel(m), m
                 assert k.rows == cols and m @ k == zeros(rows, k.cols)
+                _, d, _ = ref.smith_normal_form(m)
+                factors = [d.data[i][i] for i in range(min(rows, cols))]
+                full = rows <= cols and all(factors)
+                assert image_index == (prod(factors) if full else 0), m
+                full_row_rank[full] += 1
+    assert min(full_row_rank.values()) >= 30, full_row_rank
 
 
 def test_power_matches_repeated_products():
