@@ -14,7 +14,6 @@ report says so via the ``necessary_conditions_only`` flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattices import (
@@ -31,6 +30,7 @@ from .lattices import (
     p_primary_part,
     signature,
 )
+from .matrix import _Frozen, _set
 
 AMBIENT_RANK = 23
 ORDER = 5
@@ -46,12 +46,14 @@ def _build(*names: str) -> Lattice:
     return direct_sum(*(make_standard(n) for n in names))
 
 
-@dataclass(frozen=True)
-class ClassificationRow:
-    m: int
-    a: int
-    s: Lattice
-    t: Lattice
+class ClassificationRow(_Frozen):
+    __slots__ = ("m", "a", "s", "t")
+
+    def __init__(self, m: int, a: int, s: Lattice, t: Lattice):
+        _set(self, "m", m)
+        _set(self, "a", a)
+        _set(self, "s", s)
+        _set(self, "t", t)
 
 
 def table_rows() -> list[ClassificationRow]:
@@ -69,12 +71,15 @@ def table_rows() -> list[ClassificationRow]:
     return [ClassificationRow(m, a, _build(*s), _build(*t)) for m, a, s, t in rows]
 
 
-@dataclass(frozen=True)
-class RowReport:
-    row: ClassificationRow
-    checks: dict[str, bool]
-    values: dict[str, object]
-    necessary_conditions_only: bool = True
+class RowReport(_Frozen):
+    __slots__ = ("row", "checks", "values", "necessary_conditions_only")
+
+    def __init__(self, row: ClassificationRow, checks: dict[str, bool], values: dict[str, object],
+                 necessary_conditions_only: bool = True):
+        _set(self, "row", row)
+        _set(self, "checks", checks)
+        _set(self, "values", values)
+        _set(self, "necessary_conditions_only", necessary_conditions_only)
 
     @property
     def passed(self) -> bool:
@@ -158,13 +163,16 @@ def verify_53_complement() -> bool:
     return fqf_isomorphic(discriminant_form(t), complement_form_target())
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    row_reports: tuple[RowReport, ...]
-    pairs: tuple[tuple[int, int], ...]
-    pairs_ok: bool
-    table_pairs_ok: bool
-    complement_ok: bool
+class ClassificationReport(_Frozen):
+    __slots__ = ("row_reports", "pairs", "pairs_ok", "table_pairs_ok", "complement_ok")
+
+    def __init__(self, row_reports: tuple[RowReport, ...], pairs: tuple[tuple[int, int], ...],
+                 pairs_ok: bool, table_pairs_ok: bool, complement_ok: bool):
+        _set(self, "row_reports", row_reports)
+        _set(self, "pairs", pairs)
+        _set(self, "pairs_ok", pairs_ok)
+        _set(self, "table_pairs_ok", table_pairs_ok)
+        _set(self, "complement_ok", complement_ok)
 
     @property
     def passed(self) -> bool:

@@ -24,7 +24,6 @@ moved onto it by one integer solve of (den B) X = phi (den B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -32,6 +31,9 @@ from .cyclotomic import is_prime
 from .lattices import Lattice, Sublattice
 from .matrix import (
     Matrix,
+    _Frozen,
+    _new,
+    _set,
     column_hermite_basis,
     exact_det,
     hstack,
@@ -41,53 +43,58 @@ from .matrix import (
 )
 
 
-@dataclass(frozen=True)
-class LatticeIsometry:
+class LatticeIsometry(_Frozen):
     """An isometry of prime order p, validated on construction."""
 
-    lattice: Lattice
-    matrix: Matrix
-    order: int
+    __slots__ = ("lattice", "matrix", "order")
 
-    def __post_init__(self):
-        if not isinstance(self.order, int) or isinstance(self.order, bool):
-            raise ValueError(f"order p must be an integer, got {self.order!r}")
-        phi, g = self.matrix, self.lattice.gram
-        n = self.lattice.rank
+    def __init__(self, lattice: Lattice, matrix: Matrix, order: int):
+        if not isinstance(order, int) or isinstance(order, bool):
+            raise ValueError(f"order p must be an integer, got {order!r}")
+        phi, g = matrix, lattice.gram
+        n = lattice.rank
         if phi.shape != (n, n):
             raise ValueError("isometry matrix size does not match the lattice rank")
         # phi != 1 of prime order p has Phi_p | charpoly(phi), of degree p - 1
-        if self.order - 1 > n:
+        if order - 1 > n:
             raise ValueError(
-                f"order {self.order} exceeds rank + 1 = {n + 1}, "
+                f"order {order} exceeds rank + 1 = {n + 1}, "
                 "the bound for a prime order isometry != identity"
             )
-        if not is_prime(self.order):
+        if not is_prime(order):
             raise ValueError("order must be prime, matrix != identity")
         if phi.transpose() @ g @ phi != g:
             raise ValueError("matrix is not an isometry: it does not preserve the Gram matrix")
         one = identity(n)
         if phi == one:
             raise ValueError("order must be prime, matrix != identity")
-        if phi ** self.order != one:
-            raise ValueError(f"matrix does not have order {self.order}")
+        if phi ** order != one:
+            raise ValueError(f"matrix does not have order {order}")
+        _set(self, "lattice", lattice)
+        _set(self, "matrix", matrix)
+        _set(self, "order", order)
 
     @classmethod
     def _trusted(cls, lattice: Lattice, matrix: Matrix, order: int) -> "LatticeIsometry":
         """The isometry ``matrix`` of prime order ``order`` of ``lattice``, taken as it is."""
-        iso = object.__new__(cls)
-        vars(iso).update(lattice=lattice, matrix=matrix, order=order)
+        iso = _new(cls)
+        _set(iso, "lattice", lattice)
+        _set(iso, "matrix", matrix)
+        _set(iso, "order", order)
         return iso
 
 
-@dataclass(frozen=True)
-class IsometryInvariants:
-    invariant: Sublattice
-    coinvariant: Sublattice
-    m: int
-    a: int
-    disc_s: int
-    index: int
+class IsometryInvariants(_Frozen):
+    __slots__ = ("invariant", "coinvariant", "m", "a", "disc_s", "index")
+
+    def __init__(self, invariant: Sublattice, coinvariant: Sublattice, m: int, a: int,
+                 disc_s: int, index: int):
+        _set(self, "invariant", invariant)
+        _set(self, "coinvariant", coinvariant)
+        _set(self, "m", m)
+        _set(self, "a", a)
+        _set(self, "disc_s", disc_s)
+        _set(self, "index", index)
 
 
 def _cyclotomic_value(phi: Matrix, p: int) -> Matrix:

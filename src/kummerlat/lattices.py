@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress, product
 from math import gcd, prod
 from operator import itemgetter
@@ -30,6 +30,9 @@ from operator import itemgetter
 from .cyclotomic import factorize
 from .matrix import (
     Matrix,
+    _Frozen,
+    _new,
+    _set,
     block_diag,
     exact_det,
     identity,
@@ -44,39 +47,41 @@ from .matrix import (
 FQF_ORDER_CAP = 10000
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(_Frozen):
     """An even integral lattice with a nondegenerate symmetric Gram matrix.
 
     ``det``, the determinant of the Gram matrix, is computed once, by the
     nondegeneracy check of the public constructor.  The private ``_trusted``
     takes a Gram matrix that is valid by construction together with its
     determinant, as ``direct_sum``, ``conjugate_isometry`` and renames make
-    them, and checks nothing again.
+    them, and checks nothing again.  Equality and hashing read ``gram`` and
+    ``name``, never ``det``.
     """
 
-    gram: Matrix
-    name: str | None = None
-    det: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("gram", "name", "det")
+    _compare = ("gram", "name")
 
-    def __post_init__(self):
-        g = self.gram
-        if not g.is_square:
+    def __init__(self, gram: Matrix, name: str | None = None):
+        if not gram.is_square:
             raise ValueError("Gram matrix must be square")
-        if not g.is_symmetric:
+        if not gram.is_symmetric:
             raise ValueError("Gram matrix must be symmetric")
-        if any(g.data[i][i] % 2 for i in range(g.rows)):
+        if any(gram.data[i][i] % 2 for i in range(gram.rows)):
             raise ValueError("lattice is not even: odd diagonal entry in Gram matrix")
-        det = exact_det(g)
+        det = exact_det(gram)
         if det == 0:
             raise ValueError("Gram matrix is degenerate")
-        object.__setattr__(self, "det", det)
+        _set(self, "gram", gram)
+        _set(self, "name", name)
+        _set(self, "det", det)
 
     @classmethod
     def _trusted(cls, gram: Matrix, name: str | None, det: int) -> "Lattice":
         """The lattice on a valid Gram matrix whose determinant is ``det``, taken as it is."""
-        lat = object.__new__(cls)
-        vars(lat).update(gram=gram, name=name, det=det)
+        lat = _new(cls)
+        _set(lat, "gram", gram)
+        _set(lat, "name", name)
+        _set(lat, "det", det)
         return lat
 
     @property
@@ -130,9 +135,14 @@ def make_standard(name: str) -> Lattice:
     """Build a named standard lattice.
 
     Accepted names: "U", "U(k)", "E8(-1)", "A4(-1)", "A4(-5)", "A4*(-5)",
-    "H5", and "<k>" for even nonzero k.
+    "H5", and "<k>" for even nonzero k.  A lattice is immutable, so each
+    name, stripped, is built and validated once and then shared.
     """
-    name = name.strip()
+    return _standard(name.strip())
+
+
+@lru_cache(maxsize=32)
+def _standard(name: str) -> Lattice:
     m = _NAME_RE_U.match(name)
     if m:
         k = int(m.group(1)) if m.group(1) else 1
@@ -228,8 +238,7 @@ def discriminant_group(lat: Lattice) -> tuple[int, ...]:
     return tuple(_smith_generators(lat)[0])
 
 
-@dataclass(frozen=True)
-class FiniteQuadraticForm:
+class FiniteQuadraticForm(_Frozen):
     """A finite quadratic form presented by generators.
 
     q takes values in Q/2Z (stored in [0,2)), the associated bilinear form b
@@ -243,23 +252,22 @@ class FiniteQuadraticForm:
     Any other presentation is refused with a ValueError.
     """
 
-    orders: tuple[int, ...]
-    q_values: tuple[Fraction, ...]
-    b_matrix: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("orders", "q_values", "b_matrix")
 
-    def __post_init__(self):
-        k = len(self.orders)
-        if len(self.q_values) != k or len(self.b_matrix) != k:
+    def __init__(self, orders: tuple[int, ...], q_values: tuple[Fraction, ...],
+                 b_matrix: tuple[tuple[Fraction, ...], ...]):
+        k = len(orders)
+        if len(q_values) != k or len(b_matrix) != k:
             raise ValueError("inconsistent generator data")
-        if any(o < 2 for o in self.orders):
+        if any(o < 2 for o in orders):
             raise ValueError("generator orders must be >= 2")
-        for i, (o, q, row) in enumerate(zip(self.orders, self.q_values, self.b_matrix)):
+        for i, (o, q, row) in enumerate(zip(orders, q_values, b_matrix)):
             if len(row) != k:
                 raise ValueError("bilinear matrix is not square")
             if row[i] != q % 1:
                 raise ValueError("diagonal of b must equal q mod 1")
             for j in range(k):
-                if row[j] != self.b_matrix[j][i]:
+                if row[j] != b_matrix[j][i]:
                     raise ValueError("bilinear matrix must be symmetric")
             if o * o * q.numerator % (2 * q.denominator):
                 raise ValueError(f"q is not well defined: generator {i} of order {o} "
@@ -267,6 +275,9 @@ class FiniteQuadraticForm:
             if any(o % x.denominator for x in row):
                 raise ValueError(f"b is not well defined: generator {i} of order {o} "
                                  f"has a value o b_ij that is not an integer")
+        _set(self, "orders", orders)
+        _set(self, "q_values", q_values)
+        _set(self, "b_matrix", b_matrix)
 
     @property
     def group_order(self) -> int:
@@ -333,25 +344,26 @@ def is_p_elementary(orders, p: int) -> tuple[bool, int | None]:
     return False, None
 
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(_Frozen):
     """A sublattice given by basis columns in ambient coordinates."""
 
-    ambient: Lattice
-    basis: Matrix
+    __slots__ = ("ambient", "basis")
 
-    def __post_init__(self):
-        if self.basis.rows != self.ambient.rank:
+    def __init__(self, ambient: Lattice, basis: Matrix):
+        if basis.rows != ambient.rank:
             raise ValueError("basis rows must match ambient rank")
         # B^T B is nonsingular exactly when the columns of B are independent over Q
-        if exact_det(self.basis.transpose() @ self.basis) == 0:
+        if exact_det(basis.transpose() @ basis) == 0:
             raise ValueError("basis columns are dependent")
+        _set(self, "ambient", ambient)
+        _set(self, "basis", basis)
 
     @classmethod
     def _trusted(cls, ambient: Lattice, basis: Matrix) -> "Sublattice":
         """The sublattice on columns independent by construction (a kernel's), taken as it is."""
-        sub = object.__new__(cls)
-        vars(sub).update(ambient=ambient, basis=basis)
+        sub = _new(cls)
+        _set(sub, "ambient", ambient)
+        _set(sub, "basis", basis)
         return sub
 
     @property

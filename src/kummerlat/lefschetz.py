@@ -84,13 +84,12 @@ residues are data, and the tests solve for them again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
 from weakref import WeakValueDictionary
 
 from .cyclotomic import moebius
-from .matrix import Matrix, block_diag, exact_det, identity, smith_normal_form, solve
+from .matrix import Matrix, _Frozen, _set, block_diag, exact_det, identity, smith_normal_form, solve
 from .series import LaurentPoly
 
 # Largest accepted torsion order n.  The character sums cost O(tau(n)^2)
@@ -110,8 +109,7 @@ def _check_torsion(n) -> None:
         raise ValueError(f"torsion order n must be an integer in 1..{MAX_TORSION}, got {n!r}")
 
 
-@dataclass(frozen=True)
-class TorusAutomorphism:
+class TorusAutomorphism(_Frozen):
     """Lattice data of a torus automorphism psi = t_b compose h.
 
     ``matrix`` is the action of h on the rank four torus lattice in a fixed
@@ -125,20 +123,21 @@ class TorusAutomorphism:
     polynomial is computed all the same and is in general not palindromic.
     """
 
-    matrix: Matrix
-    translation: tuple[int, int, int, int]
-    torsion: int
+    __slots__ = ("matrix", "translation", "torsion")
 
-    def __post_init__(self):
-        _check_torsion(self.torsion)
-        if self.matrix.shape != (4, 4):
+    def __init__(self, matrix: Matrix, translation: tuple[int, int, int, int], torsion: int):
+        _check_torsion(torsion)
+        if matrix.shape != (4, 4):
             raise ValueError("torus automorphism needs an integral 4x4 matrix")
-        if abs(_matrix(self.matrix.data).c[4]) != 1:  # c_4 = det Psi = det h
+        if abs(_matrix(matrix.data).c[4]) != 1:  # c_4 = det Psi = det h
             raise ValueError("torus automorphism matrix must be unimodular")
-        if len(self.translation) != 4:
+        if len(translation) != 4:
             raise ValueError("translation must have four coordinates")
-        if any(not (_is_int(x) and 0 <= x < self.torsion) for x in self.translation):
+        if any(not (_is_int(x) and 0 <= x < torsion) for x in translation):
             raise ValueError("translation coordinates must be residues mod n")
+        _set(self, "matrix", matrix)
+        _set(self, "translation", translation)
+        _set(self, "torsion", torsion)
 
 
 def torus_automorphism(matrix: Matrix, translation, torsion: int) -> TorusAutomorphism:
@@ -149,10 +148,12 @@ def torus_automorphism(matrix: Matrix, translation, torsion: int) -> TorusAutomo
     return TorusAutomorphism(matrix, b, torsion)
 
 
-@dataclass(frozen=True)
-class LefschetzResult:
-    polynomial: LaurentPoly  # integer coefficients, q^0 .. q^(4n-4)
-    value: int
+class LefschetzResult(_Frozen):
+    __slots__ = ("polynomial", "value")
+
+    def __init__(self, polynomial: LaurentPoly, value: int):
+        _set(self, "polynomial", polynomial)  # integer coefficients, q^0 .. q^(4n-4)
+        _set(self, "value", value)
 
 
 def _charpoly(h_data) -> tuple[int, ...]:
@@ -585,22 +586,26 @@ def catalog(kind: int, variant: str) -> TorusAutomorphism:
     return torus_automorphism(matrix, translation, _KUMMER_N)
 
 
-@dataclass(frozen=True)
-class CatalogEntryReport:
-    kind: int
-    variant: str
-    expected: int
-    value: int
-    corollary_ok: bool
+class CatalogEntryReport(_Frozen):
+    __slots__ = ("kind", "variant", "expected", "value", "corollary_ok")
+
+    def __init__(self, kind: int, variant: str, expected: int, value: int, corollary_ok: bool):
+        _set(self, "kind", kind)
+        _set(self, "variant", variant)
+        _set(self, "expected", expected)
+        _set(self, "value", value)
+        _set(self, "corollary_ok", corollary_ok)
 
     @property
     def passed(self) -> bool:
         return self.value == self.expected and self.corollary_ok
 
 
-@dataclass(frozen=True)
-class CatalogReport:
-    entries: tuple[CatalogEntryReport, ...]
+class CatalogReport(_Frozen):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[CatalogEntryReport, ...]):
+        _set(self, "entries", entries)
 
     @property
     def passed(self) -> bool:

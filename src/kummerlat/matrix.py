@@ -37,16 +37,71 @@ constructor.  Sums, products, transposes and stacks, and the outputs of
 the Smith, Hermite, kernel and solve routines, hold plain ints by
 construction, so they are built without checking their rows a second
 time.
+
+``_Frozen`` is the base of the package's immutable value classes (lattices,
+isometries, reports).  It lives here because every part of the package
+imports this module.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
-from operator import add, neg, sub
+from operator import add, attrgetter, neg, sub
 from typing import Iterable
 
 _INT_ONLY = frozenset({int})
+
+# how a value class makes an object without its __init__, and sets its own
+# fields past the __setattr__ that refuses them
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _restore(cls, values):
+    """The ``cls`` object with ``values`` in its slots, in order: how copies and pickles load."""
+    obj = _new(cls)
+    for name, value in zip(cls.__slots__, values):
+        _set(obj, name, value)
+    return obj
+
+
+class _Frozen:
+    """Base of an immutable value class whose fields are its ``__slots__``.
+
+    Two objects are equal when they are of the same class and agree on the
+    compared fields, ``_compare`` (all the slots unless the class names
+    fewer), and hash by the same fields.  ``repr`` shows every slot as
+    ``name=value``.  Assigning or deleting an attribute raises
+    AttributeError; the class's own constructors set their fields with
+    ``_set``, and a trusted constructor makes its object with ``_new``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*getattr(cls, "_compare", cls.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _restore, (type(self), tuple(getattr(self, name) for name in self.__slots__))
 
 
 def _normalize_entry(x):

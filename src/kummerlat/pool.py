@@ -9,7 +9,6 @@ to any requested size without changing the invariants.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .isometries import (
@@ -19,7 +18,7 @@ from .isometries import (
     transport_isometry,
 )
 from .lattices import Lattice, cartan_a, direct_sum, make_standard
-from .matrix import Matrix, block_diag, identity
+from .matrix import Matrix, _Frozen, _set, block_diag, identity
 
 
 def cyclic_rotation(n: int) -> Matrix:
@@ -45,10 +44,12 @@ def block_permutation(block_rank: int, cycle_len: int) -> Matrix:
     return Matrix(rows, cols=n)
 
 
-@dataclass(frozen=True)
-class PoolEntry:
-    name: str
-    isometry: LatticeIsometry
+class PoolEntry(_Frozen):
+    __slots__ = ("name", "isometry")
+
+    def __init__(self, name: str, isometry: LatticeIsometry):
+        _set(self, "name", name)
+        _set(self, "isometry", isometry)
 
 
 def _glued(name, pieces, glues, phi_blocks, p) -> PoolEntry:

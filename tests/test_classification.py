@@ -124,6 +124,25 @@ def test_verify_all_takes_one_smith_form_per_lattice(monkeypatch):
     assert len(calls) == 2 * len(rows) + 1 == 17
 
 
+def test_table_rows_share_their_standard_lattices(monkeypatch):
+    # two tables sum the same eight standard lattice objects, each validated once
+    import kummerlat.classification as classification
+
+    pieces = []
+    real = classification.direct_sum
+
+    def recording(*lattices, **kwargs):
+        pieces.append(lattices)
+        return real(*lattices, **kwargs)
+
+    monkeypatch.setattr(classification, "direct_sum", recording)
+    assert table_rows() == table_rows()
+    first, second = pieces[:16], pieces[16:]
+    assert len(first) == len(second) == 16
+    assert all(a is b for x, y in zip(first, second) for a, b in zip(x, y, strict=True))
+    assert len({id(lat) for lats in pieces for lat in lats}) == 8
+
+
 def test_verify_all_takes_one_signature_per_lattice(monkeypatch):
     # S and T of eight rows, plus the standalone (5, 3) complement check,
     # whose U(5) + <-10> is also the T of its row: 17 calls, 16 Gram matrices

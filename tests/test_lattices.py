@@ -51,6 +51,11 @@ def test_standard_lattices():
     assert E8M.det == 1
 
 
+def test_standard_lattices_are_built_once_per_stripped_name():
+    assert make_standard(" U(5) ") is make_standard("U(5)") is make_standard("U(5)")
+    assert make_standard("U(5)").name == "U(5)"
+
+
 @pytest.mark.parametrize("name", ["B3", "U(0)", "<3>", "<0>", "A5(-1)"])
 def test_standard_rejects_unknown_or_odd(name):
     with pytest.raises(ValueError):

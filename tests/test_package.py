@@ -43,6 +43,24 @@ def test_import_loads_the_kummer_engine_only():
     assert set(json.loads(out)) == EAGER
 
 
+# the value classes are plain __slots__ classes, so no import of the
+# package pulls in dataclasses, nor inspect, which dataclasses imports
+HEAVY = ("dataclasses", "inspect")
+SUBMODULES = sorted(f"kummerlat.{path.stem}" for path in (SRC / "kummerlat").glob("*.py")
+                    if path.stem != "__init__")
+
+
+@pytest.mark.parametrize("modules", [["kummerlat"], ["kummerlat.cli"], SUBMODULES],
+                         ids=["package", "cli", "every-submodule"])
+def test_imports_leave_dataclasses_and_inspect_unloaded(modules):
+    assert len(SUBMODULES) > 5
+    out = _fresh("import importlib, json, sys\n"
+                 f"for name in {modules!r}:\n"
+                 "    importlib.import_module(name)\n"
+                 f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))")
+    assert json.loads(out) == []
+
+
 def test_star_import_resolves_every_export():
     out = _fresh("from kummerlat import *\n"
                  "import kummerlat\n"

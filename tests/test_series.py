@@ -99,7 +99,7 @@ def test_truncation_drops_high_terms():
 
 def test_engine_output_type():
     # the engine's class drops zeros, equals the reference ring both ways and
-    # hashes consistently, so LefschetzResult stays a hashable frozen dataclass
+    # hashes consistently, so LefschetzResult stays a hashable immutable value
     out = series.LaurentPoly({0: 1, 1: 0, 2: -3})
     ref = LaurentPoly({0: Fraction(1), 2: Fraction(-3)})
     assert out.coeffs == {0: 1, 2: -3} and out.evaluate_one() == -2
