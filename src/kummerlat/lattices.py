@@ -304,20 +304,6 @@ def fqf_from_diagonal(pairs) -> FiniteQuadraticForm:
     return fqf_from_generators(orders, qs, b)
 
 
-def fqf_direct_sum(a: FiniteQuadraticForm, b: FiniteQuadraticForm) -> FiniteQuadraticForm:
-    ka, kb = len(a.orders), len(b.orders)
-    orders = a.orders + b.orders
-    qs = a.q_values + b.q_values
-    bm = [[Fraction(0)] * (ka + kb) for _ in range(ka + kb)]
-    for i in range(ka):
-        for j in range(ka):
-            bm[i][j] = a.b_matrix[i][j]
-    for i in range(kb):
-        for j in range(kb):
-            bm[ka + i][ka + j] = b.b_matrix[i][j]
-    return fqf_from_generators(orders, qs, bm)
-
-
 def discriminant_form(lat: Lattice) -> FiniteQuadraticForm:
     """The discriminant quadratic form of an even lattice.
 

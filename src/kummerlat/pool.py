@@ -1,15 +1,19 @@
 """Constructed witnesses for the prime order isometry property suites.
 
-The pool is built, not searched: cyclotomic rotations of A_{p-1}(-1),
-sign flips, block permutations, and glued overlattice variants that realize
-nonzero glue exponents a.  Random unimodular conjugations extend the pool
-to any requested size without changing the invariants.
+The pool is built, not searched.  ``_ROWS`` states each base entry as one
+row (name, pieces, phi, glue, p), and ``base_pool`` builds every row the
+same way: the direct sum of the pieces, phi on it, the overlattice of the
+glue with phi transported to it, and the validating ``LatticeIsometry``.
+Random unimodular conjugations extend the pool to any requested size
+without changing the invariants.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
+from functools import lru_cache
 
 from .isometries import (
     LatticeIsometry,
@@ -52,161 +56,79 @@ class PoolEntry(_Frozen):
         _set(self, "isometry", isometry)
 
 
-def _glued(name, pieces, glues, phi_blocks, p) -> PoolEntry:
-    over, basis = overlattice_with_basis(pieces, glues)
-    phi = transport_isometry(basis, phi_blocks)
-    return PoolEntry(name, LatticeIsometry(Lattice._trusted(over.gram, name, over.det), phi, p))
+# One row per base entry: (name, pieces, phi, glue, p).  The lattice is the
+# direct sum of the pieces, each a ``make_standard`` name or "An" / "An(-1)".
+# ``phi`` is "shift", the cyclic permutation of equal pieces, or one block
+# per piece: "C" (the rotation of A_n), "C2" (its square), "1" or "-1".  A
+# glue codeword (k_1, ...) adds sum k_i g_i to the lattice, where g_i is the
+# ``a_n_glue`` of piece i (Nikulin 1980, Prop. 1.4.1), and the overlattice
+# takes the entry's name.
+_TETRACODE = ((1, 1, 1, 0), (0, 1, 2, 1))
+_ROWS = (
+    ("cyclic A2(-1)", ("A2(-1)",), ("C",), (), 3),
+    ("cyclic A4(-1)", ("A4(-1)",), ("C",), (), 5),
+    ("cyclic A6(-1)", ("A6(-1)",), ("C",), (), 7),
+    ("cyclic A22(-1)", ("A22(-1)",), ("C",), (), 23),
+    ("-id on U", ("U",), ("-1",), (), 2),
+    ("-id on E8(-1)", ("E8(-1)",), ("-1",), (), 2),
+    ("swap U+U", ("U",) * 2, "shift", (), 2),
+    ("swap H5+H5", ("H5",) * 2, "shift", (), 2),
+    ("shift3 U^3", ("U",) * 3, "shift", (), 3),
+    ("shift3 <-2>^3", ("<-2>",) * 3, "shift", (), 3),
+    ("shift5 <-2>^5", ("<-2>",) * 5, "shift", (), 5),
+    ("shift3 H5^3", ("H5",) * 3, "shift", (), 3),
+    ("id+C5 on U+A4(-1)", ("U", "A4(-1)"), ("1", "C"), (), 5),
+    ("glued id+C5 (A4(-1)^2)", ("A4(-1)",) * 2, ("1", "C"), ((1, 2),), 5),
+    ("glued C5+C5 (A4(-1)^2)", ("A4(-1)",) * 2, ("C", "C"), ((1, 2),), 5),
+    ("glued C5+C5^2 (A4(-1)^2)", ("A4(-1)",) * 2, ("C", "C2"), ((1, 2),), 5),
+    ("glued C3+id (A2+A2(-1))", ("A2", "A2(-1)"), ("C", "1"), ((1, 1),), 3),
+    ("glued C5+id (A4+A4(-1))", ("A4", "A4(-1)"), ("C", "1"), ((1, 1),), 5),
+    ("glued C5+C5 (A4+A4(-1))", ("A4", "A4(-1)"), ("C", "C"), ((1, 1),), 5),
+    ("glued C7+id (A6+A6(-1))", ("A6", "A6(-1)"), ("C", "1"), ((1, 1),), 7),
+    # E8(-1) as the tetracode gluing of A2(-1)^4; the diagonal rotation has S = E8(-1)
+    ("glued C3^4 (E8(-1) from A2(-1)^4)", ("A2(-1)",) * 4, ("C",) * 4, _TETRACODE, 3),
+    ("glued C3+C3+id+id (A2(-1)^4 tetra)", ("A2(-1)",) * 4, ("C", "C", "1", "1"), _TETRACODE, 3),
+    ("glued C23+id (A22+A22(-1))", ("A22", "A22(-1)"), ("C", "1"), ((1, 1),), 23),
+)
+
+_A_N = re.compile(r"^A(\d+)(\(-1\))?$")
+
+
+@lru_cache(maxsize=None)
+def _piece(name: str) -> Lattice:
+    """A row's piece, built and validated once per process."""
+    m = _A_N.match(name)
+    if not m:
+        return make_standard(name)
+    gram = cartan_a(int(m.group(1)))
+    return Lattice(-gram if m.group(2) else gram, name)
+
+
+def _block(word: str, n: int) -> Matrix:
+    if word == "1":
+        return identity(n)
+    if word == "-1":
+        return -identity(n)
+    c = cyclic_rotation(n)
+    return c @ c if word == "C2" else c
 
 
 def base_pool() -> list[PoolEntry]:
-    entries: list[PoolEntry] = []
-    u = make_standard("U")
-    h5 = make_standard("H5")
-    m2 = make_standard("<-2>")
-    a2 = Lattice(cartan_a(2), "A2")
-    a2m = Lattice(-cartan_a(2), "A2(-1)")
-    a4 = Lattice(cartan_a(4), "A4")
-    a4m = make_standard("A4(-1)")
-    a6 = Lattice(cartan_a(6), "A6")
-    a6m = Lattice(-cartan_a(6), "A6(-1)")
-    a22m = Lattice(-cartan_a(22), "A22(-1)")
-
-    c3, c5, c7, c23 = (cyclic_rotation(k) for k in (2, 4, 6, 22))
-    g2, g4, g6, g22 = (a_n_glue(k) for k in (2, 4, 6, 22))
-
-    entries.append(PoolEntry("cyclic A2(-1)", LatticeIsometry(a2m, c3, 3)))
-    entries.append(PoolEntry("cyclic A4(-1)", LatticeIsometry(a4m, c5, 5)))
-    entries.append(PoolEntry("cyclic A6(-1)", LatticeIsometry(a6m, c7, 7)))
-    entries.append(PoolEntry("cyclic A22(-1)", LatticeIsometry(a22m, c23, 23)))
-
-    entries.append(PoolEntry("-id on U", LatticeIsometry(u, -identity(2), 2)))
-    entries.append(
-        PoolEntry("-id on E8(-1)", LatticeIsometry(make_standard("E8(-1)"), -identity(8), 2))
-    )
-    entries.append(
-        PoolEntry("swap U+U", LatticeIsometry(direct_sum(u, u), block_permutation(2, 2), 2))
-    )
-    entries.append(
-        PoolEntry("swap H5+H5", LatticeIsometry(direct_sum(h5, h5), block_permutation(2, 2), 2))
-    )
-    entries.append(
-        PoolEntry(
-            "shift3 U^3",
-            LatticeIsometry(direct_sum(u, u, u), block_permutation(2, 3), 3),
-        )
-    )
-    entries.append(
-        PoolEntry(
-            "shift3 <-2>^3",
-            LatticeIsometry(direct_sum(m2, m2, m2), block_permutation(1, 3), 3),
-        )
-    )
-    entries.append(
-        PoolEntry(
-            "shift5 <-2>^5",
-            LatticeIsometry(direct_sum(*(m2,) * 5), block_permutation(1, 5), 5),
-        )
-    )
-    entries.append(
-        PoolEntry(
-            "shift3 H5^3",
-            LatticeIsometry(direct_sum(h5, h5, h5), block_permutation(2, 3), 3),
-        )
-    )
-    entries.append(
-        PoolEntry(
-            "id+C5 on U+A4(-1)",
-            LatticeIsometry(direct_sum(u, a4m), block_diag(identity(2), c5), 5),
-        )
-    )
-
-    # glued variants: nonzero a on non-unimodular and unimodular ambients
-    glue_a4 = [g4 + tuple(2 * x for x in g4)]
-    pieces_a4 = direct_sum(a4m, a4m)
-    entries.append(
-        _glued("glued id+C5 (A4(-1)^2)", pieces_a4, glue_a4, block_diag(identity(4), c5), 5)
-    )
-    entries.append(_glued("glued C5+C5 (A4(-1)^2)", pieces_a4, glue_a4, block_diag(c5, c5), 5))
-    entries.append(
-        _glued(
-            "glued C5+C5^2 (A4(-1)^2)",
-            pieces_a4,
-            glue_a4,
-            block_diag(c5, c5 @ c5),
-            5,
-        )
-    )
-
-    entries.append(
-        _glued(
-            "glued C3+id (A2+A2(-1))",
-            direct_sum(a2, a2m),
-            [g2 + g2],
-            block_diag(c3, identity(2)),
-            3,
-        )
-    )
-    entries.append(
-        _glued(
-            "glued C5+id (A4+A4(-1))",
-            direct_sum(a4, a4m),
-            [g4 + g4],
-            block_diag(c5, identity(4)),
-            5,
-        )
-    )
-    entries.append(
-        _glued(
-            "glued C5+C5 (A4+A4(-1))",
-            direct_sum(a4, a4m),
-            [g4 + g4],
-            block_diag(c5, c5),
-            5,
-        )
-    )
-    entries.append(
-        _glued(
-            "glued C7+id (A6+A6(-1))",
-            direct_sum(a6, a6m),
-            [g6 + g6],
-            block_diag(c7, identity(6)),
-            7,
-        )
-    )
-
-    # E8(-1) as the tetracode gluing of A2(-1)^4; diagonal rotation has S = E8(-1)
-    zero2 = (Fraction(0), Fraction(0))
-    tetra_glues = [
-        g2 + g2 + g2 + zero2,
-        zero2 + g2 + tuple(2 * x for x in g2) + g2,
-    ]
-    entries.append(
-        _glued(
-            "glued C3^4 (E8(-1) from A2(-1)^4)",
-            direct_sum(a2m, a2m, a2m, a2m),
-            tetra_glues,
-            block_diag(c3, c3, c3, c3),
-            3,
-        )
-    )
-    entries.append(
-        _glued(
-            "glued C3+C3+id+id (A2(-1)^4 tetra)",
-            direct_sum(a2m, a2m, a2m, a2m),
-            tetra_glues,
-            block_diag(c3, c3, identity(2), identity(2)),
-            3,
-        )
-    )
-    entries.append(
-        _glued(
-            "glued C23+id (A22+A22(-1))",
-            direct_sum(Lattice(cartan_a(22), "A22"), a22m),
-            [g22 + g22],
-            block_diag(c23, identity(22)),
-            23,
-        )
-    )
+    entries = []
+    for name, piece_names, phi_words, glue, p in _ROWS:
+        pieces = [_piece(x) for x in piece_names]
+        lattice = direct_sum(*pieces)
+        if phi_words == "shift":
+            phi = block_permutation(pieces[0].rank, len(pieces))
+        else:
+            phi = block_diag(*(_block(w, x.rank) for w, x in zip(phi_words, pieces)))
+        if glue:
+            vectors = [[k * g for k, x in zip(word, pieces) for g in a_n_glue(x.rank)]
+                       for word in glue]
+            over, basis = overlattice_with_basis(lattice, vectors)
+            phi = transport_isometry(basis, phi)
+            lattice = Lattice._trusted(over.gram, name, over.det)
+        entries.append(PoolEntry(name, LatticeIsometry(lattice, phi, p)))
     return entries
 
 
@@ -228,7 +150,7 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 12) -> Matrix:
 
 
 # Only base entries up to this rank are conjugated to extend the pool; the
-# glued lattices of rank 22 and 44 are not.
+# rank 22 rotation of A22(-1) and its rank 44 gluing are not.
 MAX_CONJUGATED_RANK = 16
 
 

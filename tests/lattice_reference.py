@@ -5,7 +5,8 @@ with exact Schur complements and hyperbolic 2x2 pivots where the library
 takes fraction-free (Bareiss) steps and a congruence.  ``p_primary_part``
 restricts a finite quadratic form to its p-primary component on
 ``Fraction`` values, generator by generator, without scaling to integers.
-The library must give identical outputs.
+The library must give identical outputs.  ``fqf_direct_sum`` builds the
+orthogonal sum of two finite quadratic forms for the isomorphism tests.
 """
 
 from __future__ import annotations
@@ -82,4 +83,18 @@ def p_primary_part(form: FiniteQuadraticForm, p: int) -> FiniteQuadraticForm:
         [(cof[s] * cof[t] * form.b_matrix[idx[s]][idx[t]]) % 1 for t in range(len(idx))]
         for s in range(len(idx))
     ]
+    return fqf_from_generators(orders, qs, bm)
+
+
+def fqf_direct_sum(a: FiniteQuadraticForm, b: FiniteQuadraticForm) -> FiniteQuadraticForm:
+    ka, kb = len(a.orders), len(b.orders)
+    orders = a.orders + b.orders
+    qs = a.q_values + b.q_values
+    bm = [[Fraction(0)] * (ka + kb) for _ in range(ka + kb)]
+    for i in range(ka):
+        for j in range(ka):
+            bm[i][j] = a.b_matrix[i][j]
+    for i in range(kb):
+        for j in range(kb):
+            bm[ka + i][ka + j] = b.b_matrix[i][j]
     return fqf_from_generators(orders, qs, bm)

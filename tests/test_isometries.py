@@ -197,6 +197,42 @@ def test_pool_structure_invariants():
         assert inv.a <= inv.m, entry.name
 
 
+# (name, p, m, a, disc S, [L : T + S]) of every base_pool entry, in order
+BASE_POOL_INVARIANTS = [
+    ("cyclic A2(-1)", 3, 1, 0, 3, 1),
+    ("cyclic A4(-1)", 5, 1, 0, 5, 1),
+    ("cyclic A6(-1)", 7, 1, 0, 7, 1),
+    ("cyclic A22(-1)", 23, 1, 0, 23, 1),
+    ("-id on U", 2, 2, 0, 1, 1),
+    ("-id on E8(-1)", 2, 8, 0, 1, 1),
+    ("swap U+U", 2, 2, 2, 4, 4),
+    ("swap H5+H5", 2, 2, 2, 20, 4),
+    ("shift3 U^3", 3, 2, 2, 9, 9),
+    ("shift3 <-2>^3", 3, 1, 1, 12, 3),
+    ("shift5 <-2>^5", 5, 1, 1, 80, 5),
+    ("shift3 H5^3", 3, 2, 2, 225, 9),
+    ("id+C5 on U+A4(-1)", 5, 1, 0, 5, 1),
+    ("glued id+C5 (A4(-1)^2)", 5, 1, 1, 5, 5),
+    ("glued C5+C5 (A4(-1)^2)", 5, 2, 0, 1, 1),
+    ("glued C5+C5^2 (A4(-1)^2)", 5, 2, 0, 1, 1),
+    ("glued C3+id (A2+A2(-1))", 3, 1, 1, 3, 3),
+    ("glued C5+id (A4+A4(-1))", 5, 1, 1, 5, 5),
+    ("glued C5+C5 (A4+A4(-1))", 5, 2, 0, 1, 1),
+    ("glued C7+id (A6+A6(-1))", 7, 1, 1, 7, 7),
+    ("glued C3^4 (E8(-1) from A2(-1)^4)", 3, 4, 0, 1, 1),
+    ("glued C3+C3+id+id (A2(-1)^4 tetra)", 3, 2, 2, 9, 9),
+    ("glued C23+id (A22+A22(-1))", 23, 1, 1, 23, 23),
+]
+
+
+def test_base_pool_invariants_golden():
+    got = []
+    for entry in base_pool():
+        inv = compute_invariants(entry.isometry)
+        got.append((entry.name, entry.isometry.order, inv.m, inv.a, inv.disc_s, inv.index))
+    assert got == BASE_POOL_INVARIANTS
+
+
 def test_invariants_are_basis_independent():
     rng = random.Random(3)
     for entry in base_pool():

@@ -17,7 +17,6 @@ from kummerlat.lattices import (
     direct_sum,
     discriminant_form,
     discriminant_group,
-    fqf_direct_sum,
     fqf_from_diagonal,
     fqf_from_generators,
     fqf_isomorphic,
@@ -31,6 +30,7 @@ from kummerlat.lattices import (
 )
 from kummerlat.matrix import Matrix, block_diag, exact_det, identity, solve
 from kummerlat.pool import random_unimodular
+from lattice_reference import fqf_direct_sum
 from lattice_reference import p_primary_part as reference_p_primary_part
 from lattice_reference import signature as reference_signature
 from matrix_reference import saturate_columns

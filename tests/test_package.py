@@ -75,6 +75,20 @@ def test_exports_are_the_objects_of_their_submodules():
         assert getattr(module, name) is value, name
 
 
+def test_user_built_sublattices_go_through_the_package():
+    # Sublattice(...) validates a user's basis and orthogonal_complement
+    # returns the saturated complement: the public entry for sublattices
+    u = kummerlat.make_standard("U")
+    uu = kummerlat.direct_sum(u, u)
+    first = kummerlat.Sublattice(uu, kummerlat.Matrix([[1, 0], [0, 1], [0, 0], [0, 0]]))
+    comp = kummerlat.orthogonal_complement(first)
+    assert comp == kummerlat.Sublattice(uu, kummerlat.Matrix([[0, 0], [0, 0], [1, 0], [0, 1]]))
+    diag = kummerlat.Sublattice(u, kummerlat.Matrix([[2], [2]]))
+    assert kummerlat.orthogonal_complement(diag).basis == kummerlat.Matrix([[1], [-1]])
+    with pytest.raises(ValueError, match="^basis columns are dependent$"):
+        kummerlat.Sublattice(u, kummerlat.Matrix([[1, 2], [1, 2]]))
+
+
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'nope'"):
         kummerlat.nope
