@@ -37,8 +37,8 @@ EXIT_INPUT_ERROR = 2
 
 ELEMENTARY_PRIMES = (2, 3, 5, 7, 23)
 
-# A pool entry costs about 0.3 ms and 2 KB, so the largest pool checks in
-# about 3.2 s and 37 MB max RSS (median of 5 runs of the command, Python
+# A pool entry costs about 0.2 ms and 2 KB, so the largest pool checks in
+# about 2.3 s and 37 MB max RSS (median of 5 runs of the command, Python
 # 3.11 on a 2-core Xeon); a larger count is refused before any work.
 MAX_POOL_COUNT = 10_000
 

@@ -277,22 +277,3 @@ def transport_isometry(basis: Matrix, phi: Matrix) -> Matrix:
     integral exactly when the isometry does not preserve the overlattice.
     """
     return solve(basis, phi @ basis, "isometry does not preserve the overlattice")
-
-
-def conjugate_isometry(iso: LatticeIsometry, p_matrix: Matrix) -> LatticeIsometry:
-    """Change of basis x = P x': the Gram becomes P^T G P, phi becomes P^-1 phi P.
-
-    An integer matrix P is unimodular exactly when P X = I has an integer
-    solution, so one solve both checks P and inverts it.  The conjugate is
-    then valid by construction and is not checked again: P^T G P is
-    symmetric and even, with det G as det P = +-1, and P^-1 phi P preserves
-    it, is not 1 and has order p, because ``iso`` has these properties.
-    """
-    try:
-        p_inverse = solve(p_matrix, identity(p_matrix.rows))
-    except ValueError:
-        raise ValueError("basis change must be unimodular") from None
-    new_gram = p_matrix.transpose() @ (iso.lattice.gram @ p_matrix)
-    new_phi = p_inverse @ (iso.matrix @ p_matrix)
-    lattice = Lattice._trusted(new_gram, iso.lattice.name, iso.lattice.det)
-    return LatticeIsometry._trusted(lattice, new_phi, iso.order)

@@ -53,8 +53,8 @@ class Lattice(_Frozen):
     ``det``, the determinant of the Gram matrix, is computed once, by the
     nondegeneracy check of the public constructor.  The private ``_trusted``
     takes a Gram matrix that is valid by construction together with its
-    determinant, as ``direct_sum``, ``conjugate_isometry`` and renames make
-    them, and checks nothing again.  Equality and hashing read ``gram`` and
+    determinant, as ``direct_sum``, the pool's unimodular conjugates and
+    renames make them, and checks nothing again.  Equality and hashing read ``gram`` and
     ``name``, never ``det``.
     """
 
@@ -360,7 +360,7 @@ class Sublattice(_Frozen):
 def orthogonal_complement(sub: Sublattice) -> Sublattice:
     """All ambient vectors pairing to zero with the sublattice; always saturated."""
     pairings = sub.basis.transpose() @ sub.ambient.gram
-    return Sublattice(sub.ambient, integer_kernel(pairings))
+    return Sublattice._trusted(sub.ambient, integer_kernel(pairings))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ The pool is built, not searched.  ``_ROWS`` states each base entry as one
 row (name, pieces, phi, glue, p), and ``base_pool`` builds every row the
 same way: the direct sum of the pieces, phi on it, the overlattice of the
 glue with phi transported to it, and the validating ``LatticeIsometry``.
-Random unimodular conjugations extend the pool to any requested size
-without changing the invariants.
+Seeded unimodular conjugates extend the pool to any requested size
+without changing the invariants.  A conjugate applies its random
+elementary row steps straight to the Gram matrix and phi, one row and one
+column operation each, so no basis change P is built, inverted or
+multiplied.
 """
 
 from __future__ import annotations
@@ -15,12 +18,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .isometries import (
-    LatticeIsometry,
-    conjugate_isometry,
-    overlattice_with_basis,
-    transport_isometry,
-)
+from .isometries import LatticeIsometry, overlattice_with_basis, transport_isometry
 from .lattices import Lattice, cartan_a, direct_sum, make_standard
 from .matrix import Matrix, _Frozen, _set, block_diag, identity
 
@@ -132,21 +130,71 @@ def base_pool() -> list[PoolEntry]:
     return entries
 
 
-def random_unimodular(rng: random.Random, n: int, steps: int = 12) -> Matrix:
-    """Product of random elementary transvections and signed swaps."""
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+def _unimodular_steps(rng: random.Random, n: int, steps: int) -> list[tuple[int, int, int, int]]:
+    """``steps`` random draws of elementary row steps (kind, i, j, c) on n rows.
+
+    Kind 0 adds c times row j to row i, kind 1 swaps rows i and j, kind 2
+    negates row i.  A draw of kind 0 or 1 with i == j gives no step.
+    """
+    out = []
     for _ in range(steps):
         kind = rng.randrange(3)
         i = rng.randrange(n)
         j = rng.randrange(n)
         if kind == 0 and i != j:
-            c = rng.choice((-2, -1, 1, 2))
+            out.append((0, i, j, rng.choice((-2, -1, 1, 2))))
+        elif kind == 2 or i != j:
+            out.append((kind, i, j, 0))
+    return out
+
+
+def random_unimodular(rng: random.Random, n: int, steps: int = 12) -> Matrix:
+    """Product of random elementary transvections and signed swaps."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for kind, i, j, c in _unimodular_steps(rng, n, steps):
+        if kind == 0:
             rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
-        elif kind == 1 and i != j:
+        elif kind == 1:
             rows[i], rows[j] = rows[j], rows[i]
-        elif kind == 2:
+        else:
             rows[i] = [-x for x in rows[i]]
     return Matrix._of_ints(tuple(map(tuple, rows)), n)
+
+
+def _conjugate(iso: LatticeIsometry, steps: list[tuple[int, int, int, int]]) -> LatticeIsometry:
+    """``iso`` in the basis x = P x', P the product of ``steps`` applied to identity rows.
+
+    P = E_s ... E_1, so P^T G P and P^-1 phi P come from G <- E^T G E and
+    phi <- E^-1 phi E for each step E in reverse order, each a row and a
+    column operation.  Integer elementary steps are unimodular, so the
+    conjugate is valid by construction and is not checked again: it is
+    symmetric and even with the same det G, and its phi preserves it, is
+    not 1 and has order p, because ``iso`` has these properties.
+    """
+    g = [list(r) for r in iso.lattice.gram.data]
+    phi = [list(r) for r in iso.matrix.data]
+    for kind, i, j, c in reversed(steps):
+        if kind == 0:
+            g[j] = [x + c * y for x, y in zip(g[j], g[i])]
+            phi[i] = [x - c * y for x, y in zip(phi[i], phi[j])]
+            for row in g:
+                row[j] += c * row[i]
+            for row in phi:
+                row[j] += c * row[i]
+        elif kind == 1:
+            for m in (g, phi):
+                m[i], m[j] = m[j], m[i]
+                for row in m:
+                    row[i], row[j] = row[j], row[i]
+        else:
+            for m in (g, phi):
+                m[i] = [-x for x in m[i]]
+                for row in m:
+                    row[i] = -row[i]
+    n = len(g)
+    gram = Matrix._of_ints(tuple(map(tuple, g)), n)
+    lattice = Lattice._trusted(gram, iso.lattice.name, iso.lattice.det)
+    return LatticeIsometry._trusted(lattice, Matrix._of_ints(tuple(map(tuple, phi)), n), iso.order)
 
 
 # Only base entries up to this rank are conjugated to extend the pool; the
@@ -163,9 +211,7 @@ def extended_pool(seed: int = 20260808, count: int = 220):
     i = 0
     while len(entries) < count:
         src = small[i % len(small)]
-        p_matrix = random_unimodular(rng, src.isometry.lattice.rank)
-        entries.append(
-            PoolEntry(f"{src.name} (conjugate {i})", conjugate_isometry(src.isometry, p_matrix))
-        )
+        steps = _unimodular_steps(rng, src.isometry.lattice.rank, 12)
+        entries.append(PoolEntry(f"{src.name} (conjugate {i})", _conjugate(src.isometry, steps)))
         i += 1
     return entries

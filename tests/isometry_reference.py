@@ -6,12 +6,24 @@ second pass, and overlattice coordinates come from a rational
 Gauss-Jordan inverse on lists of Fractions (``tests/matrix_reference.py``).
 Neither reads its result off the Hermite form of a stacked matrix
 ([m^T | I], [B | phi B]), as ``kummerlat.matrix.integer_kernel`` and
-``kummerlat.isometries.transport_isometry`` do.
+``kummerlat.isometries.transport_isometry`` do.  Conjugation by a basis
+change P takes the matrix route: an exact solve of P X = I and the
+products P^T G P and P^-1 phi P, where ``kummerlat.pool`` applies the
+elementary steps of P one at a time.
 """
 
 from __future__ import annotations
 
-from kummerlat.matrix import Matrix, column_hermite_basis, smith_normal_form, zeros
+from kummerlat.isometries import LatticeIsometry
+from kummerlat.lattices import Lattice
+from kummerlat.matrix import (
+    Matrix,
+    column_hermite_basis,
+    identity,
+    smith_normal_form,
+    solve,
+    zeros,
+)
 from matrix_reference import fraction_inverse, fraction_product, integral_matrix
 
 
@@ -33,3 +45,22 @@ def rational_transport(basis, phi) -> Matrix:
     """basis^-1 phi basis over the rationals, for the rows of basis and phi; it must be integral."""
     moved = fraction_product(fraction_product(fraction_inverse(basis), phi), basis)
     return integral_matrix(moved, "isometry does not preserve the overlattice")
+
+
+def conjugate_isometry(iso: LatticeIsometry, p_matrix: Matrix) -> LatticeIsometry:
+    """Change of basis x = P x': the Gram becomes P^T G P, phi becomes P^-1 phi P.
+
+    An integer matrix P is unimodular exactly when P X = I has an integer
+    solution, so one solve both checks P and inverts it.  The conjugate is
+    then valid by construction and is not checked again: P^T G P is
+    symmetric and even, with det G as det P = +-1, and P^-1 phi P preserves
+    it, is not 1 and has order p, because ``iso`` has these properties.
+    """
+    try:
+        p_inverse = solve(p_matrix, identity(p_matrix.rows))
+    except ValueError:
+        raise ValueError("basis change must be unimodular") from None
+    new_gram = p_matrix.transpose() @ (iso.lattice.gram @ p_matrix)
+    new_phi = p_inverse @ (iso.matrix @ p_matrix)
+    lattice = Lattice._trusted(new_gram, iso.lattice.name, iso.lattice.det)
+    return LatticeIsometry._trusted(lattice, new_phi, iso.order)

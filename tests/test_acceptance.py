@@ -24,7 +24,6 @@ from kummerlat.isometries import (
     check_square_theorem,
     check_unimodular_corollary,
     compute_invariants,
-    conjugate_isometry,
 )
 from kummerlat.lattices import Lattice, Sublattice, orthogonal_complement
 from kummerlat.lefschetz import (
@@ -46,6 +45,7 @@ from kummerlat.matrix import (
 )
 from kummerlat.pool import base_pool, random_unimodular
 from cyclotomic_reference import CyclotomicNumber, euler_phi
+from isometry_reference import conjugate_isometry
 from lefschetz_reference import LaurentPoly, generating_series
 from matrix_reference import apply, saturate_columns
 

@@ -16,7 +16,6 @@ from kummerlat.isometries import (
     check_unimodular_corollary,
     coinvariant_lattice,
     compute_invariants,
-    conjugate_isometry,
     invariant_lattice,
     is_perfect_square,
     overlattice_by_glue,
@@ -41,6 +40,9 @@ from kummerlat.matrix import (
     zeros,
 )
 from kummerlat.pool import (
+    MAX_CONJUGATED_RANK,
+    _conjugate,
+    _unimodular_steps,
     a_n_glue,
     base_pool,
     block_permutation,
@@ -48,7 +50,7 @@ from kummerlat.pool import (
     extended_pool,
     random_unimodular,
 )
-from isometry_reference import rational_transport, smith_kernel
+from isometry_reference import conjugate_isometry, rational_transport, smith_kernel
 from matrix_reference import det_fraction, fraction_inverse, fraction_product, integral_matrix
 from matrix_reference import smith_normal_form as reference_smith_form
 
@@ -522,10 +524,85 @@ def test_conjugate_isometry_matches_rational_inverse():
             assert conj.lattice.gram == p.transpose() @ iso.lattice.gram @ p, entry.name
 
 
+def test_step_conjugation_matches_the_matrix_route():
+    # the pool applies a conjugate's elementary steps to G and phi one at a
+    # time; the reference builds P from the same draws, solves P X = I and
+    # multiplies P^T G P and P^-1 phi P
+    kinds, dropped, cases = Counter(), 0, 0
+    for seed in (20260808, 1, 7):
+        rng = random.Random(seed)
+        for entry in base_pool():
+            iso = entry.isometry
+            n = iso.lattice.rank
+            if n > MAX_CONJUGATED_RANK:
+                continue
+            for steps in (0, 1, 12, 4 * n):
+                state = rng.getstate()
+                drawn = _unimodular_steps(rng, n, steps)
+                after = rng.getstate()
+                rng.setstate(state)
+                want = conjugate_isometry(iso, random_unimodular(rng, n, steps))
+                assert rng.getstate() == after
+                got = _conjugate(iso, drawn)
+                assert got == want and got.lattice.det == want.lattice.det, (entry.name, steps)
+                kinds.update(kind for kind, *_ in drawn)
+                dropped += steps - len(drawn)
+                cases += 1
+    assert cases == 3 * 4 * 21
+    assert set(kinds) == {0, 1, 2} and dropped > 0
+
+
+def test_random_unimodular_golden():
+    # many tests in test_lefschetz.py, test_lattices.py and test_matrix.py
+    # take their inputs from this stream of draws
+    assert random_unimodular(random.Random(1), 6, 20).data == (
+        (0, -1, 0, 0, 0, 0),
+        (0, 0, 0, -1, -1, 0),
+        (0, 0, 0, 0, 0, 1),
+        (5, 0, -2, 0, 1, -8),
+        (-2, 0, 1, 0, 0, 4),
+        (5, 0, -2, 1, 1, -10),
+    )
+
+
+def test_extended_pool_conjugates_take_no_solve_or_product(monkeypatch):
+    # a conjugate is made by elementary steps on G and phi: no basis change
+    # is inverted and no matrix product is taken
+    import kummerlat.matrix as matrix_mod
+    import kummerlat.pool as pool_mod
+
+    base = base_pool()
+    monkeypatch.setattr(pool_mod, "base_pool", lambda: base)
+    calls = Counter()
+    real_solve, real_matmul = matrix_mod.solve, Matrix.__matmul__
+
+    def counted_solve(*args, **kwargs):
+        calls["solve"] += 1
+        return real_solve(*args, **kwargs)
+
+    def counted_matmul(a, b):
+        calls["matmul"] += 1
+        return real_matmul(a, b)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("kummerlat")]:
+        for attr, value in list(vars(module).items()):
+            if value is real_solve:
+                monkeypatch.setattr(module, attr, counted_solve)
+    monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
+    pool = extended_pool(seed=20260808)
+    assert len(pool) - len(base) == 197
+    assert calls == Counter()
+    # the counting reaches both wherever they are called from
+    matrix_mod.solve(identity(2), identity(2))
+    identity(2) @ identity(2)
+    assert calls == Counter(solve=1, matmul=1)
+
+
 @pytest.mark.parametrize("seed", [20260808, 5])
 def test_conjugates_hold_plain_ints(seed):
-    # P and P^-1 are built from int rows as they are; the conjugates must
-    # still be exactly what the public constructor makes of their rows
+    # P and the conjugates are frozen from int rows as they are, after
+    # elementary row and column steps; they must still be exactly what the
+    # public constructor makes of their rows
     conjugates = extended_pool(seed=seed)[len(base_pool()):]
     assert conjugates
     rng = random.Random(seed)

@@ -247,6 +247,34 @@ def test_complement_pairing_and_saturation():
     assert Sublattice(U, saturate_columns(doubled.basis)).basis == Matrix([[1], [0]])
 
 
+def test_orthogonal_complement_skips_the_independence_check(monkeypatch):
+    # the kernel basis is independent by construction, so the complement takes
+    # no det(B^T B); it must still be what the validating constructor makes of it
+    uu, a8 = direct_sum(U, U), direct_sum(A4M, A4M)
+    subs = [
+        Sublattice(uu, Matrix([[1, 0], [0, 1], [0, 0], [0, 0]])),
+        Sublattice(U, Matrix([[1], [1]])),
+        Sublattice(a8, Matrix([[int(i == j) for j in range(4)] for i in range(4)] * 2)),
+        Sublattice(direct_sum(U, H5), Matrix([[1], [2], [3], [4]])),
+        Sublattice(U, identity(2)),  # the complement has rank 0
+        Sublattice(H5, Matrix([[], []], cols=0)),  # the complement is all of H5
+    ]
+    validated = []
+    real_init = Sublattice.__init__
+
+    def counting_init(sub, *args):
+        validated.append(args)
+        real_init(sub, *args)
+
+    monkeypatch.setattr(Sublattice, "__init__", counting_init)
+    comps = [orthogonal_complement(sub) for sub in subs]
+    assert validated == []
+    monkeypatch.undo()
+    assert [c.rank for c in comps] == [2, 1, 4, 3, 0, 2]
+    for sub, comp in zip(subs, comps):
+        assert comp == Sublattice(sub.ambient, comp.basis)
+
+
 def test_sublattice_validation():
     uh5 = direct_sum(U, H5)
     dependent = [
