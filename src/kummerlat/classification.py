@@ -36,12 +36,6 @@ AMBIENT_RANK = 23
 ORDER = 5
 
 
-def ambient_lattice() -> Lattice:
-    u = make_standard("U")
-    e8m = make_standard("E8(-1)")
-    return direct_sum(u, u, u, e8m, e8m, make_standard("<-2>"), name="U^3 + E8(-1)^2 + <-2>")
-
-
 def _build(*names: str) -> Lattice:
     return direct_sum(*(make_standard(n) for n in names))
 

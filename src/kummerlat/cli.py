@@ -290,7 +290,9 @@ def cmd_pool_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="kummerlat", description=__doc__)
+    # the docstring's subcommand table keeps its lines
+    parser = argparse.ArgumentParser(prog="kummerlat", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_lat = sub.add_parser("lattice", help="lattice inspection")

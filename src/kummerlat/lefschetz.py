@@ -59,16 +59,19 @@ series depends on n: G(u) depends on c alone, and its q = 1 counterpart
 H(u) of ``corollary_value``, taken from det(1 - Psi^s) of matrix powers,
 on h alone.  So the engine keeps one record per matrix (``_Matrix``) in
 one bounded memo: c, the Smith form of 1 - H, the H series of h, the G
-series of c, and the subgroup orders and Moebius table of the last n,
-with references to G_(n/w) and H_(n/w).  The series grow on demand, so a
-sweep over n computes each G_k and H_k once, and the translation
-variants of a matrix share its record.  Records with the same c share
-one G series through a weak map, so a G series lives as long as some
-record holds it.  The direct cyclotomic evaluation of the character sum
-over the listed fixed characters, the factor-by-factor product of the
-wedge series, the Faddeev-LeVerrier recurrence for det(1 - x M) and the
-equivariant Goettsche-Soergel sum over partitions are kept with the
-tests (``tests/lefschetz_reference.py``) as references.
+series of c with the power sums and power-sum table rows it was built
+from, and the subgroup orders of the last n, with references to G_(n/w)
+and H_(n/w).  The divisors of n and their Moebius table depend on n
+alone, and one bounded memo per n serves every record.  The series grow
+on demand, so a sweep over n computes each power sum, table row, G_k and
+H_k once, and the translation variants of a matrix share its record.
+Records with the same c share one G series through a weak map, so a G
+series lives as long as some record holds it.  The direct cyclotomic
+evaluation of the character sum over the listed fixed characters, the
+factor-by-factor product of the wedge series, the Faddeev-LeVerrier
+recurrence for det(1 - x M) and the equivariant Goettsche-Soergel sum
+over partitions are kept with the tests (``tests/lefschetz_reference.py``)
+as references.
 
 The catalog covers the torus automorphisms whose action on second cohomology
 has prime order, together with their sign flips and translation variants,
@@ -192,20 +195,19 @@ def _exact_quotient(a: int, k: int, name: str) -> int:
     return quotient
 
 
-def _power_sums(c, top: int) -> list[int]:
-    """p_0 .. p_top with p_k = tr Psi^k, from c = det(1 - x Psi).
+def _power_sums(c, p: list[int], top: int) -> None:
+    """Extend p = [p_0, .., p_m] in place to p_0 .. p_top, p_k = tr Psi^k.
 
-    Newton's identities k c_k + sum_(j=1..k) p_j c_(k-j) = 0 need no
-    division, since c_0 = 1; p_0 is the size of Psi.
+    The p_k come from c = det(1 - x Psi) by Newton's identities
+    k c_k + sum_(j=1..k) p_j c_(k-j) = 0, with no division, since c_0 = 1;
+    p starts from p_0, the size of Psi.
     """
     d = len(c) - 1
-    p = [d]
-    for k in range(1, top + 1):
+    for k in range(len(p), top + 1):
         acc = k * c[k] if k <= d else 0
         for j in range(max(1, k - d), k):
             acc += p[j] * c[k - j]
         p.append(-acc)
-    return p
 
 
 def _elementary(sums) -> list[int]:
@@ -223,15 +225,16 @@ def _elementary(sums) -> list[int]:
     return e
 
 
-def _wedge_table(c, top: int) -> list[tuple[int, ...]]:
-    """The power-sum table: row s = 0..top holds E_i(s) = tr wedge^i(Psi^s).
+def _wedge_row(c, p: list[int], s: int) -> tuple[int, ...]:
+    """Row s of the power-sum table: E_i(s) = tr wedge^i(Psi^s) for i = 0..d.
 
     E_0(s), .., E_d(s) are the elementary symmetric functions of the
-    eigenvalues of Psi^s, whose power sums are p_s, p_2s, .., p_ds.
+    eigenvalues of Psi^s, whose power sums are p_s, p_2s, .., p_ds; the
+    power sums p of c are extended in place to p_ds first.
     """
     d = len(c) - 1
-    p = _power_sums(c, d * top)
-    return [tuple(_elementary([p[j * s] for j in range(1, d + 1)])) for s in range(top + 1)]
+    _power_sums(c, p, d * s)
+    return tuple(_elementary([p[j * s] for j in range(1, d + 1)]))
 
 
 class _OrderSeries:
@@ -242,30 +245,33 @@ class _OrderSeries:
     k [u^k] log G = sum_(s | k) (k / s) D_s and k G_k = sum_(j=1..k)
     (j log_j) G_(k-j).  ``g[k]`` is G_k as a dense int list of q^(-2k) ..
     q^(2k); ``logs[k]`` holds the nonzero terms of k log_k as (index, a)
-    pairs, the index counted from q^(-2k).  Neither depends on n, so one
-    series serves every n: ``grow(n)`` computes the terms k = N+1 .. n only.
+    pairs, the index counted from q^(-2k); ``rows[s]`` is row s of the
+    power-sum table and ``p`` holds the power sums p_0 .. p_(dN) of c it
+    was built from.  None of these depends on n, so one series serves
+    every n: ``grow(n)`` computes the power sums p_(dN+1) .. p_(dn), the
+    rows N+1 .. n and the terms k = N+1 .. n only.
     """
 
-    __slots__ = ("c", "logs", "g", "__weakref__")
+    __slots__ = ("c", "p", "rows", "logs", "g", "__weakref__")
 
     def __init__(self, c):
-        self.c, self.logs, self.g = c, [()], [[1]]
+        self.c, self.p = c, [len(c) - 1]
+        self.rows, self.logs, self.g = [_wedge_row(c, self.p, 0)], [()], [[1]]
 
     def grow(self, n: int) -> None:
         top = len(self.g) - 1
         if n <= top:
             return
-        # the power-sum table is O(n) steps against the O(n^3) recurrence,
-        # so it is taken afresh rather than kept
-        table = _wedge_table(self.c, n)
+        # nothing is committed until every division is exact
+        p, rows = self.p[:], self.rows[:]
+        rows += [_wedge_row(self.c, p, s) for s in range(top + 1, n + 1)]
         new_logs = [{} for _ in range(n - top)]
         for s in range(1, n + 1):
             for k in range((top // s + 1) * s, n + 1, s):
                 log = new_logs[k - top - 1]
-                for i, e in enumerate(table[s]):
+                for i, e in enumerate(rows[s]):
                     index = (i - 2) * s + 2 * k
                     log[index] = log.get(index, 0) + (-1) ** i * (k // s) * e
-        # nothing is committed until every division is exact
         logs = self.logs + [tuple((i, a) for i, a in log.items() if a) for log in new_logs]
         g = self.g[:]
         for k in range(top + 1, n + 1):
@@ -276,7 +282,7 @@ class _OrderSeries:
                     for idx, x in enumerate(prev, base):
                         acc[idx] += a * x
             g.append([_exact_quotient(x, k, "G") for x in acc])
-        self.logs, self.g = logs, g
+        self.p, self.rows, self.logs, self.g = p, rows, logs, g
 
 
 class _ExpSeries:
@@ -316,6 +322,20 @@ class _ExpSeries:
 _ORDER_SERIES: WeakValueDictionary = WeakValueDictionary()
 
 
+@lru_cache(maxsize=MAX_TORSION)
+def _divisor_table(n: int) -> tuple[tuple[int, ...], tuple]:
+    """The divisors of n, and per divisor w of n its Moebius terms.
+
+    The terms of w are (index of e, moebius(w / e)) for the divisors e of w,
+    those with moebius(w / e) = 0 left out.  Both depend on n alone, so
+    every record reads the same tables; one entry per accepted n.
+    """
+    divisors = tuple(e for e in range(1, n + 1) if n % e == 0)
+    mu = {e: moebius(e) for e in divisors}  # w / e divides n too
+    return divisors, tuple((w, tuple((i, mu[w // e]) for i, e in enumerate(divisors)
+                                     if w % e == 0 and mu[w // e])) for w in divisors)
+
+
 class _Matrix:
     """What lefschetz_q and corollary_value keep of one 4x4 matrix h, whatever b is.
 
@@ -324,9 +344,10 @@ class _Matrix:
     U (1 - H) V = diag(d_1, .., d_4); ``exp_series`` is the H series of h and
     ``order_series`` the G series of c, shared with every record of the
     same c.  ``table(n)`` grows both to n and sets the tables of n, kept
-    until another n is asked for:
+    until another n is asked for (``n`` names the n they are of):
     ``subgroups`` per divisor e of n: (|A[e]|, (gcd(d_i, e))_i), A[e] killed by e;
-    ``moebius`` per divisor w of n: (w, ((index of e, moebius(w / e)) for e | w));
+    ``moebius`` per divisor w of n: (w, ((index of e, moebius(w / e)) for e | w)),
+    shared by every record through ``_divisor_table``;
     ``tops`` divisor w of n -> (offset, G_(n/w)): q^(2n) [t^n] of the order-w product;
     ``exp_tops`` divisor w of n -> H_(n/w): [t^n] of the order-w exponential form.
     """
@@ -343,17 +364,12 @@ class _Matrix:
         self.n = 0
 
     def table(self, n: int) -> _Matrix:
-        if n == self.n:
-            return self
         g, h = self.order_series, self.exp_series
         g.grow(n)
         h.grow(n)
-        divisors = [e for e in range(1, n + 1) if n % e == 0]
+        divisors, self.moebius = _divisor_table(n)
         gcds = [tuple(gcd(x, e) for x in self.diagonal) for e in divisors]
-        mu = {e: moebius(e) for e in divisors}  # w / e divides n too
         self.subgroups = tuple((prod(row), row) for row in gcds)
-        self.moebius = tuple((w, tuple((i, mu[w // e]) for i, e in enumerate(divisors)
-                                       if w % e == 0 and mu[w // e])) for w in divisors)
         # the product for the order w is G(t^w), so q^(2n) [t^n] of it is
         # q^(2n) G_(n/w), from the offset 2 (n - n/w); H(t^w) gives H_(n/w)
         self.tops = {w: (2 * (n - n // w), g.g[n // w]) for w in divisors}
@@ -368,18 +384,24 @@ class _Matrix:
 _matrix = lru_cache(maxsize=32)(_Matrix)
 
 
-def _order_sums(aut: TorusAutomorphism, record: _Matrix) -> dict[int, int]:
-    """sigma_w, the sum of chi(b) over the fixed chi of order w, for every w | n.
+def _order_sums(aut: TorusAutomorphism) -> tuple[_Matrix, dict[int, int]]:
+    """The record of aut's matrix, holding the tables of n, and sigma_w for every w | n.
 
-    The chi(b) over A[e] sum to |A[e]| when gcd(d_i, e) divides (U b)_i for
-    every i and to 0 otherwise; Moebius inversion over the divisors of w
-    separates the orders.  ``record`` holds the tables of n.
+    sigma_w is the sum of chi(b) over the fixed chi of order w.  The chi(b)
+    over A[e] sum to |A[e]| when gcd(d_i, e) divides (U b)_i for every i
+    and to 0 otherwise; Moebius inversion over the divisors of w separates
+    the orders.  The tables are set only when the record holds another n,
+    so a lookup of current tables is one memo hit and one comparison.
     """
+    record = _matrix(aut.matrix.data)
+    if record.n != aut.torsion:
+        record.table(aut.torsion)
     b0, b1, b2, b3 = aut.translation
     x0, x1, x2, x3 = [u0 * b0 + u1 * b1 + u2 * b2 + u3 * b3 for u0, u1, u2, u3 in record.u_rows]
     subgroup_sums = [0 if x0 % g0 or x1 % g1 or x2 % g2 or x3 % g3 else size
                      for size, (g0, g1, g2, g3) in record.subgroups]
-    return {w: sum([mu * subgroup_sums[i] for i, mu in terms]) for w, terms in record.moebius}
+    return record, {w: sum([mu * subgroup_sums[i] for i, mu in terms])
+                    for w, terms in record.moebius}
 
 
 def lefschetz_q(aut: TorusAutomorphism) -> LefschetzResult:
@@ -395,9 +417,9 @@ def lefschetz_q(aut: TorusAutomorphism) -> LefschetzResult:
     None of these is reachable for genuine torus automorphisms.
     """
     n = aut.torsion
-    record = _matrix(aut.matrix.data).table(n)
+    record, sums = _order_sums(aut)
     numerator = [0] * (4 * n + 1)
-    for w, sigma in _order_sums(aut, record).items():
+    for w, sigma in sums.items():
         if sigma:
             offset, g = record.tops[w]
             if offset < 0:
@@ -442,8 +464,7 @@ def corollary_value(aut: TorusAutomorphism) -> int:
 
     which equals L(psi) * L(psi^[n]).
     """
-    record = _matrix(aut.matrix.data).table(aut.torsion)
-    sums = _order_sums(aut, record)
+    record, sums = _order_sums(aut)
     return sum(sigma * record.exp_tops[w] for w, sigma in sums.items() if sigma)
 
 

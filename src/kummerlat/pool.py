@@ -148,19 +148,6 @@ def _unimodular_steps(rng: random.Random, n: int, steps: int) -> list[tuple[int,
     return out
 
 
-def random_unimodular(rng: random.Random, n: int, steps: int = 12) -> Matrix:
-    """Product of random elementary transvections and signed swaps."""
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for kind, i, j, c in _unimodular_steps(rng, n, steps):
-        if kind == 0:
-            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
-        elif kind == 1:
-            rows[i], rows[j] = rows[j], rows[i]
-        else:
-            rows[i] = [-x for x in rows[i]]
-    return Matrix._of_ints(tuple(map(tuple, rows)), n)
-
-
 def _conjugate(iso: LatticeIsometry, steps: list[tuple[int, int, int, int]]) -> LatticeIsometry:
     """``iso`` in the basis x = P x', P the product of ``steps`` applied to identity rows.
 

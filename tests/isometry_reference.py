@@ -9,10 +9,14 @@ Neither reads its result off the Hermite form of a stacked matrix
 ``kummerlat.isometries.transport_isometry`` do.  Conjugation by a basis
 change P takes the matrix route: an exact solve of P X = I and the
 products P^T G P and P^-1 phi P, where ``kummerlat.pool`` applies the
-elementary steps of P one at a time.
+elementary steps of P one at a time.  ``random_unimodular`` builds such a
+P from the pool's own step draws; many tests take random unimodular
+inputs from it.
 """
 
 from __future__ import annotations
+
+import random
 
 from kummerlat.isometries import LatticeIsometry
 from kummerlat.lattices import Lattice
@@ -24,6 +28,7 @@ from kummerlat.matrix import (
     solve,
     zeros,
 )
+from kummerlat.pool import _unimodular_steps
 from matrix_reference import fraction_inverse, fraction_product, integral_matrix
 
 
@@ -64,3 +69,16 @@ def conjugate_isometry(iso: LatticeIsometry, p_matrix: Matrix) -> LatticeIsometr
     new_phi = p_inverse @ (iso.matrix @ p_matrix)
     lattice = Lattice._trusted(new_gram, iso.lattice.name, iso.lattice.det)
     return LatticeIsometry._trusted(lattice, new_phi, iso.order)
+
+
+def random_unimodular(rng: random.Random, n: int, steps: int = 12) -> Matrix:
+    """Product of random elementary transvections and signed swaps."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for kind, i, j, c in _unimodular_steps(rng, n, steps):
+        if kind == 0:
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        elif kind == 1:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = [-x for x in rows[i]]
+    return Matrix._of_ints(tuple(map(tuple, rows)), n)

@@ -6,7 +6,9 @@ takes fraction-free (Bareiss) steps and a congruence.  ``p_primary_part``
 restricts a finite quadratic form to its p-primary component on
 ``Fraction`` values, generator by generator, without scaling to integers.
 The library must give identical outputs.  ``fqf_direct_sum`` builds the
-orthogonal sum of two finite quadratic forms for the isomorphism tests.
+orthogonal sum of two finite quadratic forms for the isomorphism tests,
+and ``ambient_lattice`` the rank 23 lattice U^3 + E8(-1)^2 + <-2> that
+the order five classification counts ranks in.
 """
 
 from __future__ import annotations
@@ -14,7 +16,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from kummerlat.cyclotomic import factorize
-from kummerlat.lattices import FiniteQuadraticForm, Lattice, fqf_from_generators
+from kummerlat.lattices import (
+    FiniteQuadraticForm,
+    Lattice,
+    direct_sum,
+    fqf_from_generators,
+    make_standard,
+)
 
 
 def signature(lat: Lattice) -> tuple[int, int]:
@@ -98,3 +106,10 @@ def fqf_direct_sum(a: FiniteQuadraticForm, b: FiniteQuadraticForm) -> FiniteQuad
         for j in range(kb):
             bm[ka + i][ka + j] = b.b_matrix[i][j]
     return fqf_from_generators(orders, qs, bm)
+
+
+def ambient_lattice() -> Lattice:
+    """U^3 + E8(-1)^2 + <-2>, the second cohomology of a K3^[2]-type fourfold."""
+    u = make_standard("U")
+    e8m = make_standard("E8(-1)")
+    return direct_sum(u, u, u, e8m, e8m, make_standard("<-2>"), name="U^3 + E8(-1)^2 + <-2>")

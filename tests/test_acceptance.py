@@ -43,9 +43,9 @@ from kummerlat.matrix import (
     smith_normal_form,
     zeros,
 )
-from kummerlat.pool import base_pool, random_unimodular
+from kummerlat.pool import base_pool
 from cyclotomic_reference import CyclotomicNumber, euler_phi
-from isometry_reference import conjugate_isometry
+from isometry_reference import conjugate_isometry, random_unimodular
 from lefschetz_reference import LaurentPoly, generating_series
 from matrix_reference import apply, saturate_columns
 

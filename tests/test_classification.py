@@ -1,10 +1,10 @@
 from math import prod
 
 from kummerlat.classification import (
+    AMBIENT_RANK,
     EXCLUDED_PAIRS,
     EXPECTED_PAIRS,
     ClassificationRow,
-    ambient_lattice,
     candidate_pairs,
     complement_form_target,
     table_rows,
@@ -20,11 +20,12 @@ from kummerlat.lattices import (
     make_standard,
     signature,
 )
+from lattice_reference import ambient_lattice
 
 
 def test_ambient_lattice_shape():
     amb = ambient_lattice()
-    assert amb.rank == 23
+    assert amb.rank == AMBIENT_RANK == 23
     assert signature(amb) == (3, 20)
     assert amb.disc == 2
 

@@ -35,6 +35,21 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
+def test_help_keeps_one_line_per_subcommand(capsys):
+    # the module docstring's subcommand table is printed as written
+    import kummerlat.cli as cli
+
+    table = [line for line in cli.__doc__.splitlines() if line.startswith("    ")]
+    assert [line.split()[0] for line in table] == ["lattice", "isometry", "classify", "kummer",
+                                                   "pool", "the"]
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for line in table + ["Exit codes: 0 all checks pass, 1 verification failure, 2 input error."]:
+        assert line in lines, line
+
+
 def test_lattice_info(tmp_path, capsys):
     path = _write(tmp_path, "h5.json", H5)
     assert main(["lattice", "info", path]) == EXIT_OK

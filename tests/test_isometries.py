@@ -48,9 +48,13 @@ from kummerlat.pool import (
     block_permutation,
     cyclic_rotation,
     extended_pool,
-    random_unimodular,
 )
-from isometry_reference import conjugate_isometry, rational_transport, smith_kernel
+from isometry_reference import (
+    conjugate_isometry,
+    random_unimodular,
+    rational_transport,
+    smith_kernel,
+)
 from matrix_reference import det_fraction, fraction_inverse, fraction_product, integral_matrix
 from matrix_reference import smith_normal_form as reference_smith_form
 

@@ -29,7 +29,7 @@ from kummerlat.lattices import (
     signature,
 )
 from kummerlat.matrix import Matrix, block_diag, exact_det, identity, solve
-from kummerlat.pool import random_unimodular
+from isometry_reference import random_unimodular
 from lattice_reference import fqf_direct_sum
 from lattice_reference import p_primary_part as reference_p_primary_part
 from lattice_reference import signature as reference_signature

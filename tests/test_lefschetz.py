@@ -7,7 +7,8 @@ from math import comb, gcd
 
 import pytest
 
-from cyclotomic_reference import CyclotomicNumber
+from cyclotomic_reference import CyclotomicNumber, euler_phi
+from isometry_reference import random_unimodular
 from kummerlat.cyclotomic import moebius
 from kummerlat.lefschetz import (
     CATALOG_EXPECTED,
@@ -22,7 +23,6 @@ from kummerlat.lefschetz import (
     torus_automorphism,
 )
 from kummerlat.matrix import Matrix, block_diag, exact_det, identity, solve
-from kummerlat.pool import random_unimodular
 from lefschetz_reference import (
     CharacterClass,
     LaurentPoly,
@@ -498,7 +498,7 @@ def test_integer_character_sums_match_cyclotomic_sums():
             for b in ((0, 0, 0, 0), tuple(rng.randrange(n) for _ in range(4))):
                 aut = torus_automorphism(h, b, n)
                 expected = _character_order_sums(aut)
-                sums = lef._order_sums(aut, lef._matrix(h.data).table(n))
+                _, sums = lef._order_sums(aut)
                 assert sorted(sums) == divisors
                 assert set(expected) <= set(divisors)
                 for w in divisors:
@@ -567,7 +567,8 @@ def test_power_sum_table_matches_exterior_powers():
 
     for h in _table_matrices():
         psi = h.transpose()
-        table = lef._wedge_table(lef._charpoly(h.data), 8)
+        c, p = lef._charpoly(h.data), [4]
+        table = [lef._wedge_row(c, p, s) for s in range(9)]
         power = identity(4)
         for s in range(9):
             traces = tuple(sum(exterior_power(power, i).data[k][k] for k in range(comb(4, i)))
@@ -588,11 +589,13 @@ def test_integrality_guards(monkeypatch):
     import kummerlat.lefschetz as lef
 
     psi = identity(4)
-    power_sums, wedge_table, det = lef._power_sums, lef._wedge_table, lef.exact_det
+    power_sums, wedge_row, det = lef._power_sums, lef._wedge_row, lef.exact_det
 
-    def bump_first(c, top):
-        p = power_sums(c, top)
-        return [p[0], p[1] + 1] + p[2:]
+    def bump_first(c, p, top):
+        fresh = len(p) < 2
+        power_sums(c, p, top)
+        if fresh and top >= 1:
+            p[1] += 1
 
     # p_1 = 5, p_2 = 4: 2 E_2(1) = 5 * 5 - 4 is odd
     monkeypatch.setattr(lef, "_power_sums", bump_first)
@@ -602,16 +605,15 @@ def test_integrality_guards(monkeypatch):
         lefschetz_q(torus_automorphism(psi, (0, 0, 0, 0), 2))
     monkeypatch.setattr(lef, "_power_sums", power_sums)
 
-    def bump_table(c, top):
-        table = wedge_table(c, top)
-        table[2] = (table[2][0] + 1,) + table[2][1:]
-        return table
+    def bump_row(c, p, s):
+        row = wedge_row(c, p, s)
+        return (row[0] + 1,) + row[1:] if s == 2 else row
 
     # 2 G_2 = D_1^2 + 2 D_1 + D_2 is even at q^-4 (1 + 0 + 1), odd once E_0(2) moves
-    monkeypatch.setattr(lef, "_wedge_table", bump_table)
+    monkeypatch.setattr(lef, "_wedge_row", bump_row)
     with pytest.raises(ValueError, match="integrality violated: 2 G_2"):
         lef._OrderSeries(lef._charpoly(psi.data)).grow(2)
-    monkeypatch.setattr(lef, "_wedge_table", wedge_table)
+    monkeypatch.setattr(lef, "_wedge_row", wedge_row)
 
     # 2 H_2 = 2 d_1 + d_2 + d_1^2 = 32 + 1 + 256 for Psi = -1, with d_2 =
     # det(1 - Psi^2) = 0 read as 1
@@ -886,24 +888,26 @@ def test_failed_growth_commits_nothing(monkeypatch):
     psi = identity(4)
     series = lef._OrderSeries(lef._charpoly(psi.data))
     series.grow(1)
-    before = (list(series.logs), [list(g) for g in series.g])
-    wedge_table = lef._wedge_table
+    before = (list(series.logs), [list(g) for g in series.g], list(series.p), list(series.rows))
+    wedge_row = lef._wedge_row
 
-    def bump_table(c, top):
-        table = wedge_table(c, top)
-        table[3] = (table[3][0] + 1,) + table[3][1:]
-        return table
+    def bump_row(c, p, s):
+        row = wedge_row(c, p, s)
+        return (row[0] + 1,) + row[1:] if s == 3 else row
 
-    # G_2 divides exactly before 3 G_3 moves by 1 at q^-6
-    monkeypatch.setattr(lef, "_wedge_table", bump_table)
+    # G_2 divides exactly before 3 G_3 moves by 1 at q^-6; the power sums
+    # up to p_12 and the rows 2 and 3 were computed on the way
+    monkeypatch.setattr(lef, "_wedge_row", bump_row)
     with pytest.raises(ValueError, match="integrality violated: 3 G_3"):
         series.grow(3)
-    assert (series.logs, series.g) == before
+    assert (series.logs, series.g, series.p, series.rows) == before
+    assert (len(series.p), len(series.rows)) == (5, 2)
     monkeypatch.undo()
     series.grow(3)
     fresh = lef._OrderSeries(lef._charpoly(psi.data))
     fresh.grow(3)
-    assert (series.logs, series.g) == (fresh.logs, fresh.g)
+    assert (series.logs, series.g, series.p, series.rows) == (fresh.logs, fresh.g, fresh.p,
+                                                              fresh.rows)
 
     # the H series of Psi = -1 with det(1 - Psi^2) = 0 read as 1
     exp_series = lef._ExpSeries((-psi).data)
@@ -914,6 +918,88 @@ def test_failed_growth_commits_nothing(monkeypatch):
     with pytest.raises(ValueError, match="integrality violated: 2 H_2"):
         exp_series.grow(2)
     assert (exp_series.power, exp_series.dets, exp_series.logs, exp_series.h) == before
+
+
+def test_stepwise_growth_computes_each_power_sum_and_row_once(monkeypatch):
+    # the series keeps p_0 .. p_4N and the rows 0 .. N it has: growing one
+    # step at a time to N computes each of them once, and the rows equal
+    # those of one series grown to N at once
+    import kummerlat.lefschetz as lef
+
+    top = 12
+    rng = random.Random(71)
+    for h in _catalog_matrices()[::4] + [random_unimodular(rng, 4) for _ in range(2)]:
+        c = lef._charpoly(h.data)
+        once = lef._OrderSeries(c)
+        once.grow(top)
+        sums, rows = [], []
+        power_sums, wedge_row = lef._power_sums, lef._wedge_row
+
+        def counted_sums(c, p, last):
+            sums.extend(range(len(p), last + 1))
+            power_sums(c, p, last)
+
+        def counted_row(c, p, s):
+            rows.append(s)
+            return wedge_row(c, p, s)
+
+        monkeypatch.setattr(lef, "_power_sums", counted_sums)
+        monkeypatch.setattr(lef, "_wedge_row", counted_row)
+        steps = lef._OrderSeries(c)
+        for n in range(1, top + 1):
+            steps.grow(n)
+            assert (len(steps.p), len(steps.rows)) == (4 * n + 1, n + 1), (h, n)
+        monkeypatch.undo()
+        assert sums == list(range(1, 4 * top + 1)), h
+        assert rows == list(range(top + 1)), h
+        # each row alone, from fresh power sums
+        assert steps.rows == [lef._wedge_row(c, [4], s) for s in range(top + 1)], h
+        assert (steps.p, steps.rows, steps.logs, steps.g) == (once.p, once.rows, once.logs,
+                                                              once.g), h
+
+
+def test_divisor_table_matches_a_direct_computation():
+    import kummerlat.lefschetz as lef
+
+    lef._divisor_table.cache_clear()
+    for n in range(1, MAX_TORSION + 1):
+        divisors, terms = lef._divisor_table(n)
+        assert divisors == tuple(e for e in range(1, n + 1) if n % e == 0), n
+        expected = []
+        for w in divisors:
+            expected.append((w, tuple((divisors.index(e), moebius(w // e)) for e in divisors
+                                      if w % e == 0 and moebius(w // e) != 0)))
+        assert terms == tuple(expected), n
+        # Moebius inversion: sum_(e | w) moebius(w / e) e = phi(w), and the
+        # moebius(w / e) alone sum to [w = 1]
+        for w, row in terms:
+            assert sum(mu * divisors[i] for i, mu in row) == euler_phi(w), (n, w)
+            assert sum(mu for _, mu in row) == (w == 1), (n, w)
+        assert lef._divisor_table(n) is lef._divisor_table(n)
+    info = lef._divisor_table.cache_info()
+    assert (info.maxsize, info.currsize) == (MAX_TORSION, MAX_TORSION)
+
+
+def test_lookups_of_current_tables_set_no_table(monkeypatch):
+    # lefschetz_q and corollary_value set the tables of n once per record
+    # and n, and read them as they are after that
+    import kummerlat.lefschetz as lef
+
+    calls = []
+    table = lef._Matrix.table
+
+    def counted(record, n):
+        calls.append(n)
+        return table(record, n)
+
+    monkeypatch.setattr(lef._Matrix, "table", counted)
+    h = _h_matrix(5)
+    for n in (3, 3, 4, 4, 3):
+        for b in ((0, 0, 0, 0), (1, 0, 1, 1)):
+            aut = torus_automorphism(h, b, n)
+            lefschetz_q(aut)
+            corollary_value(aut)
+    assert calls == [3, 4, 3]
 
 
 def test_transpose_invariance_of_factors():

@@ -24,8 +24,8 @@ from kummerlat.matrix import (
     solve,
     zeros,
 )
-from kummerlat.pool import cyclic_rotation, random_unimodular
-from isometry_reference import smith_kernel
+from kummerlat.pool import cyclic_rotation
+from isometry_reference import random_unimodular, smith_kernel
 
 small_matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda r: st.integers(min_value=1, max_value=5).flatmap(
