@@ -30,7 +30,7 @@ from .lattices import (
     p_primary_part,
     signature,
 )
-from .matrix import _Frozen, _set
+from .matrix import _Frozen
 
 AMBIENT_RANK = 23
 ORDER = 5
@@ -42,12 +42,6 @@ def _build(*names: str) -> Lattice:
 
 class ClassificationRow(_Frozen):
     __slots__ = ("m", "a", "s", "t")
-
-    def __init__(self, m: int, a: int, s: Lattice, t: Lattice):
-        _set(self, "m", m)
-        _set(self, "a", a)
-        _set(self, "s", s)
-        _set(self, "t", t)
 
 
 def table_rows() -> list[ClassificationRow]:
@@ -67,13 +61,7 @@ def table_rows() -> list[ClassificationRow]:
 
 class RowReport(_Frozen):
     __slots__ = ("row", "checks", "values", "necessary_conditions_only")
-
-    def __init__(self, row: ClassificationRow, checks: dict[str, bool], values: dict[str, object],
-                 necessary_conditions_only: bool = True):
-        _set(self, "row", row)
-        _set(self, "checks", checks)
-        _set(self, "values", values)
-        _set(self, "necessary_conditions_only", necessary_conditions_only)
+    _defaults = {"necessary_conditions_only": True}
 
     @property
     def passed(self) -> bool:
@@ -159,14 +147,6 @@ def verify_53_complement() -> bool:
 
 class ClassificationReport(_Frozen):
     __slots__ = ("row_reports", "pairs", "pairs_ok", "table_pairs_ok", "complement_ok")
-
-    def __init__(self, row_reports: tuple[RowReport, ...], pairs: tuple[tuple[int, int], ...],
-                 pairs_ok: bool, table_pairs_ok: bool, complement_ok: bool):
-        _set(self, "row_reports", row_reports)
-        _set(self, "pairs", pairs)
-        _set(self, "pairs_ok", pairs_ok)
-        _set(self, "table_pairs_ok", table_pairs_ok)
-        _set(self, "complement_ok", complement_ok)
 
     @property
     def passed(self) -> bool:

@@ -32,8 +32,6 @@ from .lattices import Lattice, Sublattice
 from .matrix import (
     Matrix,
     _Frozen,
-    _new,
-    _set,
     column_hermite_basis,
     exact_det,
     hstack,
@@ -70,31 +68,11 @@ class LatticeIsometry(_Frozen):
             raise ValueError("order must be prime, matrix != identity")
         if phi ** order != one:
             raise ValueError(f"matrix does not have order {order}")
-        _set(self, "lattice", lattice)
-        _set(self, "matrix", matrix)
-        _set(self, "order", order)
-
-    @classmethod
-    def _trusted(cls, lattice: Lattice, matrix: Matrix, order: int) -> "LatticeIsometry":
-        """The isometry ``matrix`` of prime order ``order`` of ``lattice``, taken as it is."""
-        iso = _new(cls)
-        _set(iso, "lattice", lattice)
-        _set(iso, "matrix", matrix)
-        _set(iso, "order", order)
-        return iso
+        super().__init__(lattice, matrix, order)
 
 
 class IsometryInvariants(_Frozen):
     __slots__ = ("invariant", "coinvariant", "m", "a", "disc_s", "index")
-
-    def __init__(self, invariant: Sublattice, coinvariant: Sublattice, m: int, a: int,
-                 disc_s: int, index: int):
-        _set(self, "invariant", invariant)
-        _set(self, "coinvariant", coinvariant)
-        _set(self, "m", m)
-        _set(self, "a", a)
-        _set(self, "disc_s", disc_s)
-        _set(self, "index", index)
 
 
 def _cyclotomic_value(phi: Matrix, p: int) -> Matrix:

@@ -31,8 +31,6 @@ from .cyclotomic import factorize
 from .matrix import (
     Matrix,
     _Frozen,
-    _new,
-    _set,
     block_diag,
     exact_det,
     identity,
@@ -51,10 +49,11 @@ class Lattice(_Frozen):
     """An even integral lattice with a nondegenerate symmetric Gram matrix.
 
     ``det``, the determinant of the Gram matrix, is computed once, by the
-    nondegeneracy check of the public constructor.  The private ``_trusted``
-    takes a Gram matrix that is valid by construction together with its
-    determinant, as ``direct_sum``, the pool's unimodular conjugates and
-    renames make them, and checks nothing again.  Equality and hashing read ``gram`` and
+    nondegeneracy check of the public constructor.  The trusted path of
+    every value class, ``Lattice._trusted(gram, name, det)``, takes a Gram
+    matrix that is valid by construction together with its determinant, as
+    ``direct_sum``, the pool's unimodular conjugates and renames make them,
+    and checks nothing again.  Equality and hashing read ``gram`` and
     ``name``, never ``det``.
     """
 
@@ -71,18 +70,7 @@ class Lattice(_Frozen):
         det = exact_det(gram)
         if det == 0:
             raise ValueError("Gram matrix is degenerate")
-        _set(self, "gram", gram)
-        _set(self, "name", name)
-        _set(self, "det", det)
-
-    @classmethod
-    def _trusted(cls, gram: Matrix, name: str | None, det: int) -> "Lattice":
-        """The lattice on a valid Gram matrix whose determinant is ``det``, taken as it is."""
-        lat = _new(cls)
-        _set(lat, "gram", gram)
-        _set(lat, "name", name)
-        _set(lat, "det", det)
-        return lat
+        super().__init__(gram, name, det)
 
     @property
     def rank(self) -> int:
@@ -275,9 +263,7 @@ class FiniteQuadraticForm(_Frozen):
             if any(o % x.denominator for x in row):
                 raise ValueError(f"b is not well defined: generator {i} of order {o} "
                                  f"has a value o b_ij that is not an integer")
-        _set(self, "orders", orders)
-        _set(self, "q_values", q_values)
-        _set(self, "b_matrix", b_matrix)
+        super().__init__(orders, q_values, b_matrix)
 
     @property
     def group_order(self) -> int:
@@ -341,16 +327,7 @@ class Sublattice(_Frozen):
         # B^T B is nonsingular exactly when the columns of B are independent over Q
         if exact_det(basis.transpose() @ basis) == 0:
             raise ValueError("basis columns are dependent")
-        _set(self, "ambient", ambient)
-        _set(self, "basis", basis)
-
-    @classmethod
-    def _trusted(cls, ambient: Lattice, basis: Matrix) -> "Sublattice":
-        """The sublattice on columns independent by construction (a kernel's), taken as it is."""
-        sub = _new(cls)
-        _set(sub, "ambient", ambient)
-        _set(sub, "basis", basis)
-        return sub
+        super().__init__(ambient, basis)
 
     @property
     def rank(self) -> int:

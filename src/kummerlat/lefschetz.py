@@ -92,7 +92,7 @@ from math import gcd, prod
 from weakref import WeakValueDictionary
 
 from .cyclotomic import moebius
-from .matrix import Matrix, _Frozen, _set, block_diag, exact_det, identity, smith_normal_form, solve
+from .matrix import Matrix, _Frozen, block_diag, exact_det, identity, smith_normal_form, solve
 from .series import LaurentPoly
 
 # Largest accepted torsion order n.  The character sums cost O(tau(n)^2)
@@ -138,9 +138,7 @@ class TorusAutomorphism(_Frozen):
             raise ValueError("translation must have four coordinates")
         if any(not (_is_int(x) and 0 <= x < torsion) for x in translation):
             raise ValueError("translation coordinates must be residues mod n")
-        _set(self, "matrix", matrix)
-        _set(self, "translation", translation)
-        _set(self, "torsion", torsion)
+        super().__init__(matrix, translation, torsion)
 
 
 def torus_automorphism(matrix: Matrix, translation, torsion: int) -> TorusAutomorphism:
@@ -152,11 +150,9 @@ def torus_automorphism(matrix: Matrix, translation, torsion: int) -> TorusAutomo
 
 
 class LefschetzResult(_Frozen):
-    __slots__ = ("polynomial", "value")
+    """``polynomial`` has integer coefficients, q^0 .. q^(4n-4); ``value`` is their sum."""
 
-    def __init__(self, polynomial: LaurentPoly, value: int):
-        _set(self, "polynomial", polynomial)  # integer coefficients, q^0 .. q^(4n-4)
-        _set(self, "value", value)
+    __slots__ = ("polynomial", "value")
 
 
 def _charpoly(h_data) -> tuple[int, ...]:
@@ -610,13 +606,6 @@ def catalog(kind: int, variant: str) -> TorusAutomorphism:
 class CatalogEntryReport(_Frozen):
     __slots__ = ("kind", "variant", "expected", "value", "corollary_ok")
 
-    def __init__(self, kind: int, variant: str, expected: int, value: int, corollary_ok: bool):
-        _set(self, "kind", kind)
-        _set(self, "variant", variant)
-        _set(self, "expected", expected)
-        _set(self, "value", value)
-        _set(self, "corollary_ok", corollary_ok)
-
     @property
     def passed(self) -> bool:
         return self.value == self.expected and self.corollary_ok
@@ -624,9 +613,6 @@ class CatalogEntryReport(_Frozen):
 
 class CatalogReport(_Frozen):
     __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[CatalogEntryReport, ...]):
-        _set(self, "entries", entries)
 
     @property
     def passed(self) -> bool:

@@ -38,9 +38,10 @@ the Smith, Hermite, kernel and solve routines, hold plain ints by
 construction, so they are built without checking their rows a second
 time.
 
-``_Frozen`` is the base of the package's immutable value classes (lattices,
-isometries, reports).  It lives here because every part of the package
-imports this module.
+``_Frozen``, the base of the package's immutable value classes (lattices,
+isometries, reports), builds each from its ``__slots__`` by one constructor
+and one trusted path.  It lives here because every part of the package
+imports this module, the one module that sets the fields of a value class.
 """
 
 from __future__ import annotations
@@ -52,35 +53,66 @@ from typing import Iterable
 
 _INT_ONLY = frozenset({int})
 
-# how a value class makes an object without its __init__, and sets its own
-# fields past the __setattr__ that refuses them
 _new = object.__new__
-_set = object.__setattr__
-
-
-def _restore(cls, values):
-    """The ``cls`` object with ``values`` in its slots, in order: how copies and pickles load."""
-    obj = _new(cls)
-    for name, value in zip(cls.__slots__, values):
-        _set(obj, name, value)
-    return obj
 
 
 class _Frozen:
     """Base of an immutable value class whose fields are its ``__slots__``.
 
+    The constructor takes the fields in slot order, positionally or by
+    keyword, and the class's ``_defaults`` for those left out; a missing
+    field, an unknown keyword, a field given twice or a value too many
+    raises TypeError.  A class that validates its input keeps its own
+    ``__init__``, which ends in ``super().__init__(...)``.
+    ``cls._trusted(*fields)``, the path of copies and pickles, takes fields
+    valid by construction and runs no ``__init__``.  Both set the fields by
+    the slot descriptors' ``__set__``, collected once per class.
+
     Two objects are equal when they are of the same class and agree on the
     compared fields, ``_compare`` (all the slots unless the class names
     fewer), and hash by the same fields.  ``repr`` shows every slot as
     ``name=value``.  Assigning or deleting an attribute raises
-    AttributeError; the class's own constructors set their fields with
-    ``_set``, and a trusted constructor makes its object with ``_new``.
+    AttributeError.
     """
 
     __slots__ = ()
+    _defaults = {}
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*getattr(cls, "_compare", cls.__slots__))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *fields, **named):
+        setters = self._setters
+        if named or len(fields) != len(setters):
+            fields = self._bind(fields, named)
+        for put, value in zip(setters, fields):
+            put(self, value)
+
+    def _bind(self, fields, named):
+        """One value per slot, in slot order, from ``fields``, ``named`` and ``_defaults``."""
+        cls, names = type(self).__name__, self.__slots__
+        if len(fields) > len(names):
+            raise TypeError(f"{cls}() takes {len(names)} fields but {len(fields)} were given")
+        given = dict(zip(names, fields))
+        for name in named:
+            if name not in names:
+                raise TypeError(f"{cls}() got an unexpected field {name!r}")
+            if name in given:
+                raise TypeError(f"{cls}() got multiple values for field {name!r}")
+        values = {**self._defaults, **given, **named}
+        missing = [name for name in names if name not in values]
+        if missing:
+            raise TypeError(f"{cls}() missing fields {', '.join(missing)}")
+        return [values[name] for name in names]
+
+    @classmethod
+    def _trusted(cls, *fields):
+        """The object on ``fields``, in slot order and valid by construction, taken as they are."""
+        obj = _new(cls)
+        for put, value in zip(cls._setters, fields):
+            put(obj, value)
+        return obj
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -101,7 +133,7 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return _restore, (type(self), tuple(getattr(self, name) for name in self.__slots__))
+        return self._trusted, tuple(getattr(self, name) for name in self.__slots__)
 
 
 def _normalize_entry(x):

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .isometries import LatticeIsometry, overlattice_with_basis, transport_isometry
 from .lattices import Lattice, cartan_a, direct_sum, make_standard
-from .matrix import Matrix, _Frozen, _set, block_diag, identity
+from .matrix import Matrix, _Frozen, block_diag, identity
 
 
 def cyclic_rotation(n: int) -> Matrix:
@@ -48,10 +48,6 @@ def block_permutation(block_rank: int, cycle_len: int) -> Matrix:
 
 class PoolEntry(_Frozen):
     __slots__ = ("name", "isometry")
-
-    def __init__(self, name: str, isometry: LatticeIsometry):
-        _set(self, "name", name)
-        _set(self, "isometry", isometry)
 
 
 # One row per base entry: (name, pieces, phi, glue, p).  The lattice is the

@@ -111,6 +111,30 @@ def _unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in used]
 
 
+def _private_builds(source: str) -> list[str]:
+    """Uses in ``source`` of object.__setattr__ and object.__new__, and imports of _set and _new."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "object" and node.attr in ("__setattr__", "__new__")):
+            found.append(f"object.{node.attr}")
+        elif isinstance(node, ast.ImportFrom):
+            found += [alias.name for alias in node.names if alias.name in ("_set", "_new")]
+    return sorted(found)
+
+
+def test_only_matrix_sets_the_fields_of_a_value_class():
+    assert _private_builds("from .matrix import _Frozen, _new as make\nobj = object.__new__(C)\n"
+                           "object.__setattr__(obj, 'a', 1)\nrepr = object.__repr__") == [
+        "_new", "object.__new__", "object.__setattr__"]
+    # _Frozen builds every value class; the other modules go through its
+    # constructor and its _trusted path
+    builds = {path.name: _private_builds(path.read_text(encoding="utf-8"))
+              for path in sorted((SRC / "kummerlat").glob("*.py"))}
+    assert len(builds) > 5 and builds.pop("matrix.py")
+    assert {name: found for name, found in builds.items() if found} == {}
+
+
 def test_no_module_imports_a_name_it_never_uses():
     assert _unused_imports("from __future__ import annotations\nimport os.path\n"
                            "from math import gcd, lcm as l\n__all__ = ['l']\n"

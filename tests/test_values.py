@@ -1,17 +1,21 @@
 """The contract of the package's immutable value classes.
 
-Each class compares, hashes and prints by its fields in order, refuses
-assignment, and survives copy, deepcopy and a pickle round trip.  The
-repr strings are pinned as the classes print them, so that a change of
+Each class takes its fields by position or by keyword, makes the same
+object on its trusted path, compares, hashes and prints by its fields in
+order, refuses assignment, and survives copy, deepcopy and a pickle round
+trip.  The repr strings are pinned as the classes print them, so that a change of
 implementation shows in no output.
 """
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import kummerlat
 from kummerlat.classification import ClassificationReport, ClassificationRow, RowReport
 from kummerlat.isometries import IsometryInvariants, LatticeIsometry, compute_invariants
 from kummerlat.lattices import (
@@ -23,7 +27,7 @@ from kummerlat.lattices import (
     make_standard,
 )
 from kummerlat.lefschetz import CatalogEntryReport, CatalogReport, LefschetzResult, TorusAutomorphism
-from kummerlat.matrix import Matrix, block_diag, identity
+from kummerlat.matrix import Matrix, _Frozen, block_diag, identity
 from kummerlat.pool import PoolEntry, cyclic_rotation
 from kummerlat.series import LaurentPoly
 
@@ -118,8 +122,23 @@ UNHASHABLE = {RowReport}  # its dict fields make it unhashable
 ids = [case[0].__name__ for case in CASES]
 
 
+def _value_classes() -> set[type]:
+    """Every subclass of ``_Frozen`` that a module of the package defines."""
+    for info in pkgutil.iter_modules(kummerlat.__path__):
+        importlib.import_module(f"kummerlat.{info.name}")
+    found, todo = set(), [_Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("kummerlat."):
+                found.add(sub)
+    return found
+
+
 def test_every_value_class_is_covered():
-    assert len(CASES) == len(set(ids)) == 13
+    # a new value class cannot skip the contract below
+    assert len(CASES) == len(set(ids))
+    assert {case[0] for case in CASES} == _value_classes()
 
 
 @pytest.mark.parametrize("cls, kwargs, others, text", CASES, ids=ids)
@@ -132,6 +151,34 @@ def test_equality_is_by_fields_and_class(cls, kwargs, others, text):
     twin = type(cls.__name__, (cls,), {})(**kwargs())
     assert obj != twin and twin != obj
     assert obj != tuple(kwargs().values())
+
+
+@pytest.mark.parametrize("cls, kwargs, others, text", CASES, ids=ids)
+def test_fields_by_position_or_keyword(cls, kwargs, others, text):
+    by_name = cls(**kwargs())
+    by_position = cls(*kwargs().values())
+    assert by_position == by_name and repr(by_position) == repr(by_name) == text
+    fields = kwargs()
+    first = next(iter(fields))
+    wrong = [
+        lambda: cls(**{name: fields[name] for name in fields if name != first}),  # missing
+        lambda: cls(**fields, unknown=1),
+        lambda: cls(fields[first], **fields),  # the first field twice
+        lambda: cls(*fields.values(), None),  # one value too many
+    ]
+    for build in wrong:
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\W"):
+            build()
+
+
+@pytest.mark.parametrize("cls, kwargs, others, text", CASES, ids=ids)
+def test_trusted_path_makes_the_constructed_object(cls, kwargs, others, text):
+    obj = cls(**kwargs())
+    trusted = cls._trusted(*(getattr(obj, name) for name in cls.__slots__))
+    assert type(trusted) is cls and trusted == cls(**kwargs()) and repr(trusted) == text
+    assert all(getattr(trusted, name) is getattr(obj, name) for name in cls.__slots__)
+    clone = pickle.loads(pickle.dumps(trusted))
+    assert type(clone) is cls and clone == obj and repr(clone) == text
 
 
 @pytest.mark.parametrize("cls, kwargs, others, text", CASES, ids=ids)
