@@ -32,9 +32,6 @@ _LAZY = {
             "check_square_theorem",
             "check_unimodular_corollary",
             "compute_invariants",
-            "coinvariant_lattice",
-            "invariant_lattice",
-            "overlattice_by_glue",
         ),
         "isometries",
     ),
@@ -82,7 +79,6 @@ __all__ = [
     "catalog",
     "check_square_theorem",
     "check_unimodular_corollary",
-    "coinvariant_lattice",
     "compute_invariants",
     "corollary_value",
     "direct_sum",
@@ -91,14 +87,12 @@ __all__ = [
     "fqf_from_diagonal",
     "fqf_isomorphic",
     "integer_kernel",
-    "invariant_lattice",
     "is_p_elementary",
     "lefschetz_poly_surface",
     "lefschetz_q",
     "make_standard",
     "moebius",
     "orthogonal_complement",
-    "overlattice_by_glue",
     "run_catalog_table",
     "signature",
     "smith_normal_form",

@@ -138,16 +138,6 @@ def _rank_mod(rows, p: int) -> int:
     return rank
 
 
-def invariant_lattice(iso: LatticeIsometry) -> Sublattice:
-    """Saturated kernel of (phi - 1); T and S are checked as in ``coinvariant_lattice``."""
-    return _split(iso)[0]
-
-
-def coinvariant_lattice(iso: LatticeIsometry) -> Sublattice:
-    """Orthogonal complement of the invariant lattice, cross-checked as ker Phi_p(phi)."""
-    return _split(iso)[1]
-
-
 def compute_invariants(iso: LatticeIsometry) -> IsometryInvariants:
     """Compute (T, S, m, a, disc S) for a prime order isometry.
 
@@ -238,13 +228,6 @@ def overlattice_with_basis(pieces: Lattice, glue_vectors) -> tuple[Lattice, Matr
     except ValueError as exc:
         raise ValueError(f"glue vectors do not define an even integral overlattice: {exc}")
     return lattice, basis
-
-
-def overlattice_by_glue(pieces: Lattice, glue_vectors, name: str | None = None) -> Lattice:
-    lattice, _ = overlattice_with_basis(pieces, glue_vectors)
-    if name is not None:
-        lattice = Lattice._trusted(lattice.gram, name, lattice.det)
-    return lattice
 
 
 def transport_isometry(basis: Matrix, phi: Matrix) -> Matrix:

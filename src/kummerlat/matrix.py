@@ -9,8 +9,11 @@ section 2.4.3).  A kernel takes the echelon pass of [m^T | I] on its left
 block and the Hermite form of the rows it leaves with a zero left block
 only, and the echelon pivots give the index of the image.  ``solve``
 reads the integer solution of B X = Y off the Hermite form of [B | Y].
-The Smith form is for callers that read invariant factors or the
-transform U; its pivoting rule is fixed and deterministic.
+The Smith form keeps its own elimination: D is unique but U and V are
+not, and ``lattice info`` prints the q-values of V's columns.  One built
+from alternating echelon passes changed U or V on 1624 of 3000 random
+matrices and the q-values on 57 of 246 lattices (H5: 8/5 to 2/5), and
+was 2.1x slower on the table's Gram matrices, 1.6x on the engine's 4x4.
 
 Each job has one implementation, which the rest of the package calls:
 ``@`` is the matrix product (matrix powers, 1 - h, Gram matrices such as

@@ -103,6 +103,32 @@ def test_lattice_info_takes_one_smith_form(tmp_path, capsys, monkeypatch, flags)
         assert "p-elementary p=5: no" in out
 
 
+# the standard lattices, then S and T of each classification table row; the
+# generator q-values depend on the U and V of the Smith form, so the golden
+# pins the presentation as well as the invariants
+GOLDEN_LATTICES = ("U", "U(5)", "E8(-1)", "A4(-1)", "A4(-5)", "A4*(-5)", "H5", "<-10>")
+
+
+def test_lattice_info_golden(tmp_path, capsys):
+    from kummerlat.classification import table_rows
+    from kummerlat.lattices import make_standard
+
+    lattices = [make_standard(name) for name in GOLDEN_LATTICES]
+    lattices += [lat for row in table_rows() for lat in (row.s, row.t)]
+    entries = json.loads((GOLDEN / "lattice_info.json").read_text(encoding="utf-8"))
+    assert [entry["job"] for entry in entries] == [
+        {"name": lat.name, "gram": [list(row) for row in lat.gram.data]} for lat in lattices]
+    assert len(entries) == 24
+    texts = []
+    for entry in entries:
+        path = _write(tmp_path, "lat.json", entry["job"])
+        assert main(["lattice", "info", path]) == EXIT_OK
+        texts.append(capsys.readouterr().out)
+        assert main(["lattice", "info", path, "--json"]) == EXIT_OK
+        assert capsys.readouterr().out == json.dumps(entry["payload"], indent=2) + "\n"
+    assert "".join(texts) == (GOLDEN / "lattice_info.txt").read_text(encoding="utf-8")
+
+
 def test_lattice_info_rejects_asymmetric(tmp_path, capsys):
     path = _write(tmp_path, "bad.json", {"gram": [[0, 1], [2, 0]]})
     assert main(["lattice", "info", path]) == EXIT_INPUT_ERROR

@@ -14,11 +14,8 @@ from kummerlat.isometries import (
     _rank_mod,
     check_square_theorem,
     check_unimodular_corollary,
-    coinvariant_lattice,
     compute_invariants,
-    invariant_lattice,
     is_perfect_square,
-    overlattice_by_glue,
     overlattice_with_basis,
     transport_isometry,
 )
@@ -77,13 +74,13 @@ def test_isometry_validation():
 def test_invariant_lattice_examples():
     # cyclic rotation of A4(-1) fixes nothing
     iso = LatticeIsometry(A4M, C5, 5)
-    assert invariant_lattice(iso).rank == 0
+    assert compute_invariants(iso).invariant.rank == 0
     # -id fixes nothing
-    assert invariant_lattice(LatticeIsometry(U, -identity(2), 2)).rank == 0
+    assert compute_invariants(LatticeIsometry(U, -identity(2), 2)).invariant.rank == 0
     # swapping the two U summands fixes the diagonal
     uu = direct_sum(U, U)
     swap = block_permutation(2, 2)
-    t = invariant_lattice(LatticeIsometry(uu, swap, 2))
+    t = compute_invariants(LatticeIsometry(uu, swap, 2)).invariant
     assert t.rank == 2
     for v in t.basis.transpose().data:
         assert v[0] == v[2] and v[1] == v[3]
@@ -91,12 +88,12 @@ def test_invariant_lattice_examples():
 
 def test_coinvariant_lattice_examples():
     iso = LatticeIsometry(A4M, C5, 5)
-    s = coinvariant_lattice(iso)
+    s = compute_invariants(iso).coinvariant
     assert s.rank == 4 and s.basis == identity(4)
-    s2 = coinvariant_lattice(LatticeIsometry(U, -identity(2), 2))
+    s2 = compute_invariants(LatticeIsometry(U, -identity(2), 2)).coinvariant
     assert s2.rank == 2
     uu = direct_sum(U, U)
-    s3 = coinvariant_lattice(LatticeIsometry(uu, block_permutation(2, 2), 2))
+    s3 = compute_invariants(LatticeIsometry(uu, block_permutation(2, 2), 2)).coinvariant
     assert s3.rank == 2
     for v in s3.basis.transpose().data:
         assert v[0] == -v[2] and v[1] == -v[3]
@@ -161,23 +158,19 @@ def test_unimodular_corollary():
 
 def test_overlattice_by_glue():
     with pytest.raises(ValueError):
-        overlattice_by_glue(make_standard("U(5)"), [(Fraction(1, 5), Fraction(1, 5))])
+        overlattice_with_basis(make_standard("U(5)"), [(Fraction(1, 5), Fraction(1, 5))])
     glue = [a_n_glue(4) + tuple(2 * x for x in a_n_glue(4))]
-    over = overlattice_by_glue(direct_sum(A4M, A4M), glue)
+    over, _ = overlattice_with_basis(direct_sum(A4M, A4M), glue)
     assert over.rank == 8
     assert abs(over.det) == 1  # index 5 in a determinant 25 lattice
     # the q-value decides evenness: (e1 + e2)/2 has q = 0 in <2> + <-2>
     # (accepted) but q = 1 in <2> + <2> (odd overlattice, rejected)
     mixed = direct_sum(Lattice(Matrix([[2]])), make_standard("<-2>"))
     half = [(Fraction(1, 2), Fraction(1, 2))]
-    assert abs(overlattice_by_glue(mixed, half).det) == 1
+    assert abs(overlattice_with_basis(mixed, half)[0].det) == 1
     plus_plus = direct_sum(Lattice(Matrix([[2]])), Lattice(Matrix([[2]])))
     with pytest.raises(ValueError):
-        overlattice_by_glue(plus_plus, half)
-    # a rename keeps the determinant of the validated overlattice, sign included
-    named = overlattice_by_glue(mixed, half, name="U'")
-    assert named == Lattice(overlattice_by_glue(mixed, half).gram, "U'")
-    assert named.det == exact_det(named.gram) == -1
+        overlattice_with_basis(plus_plus, half)
 
 
 def test_transport_rejects_nonpreserving():
@@ -362,9 +355,8 @@ def test_coinvariant_mismatch_on_wrong_order():
     # while the complement of T = 0 is everything
     iso = LatticeIsometry(A4M, C5, 5)
     object.__setattr__(iso, "order", 3)
-    for f in (coinvariant_lattice, compute_invariants):
-        with pytest.raises(AssertionError, match="coinvariant mismatch"):
-            f(iso)
+    with pytest.raises(AssertionError, match="coinvariant mismatch"):
+        compute_invariants(iso)
 
 
 def _corrupted_inputs(seed):
@@ -404,9 +396,9 @@ def _expected_cross_check(iso):
     return "match" if s == smith_kernel(_power_sum(iso.matrix, iso.order)) else "mismatch"
 
 
-def _cross_check_outcome(f, iso):
+def _cross_check_outcome(iso):
     try:
-        f(iso)
+        compute_invariants(iso)
     except ValueError as exc:
         if str(exc).startswith("form degenerates on the invariant lattice"):
             return "degenerate"
@@ -424,8 +416,7 @@ def test_product_cross_check_matches_smith_kernel(seed):
     outcomes = []
     for iso in _corrupted_inputs(seed):
         expected = _expected_cross_check(iso)
-        for f in (coinvariant_lattice, compute_invariants):
-            assert _cross_check_outcome(f, iso) == expected, (iso.matrix, iso.order, f)
+        assert _cross_check_outcome(iso) == expected, (iso.matrix, iso.order)
         outcomes.append(expected)
     assert {"match", "mismatch"} <= set(outcomes)
     assert outcomes.count("mismatch") >= 10

@@ -27,6 +27,24 @@ def _fresh(code: str) -> str:
     return proc.stdout
 
 
+# the decided public surface: adding or dropping an export is an edit here
+EXPORTS = {
+    "FiniteQuadraticForm", "IsometryInvariants", "Lattice", "LatticeIsometry", "LaurentPoly",
+    "LefschetzResult", "Matrix", "Sublattice", "TorusAutomorphism", "catalog",
+    "check_square_theorem", "check_unimodular_corollary", "compute_invariants",
+    "corollary_value", "direct_sum", "discriminant_form", "discriminant_group",
+    "fqf_from_diagonal", "fqf_isomorphic", "integer_kernel", "is_p_elementary",
+    "lefschetz_poly_surface", "lefschetz_q", "make_standard", "moebius",
+    "orthogonal_complement", "run_catalog_table", "signature", "smith_normal_form",
+    "torus_automorphism",
+}
+
+
+def test_exports_are_the_decided_set():
+    assert len(kummerlat.__all__) == len(EXPORTS) == 30
+    assert set(kummerlat.__all__) == EXPORTS
+
+
 def test_exports_resolve():
     assert [name for name in kummerlat.__all__ if not hasattr(kummerlat, name)] == []
 
@@ -146,3 +164,41 @@ def test_no_module_imports_a_name_it_never_uses():
               for path in paths}
     assert len(unused) > 20 and "tests/test_package.py" in unused
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _unreferenced_defs(sources: dict[str, str], exported) -> list[str]:
+    """Public top-level defs and classes of ``sources`` that no other top-level statement names.
+
+    A reference is a name read, an attribute or an imported name, anywhere in
+    ``sources`` outside the definition itself; names in ``exported`` count as used.
+    """
+    defs, refs = {}, []
+    for file, source in sources.items():
+        for node in ast.parse(source).body:
+            key = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                key = (file, node.name)
+                if not node.name.startswith("_"):
+                    defs[key] = node.name
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+                elif isinstance(sub, ast.alias):
+                    names.add(sub.name)
+            refs.append((key, names))
+    return sorted(f"{file}:{name}" for (file, name) in defs
+                  if name not in exported
+                  and not any(name in names for key, names in refs if key != (file, name)))
+
+
+def test_every_public_def_is_referenced_or_exported():
+    assert _unreferenced_defs({"a.py": "def f():\n    return f()\ndef g():\n    pass\n"
+                                       "class C:\n    pass\ndef _h():\n    pass\n",
+                               "b.py": "from .a import g\nx = mod.C\n"}, {"e"}) == ["a.py:f"]
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted((SRC / "kummerlat").glob("*.py"))}
+    assert len(sources) > 5
+    assert _unreferenced_defs(sources, set(kummerlat.__all__)) == []
