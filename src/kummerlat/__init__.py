@@ -10,8 +10,8 @@ of the module too.
 
 import importlib
 
-from .cyclotomic import moebius
 from .lefschetz import (
+    LaurentPoly,
     LefschetzResult,
     TorusAutomorphism,
     catalog,
@@ -21,8 +21,7 @@ from .lefschetz import (
     run_catalog_table,
     torus_automorphism,
 )
-from .matrix import Matrix, integer_kernel, smith_normal_form
-from .series import LaurentPoly
+from .matrix import Matrix, integer_kernel, moebius, smith_normal_form
 
 _LAZY = {
     **dict.fromkeys(

@@ -206,6 +206,17 @@ def _result_payload(aut, result) -> dict:
 
 
 def cmd_kummer(args) -> int:
+    given = {"--table": args.table, "--job": args.job is not None,
+             "--type/--variant": args.type is not None or args.variant is not None,
+             "--list-variants": args.list_variants}
+    modes = [mode for mode, on in given.items() if on]
+    if len(modes) > 1:
+        raise ValueError(f"kummer takes one mode, got {' and '.join(modes)}")
+    if args.list_variants:
+        for kind in CATALOG_TYPES:
+            print(f"type {kind}: {', '.join(catalog_variants(kind))}")
+        return EXIT_OK
+
     if args.table:
         report = run_catalog_table()
         if args.json:
@@ -255,12 +266,6 @@ def cmd_kummer(args) -> int:
         print(f"value at q = 1: {result.value}")
         print(f"corollary check: {'PASS' if payload['corollary_check'] else 'FAIL'}")
     return EXIT_OK if payload["corollary_check"] else EXIT_VERIFICATION_FAILED
-
-
-def cmd_kummer_list_variants(_args) -> int:
-    for kind in CATALOG_TYPES:
-        print(f"type {kind}: {', '.join(catalog_variants(kind))}")
-    return EXIT_OK
 
 
 def cmd_pool_check(args) -> int:
@@ -352,8 +357,6 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_fold_variant_value(list(argv)))
-    if getattr(args, "list_variants", False):
-        return cmd_kummer_list_variants(args)
     try:
         return args.func(args)
     except (ValueError, TypeError) as exc:

@@ -27,16 +27,17 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .cyclotomic import is_prime
 from .lattices import Lattice, Sublattice
 from .matrix import (
     Matrix,
     _Frozen,
+    _is_int,
     column_hermite_basis,
     exact_det,
     hstack,
     identity,
     integer_kernel,
+    is_prime,
     solve,
 )
 
@@ -47,7 +48,7 @@ class LatticeIsometry(_Frozen):
     __slots__ = ("lattice", "matrix", "order")
 
     def __init__(self, lattice: Lattice, matrix: Matrix, order: int):
-        if not isinstance(order, int) or isinstance(order, bool):
+        if not _is_int(order):
             raise ValueError(f"order p must be an integer, got {order!r}")
         phi, g = matrix, lattice.gram
         n = lattice.rank

@@ -27,12 +27,12 @@ from itertools import compress, product
 from math import gcd, prod
 from operator import itemgetter
 
-from .cyclotomic import factorize
 from .matrix import (
     Matrix,
     _Frozen,
     block_diag,
     exact_det,
+    factorize,
     identity,
     integer_kernel,
     smith_normal_form,
@@ -284,9 +284,9 @@ def fqf_from_generators(orders, q_values, b_matrix) -> FiniteQuadraticForm:
 def fqf_from_diagonal(pairs) -> FiniteQuadraticForm:
     """Orthogonal sum of cyclic forms Z/d(q) from a list of (d, q) pairs."""
     orders = [d for d, _ in pairs]
-    qs = [Fraction(q) % 2 for _, q in pairs]
+    qs = [q for _, q in pairs]
     k = len(orders)
-    b = [[qs[i] % 1 if i == j else Fraction(0) for j in range(k)] for i in range(k)]
+    b = [[qs[i] if i == j else 0 for j in range(k)] for i in range(k)]
     return fqf_from_generators(orders, qs, b)
 
 

@@ -91,9 +91,17 @@ from functools import lru_cache
 from math import gcd, prod
 from weakref import WeakValueDictionary
 
-from .cyclotomic import moebius
-from .matrix import Matrix, _Frozen, block_diag, exact_det, identity, smith_normal_form, solve
-from .series import LaurentPoly
+from .matrix import (
+    Matrix,
+    _Frozen,
+    _is_int,
+    block_diag,
+    exact_det,
+    identity,
+    moebius,
+    smith_normal_form,
+    solve,
+)
 
 # Largest accepted torsion order n.  The character sums cost O(tau(n)^2)
 # integer steps at any n; the first growth of a G series to n costs O(n^3),
@@ -101,10 +109,6 @@ from .series import LaurentPoly
 # The bound is MAX_CONDUCTOR of tests/cyclotomic_reference.py, so the
 # reference path can check every accepted n.
 MAX_TORSION = 60
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _check_torsion(n) -> None:
@@ -147,6 +151,30 @@ def torus_automorphism(matrix: Matrix, translation, torsion: int) -> TorusAutomo
         raise ValueError(f"translation coordinates must be integers, got {list(translation)!r}")
     b = tuple(x % torsion for x in translation)
     return TorusAutomorphism(matrix, b, torsion)
+
+
+class LaurentPoly:
+    """Output type with no arithmetic: ``coeffs`` maps integer exponents of q to nonzero coefficients."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=None):
+        self.coeffs = {int(e): v for e, v in (coeffs or {}).items() if v != 0}
+
+    def __eq__(self, other):
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
+
+    def evaluate_one(self):
+        """Value at q = 1."""
+        return sum(self.coeffs.values())
+
+    def __repr__(self):
+        return " + ".join(f"({v})*q^{e}" for e, v in sorted(self.coeffs.items())) or "LaurentPoly(0)"
 
 
 class LefschetzResult(_Frozen):

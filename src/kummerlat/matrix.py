@@ -43,7 +43,9 @@ time.
 
 ``_Frozen``, the base of the package's immutable value classes (lattices,
 isometries, reports), builds each from its ``__slots__`` by one constructor
-and one trusted path.  It lives here because every part of the package
+and one trusted path.  It lives here, with ``_is_int`` (the one test of an
+integer input: an int, not a bool) and the trial-division ``factorize``
+that ``moebius`` and ``is_prime`` read, because every part of the package
 imports this module, the one module that sets the fields of a value class.
 """
 
@@ -139,8 +141,39 @@ class _Frozen:
         return self._trusted, tuple(getattr(self, name) for name in self.__slots__)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def factorize(n: int) -> dict[int, int]:
+    """{p: v} with n = prod p^v over the primes p | n, in increasing p, for n >= 1."""
+    if n < 1:
+        raise ValueError("factorize needs n >= 1")
+    factors = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            factors[p] = factors.get(p, 0) + 1
+        p += 1
+    if n > 1:
+        factors[n] = 1
+    return factors
+
+
+def moebius(n: int) -> int:
+    if n < 1:
+        raise ValueError("moebius needs n >= 1")
+    exponents = factorize(n).values()
+    return 0 if any(v > 1 for v in exponents) else (-1) ** len(exponents)
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and factorize(n) == {n: 1}
+
+
 def _normalize_entry(x):
-    if isinstance(x, int) and not isinstance(x, bool):
+    if _is_int(x):
         return int(x)  # an int subclass such as IntEnum is stored as a plain int
     raise TypeError(f"matrix entries must be int, got {type(x).__name__}")
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from kummerlat.cyclotomic import factorize
 from kummerlat.lattices import (
     FiniteQuadraticForm,
     Lattice,
@@ -23,6 +22,7 @@ from kummerlat.lattices import (
     fqf_from_generators,
     make_standard,
 )
+from kummerlat.matrix import factorize
 
 
 def signature(lat: Lattice) -> tuple[int, int]:

@@ -22,12 +22,12 @@ from itertools import combinations, product
 from math import gcd
 
 from cyclotomic_reference import CyclotomicNumber
-from kummerlat import series
+from kummerlat import lefschetz
 from kummerlat.lefschetz import TorusAutomorphism
 from kummerlat.matrix import Matrix, exact_det, identity
 
 
-class LaurentPoly(series.LaurentPoly):
+class LaurentPoly(lefschetz.LaurentPoly):
     """The Laurent ring in q over exact scalars, on the engine's output type.
 
     The coefficients use their own arithmetic, so any exact scalars that
@@ -56,7 +56,7 @@ class LaurentPoly(series.LaurentPoly):
         return not self.coeffs
 
     def __add__(self, other):
-        if not isinstance(other, series.LaurentPoly):
+        if not isinstance(other, lefschetz.LaurentPoly):
             other = LaurentPoly({0: other})
         out = dict(self.coeffs)
         for e, v in other.coeffs.items():
@@ -75,7 +75,7 @@ class LaurentPoly(series.LaurentPoly):
         return LaurentPoly({e: -v for e, v in self.coeffs.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, series.LaurentPoly):
+        if not isinstance(other, lefschetz.LaurentPoly):
             other = LaurentPoly({0: other})
         return self + LaurentPoly({e: -v for e, v in other.coeffs.items()})
 
@@ -83,7 +83,7 @@ class LaurentPoly(series.LaurentPoly):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, series.LaurentPoly):
+        if isinstance(other, lefschetz.LaurentPoly):
             out = {}
             for e1, v1 in self.coeffs.items():
                 for e2, v2 in other.coeffs.items():

@@ -19,7 +19,6 @@ from functools import cache
 from math import gcd
 
 from kummerlat.classification import EXPECTED_PAIRS, candidate_pairs, verify_all
-from kummerlat.cyclotomic import moebius
 from kummerlat.isometries import (
     check_square_theorem,
     check_unimodular_corollary,
@@ -40,6 +39,7 @@ from kummerlat.matrix import (
     exact_det,
     identity,
     integer_kernel,
+    moebius,
     smith_normal_form,
     zeros,
 )

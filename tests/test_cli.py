@@ -401,6 +401,22 @@ def test_kummer_missing_args(capsys):
     assert "either --type/--variant or --job" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, modes", [
+    (["--table", "--type", "1", "--variant", "h"], "--table and --type/--variant"),
+    (["--table", "--variant", "h"], "--table and --type/--variant"),
+    (["--job", "job.json", "--type", "1", "--variant", "h"], "--job and --type/--variant"),
+    (["--table", "--job", "job.json", "--json"], "--table and --job"),
+    (["--type", "0", "--variant", "id", "--list-variants"], "--type/--variant and --list-variants"),
+    (["--list-variants", "--table", "--job", "job.json"], "--table and --job and --list-variants"),
+], ids=["table+type", "table+variant", "job+type", "table+job", "type+list", "three"])
+def test_kummer_refuses_two_modes(capsys, argv, modes):
+    # refused before any work: the job file is never opened
+    assert main(["kummer", *argv]) == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: kummer takes one mode, got {modes}\n"
+
+
 def test_kummer_bad_variant(capsys):
     assert main(["kummer", "--type", "3", "--variant", "zzz"]) == EXIT_INPUT_ERROR
     assert "unknown variant" in capsys.readouterr().err

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclotomic_reference import MAX_CONDUCTOR, CyclotomicNumber, cyclotomic_polynomial, euler_phi
-from kummerlat.cyclotomic import is_prime, moebius
 from kummerlat.lefschetz import MAX_TORSION
+from kummerlat.matrix import is_prime, moebius
 
 
 def test_roots_of_unity():

@@ -69,6 +69,8 @@ def test_isometry_validation():
         LatticeIsometry(A4M, C5, 4)  # order must be prime
     with pytest.raises(ValueError):
         LatticeIsometry(A4M, C5, 3)  # wrong order
+    with pytest.raises(ValueError, match="^order p must be an integer, got True$"):
+        LatticeIsometry(U, Matrix([[0, 1], [1, 0]]), True)  # a bool is no integer
 
 
 def test_invariant_lattice_examples():

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kummerlat import lattices
-from kummerlat.cyclotomic import factorize
 from kummerlat.lattices import (
     Lattice,
     Sublattice,
@@ -28,7 +27,7 @@ from kummerlat.lattices import (
     p_primary_part,
     signature,
 )
-from kummerlat.matrix import Matrix, block_diag, exact_det, identity, solve
+from kummerlat.matrix import Matrix, block_diag, exact_det, factorize, identity, solve
 from isometry_reference import random_unimodular
 from lattice_reference import fqf_direct_sum
 from lattice_reference import p_primary_part as reference_p_primary_part

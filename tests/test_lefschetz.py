@@ -9,7 +9,6 @@ import pytest
 
 from cyclotomic_reference import CyclotomicNumber, euler_phi
 from isometry_reference import random_unimodular
-from kummerlat.cyclotomic import moebius
 from kummerlat.lefschetz import (
     CATALOG_EXPECTED,
     MAX_TORSION,
@@ -22,7 +21,7 @@ from kummerlat.lefschetz import (
     run_catalog_table,
     torus_automorphism,
 )
-from kummerlat.matrix import Matrix, block_diag, exact_det, identity, solve
+from kummerlat.matrix import Matrix, block_diag, exact_det, identity, moebius, solve
 from lefschetz_reference import (
     CharacterClass,
     LaurentPoly,
@@ -1034,3 +1033,14 @@ def test_torus_automorphism_validation():
         with pytest.raises(ValueError, match=f"1..{MAX_TORSION}"):
             TorusAutomorphism(identity(4), (0, 0, 0, 0), n)
     assert torus_automorphism(-identity(4), (1, 0, 0, 0), MAX_TORSION).torsion == MAX_TORSION
+    # a bool is no integer, although True == 1 is in range
+    with pytest.raises(ValueError, match=f"^torsion order n must be an integer in 1..{MAX_TORSION}, "
+                                         "got True$"):
+        TorusAutomorphism(identity(4), (0, 0, 0, 0), True)
+    with pytest.raises(ValueError, match="^torsion order n must be an integer"):
+        torus_automorphism(identity(4), (0, 0, 0, 0), True)
+    with pytest.raises(ValueError, match="^translation coordinates must be residues mod n$"):
+        TorusAutomorphism(identity(4), (True, 0, 0, 0), 3)
+    with pytest.raises(ValueError,
+                       match=r"^translation coordinates must be integers, got \[0, True, 0, 0\]$"):
+        torus_automorphism(identity(4), (0, True, 0, 0), 3)

@@ -15,8 +15,11 @@ TESTS = pathlib.Path(__file__).resolve().parent
 
 # what a fresh ``import kummerlat`` loads: the Kummer engine and nothing of
 # the lattice side, which loads on first use of one of its names
-EAGER = {"kummerlat", "kummerlat.cyclotomic", "kummerlat.lefschetz", "kummerlat.matrix",
-         "kummerlat.series"}
+EAGER = {"kummerlat", "kummerlat.matrix", "kummerlat.lefschetz"}
+
+# the decided module set: adding or dropping a module is an edit here
+MODULES = {"__init__", "classification", "cli", "isometries", "lattices", "lefschetz", "matrix",
+           "pool"}
 
 
 def _fresh(code: str) -> str:
@@ -43,6 +46,10 @@ EXPORTS = {
 def test_exports_are_the_decided_set():
     assert len(kummerlat.__all__) == len(EXPORTS) == 30
     assert set(kummerlat.__all__) == EXPORTS
+
+
+def test_modules_are_the_decided_set():
+    assert {path.stem for path in (SRC / "kummerlat").glob("*.py")} == MODULES
 
 
 def test_exports_resolve():

@@ -26,10 +26,15 @@ from kummerlat.lattices import (
     direct_sum,
     make_standard,
 )
-from kummerlat.lefschetz import CatalogEntryReport, CatalogReport, LefschetzResult, TorusAutomorphism
+from kummerlat.lefschetz import (
+    CatalogEntryReport,
+    CatalogReport,
+    LaurentPoly,
+    LefschetzResult,
+    TorusAutomorphism,
+)
 from kummerlat.matrix import Matrix, _Frozen, block_diag, identity
 from kummerlat.pool import PoolEntry, cyclic_rotation
-from kummerlat.series import LaurentPoly
 
 
 def _a2(name="A2"):
