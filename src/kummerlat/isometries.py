@@ -3,12 +3,15 @@
 For an isometry phi of prime order p of L, the invariant lattice T is the
 kernel of (phi - 1), the coinvariant lattice S its orthogonal complement
 (the kernel of the pairings T^T G), and (m, a) records rank(S) = (p-1) m
-and [L : T + S] = p^a.  S is cross-checked as ker Phi_p(phi) by the
-product Phi_p(phi) S, zero exactly when the two agree: L and T are
+and [L : T + S] = p^a.  S is cross-checked as ker Phi_p(phi) by
+Phi_p(phi) S = 0, which holds exactly when the two agree: L and T are
 nondegenerate, so Q^n = T_Q + S_Q, and Phi_p(phi) is p on T, so its kernel
 meets T_Q in 0 and holds S_Q only if it is S_Q; both are saturated, so
 their canonical Hermite bases are equal, whether or not phi is an
-isometry with phi^p = 1.
+isometry with phi^p = 1.  Phi_p(phi) is never built: Horner's rule
+applies phi p - 1 times to the rows of S packed into one integer each
+(Kronecker substitution), at a width that a bound on the entries makes
+sound and that is derived again from the entries reached every few steps.
 
 No Smith form is taken.  The pairings x -> T^T G x have kernel S and map
 T onto (T^T G T) Z^k, so [L : T + S] is |det T| over the index of the
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import lshift
 
 from .lattices import Lattice, Sublattice
 from .matrix import (
@@ -76,30 +80,65 @@ class IsometryInvariants(_Frozen):
     __slots__ = ("invariant", "coinvariant", "m", "a", "disc_s", "index")
 
 
-def _cyclotomic_value(phi: Matrix, p: int) -> Matrix:
-    """Phi_p(phi) = I + phi + ... + phi^(p-1), in O(log p) matrix products.
+# Horner steps of ``_annihilates`` between two re-derivations of the packing width
+_REPACK_STEPS = 8
 
-    A binary ladder over the bits of p keeps G = I + ... + phi^(k-1) and
-    P = phi^k: doubling k maps (G, P) to (G + P G, P P), and k + 1 maps it
-    to (G + P, phi P).  The first doubling starts from G = I, so it needs no
-    product for P G, and the last step does not form the power nobody reads.
+
+def _pack(rows, width: int) -> list[int]:
+    """Each row (x_0, x_1, ...) as the one integer sum of x_j 2^(width j)."""
+    return [sum(map(lshift, row, range(0, width * len(row), width))) for row in rows]
+
+
+def _unpack(packed: list[int], k: int, width: int) -> list[list[int]]:
+    """The rows of k entries that ``_pack`` packed, each |x_j| < 2^(width - 1), width = 0 mod 8.
+
+    Adding 2^(width - 1) to every slot makes every slot nonnegative, so the
+    bytes of the sum hold the slots, with no carry between them.
     """
-    g, power = identity(phi.rows), phi
-    bits = bin(p)[3:]
-    last = len(bits) - 1
-    for i, bit in enumerate(bits):
-        g = g + (power if i == 0 else power @ g)
-        if bit == "1" or i < last:
-            power = power @ power
-        if bit == "1":
-            g = g + power
-            if i < last:
-                power = phi @ power
-    return g
+    size, half = width // 8, 1 << (width - 1)
+    bias = half * (((1 << (width * k)) - 1) // ((1 << width) - 1))
+    rows = []
+    for value in packed:
+        raw = (value + bias).to_bytes(size * k, "little")
+        rows.append([int.from_bytes(raw[i:i + size], "little") - half
+                     for i in range(0, size * k, size)])
+    return rows
+
+
+def _annihilates(phi: Matrix, p: int, s: Matrix) -> bool:
+    """Whether (1 + phi + ... + phi^(p-1)) s is zero, decided exactly.
+
+    Horner, acc <- phi acc + s for p - 1 steps from acc = s, runs on the
+    rows of s packed into one integer each (``_pack``): packing is linear,
+    so a step costs one multiply-add per nonzero entry of phi, and the zero
+    test needs no unpacking.  The test is sound when every entry is below
+    2^(width - 1) in absolute value, since a row then packs to 0 only if
+    all its entries are 0.  With B the largest row sum of |phi| (at least
+    1), r steps from entries at most M stay at most (r + 1) B^r M, which
+    sets the width.  That bound overshoots on dense phi, so after every
+    ``_REPACK_STEPS`` steps the rows are unpacked once and the width is
+    derived again from the largest entry reached.
+    """
+    terms = [[(l, v) for l, v in enumerate(row) if v] for row in phi.data]
+    b = max([1] + [sum(abs(v) for _, v in row) for row in terms])
+    m_s = max([1] + [abs(x) for row in s.data for x in row])
+    entries, largest, left = s.data, m_s, p - 1
+    while True:
+        steps = min(_REPACK_STEPS, left)
+        width = ((steps + 1) * b**steps * largest).bit_length() // 8 * 8 + 8
+        base = _pack(s.data, width)
+        acc = base if entries is s.data else _pack(entries, width)
+        for _ in range(steps):
+            acc = [sum([v * acc[l] for l, v in row], x) for row, x in zip(terms, base)]
+        left -= steps
+        if not left:
+            return not any(acc)
+        entries = _unpack(acc, s.cols, width)
+        largest = max([m_s] + [abs(x) for row in entries for x in row])
 
 
 def _split(iso: LatticeIsometry) -> tuple[Sublattice, Sublattice, int, int]:
-    """(T, S, det T, [Z^k : T^T G L]) of ``iso`` by two kernels, one determinant and one product.
+    """(T, S, det T, [Z^k : T^T G L]) of ``iso`` by two kernels, one determinant and one check.
 
     The last entry, for k = rank T, is the index of the image of L under the
     pairings T^T G, read off the echelon pivots of the kernel that gives S.
@@ -111,7 +150,7 @@ def _split(iso: LatticeIsometry) -> tuple[Sublattice, Sublattice, int, int]:
     if det_t == 0:
         raise ValueError("form degenerates on the invariant lattice; input is not an isometry")
     s, image_index = integer_kernel(pairings, with_index=True)
-    if any(map(any, (_cyclotomic_value(iso.matrix, p) @ s).data)):
+    if not _annihilates(iso.matrix, p, s):
         raise AssertionError(
             "coinvariant mismatch: orthogonal complement differs from ker Phi_p(phi)"
         )
@@ -142,7 +181,7 @@ def _rank_mod(rows, p: int) -> int:
 def compute_invariants(iso: LatticeIsometry) -> IsometryInvariants:
     """Compute (T, S, m, a, disc S) for a prime order isometry.
 
-    Two kernels give T and S, and one product cross-checks S (``_split``).
+    Two kernels give T and S, and ``_annihilates`` cross-checks S (``_split``).
     The index comes from the pairing map x -> T^T G x, with kernel S: it
     maps L onto a lattice of index h in Z^k, the product of the echelon
     pivots of the second kernel, and T onto (T^T G T) Z^k, of index

@@ -184,7 +184,9 @@ class Matrix:
     An int subclass entry is stored as a plain int; a bool, Fraction, float
     or any other entry raises TypeError.  The private ``_of_ints`` builds a
     matrix from rows that are plain ints already, without checking them
-    again.
+    again, and is the path of copies and pickles.  As in ``_Frozen``, both
+    set the fields by the slot descriptors' ``__set__``, and assigning or
+    deleting an attribute raises AttributeError.
     """
 
     __slots__ = ("data", "rows", "cols")
@@ -206,18 +208,24 @@ class Matrix:
                 raise ValueError("explicit column count disagrees with row data")
         else:
             width = cols if cols is not None else 0
-        self.data = tuple(data)
-        self.rows = len(data)
-        self.cols = width
+        _set_data(self, tuple(data))
+        _set_rows(self, len(data))
+        _set_cols(self, width)
 
     @classmethod
     def _of_ints(cls, data: tuple, cols: int) -> "Matrix":
         """A matrix on ``data``, a tuple of ``cols``-tuples of plain ints, taken as it is."""
-        m = object.__new__(cls)
-        m.data = data
-        m.rows = len(data)
-        m.cols = cols
+        m = _new(cls)
+        _set_data(m, data)
+        _set_rows(m, len(data))
+        _set_cols(m, cols)
         return m
+
+    __setattr__ = _Frozen.__setattr__
+    __delattr__ = _Frozen.__delattr__
+
+    def __reduce__(self):
+        return self._of_ints, (self.data, self.cols)
 
     @property
     def shape(self):
@@ -308,6 +316,10 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.to_lists()!r})"
+
+
+# the slot descriptors' setters, the one way to set the fields of a Matrix
+_set_data, _set_rows, _set_cols = (getattr(Matrix, name).__set__ for name in Matrix.__slots__)
 
 
 @lru_cache(maxsize=64)

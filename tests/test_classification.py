@@ -4,6 +4,7 @@ from kummerlat.classification import (
     AMBIENT_RANK,
     EXCLUDED_PAIRS,
     EXPECTED_PAIRS,
+    ORDER,
     ClassificationRow,
     candidate_pairs,
     complement_form_target,
@@ -59,6 +60,15 @@ def test_candidate_pairs_match():
     assert len(pairs) == 10
     assert (5, 3) in pairs and (4, 0) in pairs
     assert (5, 5) not in pairs  # 23 - 20 = 3 < 5
+
+
+def test_excluded_pairs_are_the_unimodular_parity_failures():
+    # for a = 0, S is even unimodular of signature (2, (p - 1) m - 2), and
+    # an even unimodular lattice has signature 0 mod 8 (Serre, A Course in
+    # Arithmetic, ch. V), which rules out exactly the excluded pairs
+    failing = {(m, a) for m, a in EXPECTED_PAIRS
+               if a == 0 and (2 - ((ORDER - 1) * m - 2)) % 8}
+    assert failing == set(EXCLUDED_PAIRS) == {(2, 0), (4, 0)}
 
 
 def test_synthetic_bad_rows_fail():

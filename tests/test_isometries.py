@@ -10,7 +10,7 @@ import pytest
 
 from kummerlat.isometries import (
     LatticeIsometry,
-    _cyclotomic_value,
+    _annihilates,
     _rank_mod,
     check_square_theorem,
     check_unimodular_corollary,
@@ -336,7 +336,29 @@ def test_compute_invariants_matches_reference(seed):
         assert got == _reference_invariants(entry.isometry), entry.name
 
 
-def test_cyclotomic_ladder_matches_power_sum():
+@pytest.mark.parametrize("seed", [20260808, 1])
+def test_trace_sum_counts_the_invariant_rank(seed):
+    # an oracle that takes no kernel: phi of order p has the eigenvalue 1
+    # on T and each primitive p-th root of unity m times, and a primitive
+    # root's powers sum to 0 over j < p, so sum_(j<p) tr phi^j = p rank T
+    for entry in extended_pool(seed=seed):
+        iso = entry.isometry
+        phi, p, n = iso.matrix, iso.order, iso.lattice.rank
+        traces, power = 0, identity(n)
+        for _ in range(p):
+            traces += sum(power[i, i] for i in range(n))
+            power = power @ phi
+        inv = compute_invariants(iso)
+        assert traces == p * inv.invariant.rank, entry.name
+        assert n - inv.invariant.rank == (p - 1) * inv.m, entry.name
+
+
+def test_packed_check_matches_power_sum():
+    # _annihilates(phi, k, S) decides (1 + phi + ... + phi^(k-1)) S = 0 on
+    # rows packed into integers; the right-hand side multiplies the power
+    # sum out.  [-2^w u | u] has the true result [-2^w y | y], whose rows
+    # all pack to 0 at width w, so a width too narrow for the entries
+    # would report 0 wrongly.
     rng = random.Random(5)
     mats = [
         cyclic_rotation(2),
@@ -347,9 +369,36 @@ def test_cyclotomic_ladder_matches_power_sum():
         block_permutation(3, 2),
         random_unimodular(rng, 4),  # infinite order: the entries grow with k
     ]
+    outcomes = Counter()
     for phi in mats:
+        n = phi.rows
+        u = Matrix([[rng.randint(-3, 3)] for _ in range(n)])
+        operands = [
+            identity(n),
+            phi - identity(n),
+            Matrix([[rng.randint(-2**40, 2**40) for _ in range(3)] for _ in range(n)]),
+        ]
+        operands += [hstack(u.scale(-2**w), u) for w in (8, 16, 24, 64)]
         for k in range(1, 31):
-            assert _cyclotomic_value(phi, k) == _power_sum(phi, k), (phi, k)
+            power_sum = _power_sum(phi, k)
+            for s in operands:
+                zero = not any(map(any, (power_sum @ s).data))
+                assert _annihilates(phi, k, s) == zero, (phi, k, s)
+                outcomes[zero] += 1
+    assert outcomes[True] > 50 and outcomes[False] > 50
+    # the true results have rows 5 (-256, 1) and (-256, 1), which pack to 0
+    # at width 8, the width a bound without the factor B^r (first case,
+    # B = 129) or without r + 1 (second case, B = 1) would take
+    q = identity(5) + Matrix([[0] * 5] * 4 + [[64, 0, 0, 0, 0]])
+    q_inverse = identity(5) - Matrix([[0] * 5] * 4 + [[64, 0, 0, 0, 0]])
+    traps = [
+        (q_inverse @ block_diag(cyclic_rotation(4), identity(1)) @ q,
+         Matrix([[-4, 0], [0, 0], [0, 0], [0, 0], [0, 1]])),
+        (block_permutation(1, 5), Matrix([[-52, 1], [-51, 0], [-51, 0], [-51, 0], [-51, 0]])),
+    ]
+    for phi, s in traps:
+        assert any(map(any, (_power_sum(phi, 5) @ s).data))
+        assert not _annihilates(phi, 5, s), phi
 
 
 def test_coinvariant_mismatch_on_wrong_order():
@@ -497,10 +546,25 @@ def test_compute_invariants_does_each_piece_of_work_once(monkeypatch):
             if value is smith:
                 monkeypatch.setattr(module, attr, counted_smith)
     monkeypatch.setattr(Sublattice, "__init__", lambda sub, *args: calls.update(["Sublattice"]))
+    # the only matrix products are T^T G and (T^T G) T, and no matrix power
+    # is taken: the cross-check of S multiplies no matrices
+    products = []
+    matmul = Matrix.__matmul__
+
+    def recorded(left, right):
+        products.append((left, right))
+        return matmul(left, right)
+
+    monkeypatch.setattr(Matrix, "__matmul__", recorded)
+    monkeypatch.setattr(Matrix, "__pow__", counting("__pow__", Matrix.__pow__))
     for entry in pool:
         calls.clear()
+        products.clear()
         inv = compute_invariants(entry.isometry)
-        assert calls == Counter(integer_kernel=2, exact_det=int(inv.invariant.rank > 0)), entry.name
+        t, gram = inv.invariant.basis, entry.isometry.lattice.gram
+        assert calls == Counter(integer_kernel=2, exact_det=int(t.cols > 0)), entry.name
+        want = [(t.transpose(), gram), (matmul(t.transpose(), gram), t)]
+        assert products == want[:1 + (t.cols > 0)], entry.name
     # the counting reaches the Smith form wherever it is called from
     matrix_mod.smith_normal_form(identity(2))
     assert calls["smith_normal_form"] == 1

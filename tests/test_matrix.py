@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 from collections import Counter
@@ -24,6 +26,8 @@ from kummerlat.matrix import (
     solve,
     zeros,
 )
+from kummerlat.lattices import make_standard
+from kummerlat.lefschetz import _type_matrix
 from kummerlat.pool import cyclic_rotation
 from isometry_reference import random_unimodular, smith_kernel
 
@@ -450,3 +454,28 @@ def test_identity_and_zeros_match_the_public_constructor():
         assert identity(n) is identity(n)
     for rows, cols in product(range(5), repeat=2):
         _check_built(zeros(rows, cols), Matrix([[0] * cols for _ in range(rows)], cols=cols))
+
+
+def test_matrix_fields_cannot_be_assigned():
+    # identity(n) is shared through a memo, as are the matrices of the
+    # Lefschetz type table and of the standard lattices; assigning a field
+    # of one of them would change it for every later caller
+    shared = [identity(2), _type_matrix(1), make_standard("U").gram, Matrix([[1, 2], [3, 4]])]
+    for m in shared:
+        before = (m.data, m.rows, m.cols)
+        for name in ("data", "rows", "cols", "other"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, ((5,),))
+            with pytest.raises(AttributeError):
+                delattr(m, name)
+        assert (m.data, m.rows, m.cols) == before
+    assert identity(2).data == ((1, 0), (0, 1))
+
+
+def test_matrix_copy_and_pickle():
+    for m in (identity(3), Matrix([[1, -2**70], [0, 7]]), zeros(0, 4), zeros(3, 0)):
+        for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert type(clone) is Matrix and clone == m and clone.shape == m.shape
+            _check_built(clone, m)
+            with pytest.raises(AttributeError):
+                clone.data = ()
