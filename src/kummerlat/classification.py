@@ -74,9 +74,10 @@ _TWO_PART_TARGET = fqf_from_diagonal([(2, Fraction(-1, 2))])
 def verify_row(row: ClassificationRow) -> RowReport:
     """Exact checks of every numeric condition asserted for a table row.
 
-    Takes two Smith forms: one for the discriminant group of S and one for
-    the discriminant form of T, whose generator orders are the invariant
-    factors of D_T.
+    Takes one whole-Gram Smith form, for the discriminant form of T, whose
+    generator orders are the invariant factors of D_T.  The signatures and
+    the discriminant group of S are read per distinct orthogonal block, so
+    blocks met in an earlier row cost no elimination and no Smith form.
     """
     m, a, s, t = row.m, row.a, row.s, row.t
     checks: dict[str, bool] = {}

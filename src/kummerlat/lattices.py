@@ -1,10 +1,15 @@
 """Even integral lattices given by Gram matrices.
 
 Provides the standard named lattices (U, E8(-1), A4(-1), H5, ...), direct
-sums, exact signatures (symmetric elimination over Z), discriminant groups
-and forms, and isomorphism testing of finite quadratic forms on their
-p-primary parts.  The test splits each form once into its p-parts and
-scales each part by its own largest order p^K, then works on integers.
+sums, exact signatures and discriminant groups, discriminant forms, and
+isomorphism testing of finite quadratic forms on their p-primary parts.
+Signatures add and D(L1 + L2) = D(L1) + D(L2) (Nikulin 1980, section
+1.3), so both are read per connected block of the Gram matrix, once per
+distinct block: its inertia by symmetric elimination over Z, its
+invariant factors by a Smith form.  A discriminant form keeps one
+whole-Gram Smith form, whose columns present its generators.  The
+isomorphism test splits each form once into its p-parts and scales each
+part by its own largest order p^K, then works on integers.
 An odd p-part whose b is nondegenerate is decided by its Jordan
 invariants: for each scale p^s, the rank of the constituent and the
 Legendre symbol of its determinant (Wall, "Quadratic forms on finite
@@ -23,8 +28,8 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, product
-from math import gcd, prod
+from itertools import combinations, compress, product
+from math import gcd, lcm, prod
 from operator import itemgetter
 
 from .matrix import (
@@ -171,8 +176,44 @@ def direct_sum(*lattices: Lattice, name: str | None = None) -> Lattice:
     return Lattice._trusted(gram, name, prod(lat.det for lat in lattices))
 
 
+def _blocks(gram: Matrix) -> list[tuple[tuple[int, ...], ...]]:
+    """The Gram rows of the connected blocks of ``gram``: indices i and j are joined when g_ij != 0.
+
+    A block's indices need not be contiguous; they are taken in increasing
+    order, so a block-diagonal Gram matrix gives its diagonal blocks.
+    """
+    data = gram.data
+    indices = range(gram.rows)
+    seen = [False] * gram.rows
+    blocks = []
+    for start in indices:
+        if seen[start]:
+            continue
+        seen[start] = True
+        block = [start]
+        for i in block:
+            for j in compress(indices, data[i]):
+                if not seen[j]:
+                    seen[j] = True
+                    block.append(j)
+        block.sort()
+        lo, hi = block[0], block[-1] + 1
+        if hi - lo == len(block):
+            blocks.append(tuple(row[lo:hi] for row in data[lo:hi]))
+        else:
+            blocks.append(tuple(map(itemgetter(*block), map(data.__getitem__, block))))
+    return blocks
+
+
 def signature(lat: Lattice) -> tuple[int, int]:
-    """Exact inertia (n_plus, n_minus), via fraction-free symmetric elimination over Z.
+    """Exact inertia (n_plus, n_minus), the sum of the inertias of the connected Gram blocks."""
+    pairs = [_block_signature(rows) for rows in _blocks(lat.gram)]
+    return (sum(p for p, _ in pairs), sum(m for _, m in pairs))
+
+
+@lru_cache(maxsize=64)
+def _block_signature(rows: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
+    """The inertia of one Gram block, via fraction-free symmetric elimination over Z.
 
     Each pivot alpha = a_dd takes the Bareiss step
     a_kl <- (alpha a_kl - a_kd a_dl) // prev, exact as every entry is a
@@ -182,7 +223,7 @@ def signature(lat: Lattice) -> tuple[int, int]:
     e_d -> e_d + e_j with a_dj != 0 makes a_dd = 2 a_dj and keeps prev,
     the minor of the earlier pivots.
     """
-    a = [list(row) for row in lat.gram.data]
+    a = [list(row) for row in rows]
     plus = minus = 0
     prev = 1
     while a:
@@ -222,8 +263,24 @@ def _smith_generators(lat: Lattice) -> tuple[list[int], Matrix]:
 
 
 def discriminant_group(lat: Lattice) -> tuple[int, ...]:
-    """Invariant factors d_j > 1 of the discriminant group, the orders of its cyclic factors."""
-    return tuple(_smith_generators(lat)[0])
+    """Invariant factors d_j > 1 of the discriminant group, the orders of its cyclic factors.
+
+    D(L1 + L2) = D(L1) + D(L2), so the invariant factors of the connected
+    Gram blocks are pooled and brought into the chain d_1 | d_2 | ... by
+    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), with no factorization: after
+    pass i, d_i divides every later d_j.
+    """
+    d = [x for rows in _blocks(lat.gram) for x in _block_factors(rows)]
+    for i, j in combinations(range(len(d)), 2):
+        d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return tuple(x for x in d if x > 1)
+
+
+@lru_cache(maxsize=64)
+def _block_factors(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The invariant factors d > 1 of one Gram block, read off its Smith form."""
+    d = smith_normal_form(Matrix._of_ints(rows, len(rows)))[1].data
+    return tuple(x for i, row in enumerate(d) if (x := row[i]) > 1)
 
 
 class FiniteQuadraticForm(_Frozen):
@@ -252,12 +309,12 @@ class FiniteQuadraticForm(_Frozen):
         for i, (o, q, row) in enumerate(zip(orders, q_values, b_matrix)):
             if len(row) != k:
                 raise ValueError("bilinear matrix is not square")
-            if row[i] != q % 1:
+            n, d = q.numerator, q.denominator
+            if row[i].denominator != d or row[i].numerator != n % d:
                 raise ValueError("diagonal of b must equal q mod 1")
-            for j in range(k):
-                if row[j] != b_matrix[j][i]:
-                    raise ValueError("bilinear matrix must be symmetric")
-            if o * o * q.numerator % (2 * q.denominator):
+            if tuple(row) != tuple([r[i] for r in b_matrix]):
+                raise ValueError("bilinear matrix must be symmetric")
+            if o * o * n % (2 * d):
                 raise ValueError(f"q is not well defined: generator {i} of order {o} "
                                  f"has o^2 q = {o * o * q}, which is not even")
             if any(o % x.denominator for x in row):
@@ -274,10 +331,18 @@ class FiniteQuadraticForm(_Frozen):
         return not self.orders
 
 
+def _mod(x, m: int) -> Fraction:
+    """x mod m in [0, m) for a rational x: n/d gives Fraction(n % md, d), one Fraction."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    d = x.denominator
+    return Fraction(x.numerator % (m * d), d)
+
+
 def fqf_from_generators(orders, q_values, b_matrix) -> FiniteQuadraticForm:
     k = len(orders)
-    q = tuple(Fraction(x) % 2 for x in q_values)
-    b = tuple(tuple(Fraction(b_matrix[i][j]) % 1 for j in range(k)) for i in range(k))
+    q = tuple(_mod(x, 2) for x in q_values)
+    b = tuple(tuple(_mod(b_matrix[i][j], 1) for j in range(k)) for i in range(k))
     return FiniteQuadraticForm(tuple(int(o) for o in orders), q, b)
 
 
@@ -308,8 +373,9 @@ def discriminant_form(lat: Lattice) -> FiniteQuadraticForm:
 def is_p_elementary(orders, p: int) -> tuple[bool, int | None]:
     """Whether the invariant factors ``orders`` give (Z/p)^a; returns (flag, a).
 
-    Pass ``discriminant_group(lat)`` or ``discriminant_form(lat).orders``;
-    the trivial group gives (True, 0).
+    Pass ``discriminant_group(lat)``, which reads the Smith forms of the
+    Gram blocks alone, or ``discriminant_form(lat).orders`` when the form
+    is built anyway; the trivial group gives (True, 0).
     """
     if all(o == p for o in orders):
         return True, len(orders)

@@ -88,7 +88,7 @@ _ROWS = (
 _A_N = re.compile(r"^A(\d+)(\(-1\))?$")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=len({piece for row in _ROWS for piece in row[1]}))
 def _piece(name: str) -> Lattice:
     """A row's piece, built and validated once per process."""
     m = _A_N.match(name)

@@ -440,3 +440,36 @@ def goettsche_soergel(h: Matrix, b, n: int) -> list[int]:
             total[k + j] -= c[j] * total[k]
     assert not any(total[4 * n - 3:]), "remainder in the Goettsche-Soergel sum"
     return total[:4 * n - 3]
+
+
+def orbit_traces(aut: TorusAutomorphism) -> list[list[int]]:
+    """traces[j][i] = tr((psi^[n])^j | H^i(X)) = (-1)^i [q^i] L(psi^j, q), X = K_(n-1)(A), j < k.
+
+    psi^j = t_(b_j) o h^j with b_0 = 0 and b_(j+1) = h b_j + b mod n, and k,
+    the order of psi, is the least j > 0 with h^j = 1 and b_j = 0.  A
+    finite-order element of GL_4(Z) has order 1, 2, 3, 4, 5, 6, 8, 10 or 12,
+    so h^120 = 1 decides finiteness before any work, and then k <= 12 n.
+    """
+    h, b, n = aut.matrix, aut.translation, aut.torsion
+    if h**120 != identity(4):
+        raise ValueError("h has infinite order")
+    traces = []
+    power, shift = identity(4), (0, 0, 0, 0)
+    while not traces or power != identity(4) or any(shift):
+        coeffs = lefschetz.lefschetz_q(TorusAutomorphism(power, shift, n)).polynomial.coeffs
+        traces.append([(-1) ** i * coeffs.get(i, 0) for i in range(4 * n - 3)])
+        power = h @ power
+        shift = tuple((sum(x * y for x, y in zip(row, shift)) + c) % n for row, c in zip(h.data, b))
+    return traces
+
+
+def orbit_average(aut: TorusAutomorphism) -> list[Fraction]:
+    """(-1)^i (1/k) sum_(j<k) [q^i] L(psi^j, q) for i = 0 .. 4n - 4, psi of order k.
+
+    It is dim H^i(X)^<psi> = b_i(X / <psi>), the rational cohomology of a
+    finite quotient being the invariant part (Bredon, Introduction to
+    Compact Transformation Groups, 1972, ch. III): an integer in
+    [0, b_i(X)], and 1 at i = 0.
+    """
+    traces = orbit_traces(aut)
+    return [Fraction(sum(column), len(traces)) for column in zip(*traces)]

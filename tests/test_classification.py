@@ -118,7 +118,9 @@ def test_44_row_presentation_probe():
 
 
 def test_verify_all_takes_one_smith_form_per_lattice(monkeypatch):
-    # one Smith form for S and one for T per row, plus one for the (5, 3) complement
+    # one whole-Gram Smith form for the discriminant form of each T, plus one
+    # for the (5, 3) complement; the discriminant groups of the S read the
+    # Smith forms of their five distinct blocks, once each on cleared memos
     import kummerlat.lattices as lattices
 
     calls = []
@@ -131,8 +133,27 @@ def test_verify_all_takes_one_smith_form_per_lattice(monkeypatch):
     monkeypatch.setattr(lattices, "smith_normal_form", counted)
     rows = table_rows()
     assert not calls
+    lattices._block_signature.cache_clear()
+    lattices._block_factors.cache_clear()
     assert verify_all().passed
-    assert len(calls) == 2 * len(rows) + 1 == 17
+    whole = [(row.t.rank,) * 2 for row in rows] + [(3, 3)]
+    blocks = [(2, 2), (2, 2), (2, 2), (4, 4), (8, 8)]  # U, U(5), H5, A4(-1), E8(-1)
+    assert len(whole) == 9 and sorted(calls) == sorted(whole + blocks)
+
+
+def test_verify_all_reads_each_distinct_block_once():
+    # the 17 lattices of verify_all are sums of 8 distinct blocks, 5 of them
+    # in some S: with cold memos, 8 block eliminations and 5 block Smith forms
+    import kummerlat.lattices as lattices
+
+    lattices._block_signature.cache_clear()
+    lattices._block_factors.cache_clear()
+    assert verify_all().passed
+    assert lattices._block_signature.cache_info().misses == 8
+    assert lattices._block_factors.cache_info().misses == 5
+    assert verify_all().passed
+    assert lattices._block_signature.cache_info().misses == 8
+    assert lattices._block_factors.cache_info().misses == 5
 
 
 def test_table_rows_share_their_standard_lattices(monkeypatch):

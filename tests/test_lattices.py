@@ -1,5 +1,8 @@
+import json
+import pathlib
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
@@ -28,6 +31,7 @@ from kummerlat.lattices import (
     signature,
 )
 from kummerlat.matrix import Matrix, block_diag, exact_det, factorize, identity, solve
+from kummerlat.pool import extended_pool
 from isometry_reference import random_unimodular
 from lattice_reference import fqf_direct_sum
 from lattice_reference import p_primary_part as reference_p_primary_part
@@ -38,6 +42,7 @@ U = make_standard("U")
 H5 = make_standard("H5")
 E8M = make_standard("E8(-1)")
 A4M = make_standard("A4(-1)")
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def test_standard_lattices():
@@ -341,6 +346,71 @@ def test_signature_congruence_step_matches_fraction_reference():
     for _ in range(40):
         lat = direct_sum(block(rng.randint(1, 4), False), block(2 * rng.randint(1, 3), True))
         assert signature(lat) == reference_signature(lat), lat.gram
+        # signature splits the sum into its blocks; the elimination itself
+        # must also handle both blocks at once
+        assert lattices._block_signature(lat.gram.data) == reference_signature(lat), lat.gram
+
+
+BLOCK_NAMES = ("U", "U(5)", "U(-3)", "H5", "<-2>", "<-10>", "<4>", "A4(-1)", "A4(-5)", "A4*(-5)",
+               "E8(-1)")
+
+
+def _shuffled_sums(seed: int, count: int) -> list[Lattice]:
+    """Sums of 0 to 4 standard lattices, each basis in a seeded random order, so blocks interleave."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        lat = direct_sum(*(make_standard(rng.choice(BLOCK_NAMES)) for _ in range(rng.randrange(5))))
+        order = list(range(lat.rank))
+        rng.shuffle(order)
+        out.append(Lattice(Matrix([[lat.gram.data[i][j] for j in order] for i in order])))
+    return out
+
+
+def _block_path_cases(source: str) -> list[Lattice]:
+    if source == "shuffled sums":
+        cases = _shuffled_sums(20261020, 200)
+        ranks = Counter(lat.rank for lat in cases)
+        assert ranks[0] and ranks[1]
+        # some sum interleaves its blocks: a block of more than one index is not contiguous
+        assert any(any(b[-1] - b[0] >= len(b) for b in _block_indices(lat)) for lat in cases)
+        return cases
+    if source == "extended pool":
+        return [entry.isometry.lattice for entry in extended_pool()]
+    entries = json.loads((GOLDEN / "lattice_info.json").read_text(encoding="utf-8"))
+    return [lattice_from_dict(entry["job"]) for entry in entries]
+
+
+def _block_indices(lat: Lattice) -> list[list[int]]:
+    """The index sets of the connected Gram blocks, by a union-find on g_ij != 0."""
+    parent = list(range(lat.rank))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, row in enumerate(lat.gram.data):
+        for j, x in enumerate(row):
+            if x:
+                parent[root(i)] = root(j)
+    blocks: dict[int, list[int]] = {}
+    for i in range(lat.rank):
+        blocks.setdefault(root(i), []).append(i)
+    return list(blocks.values())
+
+
+@pytest.mark.parametrize("source", ["shuffled sums", "extended pool", "golden lattice info"])
+def test_block_invariants_match_whole_gram_invariants(source):
+    # the blockwise signature and discriminant group against the rational
+    # elimination and the whole-Gram Smith form of discriminant_form
+    cases = _block_path_cases(source)
+    assert len(cases) >= 24
+    for lat in cases:
+        assert signature(lat) == reference_signature(lat), lat.gram
+        assert discriminant_group(lat) == discriminant_form(lat).orders, lat.gram
+        blocks = _block_indices(lat)
+        assert sorted(map(len, blocks)) == sorted(map(len, lattices._blocks(lat.gram)))
 
 
 def test_fqf_isomorphism_examples():

@@ -32,6 +32,8 @@ from lefschetz_reference import (
     fixed_characters,
     generating_series,
     goettsche_soergel,
+    orbit_average,
+    orbit_traces,
 )
 from matrix_reference import apply, fraction_inverse, fraction_product, integral_matrix
 
@@ -689,14 +691,7 @@ def test_eigenvalue_multiplicities_partition_the_betti_numbers():
         betti = [(-1) ** k * x for k, x in enumerate(_goettsche_soergel(n))]
         for h in _catalog_matrices():
             for b in ((0, 0, 0, 0), tuple(rng.randrange(n) for _ in range(4))):
-                traces = []  # traces[j][k] for j = 0 .. N - 1
-                power, shift = identity(4), (0, 0, 0, 0)
-                while not traces or power != identity(4) or any(shift):
-                    poly = lefschetz_q(torus_automorphism(power, shift, n)).polynomial
-                    traces.append([(-1) ** k * int(poly.coeffs.get(k, 0))
-                                   for k in range(4 * n - 3)])
-                    power = h @ power
-                    shift = tuple((x + y) % n for x, y in zip(apply(h, shift), b))
+                traces = orbit_traces(torus_automorphism(h, b, n))  # traces[j][k], j < N
                 order = len(traces)
                 for k, b_k in enumerate(betti):
                     total = 0
@@ -707,6 +702,31 @@ def test_eigenvalue_multiplicities_partition_the_betti_numbers():
                             assert r == 0 and m_d >= 0, (h, b, n, k, d)
                             total += m_d
                     assert total == b_k, (h, b, n, k)
+
+
+def test_orbit_averages_are_invariant_betti_numbers():
+    # dim H^i(X)^<psi> for the catalog +-h at n <= 12, b = 0 and a seeded b:
+    # an integer in [0, b_i(X)], and 1 at i = 0; det h = 1, so psi^[n] is
+    # the natural automorphism
+    start = time.perf_counter()
+    rng = random.Random(97)
+    matrices = [h for h in _catalog_matrices() if exact_det(h) == 1]
+    assert len(matrices) == 18
+    cases = 0
+    for n in range(2, 13):
+        betti = [(-1) ** i * x for i, x in enumerate(_goettsche_soergel(n))]
+        for h in matrices:
+            for b in ((0, 0, 0, 0), tuple(rng.randrange(n) for _ in range(4))):
+                average = orbit_average(torus_automorphism(h, b, n))
+                assert average[0] == 1, (h, b, n)
+                for i, (x, b_i) in enumerate(zip(average, betti)):
+                    assert x.denominator == 1 and 0 <= x <= b_i, (h, b, n, i, x)
+                cases += 1
+    assert cases == 11 * 18 * 2
+    assert time.perf_counter() - start < 2
+    with pytest.raises(ValueError, match="^h has infinite order$"):
+        orbit_average(torus_automorphism(Matrix([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0],
+                                                 [0, 0, 0, 1]]), (0, 0, 0, 0), 3))
 
 
 def test_exp_tops_match_factorial_exponential():

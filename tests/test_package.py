@@ -209,3 +209,30 @@ def test_every_public_def_is_referenced_or_exported():
                for path in sorted((SRC / "kummerlat").glob("*.py"))}
     assert len(sources) > 5
     assert _unreferenced_defs(sources, set(kummerlat.__all__)) == []
+
+
+def _unbounded_memos(source: str) -> list[int]:
+    """Lines of ``source`` naming lru_cache or cache outside a call with a maxsize not None."""
+    tree = ast.parse(source)
+    bounded = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and any(k.arg == "maxsize" and not (isinstance(k.value, ast.Constant)
+                                                   and k.value.value is None)
+                       for k in node.keywords)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if getattr(node, "id", getattr(node, "attr", None)) in ("lru_cache", "cache")
+                  and isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in bounded)
+
+
+def test_every_memo_has_a_finite_maxsize():
+    assert _unbounded_memos("from functools import cache, lru_cache\nimport functools\n"
+                            "@lru_cache(maxsize=8)\ndef a(): pass\n"
+                            "@lru_cache\ndef b(): pass\n"
+                            "@lru_cache(maxsize=None)\ndef c(): pass\n"
+                            "@cache\ndef d(): pass\n"
+                            "e = functools.lru_cache(16)(a)\n"
+                            "f = functools.lru_cache(maxsize=len(X))(a)\n") == [5, 7, 9, 11]
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted((SRC / "kummerlat").glob("*.py"))}
+    assert sum(source.count("lru_cache(maxsize=") for source in sources.values()) >= 7
+    assert {name: lines for name, source in sources.items()
+            if (lines := _unbounded_memos(source))} == {}
