@@ -20,13 +20,13 @@ from .lattices import (
     FiniteQuadraticForm,
     Lattice,
     direct_sum,
-    discriminant_form,
     discriminant_group,
     fqf_from_diagonal,
     fqf_isomorphic,
     group_signature,
     is_p_elementary,
     make_standard,
+    orthogonal_discriminant_form,
     p_primary_part,
     signature,
 )
@@ -74,10 +74,10 @@ _TWO_PART_TARGET = fqf_from_diagonal([(2, Fraction(-1, 2))])
 def verify_row(row: ClassificationRow) -> RowReport:
     """Exact checks of every numeric condition asserted for a table row.
 
-    Takes one whole-Gram Smith form, for the discriminant form of T, whose
-    generator orders are the invariant factors of D_T.  The signatures and
-    the discriminant group of S are read per distinct orthogonal block, so
-    blocks met in an earlier row cost no elimination and no Smith form.
+    Takes no whole-Gram Smith form.  The signatures, the discriminant
+    groups of S and T and the discriminant form of T, whose 2-part is
+    checked, are read per distinct orthogonal block, so blocks met in an
+    earlier row cost no elimination and no Smith form.
     """
     m, a, s, t = row.m, row.a, row.s, row.t
     checks: dict[str, bool] = {}
@@ -99,10 +99,10 @@ def verify_row(row: ClassificationRow) -> RowReport:
     values["ds_orders"] = ds_orders
     checks["ds_is_5_elementary_rank_a"] = elem and count == a
 
-    dt = discriminant_form(t)
-    values["dt_orders"] = dt.orders
+    dt, dt_orders = orthogonal_discriminant_form(t), discriminant_group(t)
+    values["dt_orders"] = dt_orders
     checks["dt_order"] = dt.group_order == 2 * ORDER**a
-    checks["dt_group_is_z2_plus_ds"] = group_signature(dt.orders) == group_signature(
+    checks["dt_group_is_z2_plus_ds"] = group_signature(dt_orders) == group_signature(
         (2,) + ds_orders
     )
     checks["dt_two_part"] = fqf_isomorphic(p_primary_part(dt, 2), _TWO_PART_TARGET)
@@ -143,7 +143,7 @@ def verify_53_complement() -> bool:
     t = direct_sum(make_standard("U(5)"), make_standard("<-10>"))
     if signature(t) != (1, 2):
         return False
-    return fqf_isomorphic(discriminant_form(t), complement_form_target())
+    return fqf_isomorphic(orthogonal_discriminant_form(t), complement_form_target())
 
 
 class ClassificationReport(_Frozen):

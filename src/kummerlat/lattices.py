@@ -6,8 +6,11 @@ isomorphism testing of finite quadratic forms on their p-primary parts.
 Signatures add and D(L1 + L2) = D(L1) + D(L2) (Nikulin 1980, section
 1.3), so both are read per connected block of the Gram matrix, once per
 distinct block: its inertia by symmetric elimination over Z, its
-invariant factors by a Smith form.  A discriminant form keeps one
-whole-Gram Smith form, whose columns present its generators.  The
+discriminant form by one Smith form that builds V and no U.  The
+discriminant group pools the block invariant factors, and
+``orthogonal_discriminant_form`` sums the block forms.
+``discriminant_form`` keeps one whole-Gram Smith form, whose columns
+present the generators that ``lattice info`` prints.  The
 isomorphism test splits each form once into its p-parts and scales each
 part by its own largest order p^K, then works on integers.
 An odd p-part whose b is nondegenerate is decided by its Jordan
@@ -48,6 +51,15 @@ from .matrix import (
 # groups, so the group order is capped; the cap is checked before any work,
 # also for the odd p-parts that the Jordan invariants decide without it.
 FQF_ORDER_CAP = 10000
+
+# lattice_from_dict, the reader of ``lattice info`` and ``isometry check``,
+# refuses a Gram matrix of more rows before any work.  The worst accepted
+# sparse shape, 2 I of rank 256, takes about 1.0 s and 23 MB max RSS in
+# ``lattice info`` (A_256: 0.7 s; ``isometry check`` on either, 0.4 s),
+# median of 5 runs of the command, Python 3.11 on a 2-core Xeon.  Dense
+# Gram matrices grow their entries and reach cost cliffs at lower ranks,
+# which this bound does not address.
+MAX_RANK = 256
 
 
 class Lattice(_Frozen):
@@ -251,36 +263,19 @@ def _block_signature(rows: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
     return (plus, minus)
 
 
-def _smith_generators(lat: Lattice) -> tuple[list[int], Matrix]:
-    """The invariant factors d_j > 1 of G and, as columns, the v_j of U G V = D (Smith form).
-
-    The class of v_j / d_j generates a cyclic factor of order d_j of D_L.
-    """
-    _, d, v = smith_normal_form(lat.gram)
-    picked = [j for j in range(lat.rank) if d.data[j][j] > 1]
-    columns = tuple(tuple(row[j] for j in picked) for row in v.data)
-    return [d.data[j][j] for j in picked], Matrix._of_ints(columns, len(picked))
-
-
 def discriminant_group(lat: Lattice) -> tuple[int, ...]:
     """Invariant factors d_j > 1 of the discriminant group, the orders of its cyclic factors.
 
-    D(L1 + L2) = D(L1) + D(L2), so the invariant factors of the connected
-    Gram blocks are pooled and brought into the chain d_1 | d_2 | ... by
+    D(L1 + L2) = D(L1) + D(L2), so the generator orders of the block forms
+    of ``_block_form`` (the invariant factors of each connected Gram block)
+    are pooled and brought into the chain d_1 | d_2 | ... by
     Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), with no factorization: after
     pass i, d_i divides every later d_j.
     """
-    d = [x for rows in _blocks(lat.gram) for x in _block_factors(rows)]
+    d = [x for rows in _blocks(lat.gram) for x in _block_form(rows).orders]
     for i, j in combinations(range(len(d)), 2):
         d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
     return tuple(x for x in d if x > 1)
-
-
-@lru_cache(maxsize=64)
-def _block_factors(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """The invariant factors d > 1 of one Gram block, read off its Smith form."""
-    d = smith_normal_form(Matrix._of_ints(rows, len(rows)))[1].data
-    return tuple(x for i, row in enumerate(d) if (x := row[i]) > 1)
 
 
 class FiniteQuadraticForm(_Frozen):
@@ -355,27 +350,74 @@ def fqf_from_diagonal(pairs) -> FiniteQuadraticForm:
     return fqf_from_generators(orders, qs, b)
 
 
-def discriminant_form(lat: Lattice) -> FiniteQuadraticForm:
-    """The discriminant quadratic form of an even lattice.
+def _smith_generators(gram: Matrix) -> tuple[list[int], Matrix]:
+    """The invariant factors d_j > 1 of G and, as columns, the v_j of U G V = D (Smith form).
+
+    The class of v_j / d_j generates a cyclic factor of order d_j of D_L.
+    U is not built.
+    """
+    _, d, v = smith_normal_form(gram, u=False)
+    picked = [j for j in range(gram.rows) if d.data[j][j] > 1]
+    columns = tuple(tuple(row[j] for j in picked) for row in v.data)
+    return [d.data[j][j] for j in picked], Matrix._of_ints(columns, len(picked))
+
+
+def _gram_form(gram: Matrix) -> FiniteQuadraticForm:
+    """The discriminant form of the Gram matrix ``gram``, presented by its Smith columns.
 
     The generators g_i = v_i / d_i of ``_smith_generators`` pair to
     W_ij / (d_i d_j), with W = V^T G V the integer Gram matrix of the Smith
     columns v_i; so q_i = W_ii / d_i^2 mod 2 and b_ij = W_ij / (d_i d_j)
     mod 1, read off one integer product.
     """
-    orders, v = _smith_generators(lat)
-    w = (v.transpose() @ lat.gram @ v).data
+    orders, v = _smith_generators(gram)
+    w = (v.transpose() @ gram @ v).data
     q = [Fraction(w[i][i], d * d) for i, d in enumerate(orders)]
     b = [[Fraction(x, d * e) for x, e in zip(row, orders)] for row, d in zip(w, orders)]
     return fqf_from_generators(orders, q, b)
 
 
+def discriminant_form(lat: Lattice) -> FiniteQuadraticForm:
+    """The discriminant quadratic form of an even lattice, from one whole-Gram Smith form.
+
+    Its generators are the Smith columns of the whole Gram matrix, so their
+    orders are the invariant factors of D_L and ``lattice info`` prints
+    their q-values.
+    """
+    return _gram_form(lat.gram)
+
+
+@lru_cache(maxsize=64)
+def _block_form(rows: tuple[tuple[int, ...], ...]) -> FiniteQuadraticForm:
+    """The discriminant form of one Gram block, from one Smith form of that block."""
+    return _gram_form(Matrix._of_ints(rows, len(rows)))
+
+
+def orthogonal_discriminant_form(lat: Lattice) -> FiniteQuadraticForm:
+    """The discriminant form of ``lat`` as the orthogonal sum of its nontrivial block forms.
+
+    D(L1 + L2) = D(L1) + D(L2), so this is isometric to
+    ``discriminant_form(lat)``, but presented block by block: the
+    generators of ``_block_form`` of each connected Gram block in turn,
+    pairing to 0 across blocks.  Each distinct block takes one Smith form
+    per process, and none takes the whole Gram matrix.
+    """
+    forms = [form for form in map(_block_form, _blocks(lat.gram)) if form.orders]
+    orders = sum((form.orders for form in forms), ())
+    zero, b = Fraction(0), []
+    for form in forms:
+        before, after = len(b), len(orders) - len(b) - len(form.orders)
+        b += [(zero,) * before + row + (zero,) * after for row in form.b_matrix]
+    q = sum((form.q_values for form in forms), ())
+    return FiniteQuadraticForm._trusted(orders, q, tuple(b))
+
+
 def is_p_elementary(orders, p: int) -> tuple[bool, int | None]:
     """Whether the invariant factors ``orders`` give (Z/p)^a; returns (flag, a).
 
-    Pass ``discriminant_group(lat)``, which reads the Smith forms of the
-    Gram blocks alone, or ``discriminant_form(lat).orders`` when the form
-    is built anyway; the trivial group gives (True, 0).
+    Pass ``discriminant_group(lat)``, which reads the memoized forms of the
+    distinct Gram blocks, or ``discriminant_form(lat).orders`` when the
+    whole-Gram form is built anyway; the trivial group gives (True, 0).
     """
     if all(o == p for o in orders):
         return True, len(orders)
@@ -641,6 +683,8 @@ def lattice_from_dict(d: dict) -> Lattice:
     gram = d["gram"]
     if not isinstance(gram, list) or not all(isinstance(r, list) for r in gram):
         raise ValueError("'gram' must be a list of rows")
+    if len(gram) > MAX_RANK:
+        raise ValueError(f"'gram' has {len(gram)} rows; the rank bound is {MAX_RANK}")
     name = d.get("name")
     if name is not None and not isinstance(name, str):
         raise ValueError(f"lattice 'name' must be a string or null, not {type(name).__name__}")

@@ -381,7 +381,7 @@ class _Matrix:
 
     def __init__(self, h_data):
         self.c = c = _charpoly(h_data)
-        u, d, _ = smith_normal_form(identity(4) - Matrix._of_ints(h_data, 4))
+        u, d, _ = smith_normal_form(identity(4) - Matrix._of_ints(h_data, 4), v=False)
         self.u_rows, self.diagonal = u.data, tuple(d.data[i][i] for i in range(4))
         self.order_series = _ORDER_SERIES.get(c) or _ORDER_SERIES.setdefault(c, _OrderSeries(c))
         self.exp_series = _ExpSeries(h_data)

@@ -118,42 +118,45 @@ def test_44_row_presentation_probe():
 
 
 def test_verify_all_takes_one_smith_form_per_lattice(monkeypatch):
-    # one whole-Gram Smith form for the discriminant form of each T, plus one
-    # for the (5, 3) complement; the discriminant groups of the S read the
-    # Smith forms of their five distinct blocks, once each on cleared memos
+    # no whole-Gram Smith form: the discriminant groups of S and T and the
+    # discriminant forms of T and of the (5, 3) complement read the Smith
+    # forms of the eight distinct blocks, once each on cleared memos, and
+    # none builds U
     import kummerlat.lattices as lattices
 
     calls = []
     real = lattices.smith_normal_form
 
-    def counted(m):
-        calls.append(m.shape)
-        return real(m)
+    def counted(m, **kwargs):
+        calls.append((m.shape, kwargs))
+        return real(m, **kwargs)
 
     monkeypatch.setattr(lattices, "smith_normal_form", counted)
     rows = table_rows()
     assert not calls
     lattices._block_signature.cache_clear()
-    lattices._block_factors.cache_clear()
+    lattices._block_form.cache_clear()
     assert verify_all().passed
-    whole = [(row.t.rank,) * 2 for row in rows] + [(3, 3)]
-    blocks = [(2, 2), (2, 2), (2, 2), (4, 4), (8, 8)]  # U, U(5), H5, A4(-1), E8(-1)
-    assert len(whole) == 9 and sorted(calls) == sorted(whole + blocks)
+    # U, U(5), H5, <-2>, <-10>, A4(-1), A4*(-5), E8(-1); every T has rank 3 or more
+    blocks = [(2, 2), (2, 2), (2, 2), (1, 1), (1, 1), (4, 4), (4, 4), (8, 8)]
+    assert min(row.t.rank for row in rows) == 3
+    assert sorted(shape for shape, _ in calls) == sorted(blocks)
+    assert all(kwargs == {"u": False} for _, kwargs in calls)
 
 
 def test_verify_all_reads_each_distinct_block_once():
-    # the 17 lattices of verify_all are sums of 8 distinct blocks, 5 of them
-    # in some S: with cold memos, 8 block eliminations and 5 block Smith forms
+    # the 17 lattices of verify_all are sums of 8 distinct blocks: with cold
+    # memos, 8 block eliminations and 8 block forms, and none more on a second run
     import kummerlat.lattices as lattices
 
     lattices._block_signature.cache_clear()
-    lattices._block_factors.cache_clear()
+    lattices._block_form.cache_clear()
     assert verify_all().passed
     assert lattices._block_signature.cache_info().misses == 8
-    assert lattices._block_factors.cache_info().misses == 5
+    assert lattices._block_form.cache_info().misses == 8
     assert verify_all().passed
     assert lattices._block_signature.cache_info().misses == 8
-    assert lattices._block_factors.cache_info().misses == 5
+    assert lattices._block_form.cache_info().misses == 8
 
 
 def test_table_rows_share_their_standard_lattices(monkeypatch):

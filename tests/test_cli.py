@@ -85,14 +85,14 @@ def test_lattice_info_takes_one_smith_form(tmp_path, capsys, monkeypatch, flags)
     calls = []
     real = lattices.smith_normal_form
 
-    def counted(m):
-        calls.append(m.shape)
-        return real(m)
+    def counted(m, **kwargs):
+        calls.append((m.shape, kwargs))
+        return real(m, **kwargs)
 
     monkeypatch.setattr(lattices, "smith_normal_form", counted)
     path = _write(tmp_path, "t.json", {"gram": [[0, 5, 0], [5, 0, 0], [0, 0, -10]]})
     assert main(["lattice", "info", path] + flags) == EXIT_OK
-    assert calls == [(3, 3)]
+    assert calls == [((3, 3), {"u": False})]
     out = capsys.readouterr().out
     if flags:
         payload = json.loads(out)
@@ -200,6 +200,36 @@ def test_isometry_check_golden(tmp_path, capsys):
         assert capsys.readouterr().out == entry["text"]
         assert main(["isometry", "check", path, "--json"]) == entry["exit"]
         assert capsys.readouterr().out == json.dumps(entry["payload"], indent=2) + "\n"
+
+
+def test_lattice_info_at_the_rank_bound_stays_fast(tmp_path, capsys):
+    # 2 I, the costliest sparse Gram matrix measured at the bound, ahead of A_n
+    from kummerlat.lattices import MAX_RANK
+
+    n = MAX_RANK
+    gram = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    path = _write(tmp_path, "big.json", {"gram": gram})
+    start = time.perf_counter()
+    assert main(["lattice", "info", path, "--json"]) == EXIT_OK
+    assert time.perf_counter() - start < 10
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rank"] == n and payload["discriminant_group"] == [2] * n
+
+
+@pytest.mark.parametrize("command", ["lattice info", "isometry check"])
+def test_rank_over_the_bound_exits_2_at_once(tmp_path, capsys, command):
+    from kummerlat.lattices import MAX_RANK
+
+    n = MAX_RANK + 1
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    path = _write(tmp_path, "big.json", {"gram": [[2 * x for x in row] for row in unit],
+                                         "matrix": unit, "p": 2})
+    start = time.perf_counter()
+    assert main(command.split() + [path]) == EXIT_INPUT_ERROR
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: 'gram' has {n} rows; the rank bound is {MAX_RANK}\n"
 
 
 # the swap on U has order 2; a prime order p needs p - 1 <= rank = 2

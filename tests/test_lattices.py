@@ -27,6 +27,7 @@ from kummerlat.lattices import (
     lattice_from_dict,
     make_standard,
     orthogonal_complement,
+    orthogonal_discriminant_form,
     p_primary_part,
     signature,
 )
@@ -184,7 +185,7 @@ def _pairing(lat, x, y):
 
 def _generators(lat):
     """The dual vectors v_j / d_j, in lattice coordinates, generating the discriminant group."""
-    orders, v = lattices._smith_generators(lat)
+    orders, v = lattices._smith_generators(lat.gram)
     return tuple(tuple(Fraction(x, d) for x in column)
                  for d, column in zip(orders, v.transpose().data))
 
@@ -411,6 +412,24 @@ def test_block_invariants_match_whole_gram_invariants(source):
         assert discriminant_group(lat) == discriminant_form(lat).orders, lat.gram
         blocks = _block_indices(lat)
         assert sorted(map(len, blocks)) == sorted(map(len, lattices._blocks(lat.gram)))
+
+
+@pytest.mark.parametrize("source", ["shuffled sums", "extended pool", "golden lattice info"])
+def test_orthogonal_form_is_isometric_to_the_whole_gram_form(source, monkeypatch):
+    # the block-by-block presentation against the whole-Gram Smith columns;
+    # the cap bounds the enumeration of searched parts, and here every
+    # 2-part has order at most 4^4 while the odd parts, up to 5^12, are
+    # decided by their Jordan invariants
+    monkeypatch.setattr(lattices, "FQF_ORDER_CAP", 10**12)
+    cases = _block_path_cases(source)
+    assert len(cases) >= 24
+    presented_apart = 0
+    for lat in cases:
+        blockwise, whole = orthogonal_discriminant_form(lat), discriminant_form(lat)
+        assert blockwise.group_order == whole.group_order == lat.disc, lat.gram
+        assert fqf_isomorphic(blockwise, whole), lat.gram
+        presented_apart += blockwise != whole
+    assert presented_apart
 
 
 def test_fqf_isomorphism_examples():

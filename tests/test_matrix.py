@@ -1,4 +1,6 @@
 import copy
+import json
+import pathlib
 import pickle
 import random
 import time
@@ -28,8 +30,10 @@ from kummerlat.matrix import (
 )
 from kummerlat.lattices import make_standard
 from kummerlat.lefschetz import _type_matrix
-from kummerlat.pool import cyclic_rotation
+from kummerlat.pool import cyclic_rotation, extended_pool
 from isometry_reference import random_unimodular, smith_kernel
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 small_matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda r: st.integers(min_value=1, max_value=5).flatmap(
@@ -370,7 +374,8 @@ def test_hermite_and_kernel_match_xgcd_reference():
             assert _identical(integer_kernel(m), ref.integer_kernel(m)), m
 
 
-def test_smith_form_matches_reference():
+def _smith_cases() -> list[Matrix]:
+    """Seeded sparse matrices of every shape up to 8 x 8, with and without unit pivots."""
     rng = random.Random(20260812)
     cases = [Matrix([[2, 4], [6, 8]]), Matrix([[4, 6], [6, 4]]), Matrix([[2, 0], [0, 3]])]
     for rows, cols in product(range(9), repeat=2):
@@ -378,9 +383,37 @@ def test_smith_form_matches_reference():
             m = _sparse_matrix(rng, rows, cols, density)
             cases += [m, m.scale(2), m.scale(6)]  # the scaled copies have no unit pivot
         cases.append(_sparse_matrix(rng, rows, cols, 0.6, (2, -4, 6, 3, -9, 12)))
-    for m in cases:
+    return cases
+
+
+def test_smith_form_matches_reference():
+    for m in _smith_cases():
         ours, theirs = smith_normal_form(m), ref.smith_normal_form(m)
         assert all(map(_identical, ours, theirs)), m
+
+
+def _gram_cases(source: str) -> list[Matrix]:
+    if source == "random":
+        return _smith_cases()
+    if source == "extended pool":
+        return [entry.isometry.lattice.gram for entry in extended_pool()]
+    entries = json.loads((GOLDEN / "lattice_info.json").read_text(encoding="utf-8"))
+    return [Matrix(entry["job"]["gram"]) for entry in entries]
+
+
+@pytest.mark.parametrize("source", ["random", "extended pool", "golden lattice info"])
+def test_smith_form_builds_only_the_transforms_asked_for(source):
+    # the pivot choices read the working matrix alone, so D and a built
+    # transform are those of the full call, and a skipped one is None
+    cases = _gram_cases(source)
+    assert len(cases) >= 24
+    for m in cases:
+        full = smith_normal_form(m)
+        for u, v in product((True, False), repeat=2):
+            left, d, right = smith_normal_form(m, u=u, v=v)
+            assert _identical(d, full[1]), m
+            assert _identical(left, full[0]) if u else left is None, m
+            assert _identical(right, full[2]) if v else right is None, m
 
 
 # --- entries checked at construction: the integer path against the public constructor ---
