@@ -8,13 +8,14 @@ Subcommands:
     pool check [--seed S] [--count N]
                                  the isometry property checks over the seeded pool
 
-Exit codes: 0 all checks pass, 1 verification failure, 2 input error.
+Exit codes: 0 all checks pass, 1 verification failure or closed stdout, 2 input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .lefschetz import (
@@ -358,10 +359,16 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_fold_variant_value(list(argv)))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except BrokenPipeError:
+        # the reader left (``| head``); devnull takes the rest, so the exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VERIFICATION_FAILED
 
 
 if __name__ == "__main__":

@@ -6,9 +6,9 @@ isomorphism testing of finite quadratic forms on their p-primary parts.
 Signatures add and D(L1 + L2) = D(L1) + D(L2) (Nikulin 1980, section
 1.3), so both are read per connected block of the Gram matrix, once per
 distinct block: its inertia by symmetric elimination over Z, its
-discriminant form by one Smith form that builds V and no U.  The
-discriminant group pools the block invariant factors, and
-``orthogonal_discriminant_form`` sums the block forms.
+discriminant form by one Smith form (D, V).  The discriminant group
+pools the block invariant factors, and ``orthogonal_discriminant_form``
+sums the block forms.
 ``discriminant_form`` keeps one whole-Gram Smith form, whose columns
 present the generators that ``lattice info`` prints.  The
 isomorphism test splits each form once into its p-parts and scales each
@@ -350,28 +350,20 @@ def fqf_from_diagonal(pairs) -> FiniteQuadraticForm:
     return fqf_from_generators(orders, qs, b)
 
 
-def _smith_generators(gram: Matrix) -> tuple[list[int], Matrix]:
-    """The invariant factors d_j > 1 of G and, as columns, the v_j of U G V = D (Smith form).
-
-    The class of v_j / d_j generates a cyclic factor of order d_j of D_L.
-    U is not built.
-    """
-    _, d, v = smith_normal_form(gram, u=False)
-    picked = [j for j in range(gram.rows) if d.data[j][j] > 1]
-    columns = tuple(tuple(row[j] for j in picked) for row in v.data)
-    return [d.data[j][j] for j in picked], Matrix._of_ints(columns, len(picked))
-
-
 def _gram_form(gram: Matrix) -> FiniteQuadraticForm:
     """The discriminant form of the Gram matrix ``gram``, presented by its Smith columns.
 
-    The generators g_i = v_i / d_i of ``_smith_generators`` pair to
-    W_ij / (d_i d_j), with W = V^T G V the integer Gram matrix of the Smith
-    columns v_i; so q_i = W_ii / d_i^2 mod 2 and b_ij = W_ij / (d_i d_j)
-    mod 1, read off one integer product.
+    With D = U G V the Smith form, the classes of g_j = v_j / d_j over the
+    invariant factors d_j > 1 generate cyclic factors of order d_j of D_L.
+    They pair to W_ij / (d_i d_j), with W = V^T G V the integer Gram matrix
+    of the Smith columns v_j; so q_i = W_ii / d_i^2 mod 2 and
+    b_ij = W_ij / (d_i d_j) mod 1, read off one integer product.
     """
-    orders, v = _smith_generators(gram)
-    w = (v.transpose() @ gram @ v).data
+    d, v = smith_normal_form(gram)
+    picked = [j for j in range(gram.rows) if d.data[j][j] > 1]
+    orders = [d.data[j][j] for j in picked]
+    columns = Matrix._of_ints(tuple(tuple(row[j] for j in picked) for row in v.data), len(picked))
+    w = (columns.transpose() @ gram @ columns).data
     q = [Fraction(w[i][i], d * d) for i, d in enumerate(orders)]
     b = [[Fraction(x, d * e) for x, e in zip(row, orders)] for row, d in zip(w, orders)]
     return fqf_from_generators(orders, q, b)
@@ -415,9 +407,11 @@ def orthogonal_discriminant_form(lat: Lattice) -> FiniteQuadraticForm:
 def is_p_elementary(orders, p: int) -> tuple[bool, int | None]:
     """Whether the invariant factors ``orders`` give (Z/p)^a; returns (flag, a).
 
-    Pass ``discriminant_group(lat)``, which reads the memoized forms of the
-    distinct Gram blocks, or ``discriminant_form(lat).orders`` when the
-    whole-Gram form is built anyway; the trivial group gives (True, 0).
+    The orders are the invariant factors d_j > 1 of the Smith form D of a
+    Gram matrix.  Pass ``discriminant_group(lat)``, which reads the
+    memoized forms of the distinct Gram blocks, or
+    ``discriminant_form(lat).orders`` when the whole-Gram form is built
+    anyway; the trivial group gives (True, 0).
     """
     if all(o == p for o in orders):
         return True, len(orders)

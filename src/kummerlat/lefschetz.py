@@ -24,7 +24,9 @@ over Z only:
   those killed by e (for e | n) form a group A[e] of order
   prod_i gcd(d_i, e), and the chi(b) over A[e] sum to |A[e]| when b is
   orthogonal to A[e], that is when gcd(d_i, e) divides (U b)_i for every i,
-  and to 0 otherwise.  Moebius inversion over the divisors of w gives
+  and to 0 otherwise; as that says only whether b is orthogonal to A[e],
+  every U of such a form gives the same sums.  Moebius inversion over
+  the divisors of w gives
   sigma_w = sum_(e | w) moebius(w / e) |A[e]| [b orthogonal to A[e]], an
   integer by construction.
 * Every wedge factor det(1 - x wedge^i(Psi)) is fixed by the eigenvalues
@@ -365,7 +367,9 @@ class _Matrix:
 
     ``c`` holds c_0 .. c_4 of det(1 - q Psi) = L(psi, q), with c_0 = 1;
     ``u_rows`` and ``diagonal`` are U and (d_1, .., d_4) of a Smith form
-    U (1 - H) V = diag(d_1, .., d_4); ``exp_series`` is the H series of h and
+    U (1 - H) V = diag(d_1, .., d_4), taken as U = V1^T from the Smith
+    form D = U1 (1 - Psi) V1 of 1 - Psi = (1 - H)^T, whose transpose is
+    V1^T (1 - H) U1^T = D; ``exp_series`` is the H series of h and
     ``order_series`` the G series of c, shared with every record of the
     same c.  ``table(n)`` grows both to n and sets the tables of n, kept
     until another n is asked for (``n`` names the n they are of):
@@ -381,8 +385,8 @@ class _Matrix:
 
     def __init__(self, h_data):
         self.c = c = _charpoly(h_data)
-        u, d, _ = smith_normal_form(identity(4) - Matrix._of_ints(h_data, 4), v=False)
-        self.u_rows, self.diagonal = u.data, tuple(d.data[i][i] for i in range(4))
+        d, v = smith_normal_form(identity(4) - Matrix._of_ints(tuple(zip(*h_data)), 4))
+        self.u_rows, self.diagonal = tuple(zip(*v.data)), tuple(d.data[i][i] for i in range(4))
         self.order_series = _ORDER_SERIES.get(c) or _ORDER_SERIES.setdefault(c, _OrderSeries(c))
         self.exp_series = _ExpSeries(h_data)
         self.n = 0

@@ -9,14 +9,14 @@ section 2.4.3).  A kernel takes the echelon pass of [m^T | I] on its left
 block and the Hermite form of the rows it leaves with a zero left block
 only, and the echelon pivots give the index of the image.  ``solve``
 reads the integer solution of B X = Y off the Hermite form of [B | Y].
-The Smith form keeps its own elimination: D is unique but U and V are
-not, and ``lattice info`` prints the q-values of V's columns.  One built
-from alternating echelon passes changed U or V on 1624 of 3000 random
+The Smith form keeps its own elimination: D is unique but V is not, and
+``lattice info`` prints the q-values of V's columns.  One built from
+alternating echelon passes changed U or V on 1624 of 3000 random
 matrices and the q-values on 57 of 246 lattices (H5: 8/5 to 2/5), and
 was 2.1x slower on the table's Gram matrices, 1.6x on the engine's 4x4.
-It builds only the transforms its caller asks for: a discriminant form
-reads D and V, the Lefschetz engine D and U, and neither pays for the
-row or column steps of the transform it never reads.
+It returns D and the column transform V only, and builds no row
+transform: a discriminant form reads D and V, and the Lefschetz engine
+takes its row transform of 1 - H as the transposed V of 1 - H^T.
 
 Each job has one implementation, which the rest of the package calls:
 ``@`` is the matrix product (matrix powers, 1 - h, Gram matrices such as
@@ -407,31 +407,22 @@ def _det_bareiss(m: Matrix) -> int:
     return sign * a[0][0]
 
 
-def smith_normal_form(m: Matrix, u: bool = True, v: bool = True):
-    """Return (U, D, V) with U @ m @ V = D.
+def smith_normal_form(m: Matrix):
+    """Return (D, V): D = U @ m @ V for some unimodular U, and V unimodular.
 
-    U and V are unimodular, D is diagonal with nonnegative entries satisfying
-    d_i | d_{i+1}.  Pivot selection: smallest absolute value among nonzero
-    entries of the remaining block, ties broken by lowest row, then column.
-    A pivot of 1 ends the search at once and needs no divisibility scan of
-    the remaining block, since 1 divides every entry.
+    D is diagonal with nonnegative entries satisfying d_i | d_{i+1}.  Pivot
+    selection: smallest absolute value among nonzero entries of the
+    remaining block, ties broken by lowest row, then column.  A pivot of 1
+    ends the search at once and needs no divisibility scan of the remaining
+    block, since 1 divides every entry.
 
-    With ``u=False`` or ``v=False`` that transform is never built and its
-    slot is None.  Every pivot choice reads the working copy of m alone, so
-    D and a transform that is built are the same as in the full call.
+    U is never built.  A caller that needs a left transform of m takes the
+    transposed V of the Smith form of m^T: from U1 m^T V1 = D it follows
+    that V1^T m U1^T = D.
     """
     rows, cols = m.rows, m.cols
     a = [list(r) for r in m.data]
-    # a U not asked for is None, and each row step tests for it; a V not
-    # asked for has no rows, so each column step loops over nothing
-    left = [[int(i == j) for j in range(rows)] for i in range(rows)] if u else None
-    right = [[int(i == j) for j in range(cols)] for i in range(cols)] if v else ()
-
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            if left:
-                left[i], left[j] = left[j], left[i]
+    right = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
     def swap_cols(i, j):
         if i != j:
@@ -439,24 +430,6 @@ def smith_normal_form(m: Matrix, u: bool = True, v: bool = True):
                 r[i], r[j] = r[j], r[i]
             for r in right:
                 r[i], r[j] = r[j], r[i]
-
-    def add_row(dst, src, c):
-        if c:
-            a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-            if left:
-                left[dst] = [x + c * y for x, y in zip(left[dst], left[src])]
-
-    def add_col(dst, src, c):
-        if c:
-            for r in a:
-                r[dst] += c * r[src]
-            for r in right:
-                r[dst] += c * r[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if left:
-            left[i] = [-x for x in left[i]]
 
     def find_pivot(t):
         best = None
@@ -475,46 +448,44 @@ def smith_normal_form(m: Matrix, u: bool = True, v: bool = True):
         best = find_pivot(t)
         if best is None:
             break
-        swap_rows(t, best[1])
+        a[t], a[best[1]] = a[best[1]], a[t]
         swap_cols(t, best[2])
         while True:
             if a[t][t] < 0:
-                negate_row(t)
+                a[t] = [-x for x in a[t]]
             pivot = a[t][t]
-            moved = False
+            # clear column t, then row t, one entry per pass; a remainder left
+            # in the pivot position starts the next pass
             for i in range(t + 1, rows):
                 if a[i][t]:
-                    add_row(i, t, -(a[i][t] // pivot))
+                    c = a[i][t] // pivot
+                    a[i] = [x - c * y for x, y in zip(a[i], a[t])]
                     if a[i][t]:
-                        swap_rows(t, i)
-                    moved = True
+                        a[t], a[i] = a[i], a[t]
                     break
-            if moved:
-                continue
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    add_col(j, t, -(a[t][j] // pivot))
+            else:
+                for j in range(t + 1, cols):
                     if a[t][j]:
-                        swap_cols(t, j)
-                    moved = True
-                    break
-            if moved:
-                continue
-            if pivot == 1:
-                break  # 1 divides every entry of the remaining block
-            offender = None
-            for i in range(t + 1, rows):
-                if any(a[i][j] % pivot for j in range(t + 1, cols)):
-                    offender = i
-                    break
-            if offender is None:
-                break
-            add_row(t, offender, 1)
+                        c = a[t][j] // pivot
+                        for r in a:
+                            r[j] -= c * r[t]
+                        for r in right:
+                            r[j] -= c * r[t]
+                        if a[t][j]:
+                            swap_cols(t, j)
+                        break
+                else:
+                    if pivot == 1:
+                        break  # 1 divides every entry of the remaining block
+                    offender = next((i for i in range(t + 1, rows)
+                                     if any(a[i][j] % pivot for j in range(t + 1, cols))), None)
+                    if offender is None:
+                        break
+                    a[t] = [x + y for x, y in zip(a[t], a[offender])]
         t += 1
     # as Matrix(a) would: a matrix with no rows has no columns
-    return (None if left is None else Matrix._of_ints(tuple(map(tuple, left)), rows),
-            Matrix._of_ints(tuple(map(tuple, a)), cols if rows else 0),
-            Matrix._of_ints(tuple(map(tuple, right)), cols) if v else None)
+    return (Matrix._of_ints(tuple(map(tuple, a)), cols if rows else 0),
+            Matrix._of_ints(tuple(map(tuple, right)), cols))
 
 
 def _echelon_rows(a: list, cols: int) -> list:

@@ -1,8 +1,10 @@
 """Reference path for the isometry layer's linear algebra, used by the tests alone.
 
-Kernels come from a Smith form with its column transform V (the columns
-of V at zero invariant factors span the kernel), Hermite reduced by a
-second pass, and overlattice coordinates come from a rational
+Kernels come from the Smith form of ``tests/matrix_reference.py`` with
+its column transform V (the columns of V at zero invariant factors span
+the kernel), not from the ``kummerlat.matrix`` routine it is used to
+check, Hermite reduced by a second pass, and overlattice coordinates
+come from a rational
 Gauss-Jordan inverse on lists of Fractions (``tests/matrix_reference.py``).
 Neither reads its result off the Hermite form of a stacked matrix
 ([m^T | I], [B | phi B]), as ``kummerlat.matrix.integer_kernel`` and
@@ -24,16 +26,15 @@ from kummerlat.matrix import (
     Matrix,
     column_hermite_basis,
     identity,
-    smith_normal_form,
     solve,
     zeros,
 )
 from kummerlat.pool import _unimodular_steps
-from matrix_reference import fraction_inverse, fraction_product, integral_matrix
+from matrix_reference import fraction_inverse, fraction_product, integral_matrix, smith_normal_form
 
 
 def smith_kernel(m: Matrix) -> Matrix:
-    """Hermite basis of ker(m), as columns, read off a Smith form U m V = D."""
+    """Hermite basis of ker(m), as columns, read off the reference Smith form U m V = D."""
     _, d, v = smith_normal_form(m)
     v_cols = v.transpose().data
     kernel_cols = [

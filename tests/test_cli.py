@@ -46,7 +46,8 @@ def test_help_keeps_one_line_per_subcommand(capsys):
         main(["--help"])
     assert exc.value.code == 0
     lines = capsys.readouterr().out.splitlines()
-    for line in table + ["Exit codes: 0 all checks pass, 1 verification failure, 2 input error."]:
+    for line in table + ["Exit codes: 0 all checks pass, 1 verification failure or closed stdout, "
+                         "2 input error."]:
         assert line in lines, line
 
 
@@ -85,14 +86,14 @@ def test_lattice_info_takes_one_smith_form(tmp_path, capsys, monkeypatch, flags)
     calls = []
     real = lattices.smith_normal_form
 
-    def counted(m, **kwargs):
-        calls.append((m.shape, kwargs))
-        return real(m, **kwargs)
+    def counted(m):
+        calls.append(m.shape)
+        return real(m)
 
     monkeypatch.setattr(lattices, "smith_normal_form", counted)
     path = _write(tmp_path, "t.json", {"gram": [[0, 5, 0], [5, 0, 0], [0, 0, -10]]})
     assert main(["lattice", "info", path] + flags) == EXIT_OK
-    assert calls == [((3, 3), {"u": False})]
+    assert calls == [(3, 3)]
     out = capsys.readouterr().out
     if flags:
         payload = json.loads(out)
@@ -256,6 +257,25 @@ def test_isometry_check_order_bound_process_exit(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert "exceeds rank + 1 = 3" in proc.stderr
+
+
+@pytest.mark.parametrize("command", [["kummer", "--table"], ["lattice", "info"]],
+                         ids=["kummer table", "lattice info"])
+def test_closed_output_pipe_exits_1_quietly(tmp_path, command):
+    # the reader is gone before the child writes (as after ``| head -1``): the
+    # long table breaks the pipe in a print, the short report at the final flush
+    if command[0] == "lattice":
+        command = command + [_write(tmp_path, "h5.json", H5)]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "kummerlat.cli", *command], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_VERIFICATION_FAILED
+    assert proc.stderr == ""
 
 
 def test_classify_verify(capsys):

@@ -323,7 +323,7 @@ def _reference_invariants(iso):
     while index % p ** (a + 1) == 0:
         a += 1
     assert index == p**a
-    _, d, _ = smith_normal_form(combined)
+    d, _ = smith_normal_form(combined)
     assert all(d.data[i][i] in (1, p) for i in range(n))
     return t, s, s.cols // (p - 1), a, abs(exact_det(s.transpose() @ g @ s)), index
 

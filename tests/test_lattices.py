@@ -38,6 +38,7 @@ from lattice_reference import fqf_direct_sum
 from lattice_reference import p_primary_part as reference_p_primary_part
 from lattice_reference import signature as reference_signature
 from matrix_reference import saturate_columns
+from matrix_reference import smith_normal_form as reference_smith_form
 
 U = make_standard("U")
 H5 = make_standard("H5")
@@ -184,10 +185,11 @@ def _pairing(lat, x, y):
 
 
 def _generators(lat):
-    """The dual vectors v_j / d_j, in lattice coordinates, generating the discriminant group."""
-    orders, v = lattices._smith_generators(lat.gram)
-    return tuple(tuple(Fraction(x, d) for x in column)
-                 for d, column in zip(orders, v.transpose().data))
+    """The dual vectors v_j / d_j over d_j > 1, in lattice coordinates, generating the
+    discriminant group, from the reference Smith form U G V = D."""
+    _, d, v = reference_smith_form(lat.gram)
+    return tuple(tuple(Fraction(x, d.data[j][j]) for x in column)
+                 for j, column in enumerate(v.transpose().data) if d.data[j][j] > 1)
 
 
 def test_form_consistency_identity():

@@ -36,6 +36,7 @@ from lefschetz_reference import (
     orbit_traces,
 )
 from matrix_reference import apply, fraction_inverse, fraction_product, integral_matrix
+from matrix_reference import smith_normal_form as reference_smith_form
 
 
 def _clear_lefschetz_memos():
@@ -342,6 +343,23 @@ def test_run_catalog_table_all_pass():
 
 def _h_matrix(kind):
     return catalog(kind, "id" if kind == 0 else "h").matrix
+
+
+def test_record_left_transform_fits_the_smith_form_of_1_minus_h():
+    # the record's U is V1^T of the Smith form U1 (1 - Psi) V1 = D of the
+    # transpose, so U (1 - H) U1^T = D with U1 from the reference Smith form
+    import kummerlat.lefschetz as lef
+
+    rng = random.Random(61)
+    hs = [_h_matrix(kind).scale(sign) for kind in range(9) for sign in (1, -1)]
+    hs += [random_unimodular(rng, 4) for _ in range(100)]
+    for h in hs:
+        record = lef._matrix(h.data)
+        u = Matrix(record.u_rows)
+        u1, d, _ = reference_smith_form((identity(4) - h).transpose())
+        assert u @ (identity(4) - h) @ u1.transpose() == d, h
+        assert abs(exact_det(u)) == 1, h
+        assert record.diagonal == tuple(d.data[i][i] for i in range(4)), h
 
 
 def _enumeration_expected(kind, beta):

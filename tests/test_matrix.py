@@ -32,6 +32,7 @@ from kummerlat.lattices import make_standard
 from kummerlat.lefschetz import _type_matrix
 from kummerlat.pool import cyclic_rotation, extended_pool
 from isometry_reference import random_unimodular, smith_kernel
+from certificate_reference import check_smith
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -49,17 +50,19 @@ small_matrices = st.integers(min_value=1, max_value=5).flatmap(
 def test_snf_example_h5_gram():
     # reduces by hand: swap columns to pivot 1, clear, leaving diag(1, 5)
     m = Matrix([[2, 1], [1, -2]])
-    u, d, v = smith_normal_form(m)
+    d, v = smith_normal_form(m)
+    u, *reference = ref.smith_normal_form(m)
     assert d == Matrix([[1, 0], [0, 5]])
+    assert [d, v] == reference
     assert u @ m @ v == d
     assert exact_det(m) == -5
 
 
 def test_snf_identity_and_zero():
-    u, d, v = smith_normal_form(identity(3))
-    assert d == identity(3)
+    d, v = smith_normal_form(identity(3))
+    assert d == v == identity(3)
     z = Matrix([[0, 0], [0, 0]])
-    _, d, _ = smith_normal_form(z)
+    d, _ = smith_normal_form(z)
     assert d == z
 
 
@@ -75,7 +78,10 @@ def test_kernel_examples():
 @settings(max_examples=120, deadline=None)
 @given(small_matrices)
 def test_snf_soundness(m):
-    u, d, v = smith_normal_form(m)
+    # no U is built; the reference's U fits our D and V, which equal its own
+    d, v = smith_normal_form(m)
+    u, *reference = ref.smith_normal_form(m)
+    assert [d, v] == reference
     assert u @ m @ v == d
     assert abs(exact_det(u)) == 1
     assert abs(exact_det(v)) == 1
@@ -97,7 +103,7 @@ def test_kernel_primitivity(m):
     assert (m @ k) == zeros(m.rows, k.cols)
     if k.cols:
         # basis extends to a basis of Z^cols: SNF invariant factors are all 1
-        _, d, _ = smith_normal_form(k)
+        d, _ = smith_normal_form(k)
         assert all(d.data[i][i] == 1 for i in range(k.cols))
     # saturation of the kernel is the kernel itself
     assert ref.saturate_columns(k) == k
@@ -132,7 +138,7 @@ def test_kernel_of_dense_conjugate_stays_fast():
     assert time.perf_counter() - start < 2
     assert k.shape == (n, 4)
     assert m @ k == zeros(n, 4)
-    _, d, _ = smith_normal_form(k)
+    d, _ = smith_normal_form(k)
     assert all(d.data[i][i] == 1 for i in range(4))  # saturated
 
 
@@ -386,10 +392,7 @@ def _smith_cases() -> list[Matrix]:
     return cases
 
 
-def test_smith_form_matches_reference():
-    for m in _smith_cases():
-        ours, theirs = smith_normal_form(m), ref.smith_normal_form(m)
-        assert all(map(_identical, ours, theirs)), m
+GRAM_SOURCES = ("random", "extended pool", "golden lattice info")
 
 
 def _gram_cases(source: str) -> list[Matrix]:
@@ -401,19 +404,43 @@ def _gram_cases(source: str) -> list[Matrix]:
     return [Matrix(entry["job"]["gram"]) for entry in entries]
 
 
-@pytest.mark.parametrize("source", ["random", "extended pool", "golden lattice info"])
-def test_smith_form_builds_only_the_transforms_asked_for(source):
-    # the pivot choices read the working matrix alone, so D and a built
-    # transform are those of the full call, and a skipped one is None
-    cases = _gram_cases(source)
-    assert len(cases) >= 24
-    for m in cases:
-        full = smith_normal_form(m)
-        for u, v in product((True, False), repeat=2):
-            left, d, right = smith_normal_form(m, u=u, v=v)
-            assert _identical(d, full[1]), m
-            assert _identical(left, full[0]) if u else left is None, m
-            assert _identical(right, full[2]) if v else right is None, m
+def test_smith_form_matches_reference():
+    # D and V equal the reference's, entry for entry, on every corpus
+    for source in GRAM_SOURCES:
+        cases = _gram_cases(source)
+        assert len(cases) >= 24, source
+        for m in cases:
+            _, *theirs = ref.smith_normal_form(m)
+            assert all(map(_identical, smith_normal_form(m), theirs)), m
+
+
+def test_smith_form_is_certified_on_every_nonsingular_square_case():
+    # (D, V) passes the product-only certificate, which reads no U
+    for source in GRAM_SOURCES:
+        cases = [m for m in _gram_cases(source) if m.is_square and ref.det_fraction(m.data)]
+        assert len(cases) >= 24, source
+        for m in cases:
+            assert check_smith(m, *smith_normal_form(m)) == [], m
+
+
+def test_smith_certificate_rejects_tampered_forms():
+    # H5 + <-10> + <4> has D = diag(1, 1, 10, 20); each tampering breaks the
+    # one check that catches it
+    m = block_diag(Matrix([[2, 1], [1, -2]]), Matrix([[-10]]), Matrix([[4]]))
+    d, v = smith_normal_form(m)
+    assert [d.data[j][j] for j in range(4)] == [1, 1, 10, 20]
+    assert check_smith(m, d, v) == []
+
+    def diagonal(*entries):
+        return Matrix([[x if i == j else 0 for j in range(4)] for i, x in enumerate(entries)])
+
+    def columns(*order, scale=(1, 1, 1, 1)):
+        return Matrix([[row[j] * k for j, k in zip(order, scale)] for row in v.data])
+
+    assert "prod d_j = |det G|" in check_smith(m, diagonal(1, 1, 10, 40), v)
+    assert check_smith(m, d, columns(0, 2, 1, 3)) == ["d_j | column j of G V"]
+    assert check_smith(m, diagonal(1, 1, 20, 10), columns(0, 1, 3, 2)) == ["d_j | d_(j+1)"]
+    assert check_smith(m, d, columns(0, 1, 2, 3, scale=(2, 1, 1, 1))) == ["det V = +-1"]
 
 
 # --- entries checked at construction: the integer path against the public constructor ---
@@ -474,7 +501,7 @@ def test_integer_results_match_the_public_constructor():
                                                       cols=cols + inner))
                     for c in _operands(rng, inner, rows):
                         _check_built(block_diag(a, b, c), _public_block_diag(a, b, c))
-            for ours, theirs in zip(smith_normal_form(a), ref.smith_normal_form(a)):
+            for ours, theirs in zip(smith_normal_form(a), ref.smith_normal_form(a)[1:]):
                 _check_built(ours, theirs)
             _check_built(row_hermite(a), ref.row_hermite(a))
             _check_built(integer_kernel(a), ref.integer_kernel(a))

@@ -236,24 +236,3 @@ def test_every_memo_has_a_finite_maxsize():
     assert sum(source.count("lru_cache(maxsize=") for source in sources.values()) >= 7
     assert {name: lines for name, source in sources.items()
             if (lines := _unbounded_memos(source))} == {}
-
-
-def _smith_calls_without_flags(source: str) -> list[int]:
-    """Lines of ``source`` calling smith_normal_form with neither ``u=`` nor ``v=``."""
-    return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Call)
-                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "smith_normal_form"
-                  and not {k.arg for k in node.keywords} & {"u", "v"})
-
-
-def test_every_smith_form_call_names_the_transforms_it_skips():
-    # a caller that reads only some of U, D and V builds no other transform
-    assert _smith_calls_without_flags("a = smith_normal_form(m)\n"
-                                      "b = matrix.smith_normal_form(m, v=False)\n"
-                                      "c = smith_normal_form(m, u=False)\n"
-                                      "d = m.smith_normal_form(m, True)\n") == [1, 4]
-    sources = {path.name: path.read_text(encoding="utf-8")
-               for path in sorted((SRC / "kummerlat").glob("*.py"))}
-    assert sum(source.count("= smith_normal_form(") for source in sources.values()) >= 2
-    assert {name: lines for name, source in sources.items()
-            if (lines := _smith_calls_without_flags(source))} == {}
