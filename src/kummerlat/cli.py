@@ -1,12 +1,12 @@
 """Command line interface.
 
 Subcommands:
-    lattice info <file>          rank, signature, determinant, discriminant data
-    isometry check <file>        (m, a, disc S) plus the square and corollary checks
-    classify verify [--json]     the order five classification table
-    kummer ...                   Lefschetz numbers on the Kummer fourfold
+    lattice info <file> [--json]   rank, signature, determinant, discriminant data
+    isometry check <file> [--json] (m, a, disc S) plus the square and corollary checks
+    classify verify [--json]       the order five classification table
+    kummer ...                     Lefschetz numbers on the Kummer fourfold
     pool check [--seed S] [--count N]
-                                 the isometry property checks over the seeded pool
+                                   the isometry property checks over the seeded pool
 
 Exit codes: 0 all checks pass, 1 verification failure or closed stdout, 2 input error.
 """
@@ -63,6 +63,15 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _job(path: str, kind: str, keys) -> dict:
+    """The job file at ``path``, which must have every field in ``keys``."""
+    job = _load_json(path)
+    for key in keys:
+        if key not in job:
+            raise ValueError(f"{kind} job needs field {key!r}")
+    return job
+
+
 def _list_field(job: dict, key: str, of_lists: bool = True) -> list:
     """``job[key]``, which must be a JSON list, and for a matrix field a list of lists."""
     value = job[key]
@@ -71,7 +80,14 @@ def _list_field(job: dict, key: str, of_lists: bool = True) -> list:
     return value
 
 
-def cmd_lattice_info(args) -> int:
+def _pass(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
+
+
+# Each command returns (payload, lines, passed): the --json payload (None for
+# a text-only mode), the text report, and the verdict; main prints one of them.
+
+def cmd_lattice_info(args):
     from .lattices import discriminant_form, is_p_elementary, lattice_from_dict, signature
 
     lat = lattice_from_dict(_load_json(args.file))
@@ -89,26 +105,21 @@ def cmd_lattice_info(args) -> int:
             for p, (flag, a) in ((p, is_p_elementary(form.orders, p)) for p in ELEMENTARY_PRIMES)
         },
     }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-    print(f"name: {lat.name or '(unnamed)'}")
-    print(f"rank: {lat.rank}")
-    print(f"signature: {tuple(payload['signature'])}")
-    print(f"det: {lat.det}  |det|: {lat.disc}")
+    lines = [f"name: {lat.name or '(unnamed)'}", f"rank: {lat.rank}",
+             f"signature: {tuple(payload['signature'])}", f"det: {lat.det}  |det|: {lat.disc}"]
     if form.is_trivial:
-        print("discriminant group: trivial")
+        lines.append("discriminant group: trivial")
     else:
-        print("discriminant group: " + " + ".join(f"Z/{d}" for d in form.orders))
         qs = ", ".join(f"q(g{i + 1}) = {q} mod 2Z" for i, q in enumerate(payload["discriminant_form_q"]))
-        print(f"discriminant form: {qs}")
+        lines += ["discriminant group: " + " + ".join(f"Z/{d}" for d in form.orders),
+                  f"discriminant form: {qs}"]
     for p, entry in payload["p_elementary"].items():
         note = f"a = {entry['a']}" if entry["elementary"] else "no"
-        print(f"p-elementary p={p}: {note}")
-    return EXIT_OK
+        lines.append(f"p-elementary p={p}: {note}")
+    return payload, lines, True
 
 
-def cmd_isometry_check(args) -> int:
+def cmd_isometry_check(args):
     from .isometries import (
         LatticeIsometry,
         check_square_theorem,
@@ -117,10 +128,7 @@ def cmd_isometry_check(args) -> int:
     )
     from .lattices import lattice_from_dict
 
-    job = _load_json(args.file)
-    for key in ("gram", "matrix", "p"):
-        if key not in job:
-            raise ValueError(f"isometry job needs field {key!r}")
+    job = _job(args.file, "isometry", ("gram", "matrix", "p"))
     lat = lattice_from_dict({"gram": _list_field(job, "gram"), "name": job.get("name")})
     iso = LatticeIsometry(lat, Matrix(_list_field(job, "matrix")), job["p"])
     inv = compute_invariants(iso)
@@ -129,84 +137,58 @@ def cmd_isometry_check(args) -> int:
     corollary_ok = (
         check_unimodular_corollary(inv, p, lat) if p != 2 and lat.is_unimodular else None
     )
-    payload = {
-        "p": p,
-        "m": inv.m,
-        "a": inv.a,
-        "disc_s": inv.disc_s,
-        "index": inv.index,
-        "square_theorem": square_ok,
-        "unimodular_corollary": corollary_ok,
-    }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"p = {p}, m = {inv.m}, a = {inv.a}, disc S = {inv.disc_s}, index = {inv.index}")
-        if square_ok is None:
-            print("square theorem: skipped (p = 2)")
-        else:
-            print(
-                f"square theorem: p^m * disc(S) = {p ** inv.m * inv.disc_s} "
-                f"square: {'PASS' if square_ok else 'FAIL'}"
-            )
-        if corollary_ok is None:
-            print("unimodular corollary: skipped (ambient not unimodular or p = 2)")
-        else:
-            print(f"unimodular corollary: {'PASS' if corollary_ok else 'FAIL'}")
-    failed = (square_ok is False) or (corollary_ok is False)
-    return EXIT_VERIFICATION_FAILED if failed else EXIT_OK
+    payload = {"p": p, "m": inv.m, "a": inv.a, "disc_s": inv.disc_s, "index": inv.index,
+               "square_theorem": square_ok, "unimodular_corollary": corollary_ok}
+    lines = [
+        f"p = {p}, m = {inv.m}, a = {inv.a}, disc S = {inv.disc_s}, index = {inv.index}",
+        "square theorem: skipped (p = 2)" if square_ok is None else
+        f"square theorem: p^m * disc(S) = {p ** inv.m * inv.disc_s} square: {_pass(square_ok)}",
+        "unimodular corollary: skipped (ambient not unimodular or p = 2)" if corollary_ok is None
+        else f"unimodular corollary: {_pass(corollary_ok)}",
+    ]
+    return payload, lines, square_ok is not False and corollary_ok is not False
 
 
-def _row_report_payload(report) -> dict:
-    return {
-        "m": report.row.m,
-        "a": report.row.a,
-        "S": report.row.s.name,
-        "T": report.row.t.name,
-        "checks": report.checks,
-        "values": {k: str(v) for k, v in report.values.items()},
-        "necessary_conditions_only": report.necessary_conditions_only,
-        "pass": report.passed,
-    }
-
-
-def cmd_classify_verify(args) -> int:
+def cmd_classify_verify(args):
     from . import classification
 
     report = classification.verify_all()
     payload = {
-        "rows": [_row_report_payload(r) for r in report.row_reports],
+        "rows": [
+            {
+                "m": r.row.m,
+                "a": r.row.a,
+                "S": r.row.s.name,
+                "T": r.row.t.name,
+                "checks": r.checks,
+                "values": {k: str(v) for k, v in r.values.items()},
+                "necessary_conditions_only": r.necessary_conditions_only,
+                "pass": r.passed,
+            }
+            for r in report.row_reports
+        ],
         "candidate_pairs": [list(p) for p in report.pairs],
         "candidate_pairs_ok": report.pairs_ok,
         "table_pairs_ok": report.table_pairs_ok,
         "complement_53_ok": report.complement_ok,
         "pass": report.passed,
     }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for r in report.row_reports:
-            status = "PASS" if r.passed else "FAIL"
-            bad = [k for k, v in r.checks.items() if not v]
-            extra = f"  failing: {bad}" if bad else ""
-            print(f"row (m={r.row.m}, a={r.row.a}): {status}{extra}")
-        print(f"candidate pairs: {report.pairs}")
-        print(f"candidate pair list matches: {report.pairs_ok}")
-        print(f"table pair set matches: {report.table_pairs_ok}")
-        print(f"(5,3) complement check: {report.complement_ok}")
-        print(f"overall: {'PASS' if report.passed else 'FAIL'}")
-    return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
+    lines = []
+    for r in report.row_reports:
+        bad = [k for k, v in r.checks.items() if not v]
+        lines.append(f"row (m={r.row.m}, a={r.row.a}): {_pass(r.passed)}"
+                     + (f"  failing: {bad}" if bad else ""))
+    lines += [
+        f"candidate pairs: {report.pairs}",
+        f"candidate pair list matches: {report.pairs_ok}",
+        f"table pair set matches: {report.table_pairs_ok}",
+        f"(5,3) complement check: {report.complement_ok}",
+        f"overall: {_pass(report.passed)}",
+    ]
+    return payload, lines, report.passed
 
 
-def _result_payload(aut, result) -> dict:
-    return {
-        "poly_q": {str(e): str(c) for e, c in sorted(result.polynomial.coeffs.items())},
-        "value": result.value,
-        "corollary_check": corollary_holds(aut, result),
-    }
-
-
-def cmd_kummer(args) -> int:
+def cmd_kummer(args):
     given = {"--table": args.table, "--job": args.job is not None,
              "--type/--variant": args.type is not None or args.variant is not None,
              "--list-variants": args.list_variants}
@@ -214,62 +196,41 @@ def cmd_kummer(args) -> int:
     if len(modes) > 1:
         raise ValueError(f"kummer takes one mode, got {' and '.join(modes)}")
     if args.list_variants:
-        for kind in CATALOG_TYPES:
-            print(f"type {kind}: {', '.join(catalog_variants(kind))}")
-        return EXIT_OK
+        lines = [f"type {kind}: {', '.join(catalog_variants(kind))}" for kind in CATALOG_TYPES]
+        return None, lines, True
 
     if args.table:
         report = run_catalog_table()
-        if args.json:
-            payload = [
-                {
-                    "type": e.kind,
-                    "variant": e.variant,
-                    "value": e.value,
-                    "expected": e.expected,
-                    "corollary_check": e.corollary_ok,
-                    "pass": e.passed,
-                }
-                for e in report.entries
-            ]
-            print(json.dumps(payload, indent=2))
-        else:
-            for e in report.entries:
-                status = "PASS" if e.passed else "FAIL"
-                print(
-                    f"type {e.kind} {e.variant:24s} value = {e.value:>4} "
-                    f"expected = {e.expected:>4} {status}"
-                )
-            print(f"overall: {'PASS' if report.passed else 'FAIL'}")
-        return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
+        payload = [{"type": e.kind, "variant": e.variant, "value": e.value, "expected": e.expected,
+                    "corollary_check": e.corollary_ok, "pass": e.passed} for e in report.entries]
+        lines = [f"type {e.kind} {e.variant:24s} value = {e.value:>4} "
+                 f"expected = {e.expected:>4} {_pass(e.passed)}" for e in report.entries]
+        return payload, lines + [f"overall: {_pass(report.passed)}"], report.passed
 
     if args.job:
-        job = _load_json(args.job)
-        for key in ("H", "b", "n"):
-            if key not in job:
-                raise ValueError(f"kummer job needs field {key!r}")
+        job = _job(args.job, "kummer", ("H", "b", "n"))
         h, b = Matrix(_list_field(job, "H")), _list_field(job, "b", of_lists=False)
         aut = torus_automorphism(h, b, job["n"])
     elif args.type is not None:
         if args.variant is None:
             raise ValueError("--type requires --variant; see kummer --list-variants")
         aut = catalog(args.type, args.variant)
+    elif args.variant is not None:
+        raise ValueError("--variant requires --type; see kummer --list-variants")
     else:
         raise ValueError("kummer needs either --type/--variant or --job")
 
     result = lefschetz_q(aut)
-    payload = _result_payload(aut, result)
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        poly = " + ".join(f"{c}*q^{e}" for e, c in sorted(payload["poly_q"].items(), key=lambda kv: int(kv[0])))
-        print(f"L(psi^[n], q) = {poly or '0'}")
-        print(f"value at q = 1: {result.value}")
-        print(f"corollary check: {'PASS' if payload['corollary_check'] else 'FAIL'}")
-    return EXIT_OK if payload["corollary_check"] else EXIT_VERIFICATION_FAILED
+    ok = corollary_holds(aut, result)
+    poly = sorted(result.polynomial.coeffs.items())
+    payload = {"poly_q": {str(e): str(c) for e, c in poly}, "value": result.value,
+               "corollary_check": ok}
+    lines = [f"L(psi^[n], q) = {' + '.join(f'{c}*q^{e}' for e, c in poly) or '0'}",
+             f"value at q = 1: {result.value}", f"corollary check: {_pass(ok)}"]
+    return payload, lines, ok
 
 
-def cmd_pool_check(args) -> int:
+def cmd_pool_check(args):
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     if args.count > MAX_POOL_COUNT:
@@ -278,7 +239,7 @@ def cmd_pool_check(args) -> int:
     from .pool import extended_pool
 
     pool = extended_pool(seed=args.seed, count=args.count)
-    failures = 0
+    lines = []  # one FAIL line per failing entry
     for entry in pool:
         iso = entry.isometry
         inv = compute_invariants(iso)
@@ -289,10 +250,8 @@ def cmd_pool_check(args) -> int:
                 checks["corollary"] = check_unimodular_corollary(inv, iso.order, iso.lattice)
         bad = [k for k, v in checks.items() if not v]
         if bad:
-            failures += 1
-            print(f"FAIL {entry.name}: {bad} (m={inv.m}, a={inv.a}, discS={inv.disc_s})")
-    print(f"pool size: {len(pool)}, failures: {failures}")
-    return EXIT_OK if failures == 0 else EXIT_VERIFICATION_FAILED
+            lines.append(f"FAIL {entry.name}: {bad} (m={inv.m}, a={inv.a}, discS={inv.disc_s})")
+    return None, lines + [f"pool size: {len(pool)}, failures: {len(lines)}"], not lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,9 +318,13 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_fold_variant_value(list(argv)))
     try:
-        code = args.func(args)
+        payload, lines, passed = args.func(args)
+        if payload is not None and args.json:
+            print(json.dumps(payload, indent=2))
+        else:  # the text report, also for a text-only mode (payload None) under --json
+            print("\n".join(lines))
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
-        return code
+        return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

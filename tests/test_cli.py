@@ -176,6 +176,23 @@ def test_isometry_check_json(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_isometry_check_failing_square_exit_code(tmp_path, capsys, monkeypatch, flags):
+    import kummerlat.isometries as isometries
+
+    monkeypatch.setattr(isometries, "check_square_theorem", lambda inv, p: False)
+    path = _write(tmp_path, "iso.json", {"gram": A4M_GRAM, "matrix": C5, "p": 5})
+    assert main(["isometry", "check", path] + flags) == EXIT_VERIFICATION_FAILED
+    if flags:
+        expected = json.dumps({"p": 5, "m": 1, "a": 0, "disc_s": 5, "index": 1,
+                               "square_theorem": False, "unimodular_corollary": None}, indent=2)
+    else:
+        expected = ("p = 5, m = 1, a = 0, disc S = 5, index = 1\n"
+                    "square theorem: p^m * disc(S) = 25 square: FAIL\n"
+                    "unimodular corollary: skipped (ambient not unimodular or p = 2)")
+    assert capsys.readouterr().out == expected + "\n"
+
+
 def test_isometry_check_rejects_identity(tmp_path, capsys):
     eye = [[1, 0], [0, 1]]
     path = _write(tmp_path, "iso.json", {"gram": [[0, 1], [1, 0]], "matrix": eye, "p": 2})
@@ -303,15 +320,41 @@ def test_classify_verify_golden(capsys, argv, golden):
     assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
-def test_classify_verify_corrupted_rows_exit_code(capsys, monkeypatch):
+def _corrupt_row_53(monkeypatch):
+    # the (5, 3) row takes the T of the (1, 1) row
     from kummerlat import classification
     from kummerlat.classification import ClassificationRow, table_rows
 
     rows = table_rows()
     corrupted = rows[:7] + [ClassificationRow(5, 3, rows[7].s, rows[0].t)]
     monkeypatch.setattr(classification, "table_rows", lambda: corrupted)
+
+
+def test_classify_verify_corrupted_rows_exit_code(capsys, monkeypatch):
+    _corrupt_row_53(monkeypatch)
     assert main(["classify", "verify"]) == EXIT_VERIFICATION_FAILED
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_classify_verify_corrupted_rows_output(capsys, monkeypatch, flags):
+    _corrupt_row_53(monkeypatch)
+    assert main(["classify", "verify"] + flags) == EXIT_VERIFICATION_FAILED
+    out = capsys.readouterr().out
+    failing = ["rank_t", "sig_t_hyperbolic", "dt_order", "dt_group_is_z2_plus_ds"]
+    if flags:
+        golden = json.loads((GOLDEN / "classify_verify.json").read_text(encoding="utf-8"))
+        first, last = golden["rows"][0], golden["rows"][7]
+        last.update(T=first["T"], checks=dict(last["checks"], **dict.fromkeys(failing, False)),
+                    values=dict(last["values"], **{k: first["values"][k]
+                                                   for k in ("rank_t", "sig_t", "dt_orders")}))
+        last["pass"] = golden["pass"] = False
+        assert out == json.dumps(golden, indent=2) + "\n"
+    else:
+        golden = (GOLDEN / "classify_verify.txt").read_text(encoding="utf-8")
+        assert out == golden.replace("row (m=5, a=3): PASS",
+                                     f"row (m=5, a=3): FAIL  failing: {failing}").replace(
+            "overall: PASS", "overall: FAIL")
 
 
 def test_kummer_catalog_entry(capsys):
@@ -340,6 +383,51 @@ def test_kummer_table(capsys):
     out = capsys.readouterr().out
     assert "overall: PASS" in out
     assert out.count("PASS") == 40  # 39 entries plus the overall line
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("source", ["job", "catalog"])
+def test_kummer_failing_corollary_exit_code(tmp_path, capsys, monkeypatch, source, flags):
+    import kummerlat.cli as cli
+
+    monkeypatch.setattr(cli, "corollary_holds", lambda aut, result: False)
+    if source == "job":
+        argv = ["--job", _write(tmp_path, "job.json", {"H": ID4, "b": [1, 0, 0, 0], "n": 3})]
+        text = "1*q^0 + 7*q^2 + -8*q^3 + 27*q^4 + -8*q^5 + 7*q^6 + 1*q^8", 27
+        poly = {"0": "1", "2": "7", "3": "-8", "4": "27", "5": "-8", "6": "7", "8": "1"}
+    else:
+        argv = ["--type", "8", "--variant", "-h"]
+        text = "1*q^0 + 2*q^2 + -2*q^3 + 3*q^4 + -2*q^5 + 2*q^6 + 1*q^8", 5
+        poly = {"0": "1", "2": "2", "3": "-2", "4": "3", "5": "-2", "6": "2", "8": "1"}
+    assert main(["kummer", *argv, *flags]) == EXIT_VERIFICATION_FAILED
+    if flags:
+        expected = json.dumps({"poly_q": poly, "value": text[1], "corollary_check": False},
+                              indent=2)
+    else:
+        expected = f"L(psi^[n], q) = {text[0]}\nvalue at q = 1: {text[1]}\ncorollary check: FAIL"
+    assert capsys.readouterr().out == expected + "\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_kummer_table_failing_entry_exit_code(capsys, monkeypatch, flags):
+    import kummerlat.lefschetz as lefschetz
+
+    # the first two catalog entries, the second with a wrong expected value
+    (k0, v0, e0), (k1, v1, e1) = lefschetz.CATALOG_EXPECTED[:2]
+    monkeypatch.setattr(lefschetz, "CATALOG_EXPECTED", ((k0, v0, e0), (k1, v1, e1 + 1)))
+    assert main(["kummer", "--table", *flags]) == EXIT_VERIFICATION_FAILED
+    if flags:
+        expected = json.dumps([
+            {"type": 0, "variant": "id", "value": 108, "expected": 108, "corollary_check": True,
+             "pass": True},
+            {"type": 0, "variant": "t_b", "value": 27, "expected": 28, "corollary_check": True,
+             "pass": False},
+        ], indent=2)
+    else:
+        expected = ("type 0 id                       value =  108 expected =  108 PASS\n"
+                    "type 0 t_b                      value =   27 expected =   28 FAIL\n"
+                    "overall: FAIL")
+    assert capsys.readouterr().out == expected + "\n"
 
 
 def test_kummer_table_loads_no_lattice_module():
@@ -479,6 +567,23 @@ def test_kummer_list_variants(capsys):
     # the whole listing, byte for byte
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "275a118053d75df57f52993bcf591b04fa34a03e790a3707e162582c7e708a28")
+
+
+def test_kummer_list_variants_is_text_only(capsys):
+    # the listing has no JSON form, so --json leaves it as it is
+    assert main(["kummer", "--list-variants"]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert main(["kummer", "--list-variants", "--json"]) == EXIT_OK
+    assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--type", "3"], "--type requires --variant"),
+    (["--variant", "h"], "--variant requires --type"),
+], ids=["type", "variant"])
+def test_kummer_type_and_variant_need_each_other(capsys, argv, message):
+    assert main(["kummer", *argv]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == ("", f"error: {message}; see kummer --list-variants\n")
 
 
 def test_missing_file_is_input_error(capsys):

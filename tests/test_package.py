@@ -236,3 +236,24 @@ def test_every_memo_has_a_finite_maxsize():
     assert sum(source.count("lru_cache(maxsize=") for source in sources.values()) >= 7
     assert {name: lines for name, source in sources.items()
             if (lines := _unbounded_memos(source))} == {}
+
+
+def _commands_that_print(source: str) -> list[str]:
+    """``name:line`` of each print or json.dumps call inside a function named cmd_* of ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_"):
+            found += [f"{node.name}:{call.lineno}" for call in ast.walk(node)
+                      if isinstance(call, ast.Call)
+                      and (getattr(call.func, "id", None) in ("print", "dumps")
+                           or getattr(call.func, "attr", None) == "dumps")]
+    return found
+
+
+def test_commands_return_their_report_and_main_prints_it():
+    assert _commands_that_print("import json\ndef cmd_a(x):\n    print(x)\n"
+                                "def cmd_b(x):\n    return json.dumps(x)\n"
+                                "def main(x):\n    print(json.dumps(x))\n") == ["cmd_a:3", "cmd_b:5"]
+    source = (SRC / "kummerlat" / "cli.py").read_text(encoding="utf-8")
+    assert source.count("\ndef cmd_") == 5
+    assert _commands_that_print(source) == []
