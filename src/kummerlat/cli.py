@@ -207,7 +207,7 @@ def cmd_kummer(args):
                  f"expected = {e.expected:>4} {_pass(e.passed)}" for e in report.entries]
         return payload, lines + [f"overall: {_pass(report.passed)}"], report.passed
 
-    if args.job:
+    if args.job is not None:
         job = _job(args.job, "kummer", ("H", "b", "n"))
         h, b = Matrix(_list_field(job, "H")), _list_field(job, "b", of_lists=False)
         aut = torus_automorphism(h, b, job["n"])

@@ -10,8 +10,11 @@ meets T_Q in 0 and holds S_Q only if it is S_Q; both are saturated, so
 their canonical Hermite bases are equal, whether or not phi is an
 isometry with phi^p = 1.  Phi_p(phi) is never built: Horner's rule
 applies phi p - 1 times to the rows of S packed into one integer each
-(Kronecker substitution), at a width that a bound on the entries makes
-sound and that is derived again from the entries reached every few steps.
+(Kronecker substitution), in chunks of as many steps as a bound on the
+entries keeps within a fixed slot width; after a chunk that does not
+finish, the width is derived again from the entries reached.  The same
+check decides phi^p = 1 when an isometry is built, since
+phi^p - 1 = Phi_p(phi) (phi - 1).
 
 No Smith form is taken.  The pairings x -> T^T G x have kernel S and map
 T onto (T^T G T) Z^k, so [L : T + S] is |det T| over the index of the
@@ -71,7 +74,8 @@ class LatticeIsometry(_Frozen):
         one = identity(n)
         if phi == one:
             raise ValueError("order must be prime, matrix != identity")
-        if phi ** order != one:
+        # phi^p - 1 = Phi_p(phi) (phi - 1), so the packed Horner check decides phi^p = 1
+        if not _annihilates(phi, order, phi - one):
             raise ValueError(f"matrix does not have order {order}")
         super().__init__(lattice, matrix, order)
 
@@ -80,8 +84,14 @@ class IsometryInvariants(_Frozen):
     __slots__ = ("invariant", "coinvariant", "m", "a", "disc_s", "index")
 
 
-# Horner steps of ``_annihilates`` between two re-derivations of the packing width
-_REPACK_STEPS = 8
+# The widest slot, in bits, that a chunk of Horner steps in ``_annihilates``
+# may need by its bound.  At 160 every cross-check and order check of the
+# 220-entry pool runs in one chunk (the widest, of glued C23+id, needs 136
+# bits; at 128 it takes two, and 0.4-0.8 ms more).  On dense phi the bound
+# outgrows the entries by about log2 B bits a step, so there wider chunks
+# cost more: on a conjugated rotation of A_60, whose entries stay at 7-10
+# bits, the two checks took 1.2x as long at 160 as at 128, and 2.3x at 512.
+_MAX_SLOT_BITS = 160
 
 
 def _pack(rows, width: int) -> list[int]:
@@ -115,17 +125,23 @@ def _annihilates(phi: Matrix, p: int, s: Matrix) -> bool:
     2^(width - 1) in absolute value, since a row then packs to 0 only if
     all its entries are 0.  With B the largest row sum of |phi| (at least
     1), r steps from entries at most M stay at most (r + 1) B^r M, which
-    sets the width.  That bound overshoots on dense phi, so after every
-    ``_REPACK_STEPS`` steps the rows are unpacked once and the width is
-    derived again from the largest entry reached.
+    sets the width.  A chunk takes as many steps as keep that bound below
+    2^_MAX_SLOT_BITS, and at least one, so sparse phi and small p run in
+    one chunk.  The bound overshoots on dense phi, so after a chunk that
+    does not finish, the rows are unpacked once and M is taken again as the
+    largest entry reached.
     """
     terms = [[(l, v) for l, v in enumerate(row) if v] for row in phi.data]
     b = max([1] + [sum(abs(v) for _, v in row) for row in terms])
     m_s = max([1] + [abs(x) for row in s.data for x in row])
     entries, largest, left = s.data, m_s, p - 1
     while True:
-        steps = min(_REPACK_STEPS, left)
-        width = ((steps + 1) * b**steps * largest).bit_length() // 8 * 8 + 8
+        # the most steps, and at least one, whose bound stays below the cap; grown = B^steps M
+        steps, grown = 0, largest
+        while steps < left and (
+                not steps or ((steps + 2) * grown * b).bit_length() < _MAX_SLOT_BITS):
+            steps, grown = steps + 1, grown * b
+        width = ((steps + 1) * grown).bit_length() // 8 * 8 + 8
         base = _pack(s.data, width)
         acc = base if entries is s.data else _pack(entries, width)
         for _ in range(steps):

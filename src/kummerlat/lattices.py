@@ -54,11 +54,12 @@ FQF_ORDER_CAP = 10000
 
 # lattice_from_dict, the reader of ``lattice info`` and ``isometry check``,
 # refuses a Gram matrix of more rows before any work.  The worst accepted
-# sparse shape, 2 I of rank 256, takes about 1.0 s and 23 MB max RSS in
-# ``lattice info`` (A_256: 0.7 s; ``isometry check`` on either, 0.4 s),
-# median of 5 runs of the command, Python 3.11 on a 2-core Xeon.  Dense
-# Gram matrices grow their entries and reach cost cliffs at lower ranks,
-# which this bound does not address.
+# sparse shape, 2 I of rank 256, takes about 1.1 s and 25 MB max RSS in
+# ``lattice info``, nearly all in the whole-Gram Smith form of
+# ``discriminant_form`` (A_256: 0.2 s; ``isometry check`` of -1 on either,
+# 0.2 s), median of 5 runs of the command, Python 3.11 on a 2-core Xeon.
+# Dense Gram matrices grow their entries and reach cost cliffs at lower
+# ranks, which this bound does not address.
 MAX_RANK = 256
 
 
@@ -234,8 +235,18 @@ def _block_signature(rows: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
     alpha / prev.  When the remaining diagonal is zero, the congruence
     e_d -> e_d + e_j with a_dj != 0 makes a_dd = 2 a_dj and keeps prev,
     the minor of the earlier pivots.
+
+    Rows are rescaled lazily, as in ``matrix._det_bareiss``: a row with
+    a_kd = 0 is left as it is, with ``scale``, the pivot that last wrote
+    it, so its true entries are its entries times prev / scale, a factor
+    that may be negative.  A row with a_kd != 0 becomes
+    (alpha a_kl - a_kd a_dl) // scale at once.  Whether a diagonal entry is
+    zero, and a column operation, which acts inside each row, do not depend
+    on the scale; the pivot row, whose alpha is counted, and the two rows
+    that the congruence adds are rescaled to their true entries first.
     """
     a = [list(row) for row in rows]
+    scale = [1] * len(a)
     plus = minus = 0
     prev = 1
     while a:
@@ -243,22 +254,25 @@ def _block_signature(rows: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
         if d is None:
             # a nondegenerate block with zero diagonal has a nonzero a_dj
             d, j = next((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x)
+            for i in (d, j):
+                a[i] = [x * prev // scale[i] for x in a[i]]
+                scale[i] = prev
             a[d] = [x + y for x, y in zip(a[d], a[j])]
             for row in a:
                 row[d] += row[j]
-        alpha = a[d][d]
+        pivot, s = a.pop(d), scale.pop(d)
+        if s != prev:
+            pivot = [x * prev // s for x in pivot]
+        alpha = pivot.pop(d)
         if (alpha > 0) == (prev > 0):
             plus += 1
         else:
             minus += 1
-        pivot = a.pop(d)
-        del pivot[d]
-        c = [row.pop(d) for row in a]
-        a = [
-            [(alpha * x - ck * y) // prev for x, y in zip(row, pivot)] if ck
-            else [alpha * x // prev for x in row]
-            for row, ck in zip(a, c)
-        ]
+        for i, row in enumerate(a):
+            ck = row.pop(d)
+            if ck:
+                a[i] = [(alpha * x - ck * y) // scale[i] for x, y in zip(row, pivot)]
+                scale[i] = alpha
         prev = alpha
     return (plus, minus)
 

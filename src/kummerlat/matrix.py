@@ -27,8 +27,9 @@ quadratic form search, taken mod p).
 The integer kernels skip the work that zero entries and unit pivots make
 redundant: a product is a sum of row combinations over the nonzero
 entries of the left factor, Bareiss elimination updates whole rows and
-only rescales a row with a zero in the pivot column, Hermite elimination
-rewrites one row when the pivot divides the entry it clears, back
+rescales a row with zeros in the pivot columns once, when a pivot column
+next reaches it (an exact quotient by Sylvester's identity), Hermite
+elimination rewrites one row when the pivot divides the entry it clears, back
 substitution divides by no unit pivot, and the Smith form ends its pivot
 search at an entry +-1 and skips the divisibility scan at a unit pivot.
 None of these shortcuts changes an output.
@@ -374,37 +375,55 @@ def exact_det(m: Matrix) -> int:
 
 
 def _det_bareiss(m: Matrix) -> int:
-    """Fraction-free Gaussian elimination (Bareiss) on whole rows.
+    """Fraction-free Gaussian elimination (Bareiss) with lazy rescaling of rows.
 
-    ``a`` holds the trailing block below and right of the pivots found so
-    far.  A row with a nonzero entry in the pivot column is updated by one
-    comprehension over the columns right of it; a row with a zero there
-    is only rescaled by pivot / prev (exact, as every Bareiss quotient),
-    and left as it is when pivot == prev.
+    Step k with pivot p_k turns each row below into
+    (p_k x - lead y) / p_(k-1), with lead its entry in the pivot column and
+    y the pivot row, and every such quotient is exact.  A row with a zero
+    lead is only multiplied by p_k / p_(k-1); after the zero leads of steps
+    t .. k - 1 it is its row of step t times p_(k-1) / p_(t-1), an exact
+    quotient by Sylvester's identity, as both are minors (Bareiss, Math.
+    Comp. 22, 1968).  So each row keeps ``scale[i]``, the pivot of the last
+    step that wrote it, and is left untouched until a pivot column reaches
+    it: a row with a nonzero lead then becomes (p_k x - lead y) / scale[i]
+    at once, and the pivot row is brought to its true entries by
+    prev / scale[i] first.  A row untouched by the steps costs one lookup
+    of its lead per step, and a dense matrix, whose rows are all written at
+    every step, costs what eager rescaling costs.
+
+    Rows are replaced, never written in place, and a row written at step j
+    holds the columns right of j only, so column k is entry k - n of every
+    row.
     """
-    a = [list(row) for row in m.data]
+    a = list(m.data)
+    n = len(a)
+    scale = [1] * n
     sign = 1
     prev = 1
-    while len(a) > 1:
-        if a[0][0] == 0:
-            swap = next((i for i, row in enumerate(a) if row[0]), None)
+    for k in range(n - 1):
+        c = k - n  # column k, counted from the end of every row
+        row = a[k]
+        if not row[c]:
+            swap = next((i for i in range(k + 1, n) if a[i][c]), None)
             if swap is None:
                 return 0
-            a[0], a[swap] = a[swap], a[0]
+            a[k], a[swap] = a[swap], row
+            scale[k], scale[swap] = scale[swap], scale[k]
+            row = a[k]
             sign = -sign
-        pivot, *tail = a[0]
-        rest = []
-        for row in a[1:]:
-            lead = row[0]
+        pivot, tail, s = row[c], row[c + 1:], scale[k]
+        if s != prev:
+            pivot = pivot * prev // s
+            tail = [x * prev // s for x in tail]
+        for i in range(k + 1, n):
+            row = a[i]
+            lead = row[c]
             if lead:
-                rest.append([(x * pivot - lead * y) // prev for x, y in zip(row[1:], tail)])
-            elif pivot == prev:
-                rest.append(row[1:])
-            else:
-                rest.append([x * pivot // prev for x in row[1:]])
-        a = rest
+                s = scale[i]
+                a[i] = [(x * pivot - lead * y) // s for x, y in zip(row[c + 1:], tail)]
+                scale[i] = pivot
         prev = pivot
-    return sign * a[0][0]
+    return sign * a[-1][-1] * prev // scale[-1]
 
 
 def smith_normal_form(m: Matrix):

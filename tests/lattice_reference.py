@@ -8,21 +8,25 @@ restricts a finite quadratic form to its p-primary component on
 The library must give identical outputs.  ``fqf_direct_sum`` builds the
 orthogonal sum of two finite quadratic forms for the isomorphism tests,
 and ``ambient_lattice`` the rank 23 lattice U^3 + E8(-1)^2 + <-2> that
-the order five classification counts ranks in.
+the order five classification counts ranks in.  ``sparse_grams`` gives
+the large sparse Gram matrices on which the determinant and the
+signature are checked against these references at scale.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from kummerlat.lattices import (
     FiniteQuadraticForm,
     Lattice,
+    cartan_a,
     direct_sum,
     fqf_from_generators,
     make_standard,
 )
-from kummerlat.matrix import factorize
+from kummerlat.matrix import Matrix, block_diag, factorize
 
 
 def signature(lat: Lattice) -> tuple[int, int]:
@@ -113,3 +117,37 @@ def ambient_lattice() -> Lattice:
     u = make_standard("U")
     e8m = make_standard("E8(-1)")
     return direct_sum(u, u, u, e8m, e8m, make_standard("<-2>"), name="U^3 + E8(-1)^2 + <-2>")
+
+
+SPARSE_BLOCKS = ("U", "U(3)", "H5", "<-2>", "<4>", "A4(-1)", "A4(-5)", "E8(-1)")
+
+
+def sparse_grams(seed: int) -> list[Matrix]:
+    """Even nondegenerate Gram matrices of rank 200 to 256 whose elimination leaves most rows alone.
+
+    A_256 and -A_200 (tridiagonal; the leading minors of -A_n alternate in
+    sign), a diagonal of mixed signs, a block sum of rank at least 200
+    whose hyperbolic planes, with zero diagonal, wait untouched for every
+    other pivot before the congruence step takes them, and
+    banded matrices of half-width 1, 2 and 3 whose even diagonal of random
+    sign dominates each row, which makes them nondegenerate.
+    """
+    rng = random.Random(seed)
+    grams = [cartan_a(256), -cartan_a(200),
+             block_diag(*(Matrix([[rng.choice((2, -2, 4, -6))]]) for _ in range(256)))]
+    blocks = [make_standard("U").gram, make_standard("U(3)").gram]
+    while sum(m.rows for m in blocks) < 200:
+        if rng.random() < 0.3:
+            blocks.append(cartan_a(rng.randint(1, 12)).scale(rng.choice((1, -1))))
+        else:
+            blocks.append(make_standard(rng.choice(SPARSE_BLOCKS)).gram)
+    grams.append(block_diag(*blocks))
+    for n, width in ((256, 1), (230, 2), (200, 3)):
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, min(n, i + width + 1)):
+                g[i][j] = g[j][i] = rng.choice((0, -2, -1, 1, 2))
+            # the at most 2 width off-diagonal entries of a row sum to at most 4 width
+            g[i][i] = rng.choice((1, -1)) * (4 * width + 2)
+        grams.append(Matrix(g))
+    return grams

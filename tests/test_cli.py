@@ -593,6 +593,14 @@ def test_missing_file_is_input_error(capsys):
 
 @pytest.mark.parametrize("argv", [["isometry", "check"], ["kummer", "--job"], ["lattice", "info"]],
                          ids=["isometry", "kummer", "lattice"])
+def test_empty_path_is_missing_file(capsys, argv):
+    # an empty path is a path given: kummer --job "" reads it like the others
+    assert main(argv + [""]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == ("", "error: no such file: \n")
+
+
+@pytest.mark.parametrize("argv", [["isometry", "check"], ["kummer", "--job"], ["lattice", "info"]],
+                         ids=["isometry", "kummer", "lattice"])
 def test_directory_path_is_input_error(tmp_path, capsys, argv):
     assert main(argv + [str(tmp_path)]) == EXIT_INPUT_ERROR
     out, err = capsys.readouterr()

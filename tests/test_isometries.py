@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import sys
 import time
 from collections import Counter
@@ -9,6 +10,7 @@ from math import lcm, prod
 import pytest
 
 from kummerlat.isometries import (
+    _MAX_SLOT_BITS,
     LatticeIsometry,
     _annihilates,
     _rank_mod,
@@ -399,6 +401,79 @@ def test_packed_check_matches_power_sum():
     for phi, s in traps:
         assert any(map(any, (_power_sum(phi, 5) @ s).data))
         assert not _annihilates(phi, 5, s), phi
+
+
+def _order_cases(rng):
+    """(lattice, phi, p): the base pool rows, wrong orders, and seeded permutations and blocks."""
+    minus_two, a4m = make_standard("<-2>"), make_standard("A4(-1)")
+    cases = [(e.isometry.lattice, e.isometry.matrix, e.isometry.order) for e in base_pool()]
+    cases += [
+        (direct_sum(*[minus_two] * 9), block_permutation(1, 9), 3),  # order p^2
+        (a4m, -C5, 5),  # order 2p
+        (direct_sum(U, a4m), block_diag(-identity(2), C5), 5),  # order 2p
+        (make_standard("H5"), Matrix([[1, 1], [1, 2]]), 3),  # infinite order
+    ]
+    rotations = {n + 1: (Lattice(-cartan_a(n)), cyclic_rotation(n)) for n in (1, 2, 4, 6)}
+    for _ in range(40):
+        piece = make_standard(rng.choice(("<-2>", "U", "H5")))
+        count = rng.choice((2, 3, 4, 5, 6, 7, 9))
+        lattice = direct_sum(*[piece] * count)
+        p = rng.choice([q for q in (2, 3, 5, 7) if q <= lattice.rank + 1])
+        cases.append((lattice, block_permutation(piece.rank, count), p))
+        blocks = [rotations[rng.choice((2, 3, 5, 7))] for _ in range(rng.randint(1, 3))]
+        signs = [rng.choice((1, -1)) for _ in blocks]
+        lattice = direct_sum(*(lat for lat, _ in blocks))
+        phi = block_diag(*(c.scale(sign) for (_, c), sign in zip(blocks, signs)))
+        p = rng.choice([q for q in (2, 3, 5, 7) if q <= lattice.rank + 1])
+        cases.append((lattice, phi, p))
+    return cases
+
+
+def test_order_check_matches_the_power_ladder():
+    # phi^p - 1 = Phi_p(phi) (phi - 1): the packed check of the constructor
+    # agrees with phi ** p == 1, also for orders p^2 and 2p, infinite order,
+    # and exponents that are not prime
+    outcomes = Counter()
+    for lattice, phi, p in _order_cases(random.Random(11)):
+        one = identity(lattice.rank)
+        for k in range(1, 12):
+            assert _annihilates(phi, k, phi - one) == (phi ** k == one), (phi, k)
+        if phi == one:
+            outcome, message = "identity", "order must be prime, matrix != identity"
+        elif phi ** p != one:
+            outcome, message = "wrong order", f"matrix does not have order {p}"
+        else:
+            assert LatticeIsometry(lattice, phi, p).matrix == phi
+            outcomes["order p"] += 1
+            continue
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LatticeIsometry(lattice, phi, p)
+        outcomes[outcome] += 1
+    assert outcomes["order p"] >= 30 and outcomes["wrong order"] >= 30 and outcomes["identity"] >= 2
+
+
+def test_packed_check_repacks_past_the_slot_cap():
+    # a dense conjugate of the A22(-1) rotation: the bound of its 22 Horner
+    # steps passes _MAX_SLOT_BITS, so the check unpacks and packs again
+    # partway, for the order check of the constructor and for the cross-check
+    iso = LatticeIsometry(Lattice(-cartan_a(22)), cyclic_rotation(22), 23)
+    conj = conjugate_isometry(iso, random_unimodular(random.Random(2), 22, 110))
+    phi, one = conj.matrix, identity(22)
+    b = max(sum(map(abs, row)) for row in phi.data)
+    m = max(abs(x) for row in (phi - one).data for x in row)
+    assert (23 * b**22 * m).bit_length() >= _MAX_SLOT_BITS
+    assert LatticeIsometry(conj.lattice, phi, 23).matrix == phi
+    assert not _annihilates(phi, 22, phi - one) and not _annihilates(phi, 24, phi - one)
+    inv = compute_invariants(conj)
+    assert (inv.m, inv.a, inv.disc_s) == (1, 0, 23)
+    assert inv.coinvariant.basis == one
+    assert _annihilates(phi, 23, one) and not _annihilates(phi, 22, one)
+    # phi of infinite order keeps growing its entries over many chunks, and
+    # each chunk must take its width from the entries the last one reached
+    grow = random_unimodular(random.Random(3), 6, 24)
+    s = Matrix([[1, -1]] * 6)
+    for k in (100, 200, 300):
+        assert _annihilates(grow, k, s) == (not any(map(any, (_power_sum(grow, k) @ s).data))), k
 
 
 def test_coinvariant_mismatch_on_wrong_order():

@@ -37,6 +37,7 @@ from isometry_reference import random_unimodular
 from lattice_reference import fqf_direct_sum
 from lattice_reference import p_primary_part as reference_p_primary_part
 from lattice_reference import signature as reference_signature
+from lattice_reference import sparse_grams
 from matrix_reference import saturate_columns
 from matrix_reference import smith_normal_form as reference_smith_form
 
@@ -328,6 +329,24 @@ def test_signature_matches_fraction_reference():
             hyperbolic_first += all(g[i][i] == 0 for i in range(n))
             assert signature(lat) == reference_signature(lat), g
     assert hyperbolic_first >= 14
+    # rank 200 to 256: signature reads each block, and the elimination of
+    # the whole Gram matrix leaves the rows of later blocks waiting
+    for g in sparse_grams(15):
+        lat = Lattice(g)
+        expected = reference_signature(lat)
+        assert signature(lat) == expected, g
+        assert lattices._block_signature(g.data) == expected, g
+
+
+def test_signature_at_the_rank_bound_stays_fast():
+    # A_256, the tridiagonal block at lattices.MAX_RANK: eager rescaling of
+    # the rows below the band took about 0.6 s for the two eliminations
+    gram = cartan_a(lattices.MAX_RANK)
+    start = time.perf_counter()
+    lat = Lattice(gram)
+    assert lattices._block_signature.__wrapped__(gram.data) == (lattices.MAX_RANK, 0)
+    assert time.perf_counter() - start < 0.5
+    assert lat.det == lattices.MAX_RANK + 1
 
 
 def test_signature_congruence_step_matches_fraction_reference():

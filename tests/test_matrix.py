@@ -33,6 +33,7 @@ from kummerlat.lefschetz import _type_matrix
 from kummerlat.pool import cyclic_rotation, extended_pool
 from isometry_reference import random_unimodular, smith_kernel
 from certificate_reference import check_smith
+from lattice_reference import sparse_grams
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -343,8 +344,8 @@ def test_product_matches_dense_reference():
 
 def test_bareiss_matches_fraction_elimination():
     cases = [
-        Matrix([[1, 2, 3], [0, 4, 5], [6, 7, 8]]),  # zero lead, a_kk == prev: row kept
-        Matrix([[2, 1, 3], [0, 4, 5], [1, 7, 8]]),  # zero lead, a_kk != prev: row rescaled
+        Matrix([[1, 2, 3], [0, 4, 5], [6, 7, 8]]),  # zero lead, pivot == prev
+        Matrix([[2, 1, 3], [0, 4, 5], [1, 7, 8]]),  # zero lead, pivot != prev: rescaled later
         Matrix([[3, 1, 2, 0], [6, 5, 1, 2], [0, 0, 4, 1], [0, 7, 1, 3]]),  # both, later pivots
         Matrix([[0, 1, 2], [3, 4, 5], [6, 7, 9]]),  # zero pivot: swap
         Matrix([[1, 2, 3], [2, 4, 7], [1, 5, 2]]),  # zero pivot after one step: swap
@@ -360,10 +361,18 @@ def test_bareiss_matches_fraction_elimination():
         for inner in range(n):
             # rank at most inner < n
             cases.append(_sparse_matrix(rng, n, inner, 0.5) @ _sparse_matrix(rng, inner, n, 0.5))
-    for m in cases:
+    # at rank 200 to 256 most rows wait many steps for their rescaling, by
+    # factors of either sign
+    grams = sparse_grams(14)
+    for m in cases + grams:
         det = _det_bareiss(m)
         assert type(det) is int and det == ref.det_fraction(m.data), m
         assert exact_det(m) == det
+    # with the rows reversed, a permutation of sign (-1)^(n (n - 1) / 2), a
+    # waiting row is swapped in as the pivot row
+    for m in grams[1::3]:
+        n = m.rows
+        assert _det_bareiss(Matrix(m.data[::-1])) == (-1) ** (n * (n - 1) // 2) * _det_bareiss(m)
 
 
 def test_hermite_and_kernel_match_xgcd_reference():
