@@ -19,16 +19,17 @@ from fractions import Fraction
 from .lattices import (
     FiniteQuadraticForm,
     Lattice,
+    _blocks,
+    _discriminant_group,
+    _orthogonal_form,
+    _signature,
     direct_sum,
-    discriminant_group,
     fqf_from_diagonal,
     fqf_isomorphic,
     group_signature,
     is_p_elementary,
     make_standard,
-    orthogonal_discriminant_form,
     p_primary_part,
-    signature,
 )
 from .matrix import _Frozen
 
@@ -74,10 +75,11 @@ _TWO_PART_TARGET = fqf_from_diagonal([(2, Fraction(-1, 2))])
 def verify_row(row: ClassificationRow) -> RowReport:
     """Exact checks of every numeric condition asserted for a table row.
 
-    Takes no whole-Gram Smith form.  The signatures, the discriminant
-    groups of S and T and the discriminant form of T, whose 2-part is
-    checked, are read per distinct orthogonal block, so blocks met in an
-    earlier row cost no elimination and no Smith form.
+    Takes no whole-Gram Smith form.  The Gram matrices of S and T are
+    split into their orthogonal blocks once each, and the signatures, the
+    discriminant groups of S and T and the discriminant form of T, whose
+    2-part is checked, are read per distinct block from that split, so
+    blocks met in an earlier row cost no elimination and no Smith form.
     """
     m, a, s, t = row.m, row.a, row.s, row.t
     checks: dict[str, bool] = {}
@@ -88,18 +90,19 @@ def verify_row(row: ClassificationRow) -> RowReport:
     checks["rank_s"] = s.rank == 4 * m
     checks["rank_t"] = t.rank == AMBIENT_RANK - 4 * m
 
-    sig_s, sig_t = signature(s), signature(t)
+    s_blocks, t_blocks = _blocks(s.gram), _blocks(t.gram)
+    sig_s, sig_t = _signature(s_blocks), _signature(t_blocks)
     values["sig_s"] = sig_s
     values["sig_t"] = sig_t
     checks["sig_s"] = sig_s == (2, 4 * m - 2)
     checks["sig_t_hyperbolic"] = sig_t == (1, 22 - 4 * m)
 
-    ds_orders = discriminant_group(s)
+    ds_orders = _discriminant_group(s_blocks)
     elem, count = is_p_elementary(ds_orders, ORDER)
     values["ds_orders"] = ds_orders
     checks["ds_is_5_elementary_rank_a"] = elem and count == a
 
-    dt, dt_orders = orthogonal_discriminant_form(t), discriminant_group(t)
+    dt, dt_orders = _orthogonal_form(t_blocks), _discriminant_group(t_blocks)
     values["dt_orders"] = dt_orders
     checks["dt_order"] = dt.group_order == 2 * ORDER**a
     checks["dt_group_is_z2_plus_ds"] = group_signature(dt_orders) == group_signature(
@@ -141,9 +144,10 @@ def complement_form_target() -> FiniteQuadraticForm:
 def verify_53_complement() -> bool:
     """U(5) + <-10> has signature (1, 2) and the required discriminant form."""
     t = direct_sum(make_standard("U(5)"), make_standard("<-10>"))
-    if signature(t) != (1, 2):
+    blocks = _blocks(t.gram)
+    if _signature(blocks) != (1, 2):
         return False
-    return fqf_isomorphic(orthogonal_discriminant_form(t), complement_form_target())
+    return fqf_isomorphic(_orthogonal_form(blocks), complement_form_target())
 
 
 class ClassificationReport(_Frozen):

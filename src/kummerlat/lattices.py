@@ -7,22 +7,24 @@ Signatures add and D(L1 + L2) = D(L1) + D(L2) (Nikulin 1980, section
 1.3), so both are read per connected block of the Gram matrix, once per
 distinct block: its inertia by symmetric elimination over Z, its
 discriminant form by one Smith form (D, V).  The discriminant group
-pools the block invariant factors, and ``orthogonal_discriminant_form``
-sums the block forms.
+pools the block invariant factors, and ``_orthogonal_form`` sums the
+block forms.
 ``discriminant_form`` keeps one whole-Gram Smith form, whose columns
 present the generators that ``lattice info`` prints.  The
-isomorphism test splits each form once into its p-parts and scales each
-part by its own largest order p^K, then works on integers.
+isomorphism test splits each form once into its p-parts, reading each
+value once, and scales each part by its own largest order p^K, then
+works on integers.
 An odd p-part whose b is nondegenerate is decided by its Jordan
 invariants: for each scale p^s, the rank of the constituent and the
 Legendre symbol of its determinant (Wall, "Quadratic forms on finite
 groups, and related topics", Topology 2, 1963; Nikulin, Math. USSR Izv.
-14, 1980, section 1.8).  Every other part (each 2-part and each
-degenerate odd part) gets an (order, q) census of both groups, then a
-backtracking search for generator images with forward checking; there
-each element carries its pairing row as one int of fixed-width slots,
-left unreduced (a slot holds less than k * p^K * p^K), which is unpacked
-only for the candidates of the search.
+14, 1980, section 1.8), read off by a diagonalization that scans every
+entry only in a round with no diagonal unit.  Every other part (each
+2-part and each degenerate odd part) gets an (order, q) census of both
+groups, then a backtracking search for generator images with forward
+checking; there each element carries its pairing row as one int of
+fixed-width slots, left unreduced (a slot holds less than k * p^K * p^K),
+which is unpacked only for the candidates of the search.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from operator import itemgetter
 from .matrix import (
     Matrix,
     _Frozen,
+    _is_int,
     block_diag,
     exact_det,
     factorize,
@@ -61,6 +64,9 @@ FQF_ORDER_CAP = 10000
 # Dense Gram matrices grow their entries and reach cost cliffs at lower
 # ranks, which this bound does not address.
 MAX_RANK = 256
+
+# the exact types of q and b values that need no closer look (a bool is an int subclass)
+_VALUE_TYPES = frozenset({int, Fraction})
 
 
 class Lattice(_Frozen):
@@ -220,7 +226,12 @@ def _blocks(gram: Matrix) -> list[tuple[tuple[int, ...], ...]]:
 
 def signature(lat: Lattice) -> tuple[int, int]:
     """Exact inertia (n_plus, n_minus), the sum of the inertias of the connected Gram blocks."""
-    pairs = [_block_signature(rows) for rows in _blocks(lat.gram)]
+    return _signature(_blocks(lat.gram))
+
+
+def _signature(blocks) -> tuple[int, int]:
+    """``signature`` of the lattice whose ``_blocks`` split is ``blocks``."""
+    pairs = [_block_signature(rows) for rows in blocks]
     return (sum(p for p, _ in pairs), sum(m for _, m in pairs))
 
 
@@ -286,7 +297,12 @@ def discriminant_group(lat: Lattice) -> tuple[int, ...]:
     Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), with no factorization: after
     pass i, d_i divides every later d_j.
     """
-    d = [x for rows in _blocks(lat.gram) for x in _block_form(rows).orders]
+    return _discriminant_group(_blocks(lat.gram))
+
+
+def _discriminant_group(blocks) -> tuple[int, ...]:
+    """``discriminant_group`` of the lattice whose ``_blocks`` split is ``blocks``."""
+    d = [x for rows in blocks for x in _block_form(rows).orders]
     for i, j in combinations(range(len(d)), 2):
         d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
     return tuple(x for x in d if x > 1)
@@ -300,10 +316,13 @@ class FiniteQuadraticForm(_Frozen):
     form the invariant factor chain when produced by discriminant_form but
     may be an arbitrary diagonal presentation for hand-built targets.
 
-    q and b must be well defined on the group, as every discriminant form
-    is: o_i^2 q_i in 2Z and o_i b_ij in Z for each generator g_i of order
-    o_i, so that q(x + o_i g_i) = q(x) and b(x + o_i g_i, y) = b(x, y).
-    Any other presentation is refused with a ValueError.
+    Orders must be ints >= 2 (no bool) and q and b values ints or
+    Fractions; anything else is refused, never converted, with a
+    ValueError that names the generator.  q and b must be well defined on
+    the group, as every discriminant form is: o_i^2 q_i in 2Z and o_i b_ij
+    in Z for each generator g_i of order o_i, so that q(x + o_i g_i) = q(x)
+    and b(x + o_i g_i, y) = b(x, y).  Any other presentation is refused
+    with a ValueError.
     """
 
     __slots__ = ("orders", "q_values", "b_matrix")
@@ -313,11 +332,17 @@ class FiniteQuadraticForm(_Frozen):
         k = len(orders)
         if len(q_values) != k or len(b_matrix) != k:
             raise ValueError("inconsistent generator data")
-        if any(o < 2 for o in orders):
-            raise ValueError("generator orders must be >= 2")
         for i, (o, q, row) in enumerate(zip(orders, q_values, b_matrix)):
+            if not _is_int(o) or o < 2:
+                raise ValueError(f"generator {i} has order {o!r}; an order must be an int >= 2")
             if len(row) != k:
                 raise ValueError("bilinear matrix is not square")
+            values = (q, *row)
+            if not _VALUE_TYPES.issuperset(map(type, values)):
+                for x in values:
+                    if not (isinstance(x, Fraction) or _is_int(x)):
+                        raise ValueError(f"generator {i} has {'q' if x is q else 'b'} value "
+                                         f"{x!r}; a value must be an int or a Fraction")
             n, d = q.numerator, q.denominator
             if row[i].denominator != d or row[i].numerator != n % d:
                 raise ValueError("diagonal of b must equal q mod 1")
@@ -340,19 +365,19 @@ class FiniteQuadraticForm(_Frozen):
         return not self.orders
 
 
-def _mod(x, m: int) -> Fraction:
-    """x mod m in [0, m) for a rational x: n/d gives Fraction(n % md, d), one Fraction."""
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-    d = x.denominator
-    return Fraction(x.numerator % (m * d), d)
+def _mod(x, m: int):
+    """x mod m in [0, m) for an int or Fraction x; any other x is left for the form to refuse."""
+    if not (isinstance(x, Fraction) or _is_int(x)):
+        return x
+    n, d = x.as_integer_ratio()
+    return Fraction(n % (m * d), d)
 
 
 def fqf_from_generators(orders, q_values, b_matrix) -> FiniteQuadraticForm:
     k = len(orders)
     q = tuple(_mod(x, 2) for x in q_values)
     b = tuple(tuple(_mod(b_matrix[i][j], 1) for j in range(k)) for i in range(k))
-    return FiniteQuadraticForm(tuple(int(o) for o in orders), q, b)
+    return FiniteQuadraticForm(tuple(orders), q, b)
 
 
 def fqf_from_diagonal(pairs) -> FiniteQuadraticForm:
@@ -399,16 +424,17 @@ def _block_form(rows: tuple[tuple[int, ...], ...]) -> FiniteQuadraticForm:
     return _gram_form(Matrix._of_ints(rows, len(rows)))
 
 
-def orthogonal_discriminant_form(lat: Lattice) -> FiniteQuadraticForm:
-    """The discriminant form of ``lat`` as the orthogonal sum of its nontrivial block forms.
+def _orthogonal_form(blocks) -> FiniteQuadraticForm:
+    """The discriminant form of the lattice split into ``blocks``, the sum of its block forms.
 
-    D(L1 + L2) = D(L1) + D(L2), so this is isometric to
-    ``discriminant_form(lat)``, but presented block by block: the
-    generators of ``_block_form`` of each connected Gram block in turn,
-    pairing to 0 across blocks.  Each distinct block takes one Smith form
-    per process, and none takes the whole Gram matrix.
+    ``blocks`` is the ``_blocks`` split of the Gram matrix.  D(L1 + L2) =
+    D(L1) + D(L2), so this is isometric to ``discriminant_form``, but
+    presented block by block: the generators of ``_block_form`` of each
+    nontrivial block in turn, pairing to 0 across blocks.  Each distinct
+    block takes one Smith form per process, and none takes the whole Gram
+    matrix.
     """
-    forms = [form for form in map(_block_form, _blocks(lat.gram)) if form.orders]
+    forms = [form for form in map(_block_form, blocks) if form.orders]
     orders = sum((form.orders for form in forms), ())
     zero, b = Fraction(0), []
     for form in forms:
@@ -478,7 +504,8 @@ def _p_parts(form: FiniteQuadraticForm) -> dict[int, tuple[list, list, list]]:
     Q = c^2 q(g) p^K mod 2p^K and B = c c' b(g, g') p^K mod p^K.  A value
     n/d of g has d | o, as the FiniteQuadraticForm constructor guarantees,
     so these are the exact integers c^2 n p^K // d and c c' n p^K // d.
-    Each order is factorized once.
+    Each order is factorized once, and each part is built in one loop per
+    generator, which reads every value once as ``as_integer_ratio()``.
     """
     gens: dict[int, list[tuple[int, int]]] = {}
     for i, o in enumerate(form.orders):
@@ -488,13 +515,16 @@ def _p_parts(form: FiniteQuadraticForm) -> dict[int, tuple[list, list, list]]:
     for p, part in gens.items():
         part.sort()
         top = part[-1][0]
-        idx = [i for _, i in part]
-        cof = [form.orders[i] // power for power, i in part]
-        qs = [c * c * x.numerator * top // x.denominator % (2 * top)
-              for c, x in zip(cof, map(form.q_values.__getitem__, idx))]
-        bm = [[c * d * x.numerator * top // x.denominator % top
-               for d, x in zip(cof, map(row.__getitem__, idx))]
-              for c, row in zip(cof, map(form.b_matrix.__getitem__, idx))]
+        cof = [(form.orders[i] // power, i) for power, i in part]
+        qs, bm = [], []
+        for c, i in cof:
+            n, d = form.q_values[i].as_integer_ratio()
+            qs.append(c * c * n * top // d % (2 * top))
+            row, out = form.b_matrix[i], []
+            for e, j in cof:
+                n, d = row[j].as_integer_ratio()
+                out.append(c * e * n * top // d % top)
+            bm.append(out)
         parts[p] = ([power for power, _ in part], qs, bm)
     return parts
 
@@ -551,19 +581,30 @@ def _odd_jordan(orders, bm, p: int):
     generate the group modulo the radical of b: so the scales multiply to
     |G| / |radical|, and b is nondegenerate exactly when they multiply to
     |G| (then each x has order p^s).
+
+    A round takes the first diagonal unit (gcd(b_ii, p^K) = 1) if there is
+    one: it is the least key (gcd(x, p^K), i != j, i, j) of the full scan
+    of every entry, valuation 0 on the diagonal at the lowest index, so the
+    pivots are the full scan's.  That scan runs only in a round without a
+    diagonal unit (a zero-diagonal plane, a higher scale, a degenerate b).
     """
     top = max(orders)
     a = [list(row) for row in bm]
     units: dict[int, list[int]] = {}
     while a:
-        g, offdiag, i, j = min((gcd(x, top), i != j, i, j)
-                               for i, row in enumerate(a) for j, x in enumerate(row))
-        if g == top:
-            break
-        if offdiag:
-            a[i] = [x + y for x, y in zip(a[i], a[j])]
-            for row in a:
-                row[i] += row[j]
+        for i, row in enumerate(a):
+            if gcd(row[i], top) == 1:
+                g = 1
+                break
+        else:
+            g, offdiag, i, j = min((gcd(x, top), i != j, i, j)
+                                   for i, row in enumerate(a) for j, x in enumerate(row))
+            if g == top:
+                break
+            if offdiag:
+                a[i] = [x + y for x, y in zip(a[i], a[j])]
+                for row in a:
+                    row[i] += row[j]
         pivot = a.pop(i)
         unit = pivot.pop(i) % top // g
         scale = top // g

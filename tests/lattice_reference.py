@@ -5,10 +5,12 @@ with exact Schur complements and hyperbolic 2x2 pivots where the library
 takes fraction-free (Bareiss) steps and a congruence.  ``p_primary_part``
 restricts a finite quadratic form to its p-primary component on
 ``Fraction`` values, generator by generator, without scaling to integers.
-The library must give identical outputs.  ``fqf_direct_sum`` builds the
-orthogonal sum of two finite quadratic forms for the isomorphism tests,
-and ``ambient_lattice`` the rank 23 lattice U^3 + E8(-1)^2 + <-2> that
-the order five classification counts ranks in.  ``sparse_grams`` gives
+``odd_jordan`` reads the Jordan invariants of an odd p-part with the full
+pivot scan in every round, where the library stops at the first diagonal
+unit.  The library must give identical outputs.  ``fqf_direct_sum``
+builds the orthogonal sum of two finite quadratic forms for the
+isomorphism tests, and ``ambient_lattice`` the rank 23 lattice
+U^3 + E8(-1)^2 + <-2> that the order five classification counts ranks in.  ``sparse_grams`` gives
 the large sparse Gram matrices on which the determinant and the
 signature are checked against these references at scale.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, prod
 
 from kummerlat.lattices import (
     FiniteQuadraticForm,
@@ -96,6 +99,39 @@ def p_primary_part(form: FiniteQuadraticForm, p: int) -> FiniteQuadraticForm:
         for s in range(len(idx))
     ]
     return fqf_from_generators(orders, qs, bm)
+
+
+def odd_jordan(orders, bm, p: int):
+    """The Jordan invariants {p^s: (r_s, d_s^((p - 1)/2) mod p)} of an odd p-part, or None.
+
+    Each round pivots on the minimum of (gcd(x, top), i != j, i, j) over
+    every entry x = B_ij: the lowest valuation, the diagonal first, then the
+    lowest index.
+    """
+    top = max(orders)
+    a = [list(row) for row in bm]
+    units: dict[int, list[int]] = {}
+    while a:
+        g, offdiag, i, j = min((gcd(x, top), i != j, i, j)
+                               for i, row in enumerate(a) for j, x in enumerate(row))
+        if g == top:
+            break
+        if offdiag:
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] += row[j]
+        pivot = a.pop(i)
+        unit = pivot.pop(i) % top // g
+        scale = top // g
+        units.setdefault(scale, []).append(unit)
+        inverse = pow(unit, -1, scale)
+        for r, row in enumerate(a):
+            c = row.pop(i) // g * inverse % scale
+            if c:
+                a[r] = [(y - c * z) % top for y, z in zip(row, pivot)]
+    if prod(s ** len(us) for s, us in units.items()) != prod(orders):
+        return None
+    return {s: (len(us), pow(prod(us), (p - 1) // 2, p)) for s, us in units.items()}
 
 
 def fqf_direct_sum(a: FiniteQuadraticForm, b: FiniteQuadraticForm) -> FiniteQuadraticForm:

@@ -178,16 +178,26 @@ def test_table_rows_share_their_standard_lattices(monkeypatch):
 
 def test_verify_all_takes_one_signature_per_lattice(monkeypatch):
     # S and T of eight rows, plus the standalone (5, 3) complement check,
-    # whose U(5) + <-10> is also the T of its row: 17 calls, 16 Gram matrices
+    # whose U(5) + <-10> is also the T of its row: 17 lattices on 16 Gram
+    # matrices, each split into its blocks once and its signature read once
     import kummerlat.classification as classification
+    import kummerlat.lattices as lattices
 
-    grams = []
-    real = classification.signature
+    grams, signatures = [], []
+    split, read = lattices._blocks, classification._signature
 
-    def counted(lat):
-        grams.append(lat.gram)
-        return real(lat)
+    def counted_split(gram):
+        grams.append(gram)
+        return split(gram)
 
-    monkeypatch.setattr(classification, "signature", counted)
+    def counted_read(blocks):
+        signatures.append(blocks)
+        return read(blocks)
+
+    # the public readers split through lattices._blocks, verify_row through its import
+    monkeypatch.setattr(lattices, "_blocks", counted_split)
+    monkeypatch.setattr(classification, "_blocks", counted_split)
+    monkeypatch.setattr(classification, "_signature", counted_read)
     assert verify_all().passed
     assert len(grams) == 17 and len(set(grams)) == 16
+    assert len(signatures) == 17

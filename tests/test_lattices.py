@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from kummerlat import lattices
 from kummerlat.lattices import (
+    FiniteQuadraticForm,
     Lattice,
     Sublattice,
     cartan_a,
@@ -27,7 +29,6 @@ from kummerlat.lattices import (
     lattice_from_dict,
     make_standard,
     orthogonal_complement,
-    orthogonal_discriminant_form,
     p_primary_part,
     signature,
 )
@@ -35,6 +36,7 @@ from kummerlat.matrix import Matrix, block_diag, exact_det, factorize, identity,
 from kummerlat.pool import extended_pool
 from isometry_reference import random_unimodular
 from lattice_reference import fqf_direct_sum
+from lattice_reference import odd_jordan as reference_odd_jordan
 from lattice_reference import p_primary_part as reference_p_primary_part
 from lattice_reference import signature as reference_signature
 from lattice_reference import sparse_grams
@@ -446,7 +448,8 @@ def test_orthogonal_form_is_isometric_to_the_whole_gram_form(source, monkeypatch
     assert len(cases) >= 24
     presented_apart = 0
     for lat in cases:
-        blockwise, whole = orthogonal_discriminant_form(lat), discriminant_form(lat)
+        blockwise = lattices._orthogonal_form(lattices._blocks(lat.gram))
+        whole = discriminant_form(lat)
         assert blockwise.group_order == whole.group_order == lat.disc, lat.gram
         assert fqf_isomorphic(blockwise, whole), lat.gram
         presented_apart += blockwise != whole
@@ -991,6 +994,8 @@ def test_p_primary_part_matches_fraction_reference():
                 b[i][j] = b[j][i] = Fraction(rng.randrange(g), g)
         forms.append(fqf_from_generators(orders, qs, b))
     forms.append(fqf_from_diagonal([(3, Fraction(4, 3)), (3, 0), (9, Fraction(2, 9))]))
+    # rebased presentations, whose b has off-diagonal values
+    forms += _pool_forms()
     parts = 0
     for f in forms:
         for p in group_signature(f.orders):
@@ -1022,6 +1027,85 @@ def test_p_parts_are_integral_on_the_scale_of_each_part():
                 assert all(type(x) is int and 0 <= x < top for x in row), (f, p)
                 assert [r[i] for r in bm] == row and qs[i] % top == row[i], (f, p)
     assert mixed > 0
+
+
+# the hyperbolic plane on (Z/3)^2: no diagonal unit, so its first pivot is off the diagonal
+PLANE_3 = fqf_from_generators([3, 3], [0, 0], [[0, Fraction(1, 3)], [Fraction(1, 3), 0]])
+
+
+def test_odd_jordan_matches_the_full_scan_reference():
+    # the first diagonal unit is the full scan's own choice, so every
+    # Jordan dict, or None, is the reference's: on degenerate parts, parts
+    # with no diagonal unit, several scales and mixed orders
+    forms = _pool_forms() + [f for orders in SMALL_ORDERS for f in _small_forms(orders)]
+    seen = Counter()
+    for f in forms + [PLANE_3]:
+        for p, (orders, _, bm) in lattices._p_parts(f).items():
+            if p == 2:
+                continue
+            jordan = lattices._odd_jordan(orders, bm, p)
+            assert jordan == reference_odd_jordan(orders, bm, p), (f, p)
+            top = orders[-1]
+            seen["degenerate" if jordan is None else "nondegenerate"] += 1
+            seen["scales"] += jordan is not None and len(jordan) > 1
+            seen["no diagonal unit"] += all(gcd(row[i], top) > 1 for i, row in enumerate(bm))
+    assert min(seen.values()) >= 10, seen
+
+
+def test_odd_jordan_stops_at_the_first_diagonal_unit(monkeypatch):
+    calls = []
+    real = lattices.gcd
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lattices, "gcd", counted)
+    # a diagonal nondegenerate (Z/5)^3 takes one diagonal unit per round, at
+    # most k + (k - 1) + ... + 1 gcd calls, where the full scan takes k^2 in
+    # its first round alone
+    k = 3
+    orders, _, bm = lattices._p_parts(fqf_from_diagonal([(5, Fraction(2, 5))] * k))[5]
+    assert lattices._odd_jordan(orders, bm, 5) == {5: (3, 4)}
+    assert len(calls) <= k * (k + 1) // 2
+    # the plane has no diagonal unit, so its first round scans all four entries
+    calls.clear()
+    orders, _, bm = lattices._p_parts(PLANE_3)[3]
+    assert lattices._odd_jordan(orders, bm, 3) == {3: (2, 2)}
+    assert len(calls) >= 4
+
+
+def test_form_constructors_refuse_orders_and_values_that_are_not_ints_or_fractions():
+    third = Fraction(1, 3)
+    two_fifths = Fraction(2, 5)
+    refused = [
+        (lambda: fqf_from_generators([6.9], [third], [[third]]),
+         "generator 0 has order 6.9; an order must be an int >= 2"),
+        (lambda: fqf_from_generators([1e300], [0], [[0]]),
+         "generator 0 has order 1e+300; an order must be an int >= 2"),
+        (lambda: fqf_from_generators(["5"], [two_fifths], [[two_fifths]]),
+         "generator 0 has order '5'; an order must be an int >= 2"),
+        (lambda: fqf_from_generators([5, True], [0, 0], [[0, 0], [0, 0]]),
+         "generator 1 has order True; an order must be an int >= 2"),
+        (lambda: fqf_from_diagonal([(5, two_fifths), (1, 0)]),
+         "generator 1 has order 1; an order must be an int >= 2"),
+        (lambda: FiniteQuadraticForm((5.0,), (two_fifths,), ((two_fifths,),)),
+         "generator 0 has order 5.0; an order must be an int >= 2"),
+        (lambda: FiniteQuadraticForm((5,), (0.4,), ((0.4,),)),
+         "generator 0 has q value 0.4; a value must be an int or a Fraction"),
+        (lambda: fqf_from_diagonal([(5, 0.4)]),
+         "generator 0 has q value 0.4; a value must be an int or a Fraction"),
+        (lambda: FiniteQuadraticForm((5, 5), (two_fifths, 0), ((two_fifths, 0), (0, "0"))),
+         "generator 1 has b value '0'; a value must be an int or a Fraction"),
+        (lambda: fqf_from_generators([3, 3], [0, 0], [[0, True], [True, 0]]),
+         "generator 0 has b value True; a value must be an int or a Fraction"),
+    ]
+    for build, message in refused:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+    # ints and Fractions are taken as they are
+    assert FiniteQuadraticForm((5,), (two_fifths,), ((two_fifths,),)).orders == (5,)
+    assert fqf_from_generators([3], [0], [[0]]) == fqf_from_diagonal([(3, Fraction(0))])
 
 
 def test_fqf_isomorphic_cancels_a_summand_of_coprime_order():
