@@ -16,6 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+# The private split readers let verify_row and verify_53_complement split each
+# Gram matrix into blocks once and read signature, discriminant group and
+# discriminant form from that one split.
 from .lattices import (
     FiniteQuadraticForm,
     Lattice,

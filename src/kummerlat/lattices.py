@@ -65,10 +65,6 @@ FQF_ORDER_CAP = 10000
 # ranks, which this bound does not address.
 MAX_RANK = 256
 
-# the exact types of q and b values that need no closer look (a bool is an int subclass)
-_VALUE_TYPES = frozenset({int, Fraction})
-
-
 class Lattice(_Frozen):
     """An even integral lattice with a nondegenerate symmetric Gram matrix.
 
@@ -337,12 +333,10 @@ class FiniteQuadraticForm(_Frozen):
                 raise ValueError(f"generator {i} has order {o!r}; an order must be an int >= 2")
             if len(row) != k:
                 raise ValueError("bilinear matrix is not square")
-            values = (q, *row)
-            if not _VALUE_TYPES.issuperset(map(type, values)):
-                for x in values:
-                    if not (isinstance(x, Fraction) or _is_int(x)):
-                        raise ValueError(f"generator {i} has {'q' if x is q else 'b'} value "
-                                         f"{x!r}; a value must be an int or a Fraction")
+            for x in (q, *row):
+                if not (isinstance(x, Fraction) or _is_int(x)):
+                    raise ValueError(f"generator {i} has {'q' if x is q else 'b'} value "
+                                     f"{x!r}; a value must be an int or a Fraction")
             n, d = q.numerator, q.denominator
             if row[i].denominator != d or row[i].numerator != n % d:
                 raise ValueError("diagonal of b must equal q mod 1")
