@@ -19,8 +19,12 @@ phi^p - 1 = Phi_p(phi) (phi - 1).
 No Smith form is taken.  The pairings x -> T^T G x have kernel S and map
 T onto (T^T G T) Z^k, so [L : T + S] is |det T| over the index of the
 image of L, which the echelon pivots of the kernel giving S multiply to.
-The quotient L/(T + S) of order p^a is p-elementary exactly when [T | S]
-has rank n - a over F_p.
+The trace fixes rank T before any kernel: tr phi = rank T - m, so
+m = (n - tr phi) / p, and T = 0 exactly when (p - 1) tr phi = -n.  Then
+the check runs on S = 1: Phi_p(phi) = 0 is prime to x - 1, so it proves
+ker(phi - 1) = 0 and S = L, and no kernel or determinant is taken.  By
+Reiner's classification of Z[C_p]-lattices, phi - 1 mod p has rank
+(p - 2) m + a, which is checked where a >= 2.
 
 Glued overlattices, on which the pool realizes nonzero a, are built in
 integers too: the overlattice basis is kept as the integer Hermite basis
@@ -41,11 +45,11 @@ from .matrix import (
     _is_int,
     column_hermite_basis,
     exact_det,
-    hstack,
     identity,
     integer_kernel,
     is_prime,
     solve,
+    zeros,
 )
 
 
@@ -153,14 +157,24 @@ def _annihilates(phi: Matrix, p: int, s: Matrix) -> bool:
         largest = max([m_s] + [abs(x) for row in entries for x in row])
 
 
+def _trace(m: Matrix) -> int:
+    return sum(row[i] for i, row in enumerate(m.data))
+
+
 def _split(iso: LatticeIsometry) -> tuple[Sublattice, Sublattice, int, int]:
     """(T, S, det T, [Z^k : T^T G L]) of ``iso`` by two kernels, one determinant and one check.
 
     The last entry, for k = rank T, is the index of the image of L under the
     pairings T^T G, read off the echelon pivots of the kernel that gives S.
+    When (p - 1) tr phi = -n, the check runs first on S = 1; if it passes,
+    T = 0 and S = L with no kernel or determinant, and otherwise the kernels
+    run as for any other phi.
     """
     p, lattice = iso.order, iso.lattice
-    t = integer_kernel(iso.matrix - identity(lattice.rank))
+    n, one = lattice.rank, identity(lattice.rank)
+    if (p - 1) * _trace(iso.matrix) == -n and _annihilates(iso.matrix, p, one):
+        return Sublattice._trusted(lattice, zeros(n, 0)), Sublattice._trusted(lattice, one), 1, 1
+    t = integer_kernel(iso.matrix - one)
     pairings = t.transpose() @ lattice.gram
     det_t = exact_det(pairings @ t) if t.cols else 1
     if det_t == 0:
@@ -197,22 +211,29 @@ def _rank_mod(rows, p: int) -> int:
 def compute_invariants(iso: LatticeIsometry) -> IsometryInvariants:
     """Compute (T, S, m, a, disc S) for a prime order isometry.
 
-    Two kernels give T and S, and ``_annihilates`` cross-checks S (``_split``).
+    Two kernels give T and S, and ``_annihilates`` cross-checks S (``_split``),
+    except when the trace gives T = 0: then Phi_p(phi) = 0, checked on
+    S = 1, proves ker(phi - 1) = 0, and no kernel is taken.  m is
+    (n - tr phi) / p, which must agree with the rank of T.
     The index comes from the pairing map x -> T^T G x, with kernel S: it
     maps L onto a lattice of index h in Z^k, the product of the echelon
     pivots of the second kernel, and T onto (T^T G T) Z^k, of index
     |det T|.  So [L : T + S] = |det T| / h, one exact division, a power
-    p^a.  The quotient is p-elementary exactly when n - a of the invariant
-    factors of [T | S] are prime to p, that is when [T | S] has rank n - a
-    over F_p; a quotient of order 1 or p always is, so only a >= 2 takes
-    the rank.  T is orthogonal to S, so |det T| |det S| = |det L| [L : T + S]^2
-    gives disc S by one more division, with det T from the degeneracy check.
+    p^a.  Modulo p, L is a sum of Jordan blocks of phi - 1 of sizes 1,
+    p - 1 (m - a of them) and p (a of them), so phi - 1 has rank
+    (p - 2) m + a over F_p; only a >= 2 takes the rank.  T is orthogonal
+    to S, so |det T| |det S| = |det L| [L : T + S]^2 gives disc S by one
+    more division, with det T from the degeneracy check.
     """
     p, n = iso.order, iso.lattice.rank
     t, s, det_t, image_index = _split(iso)
     if t.rank + s.rank != n:
         raise AssertionError("rank(T) + rank(S) != rank(L)")
-    m = s.rank // (p - 1)
+    m, rest = divmod(n - _trace(iso.matrix), p)
+    if rest:
+        raise AssertionError("p does not divide n - tr phi")
+    if t.rank != n - (p - 1) * m:
+        raise AssertionError("rank T != n - (p - 1) m for m = (n - tr phi) / p")
     index, rest = divmod(abs(det_t), image_index)
     if rest:
         raise AssertionError("[Z^k : T^T G L] does not divide |det T|")
@@ -222,8 +243,8 @@ def compute_invariants(iso: LatticeIsometry) -> IsometryInvariants:
         a += 1
     if x != 1:
         raise ValueError(f"index [L : T + S] = {index} is not a power of p = {p}")
-    if a > 1 and _rank_mod(hstack(t.basis, s.basis).data, p) != n - a:
-        raise ValueError("quotient L/(T + S) is not p-elementary")
+    if a > 1 and _rank_mod((iso.matrix - identity(n)).data, p) != (p - 2) * m + a:
+        raise ValueError("rank of phi - 1 over F_p is not (p - 2) m + a")
     disc_s, rest = divmod(iso.lattice.disc * index * index, abs(det_t))
     if rest:
         raise AssertionError("|det T| does not divide |det L| [L : T + S]^2")

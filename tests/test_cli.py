@@ -220,6 +220,34 @@ def test_isometry_check_golden(tmp_path, capsys):
         assert capsys.readouterr().out == json.dumps(entry["payload"], indent=2) + "\n"
 
 
+def test_isometry_check_on_a_dense_rank_60_rotation(tmp_path, capsys):
+    # the rotation of A_60, of order 61, under a dense basis change: the
+    # kernel of phi - 1 took 4 s here, and T = 0 is now read off the trace
+    import random
+
+    from isometry_reference import conjugate_isometry, random_unimodular
+    from kummerlat.isometries import LatticeIsometry
+    from kummerlat.lattices import Lattice, cartan_a
+    from kummerlat.pool import cyclic_rotation
+
+    n = 60
+    rotation = LatticeIsometry(Lattice(cartan_a(n)), cyclic_rotation(n), n + 1)
+    iso = conjugate_isometry(rotation, random_unimodular(random.Random(1), n, 4 * n))
+    job = {"gram": iso.lattice.gram.to_lists(), "matrix": iso.matrix.to_lists(), "p": n + 1}
+    path = _write(tmp_path, "rotation.json", job)
+    start = time.perf_counter()
+    assert main(["isometry", "check", path]) == EXIT_OK
+    assert main(["isometry", "check", path, "--json"]) == EXIT_OK
+    assert time.perf_counter() - start < 5
+    payload = {"p": 61, "m": 1, "a": 0, "disc_s": 61, "index": 1,
+               "square_theorem": True, "unimodular_corollary": None}
+    assert capsys.readouterr().out == (
+        "p = 61, m = 1, a = 0, disc S = 61, index = 1\n"
+        "square theorem: p^m * disc(S) = 3721 square: PASS\n"
+        "unimodular corollary: skipped (ambient not unimodular or p = 2)\n"
+        + json.dumps(payload, indent=2) + "\n")
+
+
 def test_lattice_info_at_the_rank_bound_stays_fast(tmp_path, capsys):
     # 2 I, the costliest sparse Gram matrix measured at the bound, ahead of A_n
     from kummerlat.lattices import MAX_RANK

@@ -311,6 +311,10 @@ def _power_sum(phi, k):
     return total
 
 
+def _trace(phi):
+    return sum(phi[i, i] for i in range(phi.rows))
+
+
 def _reference_invariants(iso):
     p, n = iso.order, iso.lattice.rank
     g = iso.lattice.gram
@@ -348,7 +352,7 @@ def test_trace_sum_counts_the_invariant_rank(seed):
         phi, p, n = iso.matrix, iso.order, iso.lattice.rank
         traces, power = 0, identity(n)
         for _ in range(p):
-            traces += sum(power[i, i] for i in range(n))
+            traces += _trace(power)
             power = power @ phi
         inv = compute_invariants(iso)
         assert traces == p * inv.invariant.rank, entry.name
@@ -566,6 +570,8 @@ def test_index_and_a_match_the_smith_reference(seed):
         t, s = inv.invariant.basis, inv.coinvariant.basis
         assert (inv.index, inv.a) == _smith_index(t, s, p), entry.name
         assert n - _rank_mod(hstack(t, s).data, p) == inv.a, entry.name
+        # phi - 1 mod p has Jordan blocks of sizes 1, p - 1 and p (Reiner)
+        assert _rank_mod((iso.matrix - identity(n)).data, p) == (p - 2) * inv.m + inv.a, entry.name
 
 
 @pytest.mark.parametrize("seed", [20260808, 4242])
@@ -595,8 +601,9 @@ def test_index_on_corrupted_inputs_matches_the_smith_reference(seed):
 
 
 def test_compute_invariants_does_each_piece_of_work_once(monkeypatch):
-    # two kernels (phi - 1 and the pairings with T), no Smith form in any
-    # module, one determinant (of T's Gram matrix, when T != 0), and no
+    # one cross-check; when T != 0, two kernels (phi - 1 and the pairings
+    # with T) and one determinant (of T's Gram matrix); when T = 0, read
+    # off the trace, none of them; no Smith form in any module, and no
     # validated Sublattice
     import kummerlat.isometries as iso_mod
     import kummerlat.matrix as matrix_mod
@@ -612,7 +619,7 @@ def test_compute_invariants_does_each_piece_of_work_once(monkeypatch):
 
         return counted
 
-    for name in ("integer_kernel", "exact_det"):
+    for name in ("integer_kernel", "exact_det", "_annihilates"):
         monkeypatch.setattr(iso_mod, name, counting(name, getattr(iso_mod, name)))
     smith = matrix_mod.smith_normal_form
     counted_smith = counting("smith_normal_form", smith)
@@ -621,8 +628,8 @@ def test_compute_invariants_does_each_piece_of_work_once(monkeypatch):
             if value is smith:
                 monkeypatch.setattr(module, attr, counted_smith)
     monkeypatch.setattr(Sublattice, "__init__", lambda sub, *args: calls.update(["Sublattice"]))
-    # the only matrix products are T^T G and (T^T G) T, and no matrix power
-    # is taken: the cross-check of S multiplies no matrices
+    # the only matrix products are T^T G and (T^T G) T, none when T = 0,
+    # and no matrix power is taken: the cross-check of S multiplies no matrices
     products = []
     matmul = Matrix.__matmul__
 
@@ -632,17 +639,78 @@ def test_compute_invariants_does_each_piece_of_work_once(monkeypatch):
 
     monkeypatch.setattr(Matrix, "__matmul__", recorded)
     monkeypatch.setattr(Matrix, "__pow__", counting("__pow__", Matrix.__pow__))
+    invariant_ranks = Counter()
     for entry in pool:
         calls.clear()
         products.clear()
         inv = compute_invariants(entry.isometry)
         t, gram = inv.invariant.basis, entry.isometry.lattice.gram
-        assert calls == Counter(integer_kernel=2, exact_det=int(t.cols > 0)), entry.name
-        want = [(t.transpose(), gram), (matmul(t.transpose(), gram), t)]
-        assert products == want[:1 + (t.cols > 0)], entry.name
+        invariant_ranks[t.cols > 0] += 1
+        if t.cols:
+            assert calls == Counter(integer_kernel=2, exact_det=1, _annihilates=1), entry.name
+            assert products == [(t.transpose(), gram), (matmul(t.transpose(), gram), t)], entry.name
+        else:
+            assert calls == Counter(_annihilates=1), entry.name
+            assert products == [], entry.name
+    assert invariant_ranks[True] and invariant_ranks[False]
     # the counting reaches the Smith form wherever it is called from
     matrix_mod.smith_normal_form(identity(2))
     assert calls["smith_normal_form"] == 1
+
+
+def test_trace_gate_falls_back_to_the_kernels_when_phi_p_is_not_zero(monkeypatch):
+    # (p - 1) tr phi = -n, the trace of an isometry with T = 0, but
+    # Phi_p(phi) != 0: the check with S = 1 fails, and the kernel route then
+    # ends as it always has, in the reference outcome
+    import kummerlat.isometries as iso_mod
+
+    steps = []
+    real_check, real_kernel = iso_mod._annihilates, iso_mod.integer_kernel
+
+    def check(phi, p, s):
+        steps.append(("check", s))
+        return real_check(phi, p, s)
+
+    def kernel(*args, **kwargs):
+        steps.append(("kernel",))
+        return real_kernel(*args, **kwargs)
+
+    monkeypatch.setattr(iso_mod, "_annihilates", check)
+    monkeypatch.setattr(iso_mod, "integer_kernel", kernel)
+    cases = [
+        # Phi_5(phi) = 1 and ker(phi - 1) = 0, so S = L fails the check again
+        (LatticeIsometry._trusted(A4M, block_diag(Matrix([[-1]]), zeros(3, 3)), 5),
+         AssertionError, "^coinvariant mismatch: "),
+        # Phi_3(phi) = 3 and T = Z e_1 is isotropic
+        (LatticeIsometry._trusted(U, Matrix([[1, 0], [0, -2]]), 3),
+         ValueError, "^form degenerates on the invariant lattice; input is not an isometry$"),
+    ]
+    for iso in _corrupted_inputs(4242):
+        n, p = iso.lattice.rank, iso.order
+        if (p - 1) * _trace(iso.matrix) == -n and _power_sum(iso.matrix, p) != zeros(n, n):
+            cases.append((iso, AssertionError, "^coinvariant mismatch: "))
+    assert len(cases) == 3
+    for iso, error, message in cases:
+        n, p = iso.lattice.rank, iso.order
+        assert (p - 1) * _trace(iso.matrix) == -n and _power_sum(iso.matrix, p) != zeros(n, n)
+        assert _expected_cross_check(iso) == ("mismatch" if error is AssertionError else "degenerate")
+        steps.clear()
+        with pytest.raises(error, match=message):
+            compute_invariants(iso)
+        assert steps[:2] == [("check", identity(n)), ("kernel",)], iso.matrix
+
+
+@pytest.mark.parametrize("n", [60, 72])
+def test_conjugated_rotation_is_read_off_the_trace(n):
+    # the rotation of A_n, of prime order n + 1, fixes nothing; under a
+    # dense basis change the kernel of phi - 1 took 4 s at n = 60 and more
+    # than 30 s at n = 72, and the trace gate takes none
+    rotation = LatticeIsometry(Lattice(cartan_a(n)), cyclic_rotation(n), n + 1)
+    iso = conjugate_isometry(rotation, random_unimodular(random.Random(1), n, 4 * n))
+    start = time.perf_counter()
+    inv = compute_invariants(iso)
+    assert time.perf_counter() - start < 1
+    assert (inv.m, inv.a, inv.disc_s, inv.index) == (1, 0, n + 1, 1)
 
 
 def test_conjugate_isometry_matches_rational_inverse():
@@ -889,13 +957,13 @@ def _split_rescaled(monkeypatch, det_factor, image_factor):
     [
         (0, r"^index \[L : T \+ S\] = 0 is not a power of p = 5$"),
         (10, r"^index \[L : T \+ S\] = 10 is not a power of p = 5$"),
-        (25, r"^quotient L/\(T \+ S\) is not p-elementary$"),
+        (25, r"^rank of phi - 1 over F_p is not \(p - 2\) m \+ a$"),
     ],
 )
 def test_index_read_off_the_smith_diagonal(monkeypatch, last, message):
     # the index is |det T| / [Z^k : T^T G L], here 1 / 1 with T = 0, forced
     # to ``last``; an index of 0 raises instead of dividing by p forever, and
-    # 25 = 5^2 is not p-elementary, as [T | S] = I has rank 4 != 4 - 2 mod 5
+    # 25 = 5^2 gives a = 2, while phi - 1 has rank 3 != (5 - 2) 1 + 2 mod 5
     iso = LatticeIsometry(A4M, C5, 5)
     assert compute_invariants(iso).index == 1
     _split_rescaled(monkeypatch, last, 1)
@@ -914,8 +982,8 @@ def test_image_index_divides_det_t_guard(monkeypatch):
 def test_disc_identity_guard(monkeypatch):
     # disc S = |det L| [L : T + S]^2 / |det T| must divide exactly; here
     # |det L| = 1, |det T| = 5 and the index is 5, and scaling det T and the
-    # image index by 7 keeps the index and the p-elementary check but makes
-    # |det T| = 35, which does not divide 25
+    # image index by 7 keeps the index, and so a = 1, but makes |det T| = 35,
+    # which does not divide 25
     glue = [a_n_glue(4) + tuple(2 * x for x in a_n_glue(4))]
     over, basis = overlattice_with_basis(direct_sum(A4M, A4M), glue)
     iso = LatticeIsometry(over, transport_isometry(basis, block_diag(identity(4), C5)), 5)
@@ -925,5 +993,24 @@ def test_disc_identity_guard(monkeypatch):
     assert (inv.index, inv.a, over.disc, abs(det_t)) == (5, 1, 1, 5)
     _split_rescaled(monkeypatch, 7, 7)
     message = r"^\|det T\| does not divide \|det L\| \[L : T \+ S\]\^2$"
+    with pytest.raises(AssertionError, match=message):
+        compute_invariants(iso)
+
+
+@pytest.mark.parametrize(
+    "shift, message",
+    [
+        (1, r"^p does not divide n - tr phi$"),
+        (5, r"^rank T != n - \(p - 1\) m for m = \(n - tr phi\) / p$"),
+    ],
+)
+def test_trace_guards(monkeypatch, shift, message):
+    # tr phi = rank T - m: a trace off by 1 is not n mod p, and one off by
+    # p = 5 gives m = 0, while the kernels find rank T = 0 != 4
+    import kummerlat.isometries as iso_mod
+
+    iso = LatticeIsometry(A4M, C5, 5)
+    real = iso_mod._trace
+    monkeypatch.setattr(iso_mod, "_trace", lambda m: real(m) + shift)
     with pytest.raises(AssertionError, match=message):
         compute_invariants(iso)
